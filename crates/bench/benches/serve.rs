@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use snaple_bench::append_bench_json;
+use snaple_bench::{append_bench_json, server_stats_json};
 use snaple_core::serve::Server;
 use snaple_core::{NamedScore, PredictRequest, Predictor, QuerySet, Snaple, SnapleConfig};
 use snaple_gas::ClusterSpec;
@@ -114,9 +114,8 @@ fn main() {
         "{{\"name\":\"serve-throughput/speedup\",\"value\":{speedup:.3},\
          \"requests\":{num_requests},\"batch\":{batch}}}"
     ));
-    append_bench_json(
-        &server
-            .stats()
-            .to_bench_json("serve-throughput/server-stats"),
-    );
+    append_bench_json(&server_stats_json(
+        "serve-throughput/server-stats",
+        server.stats(),
+    ));
 }

@@ -21,7 +21,7 @@
 use std::process::exit;
 use std::time::Instant;
 
-use snaple_bench::{append_bench_json, churn_delta};
+use snaple_bench::{append_bench_json, churn_delta, server_stats_json};
 use snaple_core::concurrent::{ConcurrentOptions, ConcurrentServer, PendingPrediction};
 use snaple_core::serve::Server;
 use snaple_core::{NamedScore, Prediction, QuerySet, Snaple, SnapleConfig};
@@ -139,9 +139,10 @@ fn main() {
         .collect();
     let sequential_wall = started.elapsed().as_secs_f64();
     let sequential_rps = num_requests as f64 / sequential_wall;
-    sequential
-        .stats()
-        .write_bench_json("exp-concurrent-sequential");
+    append_bench_json(&server_stats_json(
+        "exp-concurrent-sequential",
+        sequential.stats(),
+    ));
 
     let mut table = TextTable::new(vec![
         "configuration",
@@ -199,7 +200,10 @@ fn main() {
             format!("{:.2}", stats.latency.p95() * 1e3),
             format!("{:.2}", stats.latency.p99() * 1e3),
         ]);
-        stats.write_bench_json(&format!("exp-concurrent-w{workers}"));
+        append_bench_json(&server_stats_json(
+            &format!("exp-concurrent-w{workers}"),
+            stats,
+        ));
         speedup
     };
     let mut speedup_4 = 0.0;
@@ -267,7 +271,10 @@ fn main() {
         stats.latency.p99() * 1e3,
         stats.delta_apply_seconds * 1e3,
     );
-    stats.write_bench_json("exp-concurrent-reads-during-update");
+    append_bench_json(&server_stats_json(
+        "exp-concurrent-reads-during-update",
+        stats,
+    ));
     append_bench_json(&format!(
         "{{\"name\":\"exp-concurrent-summary\",\"sequential_rps\":{sequential_rps:.2},\
          \"speedup_w4\":{speedup_4:.3},\"speedup_max\":{speedup_max:.3},\

@@ -9,7 +9,7 @@
 //! milliseconds and replication factor — so the amortization win is
 //! visible next to the usual recall/time numbers.
 
-use snaple_bench::{append_bench_json, banner, dataset, emit, ExpArgs};
+use snaple_bench::{append_bench_json, banner, dataset, emit, server_stats_json, ExpArgs};
 use snaple_core::serve::Server;
 use snaple_core::{NamedScore, QuerySet, Snaple, SnapleConfig};
 use snaple_eval::table::{fmt_millis, fmt_recall, fmt_seconds};
@@ -105,5 +105,5 @@ fn main() {
         stats.throughput_rps(),
         stats.coalescing_factor(),
     );
-    append_bench_json(&stats.to_bench_json("exp-serve/served-stream"));
+    append_bench_json(&server_stats_json("exp-serve/served-stream", stats));
 }

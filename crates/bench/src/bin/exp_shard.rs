@@ -25,7 +25,7 @@
 use std::process::exit;
 use std::time::Instant;
 
-use snaple_bench::{append_bench_json, churn_delta};
+use snaple_bench::{append_bench_json, churn_delta, server_stats_json};
 use snaple_core::serve::Server;
 use snaple_core::shard::{PendingRows, ShardOptions, ShardRouter, ShardSpec, ShardTransport};
 use snaple_core::{NamedScore, Prediction, QuerySet, Snaple, SnapleConfig};
@@ -145,7 +145,10 @@ fn main() {
         .collect();
     let sequential_wall = started.elapsed().as_secs_f64();
     let sequential_rps = num_requests as f64 / sequential_wall;
-    sequential.stats().write_bench_json("exp-shard-sequential");
+    append_bench_json(&server_stats_json(
+        "exp-shard-sequential",
+        sequential.stats(),
+    ));
 
     let mut table = TextTable::new(vec![
         "configuration",
@@ -195,13 +198,14 @@ fn main() {
             format!("{:.2}", stats.latency.p95() * 1e3),
             format!("{:.2}", stats.latency.p99() * 1e3),
         ]);
-        stats.write_bench_json(&format!(
+        let name = format!(
             "exp-shard-{}{shards}",
             match transport {
                 ShardTransport::Threads => "t",
                 ShardTransport::Processes => "p",
             }
-        ));
+        );
+        append_bench_json(&server_stats_json(&name, stats));
         speedup
     };
 
@@ -276,7 +280,10 @@ fn main() {
             exit(1);
         }
     }
-    outcome.stats.write_bench_json("exp-shard-broadcast-update");
+    append_bench_json(&server_stats_json(
+        "exp-shard-broadcast-update",
+        &outcome.stats,
+    ));
     // Scaling is judged against the single-shard router (same codepath,
     // no scatter width), so the bar isolates the multi-shard win from
     // the router's own constant costs.

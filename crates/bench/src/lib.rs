@@ -21,6 +21,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::exit;
 
+use snaple_core::ServerStats;
 use snaple_eval::{EvalDataset, TextTable};
 use snaple_gas::ClusterSpec;
 use snaple_graph::hash::hash2;
@@ -117,8 +118,8 @@ fn usage_and_exit(experiment: &str, description: &str, error: &str) -> ! {
 
 /// Appends one pre-rendered JSON line to the file named by the
 /// `BENCH_JSON` environment variable, if set — the convention the
-/// criterion stand-in and `snaple_core::ServerStats` also follow, shared
-/// here so bench binaries emit custom lines (totals, speedups) without
+/// criterion stand-in also follows, shared here so bench binaries emit
+/// custom lines (totals, speedups, [`server_stats_json`]) without
 /// re-implementing the plumbing.
 pub fn append_bench_json(line: &str) {
     let Ok(path) = std::env::var("BENCH_JSON") else {
@@ -133,6 +134,42 @@ pub fn append_bench_json(line: &str) {
         }
         Err(e) => eprintln!("warning: cannot open {path}: {e}"),
     }
+}
+
+/// Renders a served stream's [`ServerStats`] as one JSON line for
+/// [`append_bench_json`]. Every ratio is taken from the stats' guarded
+/// accessors, so an empty or update-only stream renders finite numbers.
+pub fn server_stats_json(name: &str, stats: &ServerStats) -> String {
+    format!(
+        "{{\"name\":\"{name}\",\"requests\":{},\"batches\":{},\"workers\":{},\
+         \"serve_wall_seconds\":{:.6},\"setup_wall_seconds\":{:.6},\
+         \"partition_build_seconds\":{:.6},\"throughput_rps\":{:.2},\
+         \"mean_latency_ms\":{:.4},\"latency_p50_ms\":{:.4},\
+         \"latency_p95_ms\":{:.4},\"latency_p99_ms\":{:.4},\
+         \"coalescing\":{:.3},\
+         \"simulated_seconds\":{:.4},\"replication_factor\":{:.3},\
+         \"updates\":{},\"edges_inserted\":{},\"edges_removed\":{},\
+         \"delta_apply_seconds\":{:.6},\"delta_touched_partitions\":{}}}",
+        stats.requests,
+        stats.batches,
+        stats.workers,
+        stats.serve_wall_seconds,
+        stats.setup_wall_seconds,
+        stats.partition_build_seconds,
+        stats.throughput_rps(),
+        stats.mean_latency_seconds() * 1e3,
+        stats.latency.p50() * 1e3,
+        stats.latency.p95() * 1e3,
+        stats.latency.p99() * 1e3,
+        stats.coalescing_factor(),
+        stats.simulated_seconds,
+        stats.replication_factor,
+        stats.updates,
+        stats.edges_inserted,
+        stats.edges_removed,
+        stats.delta_apply_seconds,
+        stats.delta_touched_partitions,
+    )
 }
 
 /// Prints the standard experiment header.
@@ -207,4 +244,65 @@ pub fn churn_delta(graph: &CsrGraph, churn: f64, seed: u64) -> GraphDelta {
         inserted += 1;
     }
     delta
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snaple_core::{NamedScore, QuerySet, Server, Snaple, SnapleConfig};
+    use snaple_graph::gen::datasets;
+
+    fn assert_finite(json: &str) {
+        assert!(!json.contains("NaN") && !json.contains("nan"), "{json}");
+        assert!(!json.contains("inf"), "{json}");
+    }
+
+    #[test]
+    fn server_stats_json_is_finite_for_every_stream_shape() {
+        // Zero-denominator shapes: never served, zero wall seconds.
+        let empty = ServerStats::default();
+        assert_finite(&server_stats_json("empty-stream", &empty));
+        let zero_wall = ServerStats {
+            requests: 5,
+            batches: 1,
+            queries_received: 50,
+            ..ServerStats::default()
+        };
+        let json = server_stats_json("zero-wall", &zero_wall);
+        assert_finite(&json);
+        assert!(json.contains("\"throughput_rps\":0.00"), "{json}");
+
+        let graph = datasets::GOWALLA.emulate(0.005, 3);
+        let cluster = ClusterSpec::type_ii(4);
+        let snaple = Snaple::new(
+            SnapleConfig::new(NamedScore::LinearSum)
+                .k(5)
+                .klocal(Some(10)),
+        );
+        let mut server = Server::new(&snaple, &graph, &cluster).unwrap();
+        assert_finite(&server_stats_json("prepared-only", server.stats()));
+
+        // An update-only stream, then an all-empty batch.
+        let n = graph.num_vertices() as u32;
+        let mut delta = GraphDelta::new();
+        delta.insert(0, n - 1);
+        server.apply_update(&delta).unwrap();
+        let json = server_stats_json("update-only", server.stats());
+        assert_finite(&json);
+        assert!(json.contains("\"updates\":1"), "{json}");
+        let empties = [QuerySet::from_indices([]), QuerySet::from_indices([])];
+        server.serve_batch(&empties).unwrap();
+        assert_finite(&server_stats_json("empty-union", server.stats()));
+
+        // A served stream carries its counters and latency percentiles.
+        server
+            .serve(&QuerySet::sample(graph.num_vertices(), 20, 1))
+            .unwrap();
+        let json = server_stats_json("unit", server.stats());
+        assert!(json.starts_with("{\"name\":\"unit\""), "{json}");
+        assert!(json.contains("\"requests\":3"), "{json}");
+        assert!(json.contains("\"latency_p50_ms\":"), "{json}");
+        assert!(json.contains("\"latency_p99_ms\":"), "{json}");
+        assert!(json.contains("\"workers\":0"), "{json}");
+    }
 }

@@ -1,58 +1,30 @@
-//! The concurrent serving runtime: a shared-nothing worker pool over one
-//! `Arc`-shared prepared snapshot, with bounded-queue backpressure and
-//! epoch-swapped graph updates.
+//! The concurrent runtime of the [serving core](crate::serve): a bounded
+//! queue and a pool of worker threads over one `Arc`-shared prepared
+//! snapshot, with epoch-swapped updates.
 //!
-//! The sequential [`Server`](crate::serve::Server) executes every batch
-//! on the caller's thread and stalls the whole stream while a
-//! [`GraphDelta`] applies in place. This module is the production shape
-//! of the same serve loop, following the read-mostly architecture of
-//! deployed graph-serving systems: a **read path** that shares one
-//! immutable snapshot across N workers, and a **write path** that builds
-//! the post-delta snapshot off to the side and atomically publishes it.
+//! Coalescing, epochs, write-ahead and restart are described once, in
+//! the [serve module docs](crate::serve). This runtime adds three things:
 //!
-//! # Architecture
-//!
-//! * **Shared-nothing workers** — [`ConcurrentServer::run`] spawns
-//!   [`ConcurrentOptions::workers`] OS threads. Each worker pops jobs
-//!   from the submission queue, clones the `Arc` of the *current*
-//!   snapshot, and executes against it via
-//!   [`PreparedPredictor::execute`]'s `&self` contract (all per-run state
-//!   is per-call, so workers share nothing but the immutable snapshot).
-//!   A worker grabs up to [`ConcurrentOptions::batch`] queued jobs at
-//!   once and coalesces them into one union-masked run — the same exact
-//!   coalescing as [`Server::serve_batch`](crate::serve::Server::serve_batch),
-//!   so responses stay bit-identical to serving each request alone.
-//! * **Bounded queue, backpressure** — submissions beyond
+//! * **Workers** — [`ConcurrentServer::run`] spawns
+//!   [`ConcurrentOptions::workers`] OS threads. Each pops up to
+//!   [`ConcurrentOptions::batch`] queued jobs, pins the current epoch's
+//!   snapshot, and answers them with one coalesced run through
+//!   [`PreparedPredictor::execute`]'s `&self` contract, so workers share
+//!   nothing but the immutable snapshot.
+//! * **A bounded queue** — submissions beyond
 //!   [`ConcurrentOptions::queue_capacity`] either block
 //!   ([`ServeHandle::submit`], [`ServeHandle::serve`]) or fail fast with
-//!   [`SnapleError::QueueFull`] ([`ServeHandle::try_submit`]); memory
-//!   stays bounded no matter how fast callers produce requests.
-//! * **Epoch-swapped updates** — [`ServeHandle::apply_update`] forks the
-//!   current snapshot with the delta applied
-//!   ([`PreparedPredictor::fork_with_delta`]), then swaps the `Arc`.
-//!   In-flight batches finish on the epoch they started with; reads
-//!   never block on writes (the swap itself is one pointer store under a
-//!   briefly-held lock). Every batch therefore observes exactly one
-//!   epoch — never a torn half-applied update — and post-swap responses
-//!   are bit-identical to a cold rebuild on the mutated graph.
+//!   [`SnapleError::QueueFull`] ([`ServeHandle::try_submit`]), so memory
+//!   stays bounded however fast callers produce requests.
+//! * **An epoch cell** — [`ServeHandle::apply_update`] forks the current
+//!   snapshot with the delta applied, logs the delta when the run is
+//!   durable, and swaps the `Arc`. The swap is one pointer store under a
+//!   briefly held lock, so reads never block on writes.
 //!
 //! The runtime is scoped: [`ConcurrentServer::run`] owns the pool for the
 //! duration of a closure, hands it a cloneable [`ServeHandle`], drains
 //! every accepted request when the closure returns, and reports the
-//! stream's [`ServerStats`] — including p50/p95/p99 submission-to-response
-//! latency from the fixed-bucket [`LatencyHistogram`].
-//!
-//! # When to still use the sequential `Server`
-//!
-//! [`Server`](crate::serve::Server) remains the right tool when replaying
-//! a recorded stream in program order, when deterministic batch
-//! boundaries matter (benchmarks), or when updates *should* serialize
-//! against predictions. Its in-place [`apply_update`] is also cheaper
-//! than an epoch fork: the fork clones the deployment (memcpy-bound)
-//! before applying the delta incrementally, which is the price of never
-//! stalling readers.
-//!
-//! [`apply_update`]: crate::serve::Server::apply_update
+//! stream's [`ServerStats`].
 //!
 //! # Example
 //!
@@ -102,10 +74,8 @@ use snaple_store::Durability;
 
 use crate::error::SnapleError;
 use crate::predictor::Prediction;
-use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet,
-};
-use crate::serve::{demultiplex, LatencyHistogram, ServerStats};
+use crate::predictor_api::{Predictor, PrepareRequest, PreparedPredictor, QuerySet};
+use crate::serve::{durability_error, execute_coalesced, write_ahead, ServerStats};
 
 /// Configuration of a [`ConcurrentServer`] run.
 ///
@@ -199,23 +169,6 @@ struct QueueState {
     open: bool,
 }
 
-/// Counters the workers accumulate; folded into [`ServerStats`] when the
-/// run finishes.
-#[derive(Default)]
-struct Gauges {
-    requests: usize,
-    batches: usize,
-    queries_received: usize,
-    union_queries: usize,
-    simulated_seconds: f64,
-    latency: LatencyHistogram,
-    updates: usize,
-    edges_inserted: usize,
-    edges_removed: usize,
-    delta_apply_seconds: f64,
-    delta_touched_partitions: usize,
-}
-
 /// Everything the workers, submitters and updater share.
 struct Shared<'g> {
     queue: Mutex<QueueState>,
@@ -235,7 +188,7 @@ struct Shared<'g> {
     /// ever locked while `update_lock` is held, so the commitlog append
     /// is the serialization point before each epoch swap.
     durability: Option<Mutex<Durability>>,
-    gauges: Mutex<Gauges>,
+    stats: Mutex<ServerStats>,
     capacity: usize,
     batch: usize,
     seed: Option<u64>,
@@ -272,6 +225,11 @@ pub struct PendingPrediction {
     rx: mpsc::Receiver<Result<Prediction, SnapleError>>,
 }
 
+/// The error a ticket reports when its channel lost the sender.
+fn shut_down_unanswered() -> SnapleError {
+    SnapleError::InvalidConfig("concurrent server shut down before answering".to_owned())
+}
+
 impl PendingPrediction {
     /// Blocks until the request's response (or its error) arrives.
     ///
@@ -279,14 +237,12 @@ impl PendingPrediction {
     ///
     /// Propagates the [`SnapleError`] of the underlying execute.
     pub fn wait(self) -> Result<Prediction, SnapleError> {
-        self.rx.recv().unwrap_or_else(|_| {
-            // Unreachable through the public API — the pool answers every
-            // accepted job before shutting down — but a lost channel must
-            // not panic a caller.
-            Err(SnapleError::InvalidConfig(
-                "concurrent server shut down before answering".to_owned(),
-            ))
-        })
+        // A lost channel is unreachable through the public API — the pool
+        // answers every accepted job before shutting down — but it must
+        // not panic a caller.
+        self.rx
+            .recv()
+            .unwrap_or_else(|_| Err(shut_down_unanswered()))
     }
 
     /// Returns the response if it is already available, or the ticket
@@ -301,9 +257,7 @@ impl PendingPrediction {
             Err(mpsc::TryRecvError::Empty) => Err(self),
             // A lost sender will never answer: surface the same error
             // wait() reports instead of letting a poll loop spin forever.
-            Err(mpsc::TryRecvError::Disconnected) => Ok(Err(SnapleError::InvalidConfig(
-                "concurrent server shut down before answering".to_owned(),
-            ))),
+            Err(mpsc::TryRecvError::Disconnected) => Ok(Err(shut_down_unanswered())),
         }
     }
 }
@@ -386,17 +340,13 @@ impl ServeHandle<'_, '_> {
     /// ([`PreparedPredictor::fork_with_delta`]) while workers keep
     /// reading the current epoch, then published atomically. Batches
     /// popped after the swap see the new epoch; in-flight batches finish
-    /// on the old one — reads never block on the update, and no response
-    /// ever mixes the two graphs.
+    /// on the old one.
     ///
     /// Concurrent updaters are serialized so every delta lands (each fork
-    /// starts from the previously published epoch).
-    ///
-    /// In a [`ConcurrentServer::run_prepared_durable`] run the delta is
-    /// appended to the commitlog between the fork and the swap — the
-    /// write-ahead serialization point: an epoch is never observable
-    /// before its delta is on disk, and a logging failure rejects the
-    /// update while the current epoch keeps serving.
+    /// starts from the previously published epoch). In a
+    /// [`ConcurrentServer::run_prepared_durable`] run the delta is
+    /// appended to the commitlog between the fork and the swap, so an
+    /// epoch is never observable before its delta is on disk.
     ///
     /// # Errors
     ///
@@ -408,29 +358,16 @@ impl ServeHandle<'_, '_> {
         let current = Arc::clone(&crate::sync::read(&self.shared.snapshot));
         // The expensive part happens here, outside every lock readers use.
         let (forked, applied) = current.prepared.fork_with_delta(delta)?;
-        // Write-ahead: log before the swap (under the update lock, so log
-        // order matches epoch order). On failure the forked snapshot is
-        // dropped and readers never see the unlogged epoch.
+        // Write-ahead under the update lock, so log order matches epoch
+        // order. On failure the fork is dropped unpublished.
         if let Some(durable) = &self.shared.durability {
-            crate::sync::lock(durable)
-                .record(delta)
-                .map_err(|e| SnapleError::Durability {
-                    message: e.to_string(),
-                })?;
+            write_ahead(&mut crate::sync::lock(durable), delta)?;
         }
-        {
-            let mut slot = crate::sync::write(&self.shared.snapshot);
-            *slot = Arc::new(Snapshot {
-                prepared: forked,
-                epoch: current.epoch + 1,
-            });
-        }
-        let mut g = crate::sync::lock(&self.shared.gauges);
-        g.updates += 1;
-        g.edges_inserted += applied.inserted_edges;
-        g.edges_removed += applied.removed_edges;
-        g.delta_apply_seconds += applied.apply_wall_seconds;
-        g.delta_touched_partitions += applied.touched_partitions;
+        *crate::sync::write(&self.shared.snapshot) = Arc::new(Snapshot {
+            prepared: forked,
+            epoch: current.epoch + 1,
+        });
+        crate::sync::lock(&self.shared.stats).record_update(&applied);
         Ok(applied)
     }
 
@@ -506,7 +443,7 @@ impl ConcurrentServer {
     /// into `prepared` (via
     /// [`PreparedPredictor::apply_delta`]) *before* calling this, so they
     /// are not re-logged — see the [serve module
-    /// docs](crate::serve#restartable-serving) for the protocol.
+    /// docs](crate::serve#write-ahead-and-restart) for the protocol.
     ///
     /// The store comes back in [`ConcurrentOutcome::durability`] after a
     /// final commitlog flush, so a caller can keep persisting across
@@ -542,7 +479,10 @@ impl ConcurrentServer {
         durability: Option<Durability>,
         body: impl FnOnce(ServeHandle<'_, 'g>) -> R,
     ) -> (ConcurrentOutcome<R>, Option<SnapleError>) {
-        let setup = prepared.setup().clone();
+        let stats = ServerStats {
+            workers: options.workers,
+            ..ServerStats::from_setup(prepared.setup())
+        };
         let shared = Shared {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::with_capacity(options.queue_capacity),
@@ -555,7 +495,7 @@ impl ConcurrentServer {
             snapshot: RwLock::new(Arc::new(Snapshot { prepared, epoch: 0 })),
             update_lock: Mutex::new(()),
             durability: durability.map(Mutex::new),
-            gauges: Mutex::new(Gauges::default()),
+            stats: Mutex::new(stats),
             capacity: options.queue_capacity,
             batch: options.batch,
             seed: options.seed,
@@ -575,39 +515,15 @@ impl ConcurrentServer {
             let _close_on_exit = CloseQueueGuard { shared: &shared };
             body(ServeHandle { shared: &shared })
         });
-        let serve_wall_seconds = serve_started.elapsed().as_secs_f64();
         // The pool is joined: take the store back, flush the commitlog
         // tail, and fold its counters into the stream stats.
-        let durability = shared.durability.map(crate::sync::into_inner);
-        let gauges = crate::sync::into_inner(shared.gauges);
-        let (durability, sync_err) = match durability {
-            Some(mut durable) => {
-                let err = durable.sync().err().map(|e| SnapleError::Durability {
-                    message: e.to_string(),
-                });
-                (Some(durable), err)
-            }
-            None => (None, None),
-        };
-        let stats = ServerStats {
-            requests: gauges.requests,
-            batches: gauges.batches,
-            queries_received: gauges.queries_received,
-            union_queries: gauges.union_queries,
-            simulated_seconds: gauges.simulated_seconds,
-            serve_wall_seconds,
-            setup_wall_seconds: setup.prepare_wall_seconds,
-            partition_build_seconds: setup.partition_build_seconds,
-            replication_factor: setup.replication_factor,
-            updates: gauges.updates,
-            edges_inserted: gauges.edges_inserted,
-            edges_removed: gauges.edges_removed,
-            delta_apply_seconds: gauges.delta_apply_seconds,
-            delta_touched_partitions: gauges.delta_touched_partitions,
-            latency: gauges.latency,
-            workers: options.workers,
-            durability: durability.as_ref().map(|d| d.stats().clone()),
-        };
+        let mut stats = crate::sync::into_inner(shared.stats);
+        stats.serve_wall_seconds = serve_started.elapsed().as_secs_f64();
+        let mut durability = shared.durability.map(crate::sync::into_inner);
+        let sync_err = durability
+            .as_mut()
+            .and_then(|durable| durable.sync().err().map(durability_error));
+        stats.durability = durability.as_ref().map(|d| d.stats().clone());
         (
             ConcurrentOutcome {
                 value,
@@ -688,74 +604,40 @@ fn worker_loop(shared: &Shared<'_>) {
             shared,
             taken: jobs.len(),
         };
+        let (requests, replies): (Vec<QuerySet>, Vec<_>) = jobs
+            .into_iter()
+            .map(|job| (job.queries, (job.submitted, job.reply)))
+            .unzip();
 
         // Pin this batch to the current epoch: the Arc clone is the only
         // synchronization the read path needs, and it keeps the snapshot
         // alive even if an update swaps the epoch mid-run.
         let snapshot = Arc::clone(&crate::sync::read(&shared.snapshot));
-        let started = Instant::now();
-        let requests: Vec<QuerySet> = jobs.iter().map(|j| j.queries.clone()).collect();
-        let result = execute_coalesced(
+        match execute_coalesced(
             snapshot.prepared.as_ref(),
             &requests,
             shared.attributes,
             shared.seed,
-        );
-
-        match result {
-            Ok((responses, union_len, simulated_seconds)) => {
-                let elapsed = started.elapsed().as_secs_f64();
-                let mut g = crate::sync::lock(&shared.gauges);
-                g.requests += requests.len();
-                g.batches += 1;
-                g.queries_received += requests.iter().map(QuerySet::len).sum::<usize>();
-                g.union_queries += union_len;
-                g.simulated_seconds += simulated_seconds;
-                let _ = elapsed; // per-batch wall folds into pool lifetime
-                for job in &jobs {
-                    g.latency.record(job.submitted.elapsed().as_secs_f64());
-                }
-                drop(g);
-                for (job, response) in jobs.into_iter().zip(responses) {
+        ) {
+            Ok(run) => {
+                let latencies = replies.iter().map(|(t, _)| t.elapsed().as_secs_f64());
+                crate::sync::lock(&shared.stats).record_batch(&run, latencies);
+                for ((_, reply), response) in replies.into_iter().zip(run.responses) {
                     // A dropped ticket just discards the response.
-                    let _ = job.reply.send(Ok(response));
+                    let _ = reply.send(Ok(response));
                 }
             }
             Err(e) => {
-                // Same contract as the sequential server: a failing batch
-                // counts nothing — the error goes to its requesters, the
-                // stream statistics stay untouched.
-                for job in jobs {
-                    let _ = job.reply.send(Err(e.clone()));
+                // A failing batch counts nothing: the error goes to its
+                // requesters, the stream statistics stay untouched.
+                for (_, reply) in replies {
+                    let _ = reply.send(Err(e.clone()));
                 }
             }
         }
         // `_in_flight` drops here, returning the batch's count and waking
         // any `drain()` waiter once the pool is idle.
     }
-}
-
-/// Unions the batch's query sets, executes once, and demultiplexes —
-/// exactly [`Server::serve_batch`](crate::serve::Server::serve_batch)'s
-/// shared-run semantics, against an explicit snapshot.
-fn execute_coalesced(
-    prepared: &dyn PreparedPredictor,
-    requests: &[QuerySet],
-    attributes: Option<&[Vec<u32>]>,
-    seed: Option<u64>,
-) -> Result<(Vec<Prediction>, usize, f64), SnapleError> {
-    let union: QuerySet = requests.iter().flat_map(QuerySet::iter).collect();
-    let mut exec = ExecuteRequest::new().with_queries(&union);
-    if let Some(attrs) = attributes {
-        exec = exec.with_attributes(attrs);
-    }
-    if let Some(seed) = seed {
-        exec = exec.with_seed(seed);
-    }
-    let shared_run = prepared.execute(&exec)?;
-    let simulated = shared_run.simulated_seconds();
-    let responses = demultiplex(&shared_run, requests);
-    Ok((responses, union.len(), simulated))
 }
 
 #[cfg(test)]

@@ -248,8 +248,8 @@
 //! ([`ShardTransport::Processes`]); both speak the same checksummed
 //! binary wire protocol, and both serve rows **bit-identical** to a
 //! single-process [`ConcurrentServer`] — including across
-//! [`GraphDelta`] updates, which broadcast to every shard as local
-//! epoch swaps. A shard that dies mid-flight surfaces as
+//! [`GraphDelta`] updates, which broadcast to every shard and apply in
+//! place there. A shard that dies mid-flight surfaces as
 //! [`SnapleError::ShardFailed`] on the affected requests; the router
 //! keeps serving the surviving shards. See the [`shard`] module docs
 //! for the topology, the wire framing, and the thread/process

@@ -1,78 +1,83 @@
-//! The serve layer: answer a *stream* of query-set requests against one
+//! The serving core: answer a *stream* of query-set requests against one
 //! prepared predictor.
 //!
-//! A production "who to follow" deployment receives many small requests
-//! per second against the same graph. Two amortizations make that cheap
-//! here:
+//! This module is the one description of the serving model. Every runtime
+//! runs the same three jobs through it — coalesced execute
+//! ([`Server::serve_batch`]'s union → execute → demultiplex), stream
+//! statistics ([`ServerStats`]) and write-ahead logging of updates — and
+//! adds only what is truly its own:
 //!
-//! 1. **Prepare once** — the [`Server`] holds a
-//!    [`PreparedPredictor`], so the O(edges) partition build and all
-//!    backend precomputation are paid a single time for the whole stream
-//!    (see [`Predictor::prepare`]).
-//! 2. **Coalesce requests** — [`Server::serve_batch`] unions the query
-//!    sets of concurrent requests into one active-vertex mask, runs the
-//!    masked supersteps once, and demultiplexes the rows back per
-//!    request. Because masked runs are *exact* (each queried row is
-//!    bit-identical to an all-vertices run), the demultiplexed rows are
-//!    bit-identical to executing every request individually — the batch
-//!    only shares the fixed per-superstep costs.
+//! | runtime | what it adds | how an update lands |
+//! |---|---|---|
+//! | sequential [`Server`] | nothing: batches run on the caller's thread through `&mut self` | applied in place between batches |
+//! | [`ConcurrentServer`](crate::concurrent::ConcurrentServer) | a bounded queue, N worker threads and an epoch cell over one `Arc`-shared snapshot | forked off to the side, then swapped in as the next epoch |
+//! | [`ShardRouter`](crate::shard::ShardRouter) | a frame loop per shard, each shard a [`Server`] behind it, and a scatter-gather front end | broadcast to every shard, applied in place on each |
 //!
-//! The served graph does not have to stay frozen: update batches
-//! ([`Server::apply_update`]) interleave with prediction batches, folding
-//! edge insertions/removals into the prepared deployment in place — a
-//! per-delta cost proportional to the delta, not to the graph — while
-//! every subsequent prediction stays bit-identical to a cold rebuild on
-//! the mutated graph.
+//! All three return bit-identical rows for the same requests and seed.
 //!
-//! # Sequential vs concurrent serving
+//! # Prepare once
 //!
-//! This module's [`Server`] is **sequential**: one caller thread drives
-//! batches and updates in program order through `&mut self`, and an
-//! update blocks the stream while it applies in place. That is the right
-//! tool for replaying a recorded stream, for benchmarks that want
-//! deterministic batch boundaries, and for single-tenant embedding. For
-//! a *multi-threaded* request load — many callers, updates that must not
-//! stall reads — use
-//! [`ConcurrentServer`](crate::concurrent::ConcurrentServer): a pool of
-//! workers executes against one `Arc`-shared snapshot, a bounded queue
-//! applies backpressure, and updates publish epoch forks instead of
-//! mutating in place (see the [concurrent module
-//! docs](crate::concurrent)). Both layers produce bit-identical rows for
-//! the same requests and seed.
+//! A runtime holds a [`PreparedPredictor`], so the O(edges) partition
+//! build and all backend precomputation are paid a single time for the
+//! whole stream (see [`Predictor::prepare`]).
 //!
-//! Either way, [`ServerStats`] tracks the stream: throughput, coalescing,
-//! per-request latency percentiles from a fixed-bucket
-//! [`LatencyHistogram`] (no per-request allocation), and cumulative
-//! update costs — all exportable as one `BENCH_JSON` line.
+//! # Coalescing
 //!
-//! # Restartable serving
+//! A batch of requests is answered by **one** masked superstep run: the
+//! query sets are unioned into one active-vertex mask, executed once, and
+//! the rows demultiplexed back per request. Masked runs are *exact* (each
+//! queried row is bit-identical to an all-vertices run), so every
+//! response is bit-identical to executing its request alone; the batch
+//! only shares the fixed per-superstep costs. A batch of one returns the
+//! run itself, whose non-queried rows are already empty.
+//!
+//! # Epochs
+//!
+//! The served graph does not stay frozen: an update folds edge
+//! insertions and removals into the prepared deployment at a cost
+//! proportional to the delta, not to the graph, and every later
+//! prediction is bit-identical to a cold rebuild on the mutated graph.
+//! Each applied update starts a new epoch, and every batch observes
+//! exactly one epoch. The sequential server and each shard apply updates
+//! in place, which serializes them against predictions. The concurrent
+//! server builds the post-delta snapshot beside the current one
+//! ([`PreparedPredictor::fork_with_delta`]) and swaps it in, so reads
+//! never block on a write; in-flight batches finish on the epoch they
+//! started with.
+//!
+//! # Statistics
+//!
+//! [`ServerStats`] tracks the stream: throughput, coalescing, per-request
+//! latency percentiles from a fixed-bucket [`LatencyHistogram`] (no
+//! per-request allocation), and cumulative update costs. Only a
+//! successful run or update is recorded; a failing one leaves every
+//! counter untouched.
+//!
+//! # Write-ahead and restart
 //!
 //! Attach a [`snaple_store::Durability`] store
-//! ([`Server::attach_durability`]) and the server becomes restartable:
-//! every [`Server::apply_update`] appends the delta to an fsync'd,
-//! checksummed commitlog *before* applying it (write-ahead — a logging
-//! failure rejects the update and leaves serving state unchanged), and
-//! every K logged deltas the store checkpoints a compacted snapshot of
-//! the graph. After a crash, [`snaple_store::Durability::open`] recovers
-//! the newest valid snapshot (falling back to older ones past checksum
-//! failures) plus the commitlog tail, handing back replay deltas that
-//! reproduce the pre-crash graph **bit-identically**. The recovery
-//! protocol:
+//! ([`Server::attach_durability`], or
+//! [`ConcurrentServer::run_prepared_durable`](crate::concurrent::ConcurrentServer::run_prepared_durable))
+//! and serving becomes restartable. Every update is appended to an
+//! fsync'd, checksummed commitlog *before* it becomes observable: the
+//! sequential server logs and then applies; the concurrent server forks,
+//! logs, and then swaps, so log order is epoch order. A logging failure
+//! rejects the update with [`SnapleError::Durability`] and leaves the
+//! serving state unchanged. Every K logged deltas the store checkpoints a
+//! compacted snapshot of the graph. Shards never own a data dir.
 //!
-//! 1. `Durability::open(dir, base, config, opts)` → recovered graph +
-//!    replay deltas + a [`snaple_store::RecoveryReport`].
-//! 2. Prepare the predictor on the *recovered* graph, wrap it in a
-//!    `Server`, and apply the replay deltas through
-//!    [`Server::apply_update`] — **before** attaching, so they are not
-//!    re-logged.
-//! 3. [`Server::attach_durability`] — subsequent updates persist.
+//! After a crash, restart in three steps:
 //!
-//! With no store attached the durability path is a `None` check — the
-//! ephemeral serve loop is unchanged. The concurrent layer persists the
-//! same way via
-//! [`ConcurrentServer::run_prepared_durable`](crate::concurrent::ConcurrentServer::run_prepared_durable),
-//! where the commitlog append is the serialization point before each
-//! epoch swap.
+//! 1. `Durability::open(dir, base, config, opts)` recovers the newest
+//!    valid snapshot (falling back to older ones past checksum failures)
+//!    plus the commitlog tail, as a graph, replay deltas and a
+//!    [`snaple_store::RecoveryReport`].
+//! 2. Prepare the predictor on the *recovered* graph and apply the replay
+//!    deltas — **before** attaching the store, so they are not re-logged.
+//!    The result is bit-identical to the pre-crash graph.
+//! 3. Attach the store; subsequent updates persist.
+//!
+//! With no store attached the durability path is a `None` check.
 //!
 //! ```
 //! use snaple_core::serve::Server;
@@ -98,13 +103,13 @@
 use std::time::Instant;
 
 use snaple_gas::{ClusterSpec, DeltaStats};
-use snaple_graph::{GraphDelta, GraphStore, VertexId};
-use snaple_store::{Durability, DurabilityStats};
+use snaple_graph::{GraphDelta, GraphStore};
+use snaple_store::{Durability, DurabilityStats, StoreError};
 
 use crate::error::SnapleError;
 use crate::predictor::Prediction;
 use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet,
+    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet, SetupStats,
 };
 
 /// Number of power-of-two latency buckets: bucket `i` covers
@@ -147,6 +152,7 @@ impl LatencyHistogram {
     pub fn record(&mut self, seconds: f64) {
         let micros = (seconds * 1e6).max(0.0) as u64;
         let idx = (63 - micros.max(1).leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
+        // snaple-lint: allow(index) — idx is clamped to LATENCY_BUCKETS - 1 on the line above
         self.counts[idx] += 1;
         self.total += 1;
     }
@@ -203,15 +209,19 @@ impl LatencyHistogram {
             return 0.0;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Geometric midpoint of [2^i, 2^{i+1}) µs, in seconds.
-                return 2f64.powi(i as i32) * std::f64::consts::SQRT_2 / 1e6;
-            }
-        }
-        unreachable!("total > 0 implies a bucket holds the rank")
+        // `total` is the sum of the buckets, so some bucket always reaches
+        // the rank; the top bucket is only a fallback.
+        let bucket = self
+            .counts
+            .iter()
+            .scan(0u64, |seen, &c| {
+                *seen += c;
+                Some(*seen)
+            })
+            .position(|seen| seen >= rank)
+            .unwrap_or(LATENCY_BUCKETS - 1);
+        // Geometric midpoint of [2^i, 2^{i+1}) µs, in seconds.
+        2f64.powi(bucket as i32) * std::f64::consts::SQRT_2 / 1e6
     }
 
     /// Median request latency in seconds.
@@ -230,8 +240,8 @@ impl LatencyHistogram {
     }
 }
 
-/// Aggregate statistics of a request stream served by a [`Server`] or a
-/// [`ConcurrentServer`](crate::concurrent::ConcurrentServer).
+/// Aggregate statistics of a request stream served by any runtime of the
+/// [serving core](self).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServerStats {
     /// Requests answered.
@@ -261,9 +271,8 @@ pub struct ServerStats {
     pub edges_inserted: usize,
     /// Edge removals applied across all updates.
     pub edges_removed: usize,
-    /// Host wall-clock seconds spent applying deltas in place — the cost
-    /// the incremental path pays *instead of* a full re-prepare per
-    /// update.
+    /// Host wall-clock seconds spent applying deltas — the cost the
+    /// incremental path pays *instead of* a full re-prepare per update.
     pub delta_apply_seconds: f64,
     /// Cumulative count of vertex-cut partitions the updates touched.
     pub delta_touched_partitions: usize,
@@ -281,6 +290,46 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// Empty stream statistics carrying the setup costs of a prepared
+    /// predictor.
+    pub(crate) fn from_setup(setup: &SetupStats) -> Self {
+        ServerStats {
+            setup_wall_seconds: setup.prepare_wall_seconds,
+            partition_build_seconds: setup.partition_build_seconds,
+            replication_factor: setup.replication_factor,
+            ..ServerStats::default()
+        }
+    }
+
+    /// Folds one successful coalesced run into the stream: one batch, its
+    /// requests, queries, simulated and wall seconds, plus one latency
+    /// observation per request from `latencies`.
+    pub(crate) fn record_batch(
+        &mut self,
+        run: &Coalesced,
+        latencies: impl IntoIterator<Item = f64>,
+    ) {
+        self.requests += run.responses.len();
+        self.batches += 1;
+        self.queries_received += run.queries_received;
+        self.union_queries += run.union_queries;
+        self.simulated_seconds += run.simulated_seconds;
+        self.serve_wall_seconds += run.wall_seconds;
+        for seconds in latencies {
+            self.latency.record(seconds);
+        }
+    }
+
+    /// Folds one successfully applied update into the stream. Every
+    /// counter, `delta_touched_partitions` included, is cumulative.
+    pub(crate) fn record_update(&mut self, applied: &DeltaStats) {
+        self.updates += 1;
+        self.edges_inserted += applied.inserted_edges;
+        self.edges_removed += applied.removed_edges;
+        self.delta_apply_seconds += applied.apply_wall_seconds;
+        self.delta_touched_partitions += applied.touched_partitions;
+    }
+
     /// Requests answered per host wall-clock second of serving.
     pub fn throughput_rps(&self) -> f64 {
         if self.serve_wall_seconds > 0.0 {
@@ -355,9 +404,9 @@ impl ServerStats {
     /// How many received queries each executed union query stood for
     /// (1.0 = no overlap between coalesced requests).
     ///
-    /// Guarded against the zero-denominator stream shapes BENCH_JSON must
-    /// never see as `NaN`/`inf`: update-only streams and all-empty
-    /// batches execute zero union queries and report `1.0` (no
+    /// Guarded against the zero-denominator stream shapes an exported
+    /// metric must never see as `NaN`/`inf`: update-only streams and
+    /// all-empty batches execute zero union queries and report `1.0` (no
     /// coalescing), mirroring [`ServerStats::throughput_rps`] and
     /// [`ServerStats::mean_latency_seconds`] reporting `0.0` on their
     /// zero denominators.
@@ -413,62 +462,102 @@ impl ServerStats {
             self.simulated_seconds,
         )
     }
+}
 
-    /// Renders the stats as one JSON line for benchmark tracking.
-    pub fn to_bench_json(&self, name: &str) -> String {
-        format!(
-            "{{\"name\":\"{name}\",\"requests\":{},\"batches\":{},\"workers\":{},\
-             \"serve_wall_seconds\":{:.6},\"setup_wall_seconds\":{:.6},\
-             \"partition_build_seconds\":{:.6},\"throughput_rps\":{:.2},\
-             \"mean_latency_ms\":{:.4},\"latency_p50_ms\":{:.4},\
-             \"latency_p95_ms\":{:.4},\"latency_p99_ms\":{:.4},\
-             \"coalescing\":{:.3},\
-             \"simulated_seconds\":{:.4},\"replication_factor\":{:.3},\
-             \"updates\":{},\"edges_inserted\":{},\"edges_removed\":{},\
-             \"delta_apply_seconds\":{:.6},\"delta_touched_partitions\":{}}}",
-            self.requests,
-            self.batches,
-            self.workers,
-            self.serve_wall_seconds,
-            self.setup_wall_seconds,
-            self.partition_build_seconds,
-            self.throughput_rps(),
-            self.mean_latency_seconds() * 1e3,
-            self.latency.p50() * 1e3,
-            self.latency.p95() * 1e3,
-            self.latency.p99() * 1e3,
-            self.coalescing_factor(),
-            self.simulated_seconds,
-            self.replication_factor,
-            self.updates,
-            self.edges_inserted,
-            self.edges_removed,
-            self.delta_apply_seconds,
-            self.delta_touched_partitions,
-        )
-    }
+/// One coalesced run: a response per request, plus the figures
+/// [`ServerStats::record_batch`] folds into the stream.
+pub(crate) struct Coalesced {
+    /// One response per request, in request order.
+    pub(crate) responses: Vec<Prediction>,
+    queries_received: usize,
+    union_queries: usize,
+    simulated_seconds: f64,
+    /// Host wall-clock seconds of the union, execute and demultiplex.
+    pub(crate) wall_seconds: f64,
+}
 
-    /// Appends [`ServerStats::to_bench_json`] to the file named by the
-    /// `BENCH_JSON` environment variable, if set (the same convention the
-    /// criterion harness uses).
-    pub fn write_bench_json(&self, name: &str) {
-        if let Ok(path) = std::env::var("BENCH_JSON") {
-            use std::io::Write;
-            if let Ok(mut f) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
-                let _ = writeln!(f, "{}", self.to_bench_json(name));
-            }
+/// Unions the requests' query sets into one mask, executes it once
+/// against `prepared`, and demultiplexes the rows back per request — the
+/// coalesced execute of every runtime (see [Coalescing](self#coalescing)).
+///
+/// A batch of one returns the shared run itself: its non-queried rows
+/// are already empty, so copying it into a new response would change
+/// nothing but the cost.
+pub(crate) fn execute_coalesced(
+    prepared: &dyn PreparedPredictor,
+    requests: &[QuerySet],
+    attributes: Option<&[Vec<u32>]>,
+    seed: Option<u64>,
+) -> Result<Coalesced, SnapleError> {
+    let started = Instant::now();
+    let union_of_many: QuerySet;
+    let union = match requests {
+        // Query sets are sorted and deduplicated: one is its own union.
+        [one] => one,
+        _ => {
+            union_of_many = requests.iter().flat_map(QuerySet::iter).collect();
+            &union_of_many
         }
+    };
+    let mut exec = ExecuteRequest::new().with_queries(union);
+    if let Some(attrs) = attributes {
+        exec = exec.with_attributes(attrs);
+    }
+    if let Some(seed) = seed {
+        exec = exec.with_seed(seed);
+    }
+    let shared = prepared.execute(&exec)?;
+    let union_queries = union.len();
+    let simulated_seconds = shared.simulated_seconds();
+    let responses = if requests.len() == 1 {
+        vec![shared]
+    } else {
+        demultiplex(&shared, requests)
+    };
+    Ok(Coalesced {
+        responses,
+        queries_received: requests.iter().map(QuerySet::len).sum(),
+        union_queries,
+        simulated_seconds,
+        wall_seconds: started.elapsed().as_secs_f64(),
+    })
+}
+
+/// Splits one shared run into per-request [`Prediction`]s: each response
+/// carries exactly its request's rows (all other rows empty) plus a copy
+/// of the shared run's statistics.
+fn demultiplex(shared: &Prediction, requests: &[QuerySet]) -> Vec<Prediction> {
+    requests
+        .iter()
+        .map(|request| {
+            let mut rows = vec![Vec::new(); shared.num_vertices()];
+            for q in request.iter() {
+                if let Some(row) = rows.get_mut(q.index()) {
+                    *row = shared.for_vertex(q).to_vec();
+                }
+            }
+            Prediction::from_parts(rows, shared.stats.clone())
+        })
+        .collect()
+}
+
+/// Appends `delta` to the commitlog — the write-ahead step every durable
+/// runtime takes before an update becomes observable. A failure rejects
+/// the update as [`SnapleError::Durability`].
+pub(crate) fn write_ahead(durable: &mut Durability, delta: &GraphDelta) -> Result<(), SnapleError> {
+    durable.record(delta).map(drop).map_err(durability_error)
+}
+
+/// Maps a store failure to [`SnapleError::Durability`].
+pub(crate) fn durability_error(e: StoreError) -> SnapleError {
+    SnapleError::Durability {
+        message: e.to_string(),
     }
 }
 
 /// Serves a stream of [`QuerySet`] requests against one prepared
-/// predictor, coalescing batches into shared masked supersteps.
-///
-/// See the [module docs](self) for the model and an example.
+/// predictor on the caller's thread — the sequential runtime of the
+/// [serving core](self).
 pub struct Server<'a> {
     prepared: Box<dyn PreparedPredictor + 'a>,
     attributes: Option<&'a [Vec<u32>]>,
@@ -500,18 +589,11 @@ impl<'a> Server<'a> {
     /// Wraps an already-prepared predictor (e.g. one shared with other
     /// consumers of the deployment).
     pub fn from_prepared(prepared: Box<dyn PreparedPredictor + 'a>) -> Self {
-        let setup = prepared.setup();
-        let stats = ServerStats {
-            setup_wall_seconds: setup.prepare_wall_seconds,
-            partition_build_seconds: setup.partition_build_seconds,
-            replication_factor: setup.replication_factor,
-            ..ServerStats::default()
-        };
         Server {
+            stats: ServerStats::from_setup(prepared.setup()),
             prepared,
             attributes: None,
             seed: None,
-            stats,
             durability: None,
         }
     }
@@ -522,7 +604,7 @@ impl<'a> Server<'a> {
     ///
     /// Replay deltas recovered at open time must be applied *before*
     /// attaching, so they are not re-logged — see the
-    /// [module docs](self#restartable-serving).
+    /// [module docs](self#write-ahead-and-restart).
     pub fn attach_durability(&mut self, durability: Durability) {
         self.stats.durability = Some(durability.stats().clone());
         self.durability = Some(durability);
@@ -541,9 +623,7 @@ impl<'a> Server<'a> {
     /// Surfaces the flush failure as [`SnapleError::Durability`].
     pub fn sync_durability(&mut self) -> Result<(), SnapleError> {
         if let Some(durable) = self.durability.as_mut() {
-            durable.sync().map_err(|e| SnapleError::Durability {
-                message: e.to_string(),
-            })?;
+            durable.sync().map_err(durability_error)?;
             self.stats.durability = Some(durable.stats().clone());
         }
         Ok(())
@@ -567,8 +647,7 @@ impl<'a> Server<'a> {
     }
 
     /// Applies a graph-update batch to the prepared deployment *in
-    /// place*, between prediction batches — the streaming-ingestion half
-    /// of the serve loop.
+    /// place*, between prediction batches.
     ///
     /// The underlying [`PreparedPredictor::apply_delta`] re-routes only
     /// the vertex-cut partitions the delta touches, so an update costs
@@ -587,17 +666,11 @@ impl<'a> Server<'a> {
     /// update is not counted.
     pub fn apply_update(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
         if let Some(durable) = self.durability.as_mut() {
-            durable.record(delta).map_err(|e| SnapleError::Durability {
-                message: e.to_string(),
-            })?;
+            write_ahead(durable, delta)?;
         }
         let applied = self.prepared.apply_delta(delta)?;
-        self.stats.updates += 1;
-        self.stats.edges_inserted += applied.inserted_edges;
-        self.stats.edges_removed += applied.removed_edges;
-        self.stats.delta_apply_seconds += applied.apply_wall_seconds;
-        self.stats.delta_touched_partitions += applied.touched_partitions;
-        if let Some(durable) = self.durability.as_ref() {
+        self.stats.record_update(&applied);
+        if let Some(durable) = &self.durability {
             self.stats.durability = Some(durable.stats().clone());
         }
         Ok(applied)
@@ -609,27 +682,23 @@ impl<'a> Server<'a> {
     ///
     /// Propagates [`SnapleError`] from the underlying execute.
     pub fn serve(&mut self, queries: &QuerySet) -> Result<Prediction, SnapleError> {
-        let mut responses = self.serve_batch(std::slice::from_ref(queries))?;
-        Ok(responses.pop().expect("one response per request"))
+        self.serve_batch(std::slice::from_ref(queries))?
+            .pop()
+            .ok_or_else(|| SnapleError::InvalidConfig("a batch of one produced no response".into()))
     }
 
     /// Answers a batch of concurrent requests through **one** shared
-    /// masked superstep run.
+    /// masked superstep run (see [Coalescing](self#coalescing)).
     ///
-    /// The requests' query sets are unioned into a single mask, executed
-    /// once, and the resulting rows demultiplexed per request. Each
-    /// response is bit-identical to executing its request individually:
-    /// queried rows match, non-queried rows are empty. Every response
-    /// carries the statistics of the *shared* run (the batch's cost is
-    /// not attributed to individual requests).
+    /// Each response is bit-identical to executing its request
+    /// individually: queried rows match, non-queried rows are empty.
+    /// Responses use [`Prediction`]'s dense per-vertex row layout, so a
+    /// wide batch on a large graph allocates one row table per request.
+    /// Every response carries the statistics of the *shared* run (the
+    /// batch's cost is not attributed to individual requests), and every
+    /// request records the batch's wall time as its latency.
     ///
     /// An empty batch returns no responses and executes nothing.
-    ///
-    /// Each response uses [`Prediction`]'s dense per-vertex row layout
-    /// (so it compares 1:1 with one-shot results) and owns a copy of the
-    /// shared run's statistics; for very large graphs with tiny requests
-    /// prefer reading rows out of a single [`Server::serve`] response per
-    /// wave instead of demultiplexing wide batches.
     ///
     /// # Errors
     ///
@@ -639,53 +708,11 @@ impl<'a> Server<'a> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let started = Instant::now();
-        let union: QuerySet = requests.iter().flat_map(QuerySet::iter).collect();
-        let mut exec = ExecuteRequest::new().with_queries(&union);
-        if let Some(attrs) = self.attributes {
-            exec = exec.with_attributes(attrs);
-        }
-        if let Some(seed) = self.seed {
-            exec = exec.with_seed(seed);
-        }
-        let shared = self.prepared.execute(&exec)?;
-        let responses = demultiplex(&shared, requests);
-
-        // Stats are recorded only after a successful run: a failing batch
-        // returned above and left every counter (and the latency
-        // histogram) untouched, so BENCH_JSON never counts work that
-        // produced no responses.
-        let elapsed = started.elapsed().as_secs_f64();
-        self.stats.requests += requests.len();
-        self.stats.batches += 1;
-        self.stats.queries_received += requests.iter().map(QuerySet::len).sum::<usize>();
-        self.stats.union_queries += union.len();
-        self.stats.simulated_seconds += shared.simulated_seconds();
-        self.stats.serve_wall_seconds += elapsed;
-        for _ in requests {
-            // Every request of the batch waited for the whole shared run.
-            self.stats.latency.record(elapsed);
-        }
-        Ok(responses)
+        let run = execute_coalesced(self.prepared.as_ref(), requests, self.attributes, self.seed)?;
+        self.stats
+            .record_batch(&run, std::iter::repeat_n(run.wall_seconds, requests.len()));
+        Ok(run.responses)
     }
-}
-
-/// Demultiplexes one shared coalesced run back into per-request
-/// [`Prediction`]s: each response carries exactly its request's rows (all
-/// other rows empty) plus a copy of the shared run's statistics. Shared
-/// by the sequential [`Server`] and the concurrent worker pool so both
-/// layers return byte-identical responses for the same batch.
-pub(crate) fn demultiplex(shared: &Prediction, requests: &[QuerySet]) -> Vec<Prediction> {
-    requests
-        .iter()
-        .map(|request| {
-            let mut rows: Vec<Vec<(VertexId, f32)>> = vec![Vec::new(); shared.num_vertices()];
-            for q in request.iter() {
-                rows[q.index()] = shared.for_vertex(q).to_vec();
-            }
-            Prediction::from_parts(rows, shared.stats.clone())
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -896,29 +923,25 @@ mod tests {
         assert!(stats.throughput_rps() > 0.0);
         assert!(stats.mean_latency_seconds() > 0.0);
         assert!(stats.simulated_seconds > 0.0);
-        let json = stats.to_bench_json("unit");
-        assert!(json.starts_with("{\"name\":\"unit\""), "{json}");
-        assert!(json.contains("\"requests\":3"), "{json}");
         assert!(!stats.summary().is_empty());
     }
 
     #[test]
     fn zero_request_streams_emit_finite_stats() {
         // A server that never served: every accessor must stay finite
-        // (no 0/0 NaN) and the BENCH_JSON line must carry no NaN/inf.
+        // (no 0/0 NaN).
         let stats = ServerStats::default();
         assert_eq!(stats.throughput_rps(), 0.0);
         assert_eq!(stats.mean_latency_seconds(), 0.0);
         assert_eq!(stats.coalescing_factor(), 1.0);
-        let json = stats.to_bench_json("empty-stream");
-        assert!(!json.contains("NaN") && !json.contains("nan"), "{json}");
-        assert!(!json.contains("inf"), "{json}");
         assert!(!stats.summary().contains("NaN"), "{}", stats.summary());
 
         let (graph, cluster, snaple) = setup();
         let server = Server::new(&snaple, &graph, &cluster).unwrap();
-        let json = server.stats().to_bench_json("prepared-only");
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+        let prepared_only = server.stats();
+        assert_eq!(prepared_only.throughput_rps(), 0.0);
+        assert_eq!(prepared_only.coalescing_factor(), 1.0);
+        assert!(!prepared_only.summary().contains("NaN"));
     }
 
     #[test]
@@ -937,8 +960,6 @@ mod tests {
         assert_eq!(stats.union_queries, 0);
         assert_eq!(stats.coalescing_factor(), 1.0, "0/0 must not be NaN");
         assert!(stats.throughput_rps().is_finite());
-        let json = stats.to_bench_json("empty-union");
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
     }
 
     #[test]
@@ -954,9 +975,6 @@ mod tests {
         assert_eq!(stats.throughput_rps(), 0.0, "0-second stream is 0 rps");
         assert_eq!(stats.mean_latency_seconds(), 0.0);
         assert_eq!(stats.coalescing_factor(), 1.0);
-        let json = stats.to_bench_json("zero-wall");
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-        assert!(json.contains("\"throughput_rps\":0.00"), "{json}");
     }
 
     #[test]
@@ -1005,8 +1023,6 @@ mod tests {
         assert!(stats.delta_apply_seconds > 0.0);
         assert!(stats.delta_touched_partitions >= 1);
         assert!(stats.summary().contains("1 updates"), "{}", stats.summary());
-        let json = stats.to_bench_json("upd");
-        assert!(json.contains("\"updates\":1"), "{json}");
         // Per-run stats surface the deployment's cumulative delta costs.
         assert!(after.stats.delta_apply_seconds > 0.0);
         assert_eq!(expected.stats.delta_apply_seconds, 0.0);
@@ -1066,8 +1082,8 @@ mod tests {
         // Regression for the zero-denominator class: a stream containing
         // only update requests executes zero queries and zero batches, so
         // coalescing_factor (received/union), throughput_rps and
-        // mean_latency_seconds all sit on 0/0 holes. BENCH_JSON must see
-        // finite numbers, not inf/NaN.
+        // mean_latency_seconds all sit on 0/0 holes. Exported metrics must
+        // see finite numbers, not inf/NaN.
         let (graph, cluster, snaple) = setup();
         let mut server = Server::new(&snaple, &graph, &cluster).unwrap();
         let n = graph.num_vertices() as u32;
@@ -1087,9 +1103,6 @@ mod tests {
         assert_eq!(stats.mean_latency_seconds(), 0.0);
         assert_eq!(stats.latency.p50(), 0.0, "empty histogram percentiles");
         assert_eq!(stats.latency.p99(), 0.0);
-        let json = stats.to_bench_json("update-only");
-        assert!(!json.contains("NaN") && !json.contains("nan"), "{json}");
-        assert!(!json.contains("inf"), "{json}");
         let summary = stats.summary();
         assert!(
             !summary.contains("NaN") && !summary.contains("inf"),
@@ -1143,10 +1156,6 @@ mod tests {
         assert_eq!(stats.latency.count(), 5, "one recording per request");
         assert!(stats.latency.p50() > 0.0);
         assert!(stats.latency.p50() <= stats.latency.p99());
-        let json = stats.to_bench_json("latency");
-        assert!(json.contains("\"latency_p50_ms\":"), "{json}");
-        assert!(json.contains("\"latency_p99_ms\":"), "{json}");
-        assert!(json.contains("\"workers\":0"), "{json}");
         assert!(
             stats.summary().contains("p50/p95/p99"),
             "{}",

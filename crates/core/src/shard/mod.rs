@@ -21,9 +21,11 @@
 //! vertex goes to its one owning shard, sub-queries are disjoint, and
 //! the gathered rows union into exactly what one big server would
 //! produce (sub-queries run as masked supersteps, which are exact by
-//! construction). Updates **broadcast**: every shard folds the same
-//! [`GraphDelta`](snaple_graph::GraphDelta) into its snapshot as a
-//! shard-local epoch swap, keeping all replicas identical.
+//! construction). Updates **broadcast**: every shard applies the same
+//! [`GraphDelta`](snaple_graph::GraphDelta) to its snapshot in place,
+//! keeping all replicas identical. Each shard is a sequential
+//! [`Server`](crate::serve::Server) behind a frame loop; the serving
+//! model itself is described in the [serve module docs](crate::serve).
 //!
 //! # Wire framing
 //!

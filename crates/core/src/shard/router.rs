@@ -1,17 +1,17 @@
-//! The scatter-gather router: one serving front end over N shard
-//! runtimes.
+//! The scatter-gather router: the sharded front end of the
+//! [serving core](crate::serve), one front end over N shard runtimes.
 //!
-//! [`ShardRouter::run`] mirrors the scoped-run shape of
-//! [`ConcurrentServer::run`](crate::concurrent::ConcurrentServer::run):
-//! it stands the shard fleet up, hands the body a [`RouterHandle`], and
-//! tears the fleet down when the body returns, yielding the merged
-//! statistics. Requests **scatter**: each queried vertex is routed to
-//! the one shard owning its master partition
+//! The serving model is described once, in the [serve module
+//! docs](crate::serve); each shard is a sequential
+//! [`Server`](crate::serve::Server) behind a frame loop. The router adds
+//! the fleet: [`ShardRouter::run`] stands it up, hands the body a
+//! [`RouterHandle`], and tears it down when the body returns, yielding
+//! the merged statistics. Requests **scatter**: each queried vertex is
+//! routed to the one shard owning its master partition
 //! ([`ShardAssignment::shard_of_vertex`]), so sub-queries are disjoint
 //! and the gathered rows union into exactly the rows a single-process
 //! server would produce. Updates **broadcast**: every shard applies the
-//! same delta as a shard-local epoch fork, keeping all snapshots
-//! identical.
+//! same delta, keeping all snapshots identical.
 //!
 //! Shard death is a first-class outcome, not a hang: a broken pipe,
 //! EOF, or corrupt reply marks the shard dead, fails every in-flight
@@ -123,6 +123,7 @@ struct Slot {
     cv: Condvar,
 }
 
+#[derive(Default)]
 struct SlotState {
     /// Shard indices that have not answered yet.
     waiting: Vec<usize>,
@@ -141,16 +142,6 @@ struct ShardConn {
     child: Mutex<Option<std::process::Child>>,
 }
 
-#[derive(Default)]
-struct Gauges {
-    outstanding: usize,
-    requests: usize,
-    queries_received: usize,
-    updates: usize,
-    edges_inserted: usize,
-    edges_removed: usize,
-}
-
 struct RouterShared {
     conns: Vec<ShardConn>,
     assignment: ShardAssignment,
@@ -160,8 +151,12 @@ struct RouterShared {
     next_id: AtomicU64,
     epoch: AtomicU64,
     pending: Mutex<HashMap<u64, Arc<Slot>>>,
-    gauges: Mutex<Gauges>,
+    /// Scattered requests and broadcast updates not yet completed.
+    outstanding: Mutex<usize>,
     idle_cv: Condvar,
+    /// The logical stream as the router sees it: requests, queries and
+    /// updates, each broadcast update counted once.
+    stats: Mutex<ServerStats>,
     /// Per-shard death notice; `Some` permanently fails routing there.
     dead: Mutex<Vec<Option<String>>>,
     /// Per-shard prepare outcome (`Ok(num_vertices)` or the error text).
@@ -224,8 +219,8 @@ impl RouterShared {
             slot.cv.notify_all();
         }
         if n_failed > 0 {
-            let mut gauges = crate::sync::lock(&self.gauges);
-            gauges.outstanding -= n_failed.min(gauges.outstanding);
+            let mut outstanding = crate::sync::lock(&self.outstanding);
+            *outstanding -= n_failed.min(*outstanding);
             self.idle_cv.notify_all();
         }
     }
@@ -265,10 +260,30 @@ impl RouterShared {
         };
         if finished {
             crate::sync::lock(&self.pending).remove(&request_id);
-            let mut gauges = crate::sync::lock(&self.gauges);
-            gauges.outstanding = gauges.outstanding.saturating_sub(1);
+            let mut outstanding = crate::sync::lock(&self.outstanding);
+            *outstanding = outstanding.saturating_sub(1);
             self.idle_cv.notify_all();
         }
+    }
+
+    /// Registers a slot waiting on every shard named in `frames`, then
+    /// sends each shard its frame. A failed send marks the shard dead,
+    /// which fails this very slot, so its waiter sees the
+    /// [`SnapleError::ShardFailed`].
+    fn scatter(&self, request_id: u64, frames: &[(usize, Vec<u8>)]) -> Arc<Slot> {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(SlotState {
+                waiting: frames.iter().map(|(i, _)| *i).collect(),
+                ..SlotState::default()
+            }),
+            cv: Condvar::new(),
+        });
+        crate::sync::lock(&self.pending).insert(request_id, Arc::clone(&slot));
+        *crate::sync::lock(&self.outstanding) += 1;
+        for (i, frame) in frames {
+            let _ = self.send_to(*i, frame);
+        }
+        slot
     }
 
     fn send_to(&self, i: usize, frame: &[u8]) -> Result<(), SnapleError> {
@@ -459,18 +474,7 @@ impl PendingRows {
         let state = {
             let guard = crate::sync::lock(&slot.state);
             let mut guard = crate::sync::wait_while(&slot.cv, guard, |s| !s.done);
-            std::mem::replace(
-                &mut *guard,
-                SlotState {
-                    waiting: Vec::new(),
-                    rows: Vec::new(),
-                    run_stats: Vec::new(),
-                    delta_stats: Vec::new(),
-                    num_vertices: 0,
-                    error: None,
-                    done: true,
-                },
-            )
+            std::mem::take(&mut *guard)
         };
         if let Some(e) = state.error {
             return Err(e);
@@ -524,9 +528,10 @@ impl RouterHandle<'_> {
             .filter(|&i| buckets.get(i).is_some_and(|b| !b.is_empty()))
             .collect();
         {
-            let mut gauges = crate::sync::lock(&self.shared.gauges);
-            gauges.requests += 1;
-            gauges.queries_received += queries.len();
+            let mut stats = crate::sync::lock(&self.shared.stats);
+            stats.requests += 1;
+            stats.batches += 1;
+            stats.queries_received += queries.len();
         }
         if involved.is_empty() {
             let num_vertices = *crate::sync::lock(&self.shared.num_vertices);
@@ -542,40 +547,24 @@ impl RouterHandle<'_> {
         // Encode everything before registering the slot, so an encoding
         // failure cannot leave a pending entry behind (which would stall
         // `drain` forever).
-        let mut frames = Vec::with_capacity(involved.len());
-        for &i in &involved {
-            let frame = Request::Predict {
-                request_id,
-                // snaple-lint: allow(index) — `involved` holds indexes into buckets by construction
-                queries: std::mem::take(&mut buckets[i]),
-            }
-            .encode()
+        let frames = buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(i, queries)| {
+                let frame = Request::Predict {
+                    request_id,
+                    queries,
+                }
+                .encode();
+                frame.map(|frame| (i, frame))
+            })
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| SnapleError::InvalidConfig(format!("encoding sub-request: {e}")))?;
-            frames.push((i, frame));
-        }
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                waiting: involved,
-                rows: Vec::new(),
-                run_stats: Vec::new(),
-                delta_stats: Vec::new(),
-                num_vertices: 0,
-                error: None,
-                done: false,
-            }),
-            cv: Condvar::new(),
-        });
-        {
-            crate::sync::lock(&self.shared.pending).insert(request_id, Arc::clone(&slot));
-            crate::sync::lock(&self.shared.gauges).outstanding += 1;
-        }
-        for (i, frame) in &frames {
-            // A failed send marks the shard dead, which fails this very
-            // slot — wait() will surface the ShardFailed error.
-            let _ = self.shared.send_to(*i, frame);
-        }
         Ok(PendingRows {
-            inner: PendingInner::Waiting { slot },
+            inner: PendingInner::Waiting {
+                slot: self.shared.scatter(request_id, &frames),
+            },
         })
     }
 
@@ -608,25 +597,8 @@ impl RouterHandle<'_> {
         let frame = Request::Delta { request_id, ops }
             .encode()
             .map_err(|e| SnapleError::InvalidConfig(format!("encoding delta: {e}")))?;
-        let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                waiting: involved.clone(),
-                rows: Vec::new(),
-                run_stats: Vec::new(),
-                delta_stats: Vec::new(),
-                num_vertices: 0,
-                error: None,
-                done: false,
-            }),
-            cv: Condvar::new(),
-        });
-        {
-            crate::sync::lock(&self.shared.pending).insert(request_id, Arc::clone(&slot));
-            crate::sync::lock(&self.shared.gauges).outstanding += 1;
-        }
-        for &i in &involved {
-            let _ = self.shared.send_to(i, &frame);
-        }
+        let frames: Vec<_> = involved.into_iter().map(|i| (i, frame.clone())).collect();
+        let slot = self.shared.scatter(request_id, &frames);
         let (error, all) = {
             let guard = crate::sync::lock(&slot.state);
             let mut guard = crate::sync::wait_while(&slot.cv, guard, |s| !s.done);
@@ -643,12 +615,7 @@ impl RouterHandle<'_> {
             merged.touched_partitions = merged.touched_partitions.max(s.touched_partitions);
             merged.apply_wall_seconds = merged.apply_wall_seconds.max(s.apply_wall_seconds);
         }
-        {
-            let mut gauges = crate::sync::lock(&self.shared.gauges);
-            gauges.updates += 1;
-            gauges.edges_inserted += merged.inserted_edges;
-            gauges.edges_removed += merged.removed_edges;
-        }
+        crate::sync::lock(&self.shared.stats).record_update(&merged);
         self.shared.epoch.fetch_add(1, Ordering::Release);
         Ok(merged)
     }
@@ -662,8 +629,8 @@ impl RouterHandle<'_> {
     /// Blocks until no scattered request is outstanding — including when
     /// shards died: their in-flight requests fail, they never linger.
     pub fn drain(&self) {
-        let gauges = crate::sync::lock(&self.shared.gauges);
-        let _unused = crate::sync::wait_while(&self.shared.idle_cv, gauges, |g| g.outstanding > 0);
+        let outstanding = crate::sync::lock(&self.shared.outstanding);
+        let _unused = crate::sync::wait_while(&self.shared.idle_cv, outstanding, |n| *n > 0);
     }
 
     /// Fault-injection hook: hard-kills shard `i` — SIGKILL to the child
@@ -784,8 +751,9 @@ impl ShardRouter {
             next_id: AtomicU64::new(1),
             epoch: AtomicU64::new(0),
             pending: Mutex::new(HashMap::new()),
-            gauges: Mutex::new(Gauges::default()),
+            outstanding: Mutex::new(0),
             idle_cv: Condvar::new(),
+            stats: Mutex::new(ServerStats::default()),
             dead: Mutex::new(vec![None; shards]),
             ready: Mutex::new(vec![None; shards]),
             ready_cv: Condvar::new(),
@@ -862,21 +830,24 @@ impl ShardRouter {
             let _ = t.join();
         }
 
-        // Merge the fleet's statistics.
-        let mut stats = ServerStats::default();
+        // The router counts the logical stream; what only the shards see —
+        // their runs and latencies — comes from the fleet, merged as
+        // runtimes that served in parallel.
+        let mut fleet = ServerStats::default();
         for shard_stats in crate::sync::lock(&shared.final_stats).iter().flatten() {
-            stats.merge_parallel(shard_stats);
+            fleet.merge_parallel(shard_stats);
         }
-        let gauges = crate::sync::into_inner(shared.gauges);
-        stats.requests = gauges.requests;
-        stats.batches = gauges.requests;
-        stats.queries_received = gauges.queries_received;
-        stats.updates = gauges.updates;
-        stats.edges_inserted = gauges.edges_inserted;
-        stats.edges_removed = gauges.edges_removed;
-        stats.setup_wall_seconds = setup_wall_seconds;
-        stats.serve_wall_seconds = serve_wall_seconds;
-        stats.workers = shards;
+        let stats = ServerStats {
+            union_queries: fleet.union_queries,
+            simulated_seconds: fleet.simulated_seconds,
+            partition_build_seconds: fleet.partition_build_seconds,
+            replication_factor: fleet.replication_factor,
+            latency: fleet.latency,
+            setup_wall_seconds,
+            serve_wall_seconds,
+            workers: shards,
+            ..crate::sync::into_inner(shared.stats)
+        };
         Ok(ShardOutcome { value, stats })
     }
 }

@@ -1,10 +1,12 @@
-//! The shard runtime: one isolated serving loop speaking the wire
-//! protocol over any byte stream.
+//! The shard runtime: a sequential [`Server`] behind a frame loop that
+//! speaks the wire protocol over any byte stream.
 //!
 //! A shard is a **complete** serving runtime — it decodes its own copy of
 //! the graph from the [`Request::Prepare`] frame, builds its own
 //! predictor and vertex-cut deployment, and answers the sub-queries the
-//! router assigns to it with masked runs. Because masked runs are exact
+//! router assigns to it with masked runs. `Predict` frames go to
+//! [`Server::serve`], `Delta` frames to [`Server::apply_update`], and
+//! `Shutdown` replies with [`Server::stats`]. Because masked runs are exact
 //! (each queried row is bit-identical to an all-vertices run), a shard's
 //! rows can be unioned with other shards' rows without any cross-shard
 //! coordination.
@@ -17,16 +19,13 @@
 
 use std::io::{Read, Write};
 use std::sync::mpsc::{Receiver, Sender};
-use std::time::Instant;
 
 use snaple_graph::GraphDelta;
 
 use crate::plan::ScorePlan;
 use crate::predictor::Snaple;
-use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet,
-};
-use crate::serve::ServerStats;
+use crate::predictor_api::{Predictor, QuerySet};
+use crate::serve::Server;
 use crate::spec::ScoreSpec;
 
 use super::wire::{self, PrepareShard, Reply, Request, ShardSpec, WireError, WireRow};
@@ -86,7 +85,6 @@ fn run_shard<R: Read, W: Write>(
     writer: &mut W,
     mut payload: Vec<u8>,
 ) -> Result<(), WireError> {
-    let setup_started = Instant::now();
     let graph = match snaple_graph::io::read_binary(prep.graph_blob.as_slice()) {
         Ok(g) => g,
         Err(e) => {
@@ -110,26 +108,19 @@ fn run_shard<R: Read, W: Write>(
             }
         }
     };
-    let mut prepared: Box<dyn PreparedPredictor + '_> =
-        match predictor.prepare(&PrepareRequest::new(&graph, &cluster)) {
-            Ok(p) => p,
-            Err(e) => {
-                send_err(writer, 0, e)?;
-                return Ok(());
-            }
-        };
+    let mut server = match Server::new(predictor.as_ref(), &graph, &cluster) {
+        Ok(server) => server,
+        Err(e) => {
+            send_err(writer, 0, e)?;
+            return Ok(());
+        }
+    };
+    if let Some(seed) = prep.seed_override {
+        server = server.with_seed(seed);
+    }
 
     let mut num_vertices = graph.num_vertices() as u64;
-    let mut stats = ServerStats {
-        setup_wall_seconds: setup_started.elapsed().as_secs_f64(),
-        partition_build_seconds: prepared.setup().partition_build_seconds,
-        replication_factor: prepared.setup().replication_factor,
-        workers: 1,
-        ..ServerStats::default()
-    };
     send(writer, &Reply::Ready { num_vertices })?;
-
-    let serve_started = Instant::now();
     loop {
         let tag = match wire::read_frame(&mut reader, &mut payload) {
             Ok(tag) => tag,
@@ -144,20 +135,9 @@ fn run_shard<R: Read, W: Write>(
                 request_id,
                 queries,
             } => {
-                let started = Instant::now();
-                let query_set = QuerySet::from_indices(queries.iter().copied());
-                let mut exec = ExecuteRequest::new().with_queries(&query_set);
-                if let Some(seed) = prep.seed_override {
-                    exec = exec.with_seed(seed);
-                }
-                match prepared.execute(&exec) {
+                let query_set = QuerySet::from_indices(queries);
+                match server.serve(&query_set) {
                     Ok(prediction) => {
-                        stats.latency.record(started.elapsed().as_secs_f64());
-                        stats.requests += 1;
-                        stats.batches += 1;
-                        stats.queries_received += query_set.len();
-                        stats.union_queries += query_set.len();
-                        stats.simulated_seconds += prediction.simulated_seconds();
                         // Ship only the queried rows: every other row of
                         // the masked run is empty by the masking contract.
                         let rows: Vec<WireRow> = query_set
@@ -193,27 +173,17 @@ fn run_shard<R: Read, W: Write>(
                         delta.remove(u, v);
                     }
                 }
-                // Epoch swap, shard-locally: build the post-delta
-                // snapshot off to the side, then replace the serving
-                // snapshot — the same fork-and-publish discipline the
-                // concurrent server uses across threads.
-                match prepared.fork_with_delta(&delta) {
-                    Ok((fork, delta_stats)) => {
-                        prepared = fork;
-                        num_vertices += delta_stats.grown_vertices as u64;
-                        stats.updates += 1;
-                        stats.edges_inserted += delta_stats.inserted_edges;
-                        stats.edges_removed += delta_stats.removed_edges;
-                        stats.delta_apply_seconds += delta_stats.apply_wall_seconds;
-                        stats.delta_touched_partitions = stats
-                            .delta_touched_partitions
-                            .max(delta_stats.touched_partitions);
+                // A shard serves on one thread, so the update applies in
+                // place between requests, as on the sequential server.
+                match server.apply_update(&delta) {
+                    Ok(stats) => {
+                        num_vertices += stats.grown_vertices as u64;
                         send(
                             writer,
                             &Reply::DeltaOk {
                                 request_id,
                                 num_vertices,
-                                stats: delta_stats,
+                                stats,
                             },
                         )?;
                     }
@@ -221,13 +191,8 @@ fn run_shard<R: Read, W: Write>(
                 }
             }
             Request::Shutdown => {
-                stats.serve_wall_seconds = serve_started.elapsed().as_secs_f64();
-                send(
-                    writer,
-                    &Reply::Stats {
-                        stats: Box::new(stats),
-                    },
-                )?;
+                let stats = Box::new(server.stats().clone());
+                send(writer, &Reply::Stats { stats })?;
                 return Ok(());
             }
         }

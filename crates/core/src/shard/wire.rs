@@ -684,7 +684,7 @@ pub enum Request {
         /// The vertex ids to serve (already filtered to this shard).
         queries: Vec<u32>,
     },
-    /// Apply a graph delta via an epoch fork.
+    /// Apply a graph delta to the shard's snapshot.
     Delta {
         /// Correlates the reply with the submission.
         request_id: u64,

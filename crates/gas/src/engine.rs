@@ -12,69 +12,11 @@ use crate::error::EngineError;
 use crate::partition::{PartitionStrategy, PartitionedGraph};
 use crate::program::{GasStep, GatherCtx, NeighborStates, RunBudget, WorkTally};
 use crate::scratch::WorkerScratch;
-use crate::shard::ShardAssignment;
 use crate::size::SizeEstimate;
 use crate::stats::{NodeStats, RunStats, StepStats};
 
 /// Framing overhead charged per partial-gather message (vertex id + length).
 const MESSAGE_OVERHEAD: u64 = 8;
-
-/// Serializer for a program's gather accumulator, used by
-/// [`Engine::run_step_sharded`] to carry partials across the shard sync
-/// boundary as bytes instead of in-memory values.
-///
-/// A correct codec must round-trip exactly: `decode(encode(g)) == g` bit
-/// for bit, or the sharded step diverges from the in-process one.
-pub trait GatherCodec<G> {
-    /// Appends the serialized form of `value` to `out`.
-    fn encode(&self, value: &G, out: &mut Vec<u8>);
-    /// Decodes one value from the front of `input`, advancing it past the
-    /// consumed bytes. Returns `None` on malformed input.
-    fn decode(&self, input: &mut &[u8]) -> Option<G>;
-}
-
-/// [`GatherCodec`] for `u64` accumulators (little-endian).
-#[derive(Copy, Clone, Debug, Default)]
-pub struct U64Codec;
-
-impl GatherCodec<u64> for U64Codec {
-    fn encode(&self, value: &u64, out: &mut Vec<u8>) {
-        out.extend_from_slice(&value.to_le_bytes());
-    }
-
-    fn decode(&self, input: &mut &[u8]) -> Option<u64> {
-        let (head, rest) = input.split_first_chunk::<8>()?;
-        *input = rest;
-        Some(u64::from_le_bytes(*head))
-    }
-}
-
-/// Placeholder codec for the unsharded path, where no partial is ever
-/// serialized.
-struct NoCodec;
-
-impl<G> GatherCodec<G> for NoCodec {
-    fn encode(&self, _: &G, _: &mut Vec<u8>) {
-        // snaple-lint: allow(panic) — NoCodec is only installed on the unsharded path, which never encodes
-        unreachable!("unsharded steps never serialize partials")
-    }
-
-    fn decode(&self, _: &mut &[u8]) -> Option<G> {
-        // snaple-lint: allow(panic) — NoCodec is only installed on the unsharded path, which never decodes
-        unreachable!("unsharded steps never deserialize partials")
-    }
-}
-
-/// Traffic crossing the shard sync boundary of one
-/// [`Engine::run_step_sharded`] call: one serialized partials message per
-/// shard.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardSyncStats {
-    /// Messages exchanged (one per shard).
-    pub messages: usize,
-    /// Total serialized bytes across those messages.
-    pub bytes: u64,
-}
 
 /// The host's available hardware parallelism, with a conservative
 /// fallback of 2 when the platform cannot report it — the one worker-count
@@ -302,54 +244,19 @@ impl<'d> Engine<'d> {
         state: &mut [S::Vertex],
         mask: Option<&VertexMask>,
     ) -> Result<&StepStats, EngineError> {
-        self.run_step_inner::<S, NoCodec>(step, state, mask, None)?;
+        self.run_step_inner(step, state, mask)?;
         self.run
             .steps
             .last()
             .ok_or_else(|| EngineError::InvalidConfig("step record missing after run".to_string()))
     }
 
-    /// Runs one masked GAS superstep split at the shard boundary: the
-    /// gather phase produces per-shard partials which are **serialized**
-    /// into one message per shard (via `codec`), decoded on the receiving
-    /// side, and only then merged at the masters — the explicit
-    /// mirror↔master exchange a multi-runtime deployment performs, exercised
-    /// in-process.
-    ///
-    /// With a correct (bit-exact round-tripping) codec the results, state
-    /// and statistics are byte-identical to [`Engine::run_step_masked`]:
-    /// the sync boundary changes *where* the partials travel, not what
-    /// they say. The returned [`ShardSyncStats`] report the serialized
-    /// traffic.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::run_step_masked`], plus
-    /// [`EngineError::InvalidConfig`] if `assignment` does not cover
-    /// exactly the deployment's partitions or a sync message fails to
-    /// decode.
-    pub fn run_step_sharded<S: GasStep, C: GatherCodec<S::Gather>>(
+    fn run_step_inner<S: GasStep>(
         &mut self,
         step: &S,
         state: &mut [S::Vertex],
         mask: Option<&VertexMask>,
-        assignment: &ShardAssignment,
-        codec: &C,
-    ) -> Result<(&StepStats, ShardSyncStats), EngineError> {
-        let sync = self.run_step_inner(step, state, mask, Some((assignment, codec)))?;
-        let stats = self.run.steps.last().ok_or_else(|| {
-            EngineError::InvalidConfig("step record missing after run".to_string())
-        })?;
-        Ok((stats, sync))
-    }
-
-    fn run_step_inner<S: GasStep, C: GatherCodec<S::Gather>>(
-        &mut self,
-        step: &S,
-        state: &mut [S::Vertex],
-        mask: Option<&VertexMask>,
-        sharding: Option<(&ShardAssignment, &C)>,
-    ) -> Result<ShardSyncStats, EngineError> {
+    ) -> Result<(), EngineError> {
         let dep = self.deployment.get();
         let graph = dep.graph();
         let part = dep.partitioned();
@@ -381,14 +288,6 @@ impl<'d> Engine<'d> {
         }
 
         let nodes = part.num_nodes();
-        if let Some((assignment, _)) = sharding {
-            if assignment.num_partitions() != nodes {
-                return Err(EngineError::InvalidConfig(format!(
-                    "shard assignment covers {} partitions but the deployment has {nodes}",
-                    assignment.num_partitions()
-                )));
-            }
-        }
         let cap = dep.cluster().memory_per_node;
         let step_seed = hash2(self.seed, step_idx as u64, 0x57e9);
         let dir = step.gather_direction();
@@ -624,96 +523,10 @@ impl<'d> Engine<'d> {
         }
         ordered.sort_by_key(|g| g.node);
 
-        // --- Shard sync boundary (sharded steps only). --------------------
-        // Each shard's gather output — the per-partition partials of its
-        // contiguous partition block — is flattened into one serialized
-        // message and decoded on the "receiving" side before the master
-        // merge. Because shards own contiguous, ascending partition
-        // ranges, encoding shard by shard preserves the global node order
-        // the merge below depends on, so a round-tripping codec keeps the
-        // step bit-identical to the in-memory path.
-        let mut sync = ShardSyncStats::default();
-        if let Some((assignment, codec)) = sharding {
-            let mut decoded: Vec<NodeGather<S::Gather>> = Vec::with_capacity(ordered.len());
-            let mut pending = ordered.into_iter().peekable();
-            for shard in 0..assignment.num_shards() {
-                let range = assignment.partitions_of(shard);
-                let mut msg: Vec<u8> = Vec::new();
-                while let Some(ng) = pending.next_if(|g| range.contains(&g.node)) {
-                    msg.extend_from_slice(&(ng.node as u32).to_le_bytes());
-                    msg.extend_from_slice(&ng.gather_calls.to_le_bytes());
-                    msg.extend_from_slice(&ng.sum_calls.to_le_bytes());
-                    msg.extend_from_slice(&ng.ops.to_le_bytes());
-                    msg.extend_from_slice(&ng.mem_peak.to_le_bytes());
-                    msg.extend_from_slice(&(ng.partials.len() as u64).to_le_bytes());
-                    for (v, g, bytes) in &ng.partials {
-                        msg.extend_from_slice(&v.as_u32().to_le_bytes());
-                        msg.extend_from_slice(&bytes.to_le_bytes());
-                        codec.encode(g, &mut msg);
-                    }
-                }
-                sync.messages += 1;
-                sync.bytes += msg.len() as u64;
-
-                let malformed = || {
-                    EngineError::InvalidConfig(format!("shard {shard} sync message is malformed"))
-                };
-                let mut input = msg.as_slice();
-                let read_u32 = |input: &mut &[u8]| -> Result<u32, EngineError> {
-                    let (head, rest) = input.split_first_chunk::<4>().ok_or_else(malformed)?;
-                    *input = rest;
-                    Ok(u32::from_le_bytes(*head))
-                };
-                let read_u64 = |input: &mut &[u8]| -> Result<u64, EngineError> {
-                    let (head, rest) = input.split_first_chunk::<8>().ok_or_else(malformed)?;
-                    *input = rest;
-                    Ok(u64::from_le_bytes(*head))
-                };
-                while !input.is_empty() {
-                    let node = read_u32(&mut input)? as usize;
-                    if node >= nodes {
-                        return Err(EngineError::InvalidConfig(format!(
-                            "shard {shard} sync message names partition {node}, but the cluster has {nodes}"
-                        )));
-                    }
-                    let gather_calls = read_u64(&mut input)?;
-                    let sum_calls = read_u64(&mut input)?;
-                    let ops = read_u64(&mut input)?;
-                    let mem_peak = read_u64(&mut input)?;
-                    let count = read_u64(&mut input)?;
-                    let mut partials = Vec::with_capacity(count.min(1 << 20) as usize);
-                    for _ in 0..count {
-                        let v = VertexId::new(read_u32(&mut input)?);
-                        if v.index() >= graph.num_vertices() {
-                            return Err(EngineError::InvalidConfig(format!(
-                                "shard {shard} sync message names vertex {}, but the graph has {} vertices",
-                                v.index(),
-                                graph.num_vertices()
-                            )));
-                        }
-                        let bytes = read_u64(&mut input)?;
-                        let g = codec.decode(&mut input).ok_or_else(malformed)?;
-                        partials.push((v, g, bytes));
-                    }
-                    decoded.push(NodeGather {
-                        node,
-                        partials,
-                        gather_calls,
-                        sum_calls,
-                        ops,
-                        mem_peak,
-                    });
-                }
-            }
-            ordered = decoded;
-        }
-
-        // In-memory gathers produce `node` from 0..nodes and `v` from the
-        // partition's edge lists; on the sharded path both are re-decoded
-        // from the sync message and bounds-checked at decode time above —
-        // so every index below is validated on every path.
+        // Gathers produce `node` from 0..nodes and `v` from the partition's
+        // edge lists, so every index below is in bounds by construction.
         for ng in ordered {
-            // snaple-lint: allow(index) — ng.node < nodes: by construction in-memory, checked at decode when sharded
+            // snaple-lint: allow(index) — ng.node < nodes by construction
             node_ops[ng.node] += ng.ops;
             // snaple-lint: allow(index) — same bound as node_ops above
             mem_peaks[ng.node] = mem_peaks[ng.node].max(ng.mem_peak);
@@ -731,7 +544,7 @@ impl<'d> Engine<'d> {
                     // snaple-lint: allow(index) — same bound as above
                     master_extra[master] += bytes;
                 }
-                // snaple-lint: allow(index) — v < num_vertices: edge endpoint in-memory, checked at decode when sharded
+                // snaple-lint: allow(index) — v < num_vertices: v is a partition-edge endpoint
                 let slot = &mut acc[v.index()];
                 *slot = Some(match slot.take() {
                     None => (g, bytes),
@@ -833,7 +646,7 @@ impl<'d> Engine<'d> {
         stats.simulated_seconds =
             cost.step_seconds(stats.max_node_ops(), stats.max_node_net_bytes());
         self.run.steps.push(stats);
-        Ok(sync)
+        Ok(())
     }
 }
 
@@ -1363,110 +1176,6 @@ mod tests {
             errors.push(err);
         }
         assert!(errors.windows(2).all(|w| w[0] == w[1]), "{errors:?}");
-    }
-
-    #[test]
-    fn sharded_steps_are_bit_identical_to_in_memory_steps() {
-        use crate::shard::ShardAssignment;
-        let mut rng = StdRng::seed_from_u64(23);
-        let g = gen::erdos_renyi(300, 3_000, &mut rng).into_symmetric_graph();
-        let deployment = Deployment::new(
-            &g,
-            ClusterSpec::type_i(8),
-            PartitionStrategy::RandomVertexCut,
-            5,
-        )
-        .unwrap();
-        let init: Vec<u64> = (0..300).map(|i| i * 11 % 71).collect();
-
-        let mut reference_state = init.clone();
-        let mut reference = Engine::on(&deployment);
-        reference
-            .run_step(&SumNeighbors, &mut reference_state)
-            .unwrap();
-        let reference_stats = reference.into_stats();
-
-        for shards in [1, 2, 3, 8] {
-            let assignment = ShardAssignment::new(8, shards).unwrap();
-            let mut state = init.clone();
-            let mut engine = Engine::on(&deployment);
-            let (_, sync) = engine
-                .run_step_sharded(&SumNeighbors, &mut state, None, &assignment, &U64Codec)
-                .unwrap();
-            assert_eq!(sync.messages, shards, "one sync message per shard");
-            assert!(sync.bytes > 0, "partials must travel as bytes");
-            let stats = engine.into_stats();
-            assert_eq!(state, reference_state, "{shards} shards diverged");
-            let (s, r) = (&stats.steps[0], &reference_stats.steps[0]);
-            assert_eq!(s.gather_calls, r.gather_calls, "{shards} shards");
-            assert_eq!(s.sum_calls, r.sum_calls, "{shards} shards");
-            assert_eq!(s.work_ops, r.work_ops, "{shards} shards");
-            assert_eq!(s.broadcast_bytes, r.broadcast_bytes, "{shards} shards");
-            assert_eq!(s.partial_bytes, r.partial_bytes, "{shards} shards");
-            for (n, (sn, rn)) in s.per_node.iter().zip(&r.per_node).enumerate() {
-                assert_eq!(sn.compute_ops, rn.compute_ops, "node {n}");
-                assert_eq!(sn.net_bytes, rn.net_bytes, "node {n}");
-                assert_eq!(sn.memory_peak, rn.memory_peak, "node {n}");
-            }
-            assert_eq!(s.simulated_seconds, r.simulated_seconds);
-        }
-    }
-
-    #[test]
-    fn sharded_steps_respect_masks() {
-        use crate::shard::ShardAssignment;
-        let g = ring(40);
-        let deployment = Deployment::new(
-            &g,
-            ClusterSpec::type_i(4),
-            PartitionStrategy::RandomVertexCut,
-            2,
-        )
-        .unwrap();
-        let mask = VertexMask::from_vertices(40, [VertexId::new(3), VertexId::new(20)]);
-
-        let mut reference = vec![1u64; 40];
-        Engine::on(&deployment)
-            .run_step_masked(&SumNeighbors, &mut reference, Some(&mask))
-            .unwrap();
-
-        let assignment = ShardAssignment::new(4, 2).unwrap();
-        let mut state = vec![1u64; 40];
-        Engine::on(&deployment)
-            .run_step_sharded(
-                &SumNeighbors,
-                &mut state,
-                Some(&mask),
-                &assignment,
-                &U64Codec,
-            )
-            .unwrap();
-        assert_eq!(state, reference);
-    }
-
-    #[test]
-    fn sharded_steps_reject_mismatched_assignments() {
-        use crate::shard::ShardAssignment;
-        let g = ring(10);
-        let deployment = Deployment::new(
-            &g,
-            ClusterSpec::type_i(4),
-            PartitionStrategy::RandomVertexCut,
-            2,
-        )
-        .unwrap();
-        let assignment = ShardAssignment::new(6, 2).unwrap(); // wrong partition count
-        let mut state = vec![1u64; 10];
-        assert!(matches!(
-            Engine::on(&deployment).run_step_sharded(
-                &SumNeighbors,
-                &mut state,
-                None,
-                &assignment,
-                &U64Codec
-            ),
-            Err(EngineError::InvalidConfig(_))
-        ));
     }
 
     /// [`SumNeighbors`] with a hand-batched `gather_run` that replays the

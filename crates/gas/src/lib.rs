@@ -85,7 +85,7 @@ pub mod stats;
 pub use cluster::{ClusterSpec, NodeId};
 pub use cost::CostModel;
 pub use deploy::{DeltaStats, Deployment};
-pub use engine::{host_parallelism, Engine, GatherCodec, ShardSyncStats, U64Codec};
+pub use engine::{host_parallelism, Engine};
 pub use error::EngineError;
 pub use partition::{master_node, PartitionStrategy, PartitionedGraph};
 pub use program::{GasStep, GatherCtx, GatherOverflow, NeighborStates, RunBudget, WorkTally};

@@ -38,16 +38,18 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
 
-use snaple::core::concurrent::{ConcurrentOptions, ConcurrentServer, PendingPrediction};
-use snaple::core::serve::Server;
-use snaple::core::shard::{ShardOptions, ShardRouter, ShardSpec, ShardTransport};
+use snaple::core::concurrent::{
+    ConcurrentOptions, ConcurrentServer, PendingPrediction, ServeHandle,
+};
+use snaple::core::serve::{Server, ServerStats};
+use snaple::core::shard::{PendingRows, ShardOptions, ShardRouter, ShardSpec, ShardTransport};
 use snaple::core::store::{Durability, DurabilityOptions, FsyncPolicy, RecoveryReport};
 use snaple::core::{
-    ExecuteRequest, GraphDelta, NamedScore, PlanConfig, PredictRequest, Predictor, PrepareRequest,
-    QuerySet, Registry, ScorePlan, Snaple, SnapleConfig,
+    ExecuteRequest, GraphDelta, NamedScore, PlanConfig, PredictRequest, Prediction, Predictor,
+    PrepareRequest, QuerySet, Registry, ScorePlan, Snaple, SnapleConfig, SnapleError,
 };
 use snaple::eval::{metrics, HoldOut, TextTable};
-use snaple::gas::ClusterSpec;
+use snaple::gas::{ClusterSpec, DeltaStats};
 use snaple::graph::gen::datasets;
 use snaple::graph::gen::rmat::RmatConfig;
 use snaple::graph::stats::GraphSummary;
@@ -373,9 +375,10 @@ commands:
             predictions after an update reflect the mutated graph,
             bit-identical to a cold restart on it).
             --workers N serves through the concurrent runtime instead:
-            a pool of N threads executes against one shared snapshot
-            and updates swap in post-delta epochs without stalling
-            reads — rows stay bit-identical to the sequential server
+            a pool of N threads, each coalescing up to --batch
+            requests, executes against one shared snapshot and updates
+            swap in post-delta epochs without stalling reads — rows
+            stay bit-identical to the sequential server
             --shards N serves through the scatter-gather shard router:
             N isolated shard runtimes each own the vertices whose
             master partition falls in their block (N must be 1..=the
@@ -921,8 +924,8 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     // Restartable serving: open (or recover) the data dir before anything
     // else sees the graph — recovery may replace it with the newest
     // snapshot, and the unsnapshotted log tail replays below.
-    let mut durable: Option<Durability> = None;
-    let mut replay: Vec<GraphDelta> = Vec::new();
+    // The opened store plus the recovered log tail still to replay.
+    let mut durable: Option<(Durability, Vec<GraphDelta>)> = None;
     let mut recovered_graph: Option<CsrGraph> = None;
     if let Some(dir) = &opts.data_dir {
         if opts.shards.is_some() {
@@ -952,7 +955,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             Durability::open(dir, base, config_blob.as_bytes(), store_opts)
                 .map_err(|e| format!("{}: {e}", dir.display()))?;
         eprintln!("data dir {}: {}", dir.display(), report.summary());
-        durable = Some(d);
+        let mut replay = Vec::new();
         if let Some(state) = recovered {
             if !state.config.is_empty() && state.config != config_blob.as_bytes() {
                 eprintln!(
@@ -965,6 +968,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             replay = state.replay;
             recovered_graph = Some(state.graph);
         }
+        durable = Some((d, replay));
     }
     let graph: &dyn GraphStore = match &recovered_graph {
         Some(g) => g,
@@ -1019,74 +1023,101 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     if opts.batch == 0 {
         return Err("--batch must be at least 1".into());
     }
-    if opts.shards.is_some() {
-        return cmd_serve_sharded(opts, graph, &cluster, events);
-    }
-    if opts.workers > 0 {
-        return cmd_serve_concurrent(opts, graph, &cluster, predictor, events, durable, replay);
-    }
-
-    let mut server = Server::new(predictor, graph, &cluster).map_err(|e| e.to_string())?;
-    if let Some(d) = durable {
-        // Fold the recovered log tail back in BEFORE attaching, so the
-        // replayed deltas are not logged a second time.
-        for delta in &replay {
-            server.apply_update(delta).map_err(|e| e.to_string())?;
-        }
-        server.attach_durability(d);
-    }
     let mut out: Box<dyn Write> = match &opts.out {
         Some(p) => Box::new(BufWriter::new(
             File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
         )),
         None => Box::new(std::io::stdout().lock()),
     };
-    let mut request_idx = 0usize;
-    let mut requests_served = 0usize;
-    let mut pending: Vec<QuerySet> = Vec::new();
-    let flush = |server: &mut Server<'_>,
-                 pending: &mut Vec<QuerySet>,
-                 out: &mut dyn Write,
-                 request_idx: &mut usize|
-     -> Result<(), String> {
-        for chunk in pending.chunks(opts.batch) {
-            let responses = server.serve_batch(chunk).map_err(|e| e.to_string())?;
-            for (request, response) in chunk.iter().zip(&responses) {
-                for q in request.iter() {
-                    for (z, score) in response.for_vertex(q) {
-                        writeln!(
-                            out,
-                            "{}\t{}\t{}\t{score}",
-                            *request_idx,
-                            q.as_u32(),
-                            z.as_u32()
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
-                }
-                *request_idx += 1;
+    let (served, stats) = if let Some(shards) = opts.shards {
+        serve_sharded(opts, shards, graph, &cluster, events, &mut *out)?
+    } else if opts.workers > 0 {
+        serve_concurrent(opts, graph, &cluster, predictor, events, durable, &mut *out)?
+    } else {
+        let mut server = Server::new(predictor, graph, &cluster).map_err(|e| e.to_string())?;
+        if let Some((d, replay)) = durable {
+            // Fold the recovered log tail back in BEFORE attaching, so the
+            // replayed deltas are not logged a second time.
+            for delta in &replay {
+                server.apply_update(delta).map_err(|e| e.to_string())?;
             }
+            server.attach_durability(d);
         }
-        pending.clear();
+        let served = serve_events(
+            &mut server,
+            events,
+            opts.batch,
+            &mut *out,
+            Server::serve_batch,
+            Server::apply_update,
+        )?;
+        server.sync_durability().map_err(|e| e.to_string())?;
+        (served, server.stats().clone())
+    };
+    out.flush().map_err(|e| e.to_string())?;
+    let over = match opts.shards {
+        Some(shards) if opts.shard_procs => format!(" over {shards} process shard(s)"),
+        Some(shards) => format!(" over {shards} thread shard(s)"),
+        None => String::new(),
+    };
+    eprintln!(
+        "served {served} requests{over} on {} ({} cores): {}",
+        cluster.name,
+        cluster.total_cores(),
+        stats.summary()
+    );
+    Ok(())
+}
+
+/// The one serve event loop behind every `serve` path. Predictions
+/// gather into windows of up to `window` requests; `serve` answers a
+/// window and its rows are written as TSV in request order. An update
+/// is a serialization point: the open window is answered first, so
+/// everything before the update sees the old graph and everything after
+/// it the new one; then `update` applies it. Returns the number of
+/// requests served.
+fn serve_events<S>(
+    server: &mut S,
+    events: Vec<ServeEvent>,
+    window: usize,
+    out: &mut dyn Write,
+    mut serve: impl FnMut(&mut S, &[QuerySet]) -> Result<Vec<Prediction>, SnapleError>,
+    mut update: impl FnMut(&mut S, &GraphDelta) -> Result<DeltaStats, SnapleError>,
+) -> Result<usize, String> {
+    let mut served = 0usize;
+    let mut flush = |server: &mut S, requests: &mut Vec<QuerySet>| -> Result<(), String> {
+        if requests.is_empty() {
+            return Ok(());
+        }
+        let responses = serve(server, requests).map_err(|e| e.to_string())?;
+        for (request, response) in requests.iter().zip(&responses) {
+            for q in request.iter() {
+                for (z, score) in response.for_vertex(q) {
+                    writeln!(out, "{served}\t{}\t{}\t{score}", q.as_u32(), z.as_u32())
+                        .map_err(|e| e.to_string())?;
+                }
+            }
+            served += 1;
+        }
+        requests.clear();
         Ok(())
     };
+    let mut requests = Vec::with_capacity(window);
+    let mut epoch = 0u64;
     for event in events {
         match event {
             ServeEvent::Predict(q) => {
-                requests_served += 1;
-                pending.push(q);
-                if pending.len() >= opts.batch {
-                    flush(&mut server, &mut pending, &mut *out, &mut request_idx)?;
+                requests.push(q);
+                if requests.len() >= window {
+                    flush(&mut *server, &mut requests)?;
                 }
             }
             ServeEvent::Update(delta) => {
-                // Updates are serialization points: everything queued
-                // before the update sees the old graph, everything after
-                // sees the new one.
-                flush(&mut server, &mut pending, &mut *out, &mut request_idx)?;
-                let applied = server.apply_update(&delta).map_err(|e| e.to_string())?;
+                flush(&mut *server, &mut requests)?;
+                let applied = update(&mut *server, &delta).map_err(|e| e.to_string())?;
+                epoch += 1;
                 eprintln!(
-                    "applied update: +{} -{} edges (+{} vertices), \
+                    "applied update (epoch {epoch}): +{} -{} edges (+{} vertices), \
                      {} partitions touched, {:.2} ms",
                     applied.inserted_edges,
                     applied.removed_edges,
@@ -1097,132 +1128,44 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             }
         }
     }
-    flush(&mut server, &mut pending, &mut *out, &mut request_idx)?;
-    out.flush().map_err(|e| e.to_string())?;
-    server.sync_durability().map_err(|e| e.to_string())?;
-    let stats = server.stats();
-    eprintln!(
-        "served {requests_served} requests on {} ({} cores): {}",
-        cluster.name,
-        cluster.total_cores(),
-        stats.summary()
-    );
-    stats.write_bench_json("snaple-cli-serve");
-    Ok(())
+    flush(server, &mut requests)?;
+    Ok(served)
 }
 
-/// The `--workers N` serve path: the same event stream through the
-/// [`ConcurrentServer`] worker pool. Predictions are submitted without
-/// waiting (workers coalesce up to `--batch` queued requests per run);
-/// updates drain the queue first — so the output ordering matches the
-/// sequential server — and then swap in the post-delta epoch.
-fn cmd_serve_concurrent(
+/// The `--workers N` serve path: the event loop over the
+/// [`ConcurrentServer`] worker pool. A window holds `--batch` requests
+/// per worker and is submitted whole before any response is awaited, so
+/// every worker can coalesce a full batch at once.
+fn serve_concurrent(
     opts: &Options,
     graph: &dyn GraphStore,
     cluster: &ClusterSpec,
     predictor: &dyn Predictor,
     events: Vec<ServeEvent>,
-    durable: Option<Durability>,
-    replay: Vec<GraphDelta>,
-) -> Result<(), String> {
-    let mut out: Box<dyn Write> = match &opts.out {
-        Some(p) => Box::new(BufWriter::new(
-            File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::stdout().lock()),
-    };
+    durable: Option<(Durability, Vec<GraphDelta>)>,
+    out: &mut dyn Write,
+) -> Result<(usize, ServerStats), String> {
     let options = ConcurrentOptions::default()
         .workers(opts.workers)
         .batch(opts.batch);
-    /// Writes one redeemed response as TSV rows.
-    fn write_response(
-        out: &mut dyn Write,
-        request_idx: usize,
-        request: &QuerySet,
-        result: Result<snaple::core::Prediction, snaple::core::SnapleError>,
-    ) -> Result<(), String> {
-        let response = result.map_err(|e| e.to_string())?;
-        for q in request.iter() {
-            for (z, score) in response.for_vertex(q) {
-                writeln!(
-                    out,
-                    "{request_idx}\t{}\t{}\t{score}",
-                    q.as_u32(),
-                    z.as_u32()
-                )
-                .map_err(|e| e.to_string())?;
-            }
-        }
-        Ok(())
-    }
-
-    let body = |handle: snaple::core::ServeHandle<'_, '_>| {
-        // Responses are redeemed and written incrementally, in submission
-        // order, so memory holds only the outstanding window (bounded by
-        // the submission queue) plus head-of-line completions — never the
-        // whole stream's predictions at once.
-        let mut pending: std::collections::VecDeque<(QuerySet, PendingPrediction)> =
-            std::collections::VecDeque::new();
-        let mut request_idx = 0usize;
-        let mut served = 0usize;
-        let mut drain_pending =
-            |pending: &mut std::collections::VecDeque<(QuerySet, PendingPrediction)>,
-             request_idx: &mut usize,
-             all: bool|
-             -> Result<(), String> {
-                while let Some((request, ticket)) = pending.pop_front() {
-                    if all {
-                        write_response(&mut *out, *request_idx, &request, ticket.wait())?;
-                    } else {
-                        match ticket.try_wait() {
-                            Ok(result) => {
-                                write_response(&mut *out, *request_idx, &request, result)?;
-                            }
-                            Err(ticket) => {
-                                pending.push_front((request, ticket));
-                                break;
-                            }
-                        }
-                    }
-                    *request_idx += 1;
-                }
-                Ok(())
-            };
-        for event in events {
-            match event {
-                ServeEvent::Predict(q) => {
-                    let ticket = handle.submit(&q).map_err(|e| e.to_string())?;
-                    pending.push_back((q, ticket));
-                    served += 1;
-                    // Opportunistically flush responses that are already
-                    // done (in order) while the stream keeps flowing.
-                    drain_pending(&mut pending, &mut request_idx, false)?;
-                }
-                ServeEvent::Update(delta) => {
-                    // Keep the sequential server's ordering contract:
-                    // everything submitted before the update completes on
-                    // the old epoch, everything after sees the new one.
-                    handle.drain();
-                    drain_pending(&mut pending, &mut request_idx, true)?;
-                    let applied = handle.apply_update(&delta).map_err(|e| e.to_string())?;
-                    eprintln!(
-                        "applied update (epoch {}): +{} -{} edges (+{} vertices), \
-                         {} partitions touched, {:.2} ms",
-                        handle.epoch(),
-                        applied.inserted_edges,
-                        applied.removed_edges,
-                        applied.grown_vertices,
-                        applied.touched_partitions,
-                        applied.apply_wall_seconds * 1e3,
-                    );
-                }
-            }
-        }
-        drain_pending(&mut pending, &mut request_idx, true)?;
-        Ok::<usize, String>(served)
+    let body = |mut handle: ServeHandle<'_, '_>| {
+        serve_events(
+            &mut handle,
+            events,
+            opts.batch * opts.workers,
+            out,
+            |h, window| {
+                let tickets: Vec<_> = window
+                    .iter()
+                    .map(|q| h.submit(q))
+                    .collect::<Result<_, _>>()?;
+                tickets.into_iter().map(PendingPrediction::wait).collect()
+            },
+            |h, delta| h.apply_update(delta),
+        )
     };
     let outcome = match durable {
-        Some(d) => {
+        Some((d, replay)) => {
             // Durable run: prepare explicitly so the recovered log tail
             // folds in BEFORE the store attaches (replays are already
             // logged — they must not log twice).
@@ -1233,38 +1176,24 @@ fn cmd_serve_concurrent(
                 prepared.apply_delta(delta).map_err(|e| e.to_string())?;
             }
             ConcurrentServer::run_prepared_durable(prepared, options, d, body)
-                .map_err(|e| e.to_string())?
         }
-        None => ConcurrentServer::run(predictor, graph, cluster, options, body)
-            .map_err(|e| e.to_string())?,
-    };
-    let requests_served = outcome.value?;
-    out.flush().map_err(|e| e.to_string())?;
-    eprintln!(
-        "served {requests_served} requests on {} ({} cores): {}",
-        cluster.name,
-        cluster.total_cores(),
-        outcome.stats.summary()
-    );
-    outcome
-        .stats
-        .write_bench_json("snaple-cli-serve-concurrent");
-    Ok(())
+        None => ConcurrentServer::run(predictor, graph, cluster, options, body),
+    }
+    .map_err(|e| e.to_string())?;
+    Ok((outcome.value?, outcome.stats))
 }
 
-/// The `--shards N` serve path: the same event stream through the
-/// scatter-gather [`ShardRouter`]. Each prediction is scattered to the
-/// shards owning its queried vertices and submitted without waiting;
-/// updates drain the in-flight window first — preserving the sequential
-/// server's output ordering — and then broadcast the delta to every
-/// shard as a local epoch swap. Rows (and therefore the TSV output) are
-/// bit-identical to the sequential and `--workers` paths.
-fn cmd_serve_sharded(
+/// The `--shards N` serve path: the event loop over the scatter-gather
+/// [`ShardRouter`]. A window of `--batch` requests is scattered whole
+/// before any gather is awaited; an update broadcasts to every shard.
+fn serve_sharded(
     opts: &Options,
+    shards: usize,
     graph: &dyn GraphStore,
     cluster: &ClusterSpec,
     events: Vec<ServeEvent>,
-) -> Result<(), String> {
+    out: &mut dyn Write,
+) -> Result<(usize, ServerStats), String> {
     let spec = if opts.scores.is_some() {
         // Validate the plan locally first (nice errors, --alpha check),
         // then ship the raw spec strings: shards re-parse them.
@@ -1286,94 +1215,30 @@ fn cmd_serve_sharded(
     } else {
         ShardSpec::Single(opts.snaple_config()?)
     };
-    let mut out: Box<dyn Write> = match &opts.out {
-        Some(p) => Box::new(BufWriter::new(
-            File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::stdout().lock()),
-    };
     let transport = if opts.shard_procs {
         ShardTransport::Processes
     } else {
         ShardTransport::Threads
     };
-    let options = ShardOptions::new()
-        .shards(opts.shards.unwrap_or(1))
-        .transport(transport);
-
-    let outcome = ShardRouter::run(&spec, graph, cluster, options, |handle| {
-        let mut window: Vec<(QuerySet, snaple::core::shard::PendingRows)> = Vec::new();
-        let mut request_idx = 0usize;
-        let mut served = 0usize;
-        let mut flush = |window: &mut Vec<(QuerySet, snaple::core::shard::PendingRows)>,
-                         request_idx: &mut usize|
-         -> Result<(), String> {
-            for (request, pending) in window.drain(..) {
-                let response = pending.wait().map_err(|e| e.to_string())?;
-                for q in request.iter() {
-                    for (z, score) in response.for_vertex(q) {
-                        writeln!(
-                            out,
-                            "{request_idx}\t{}\t{}\t{score}",
-                            q.as_u32(),
-                            z.as_u32()
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
-                }
-                *request_idx += 1;
-            }
-            Ok(())
-        };
-        for event in events {
-            match event {
-                ServeEvent::Predict(q) => {
-                    let pending = handle.submit(&q).map_err(|e| e.to_string())?;
-                    window.push((q, pending));
-                    served += 1;
-                    if window.len() >= opts.batch {
-                        flush(&mut window, &mut request_idx)?;
-                    }
-                }
-                ServeEvent::Update(delta) => {
-                    // Serialization point, as on every other path: the
-                    // in-flight window completes on the old epoch before
-                    // any shard swaps to the new one.
-                    flush(&mut window, &mut request_idx)?;
-                    let applied = handle.apply_update(&delta).map_err(|e| e.to_string())?;
-                    eprintln!(
-                        "applied update (epoch {}): +{} -{} edges, \
-                         {} partitions touched, {:.2} ms",
-                        handle.epoch(),
-                        applied.inserted_edges,
-                        applied.removed_edges,
-                        applied.touched_partitions,
-                        applied.apply_wall_seconds * 1e3,
-                    );
-                }
-            }
-        }
-        flush(&mut window, &mut request_idx)?;
-        handle.drain();
-        Ok::<usize, String>(served)
+    let options = ShardOptions::new().shards(shards).transport(transport);
+    let outcome = ShardRouter::run(&spec, graph, cluster, options, |mut handle| {
+        serve_events(
+            &mut handle,
+            events,
+            opts.batch,
+            out,
+            |h, window| {
+                let pending: Vec<_> = window
+                    .iter()
+                    .map(|q| h.submit(q))
+                    .collect::<Result<_, _>>()?;
+                pending.into_iter().map(PendingRows::wait).collect()
+            },
+            |h, delta| h.apply_update(delta),
+        )
     })
     .map_err(|e| e.to_string())?;
-    let requests_served = outcome.value?;
-    out.flush().map_err(|e| e.to_string())?;
-    eprintln!(
-        "served {requests_served} requests over {} {} shard(s) on {} ({} cores): {}",
-        opts.shards.unwrap_or(1),
-        if opts.shard_procs {
-            "process"
-        } else {
-            "thread"
-        },
-        cluster.name,
-        cluster.total_cores(),
-        outcome.stats.summary()
-    );
-    outcome.stats.write_bench_json("snaple-cli-serve-sharded");
-    Ok(())
+    Ok((outcome.value?, outcome.stats))
 }
 
 /// `sweep` — evaluate a whole score plan under the hold-out protocol in

@@ -21,7 +21,7 @@ use snaple::core::concurrent::{ConcurrentOptions, ConcurrentServer};
 use snaple::core::shard::{ShardOptions, ShardRouter, ShardSpec, ShardTransport};
 use snaple::core::{
     ExecuteRequest, NamedScore, PlanConfig, Prediction, Predictor, PrepareRequest, QuerySet,
-    ScorePlan, ScoreSpec, Snaple, SnapleConfig, SnapleError,
+    ScorePlan, ScoreSpec, Server, Snaple, SnapleConfig, SnapleError,
 };
 use snaple::gas::ClusterSpec;
 use snaple::graph::gen::datasets;
@@ -250,6 +250,48 @@ fn deltas_broadcast_to_every_shard_and_match_a_cold_rebuild() {
             assert_eq!(outcome.stats.updates, 1);
         }
     }
+}
+
+#[test]
+fn router_update_stats_match_a_sequential_server() {
+    // Every shard applies every broadcast delta, so the fleet's update
+    // statistics must equal one sequential server fed the same deltas —
+    // including the cumulative count of touched partitions.
+    let (graph, cluster) = setup();
+    let snaple = Snaple::new(config());
+    let first = churn(&graph);
+    let mut second = GraphDelta::new();
+    for (u, v) in graph.edges().skip(20).take(3) {
+        second.remove(u.as_u32(), v.as_u32());
+    }
+    let n = graph.num_vertices() as u32;
+    second.insert(11, n - 7).insert(n - 9, 13);
+
+    let mut sequential = Server::new(&snaple, &graph, &cluster).unwrap();
+    sequential.apply_update(&first).unwrap();
+    sequential.apply_update(&second).unwrap();
+    let expected = sequential.stats();
+    assert!(expected.delta_touched_partitions > 0);
+
+    let outcome = ShardRouter::run(
+        &ShardSpec::Single(config()),
+        &graph,
+        &cluster,
+        options(2, ShardTransport::Threads),
+        |handle| {
+            handle.apply_update(&first).unwrap();
+            handle.apply_update(&second).unwrap();
+        },
+    )
+    .unwrap();
+    let routed = &outcome.stats;
+    assert_eq!(routed.updates, expected.updates);
+    assert_eq!(routed.edges_inserted, expected.edges_inserted);
+    assert_eq!(routed.edges_removed, expected.edges_removed);
+    assert_eq!(
+        routed.delta_touched_partitions,
+        expected.delta_touched_partitions
+    );
 }
 
 #[test]
