@@ -104,7 +104,8 @@
 //! once — it answers for the users who are active. Attach a [`QuerySet`]
 //! to the request and the GAS steps run under shrinking active-vertex
 //! masks, touching only the part of the graph that can influence the
-//! queried rows:
+//! queried rows — per-vertex state, edge walks and result rows all scale
+//! with the queries' neighborhoods, not with the graph:
 //!
 //! ```
 //! use snaple_core::{PredictRequest, Predictor, QuerySet, NamedScore, Snaple, SnapleConfig};

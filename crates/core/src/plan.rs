@@ -55,11 +55,11 @@ use snaple_gas::{
     RunBudget, RunStats, ScratchArena, SizeEstimate, WorkTally,
 };
 use snaple_graph::hash::{edge_unit, hash2};
-use snaple_graph::VertexId;
+use snaple_graph::{RankedMask, VertexId, VertexMask};
 
 use crate::config::{PathLength, SelectionPolicy, SnapleConfig};
 use crate::error::SnapleError;
-use crate::predictor::{Prediction, Snaple, StepMasks};
+use crate::predictor::{Prediction, RowIndex, Snaple, StepMasks};
 use crate::predictor_api::{
     ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, SetupStats,
 };
@@ -425,6 +425,15 @@ impl ScorePlan {
     /// queried row of each column is bit-identical to the standalone
     /// all-vertices run of that column, non-queried rows are empty.
     ///
+    /// A query-subset sweep costs its read set, not the graph: per-vertex
+    /// state exists only for the vertices the first step can read (the
+    /// queries plus their lookahead neighborhoods, one hop wider), each
+    /// superstep walks only its active vertices' edges (see
+    /// [`Engine::run_step_sparse`]), and the matrix keeps rows for the
+    /// queries alone. What still scales with the graph is a few passes
+    /// over vertex bitmasks (`|V| / 64` words each). An all-vertices
+    /// request runs the dense sweep.
+    ///
     /// # Errors
     ///
     /// [`SnapleError::InvalidConfig`] for malformed requests,
@@ -439,35 +448,48 @@ impl ScorePlan {
         req.validate_for(graph)?;
         let ncols = self.specs.len();
         let mut engine = Engine::on(deployment).with_seed(req.seed().unwrap_or(self.config.seed));
-        let mut state = vec![PlanVertex::default(); graph.num_vertices()];
+        let masks = req
+            .query_mask(graph)
+            .map(|q| StepMasks::build(graph, &q, self.config.path_length));
+        // State slots of a query-subset sweep: the first (widest) step's
+        // read set, which covers every later step's.
+        let slots: Option<RankedMask> = masks
+            .as_ref()
+            .map(|m| RankedMask::new(m.neighborhood.expand_out(graph)));
+        let mut state = vec![
+            PlanVertex::default();
+            slots.as_ref().map_or(graph.num_vertices(), RankedMask::len)
+        ];
         if let Some(attrs) = req.attributes() {
-            for (vertex, tags) in state.iter_mut().zip(attrs) {
+            let slot_tags: Box<dyn Iterator<Item = &Vec<u32>>> = match &slots {
+                None => Box::new(attrs.iter()),
+                Some(s) => Box::new(s.mask().iter().filter_map(|v| attrs.get(v.index()))),
+            };
+            for (vertex, tags) in state.iter_mut().zip(slot_tags) {
                 let mut tags = tags.clone();
                 tags.sort_unstable();
                 tags.dedup();
                 vertex.tags = tags;
             }
         }
-        let masks = req
-            .query_mask(graph)
-            .map(|q| StepMasks::build(graph, &q, self.config.path_length));
         let col_ops: Vec<AtomicU64> = (0..ncols).map(|_| AtomicU64::new(0)).collect();
+        let mut run = |step: &dyn PlanStep, mask: Option<&VertexMask>| -> Result<(), SnapleError> {
+            step.run(&mut engine, &mut state, slots.as_ref(), mask)
+        };
 
-        engine.run_step_masked(
+        run(
             &PlanNeighborhoodStep {
                 thr_gamma: self.config.thr_gamma,
             },
-            &mut state,
             masks.as_ref().map(|m| &m.neighborhood),
         )?;
-        engine.run_step_masked(
+        run(
             &PlanSimilarityStep {
                 columns: &self.specs,
                 klocal: self.config.klocal,
                 selection: self.config.selection,
                 col_ops: &col_ops,
             },
-            &mut state,
             masks.as_ref().map(|m| &m.similarity),
         )?;
         if self.config.path_length == PathLength::Three {
@@ -480,50 +502,91 @@ impl ScorePlan {
                 .map(|&k| self.config.klocal.unwrap_or(k.max(20)))
                 .collect();
             let promote_mask = masks.as_ref().and_then(|m| m.promote.as_ref());
-            engine.run_step_masked(
+            run(
                 &PlanScoreStep {
                     columns: &self.specs,
                     ks: &keeps,
                     second_hop: SecondHop::Sims,
                     col_ops: &col_ops,
                 },
-                &mut state,
                 promote_mask,
             )?;
-            engine.run_step_masked(&PlanPromoteStep { keeps: &keeps }, &mut state, promote_mask)?;
+            run(&PlanPromoteStep { keeps: &keeps }, promote_mask)?;
         }
         let second_hop = match self.config.path_length {
             PathLength::Two => SecondHop::Sims,
             PathLength::Three => SecondHop::Paths,
         };
-        engine.run_step_masked(
+        run(
             &PlanScoreStep {
                 columns: &self.specs,
                 ks: &self.ks,
                 second_hop,
                 col_ops: &col_ops,
             },
-            &mut state,
             masks.as_ref().map(|m| &m.score),
         )?;
 
+        // Rows: every vertex's, or the queries' alone (ascending).
+        let sources: Option<Vec<VertexId>> = masks.as_ref().map(|m| m.score.iter().collect());
+        let scored: Vec<PlanVertex> = match (&sources, &slots) {
+            (Some(sources), Some(slots)) => sources
+                .iter()
+                .filter_map(|&v| slots.rank(v))
+                .filter_map(|i| state.get_mut(i).map(std::mem::take))
+                .collect(),
+            _ => state,
+        };
         let mut columns: Vec<Vec<Vec<(VertexId, f32)>>> = (0..ncols)
-            .map(|_| Vec::with_capacity(state.len()))
+            .map(|_| Vec::with_capacity(scored.len()))
             .collect();
-        for vertex in state {
+        for vertex in scored {
             let mut predictions = vertex.predictions;
             predictions.resize(ncols, Vec::new());
             for (col, rows) in predictions.into_iter().enumerate() {
                 columns[col].push(rows);
             }
         }
+        let index = match sources {
+            None => RowIndex::dense(graph.num_vertices()),
+            Some(sources) => RowIndex::sparse(graph.num_vertices(), sources),
+        };
         Ok(ScoreMatrix {
             labels: self.labels(),
             weights: self.specs.iter().map(ScoreSpec::column_weight).collect(),
+            index,
             columns,
             column_ops: col_ops.into_iter().map(AtomicU64::into_inner).collect(),
             stats: engine.into_stats(),
         })
+    }
+}
+
+/// One fused superstep, runnable on dense or slotted plan state (object
+/// safe, so the sweep drives its steps through one code path).
+trait PlanStep {
+    fn run(
+        &self,
+        engine: &mut Engine<'_>,
+        state: &mut [PlanVertex],
+        slots: Option<&RankedMask>,
+        mask: Option<&VertexMask>,
+    ) -> Result<(), SnapleError>;
+}
+
+impl<S: GasStep<Vertex = PlanVertex>> PlanStep for S {
+    fn run(
+        &self,
+        engine: &mut Engine<'_>,
+        state: &mut [PlanVertex],
+        slots: Option<&RankedMask>,
+        mask: Option<&VertexMask>,
+    ) -> Result<(), SnapleError> {
+        match (slots, mask) {
+            (Some(slots), Some(mask)) => engine.run_step_sparse(self, state, slots, mask)?,
+            _ => engine.run_step_masked(self, state, mask)?,
+        };
+        Ok(())
     }
 }
 
@@ -628,10 +691,16 @@ impl Predictor for ScorePlan {
 /// The result of a fused [`ScorePlan`] sweep: per-vertex top-`k`
 /// predictions per column, the shared run's [`RunStats`], and per-column
 /// work attribution.
+///
+/// A query-subset sweep stores rows for its queries only; every other
+/// vertex reads as an empty row, so the matrix still ranges over all
+/// [`num_vertices`](ScoreMatrix::num_vertices).
 #[derive(Clone, Debug)]
 pub struct ScoreMatrix {
     labels: Vec<String>,
     weights: Vec<f32>,
+    index: RowIndex,
+    /// Per column, one row per stored vertex, in [`RowIndex`] order.
     columns: Vec<Vec<Vec<(VertexId, f32)>>>,
     column_ops: Vec<u64>,
     /// Statistics of the shared sweep (one run covering every column).
@@ -644,9 +713,9 @@ impl ScoreMatrix {
         self.columns.len()
     }
 
-    /// Number of vertices rows were computed for.
+    /// Number of vertices the matrix ranges over.
     pub fn num_vertices(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.index.num_vertices()
     }
 
     /// Column labels, in column order.
@@ -655,32 +724,41 @@ impl ScoreMatrix {
     }
 
     /// Predicted `(target, score)` pairs of column `col` for vertex `u`,
-    /// best first.
+    /// best first (empty for vertices the sweep did not query).
     pub fn scores(&self, col: usize, u: VertexId) -> &[(VertexId, f32)] {
-        &self.columns[col][u.index()]
+        self.index
+            .row(u)
+            .and_then(|r| self.columns[col].get(r))
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// Iterates `(source, predictions)` rows of column `col`.
+    /// Iterates `(source, predictions)` rows of column `col` over every
+    /// vertex, in id order.
     pub fn column_rows(
         &self,
         col: usize,
     ) -> impl Iterator<Item = (VertexId, &[(VertexId, f32)])> + '_ {
-        self.columns[col]
-            .iter()
-            .enumerate()
-            .map(|(i, rows)| (VertexId::new(i as u32), rows.as_slice()))
+        (0..self.num_vertices() as u32).map(move |u| {
+            let u = VertexId::new(u);
+            (u, self.scores(col, u))
+        })
     }
 
     /// Column `col` as a standalone [`Prediction`] (rows cloned, stats
     /// shared-by-copy).
     pub fn column(&self, col: usize) -> Prediction {
-        Prediction::from_parts(self.columns[col].clone(), self.stats.clone())
+        Prediction::from_index(
+            self.index.clone(),
+            self.columns[col].clone(),
+            self.stats.clone(),
+        )
     }
 
     /// Consumes the matrix, returning column `col` as a [`Prediction`]
     /// without cloning its rows.
     pub fn into_column(mut self, col: usize) -> Prediction {
-        Prediction::from_parts(std::mem::take(&mut self.columns[col]), self.stats)
+        let rows = std::mem::take(&mut self.columns[col]);
+        Prediction::from_index(self.index, rows, self.stats)
     }
 
     /// Work units attributed to column `col` alone: its kernel
@@ -702,16 +780,17 @@ impl ScoreMatrix {
 
     /// The plan's weighted ensemble ranking: per vertex, every candidate
     /// proposed by any column scores `Σ weight_c · score_c` (absent
-    /// columns contribute zero) and the top-`k` survive.
+    /// columns contribute zero) and the top-`k` survive. Only stored rows
+    /// are ranked; the others stay empty.
     ///
     /// For a 1-column plan with weight 1 this is exactly the column.
     pub fn combined(&self, k: usize) -> Prediction {
-        let n = self.num_vertices();
-        let mut rows: Vec<Vec<(VertexId, f32)>> = Vec::with_capacity(n);
-        for u in 0..n {
+        let stored = self.columns.first().map_or(0, Vec::len);
+        let mut rows: Vec<Vec<(VertexId, f32)>> = Vec::with_capacity(stored);
+        for r in 0..stored {
             let mut pooled: Vec<(VertexId, f32)> = Vec::new();
-            for (col, weight) in self.weights.iter().enumerate() {
-                for &(z, score) in &self.columns[col][u] {
+            for (column, weight) in self.columns.iter().zip(&self.weights) {
+                for &(z, score) in &column[r] {
                     match pooled.binary_search_by_key(&z, |&(id, _)| id) {
                         Ok(i) => pooled[i].1 += weight * score,
                         Err(i) => pooled.insert(i, (z, weight * score)),
@@ -720,7 +799,7 @@ impl ScoreMatrix {
             }
             rows.push(top_k_by_score(pooled, k));
         }
-        Prediction::from_parts(rows, self.stats.clone())
+        Prediction::from_index(self.index.clone(), rows, self.stats.clone())
     }
 }
 

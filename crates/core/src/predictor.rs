@@ -239,10 +239,7 @@ impl Snaple {
         )?;
 
         let predictions = state.into_iter().map(|s| s.predictions).collect();
-        Ok(Prediction {
-            predictions,
-            stats: engine.into_stats(),
-        })
+        Ok(Prediction::from_parts(predictions, engine.into_stats()))
     }
 }
 
@@ -332,10 +329,54 @@ impl Predictor for Snaple {
     }
 }
 
+/// Which vertices a result stores rows for: all of them, in id order, or
+/// a query subset (ascending), every other vertex reading as an empty row.
+#[derive(Clone, Debug)]
+pub(crate) struct RowIndex {
+    num_vertices: usize,
+    sources: Option<Vec<VertexId>>,
+}
+
+impl RowIndex {
+    /// Rows for every one of `num_vertices` vertices.
+    pub(crate) fn dense(num_vertices: usize) -> Self {
+        RowIndex {
+            num_vertices,
+            sources: None,
+        }
+    }
+
+    /// Rows for `sources` (ascending, each `< num_vertices`) only.
+    pub(crate) fn sparse(num_vertices: usize, sources: Vec<VertexId>) -> Self {
+        RowIndex {
+            num_vertices,
+            sources: Some(sources),
+        }
+    }
+
+    pub(crate) fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// Position of `u`'s stored row, if it has one.
+    pub(crate) fn row(&self, u: VertexId) -> Option<usize> {
+        match &self.sources {
+            None => (u.index() < self.num_vertices).then_some(u.index()),
+            Some(sources) => sources.binary_search(&u).ok(),
+        }
+    }
+}
+
 /// The result of a SNAPLE run: per-vertex predicted edges plus execution
 /// statistics.
+///
+/// A query-subset result stores rows for its queries only; every other
+/// vertex reads as an empty row, so the result still ranges over all
+/// [`num_vertices`](Prediction::num_vertices).
 #[derive(Clone, Debug)]
 pub struct Prediction {
+    index: RowIndex,
+    /// One row per stored vertex, in [`RowIndex`] order.
     predictions: Vec<Vec<(VertexId, f32)>>,
     /// Engine statistics (simulated time, network bytes, peak memory,
     /// replication factor).
@@ -343,31 +384,60 @@ pub struct Prediction {
 }
 
 impl Prediction {
-    /// Assembles a result from raw parts.
+    /// Assembles a result from raw parts: one row per vertex.
     ///
     /// Exists so that alternative predictors sharing SNAPLE's evaluation
     /// pipeline (the BASELINE of paper §5.3, the Cassovary comparator of
     /// §5.9) can return the same result type.
     pub fn from_parts(predictions: Vec<Vec<(VertexId, f32)>>, stats: RunStats) -> Self {
-        Prediction { predictions, stats }
+        Prediction {
+            index: RowIndex::dense(predictions.len()),
+            predictions,
+            stats,
+        }
+    }
+
+    /// A result storing `predictions[i]` for the `i`-th vertex of `index`.
+    pub(crate) fn from_index(
+        index: RowIndex,
+        predictions: Vec<Vec<(VertexId, f32)>>,
+        stats: RunStats,
+    ) -> Self {
+        Prediction {
+            index,
+            predictions,
+            stats,
+        }
     }
 
     /// Number of vertices predictions were computed for.
     pub fn num_vertices(&self) -> usize {
-        self.predictions.len()
+        self.index.num_vertices()
     }
 
     /// Predicted `(target, score)` pairs for `u`, best first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `u` is out of range of a result that stores a row for
+    /// every vertex.
     pub fn for_vertex(&self, u: VertexId) -> &[(VertexId, f32)] {
-        &self.predictions[u.index()]
+        match self.index.sources {
+            None => &self.predictions[u.index()],
+            Some(_) => self
+                .index
+                .row(u)
+                .and_then(|r| self.predictions.get(r))
+                .map_or(&[], Vec::as_slice),
+        }
     }
 
     /// Iterates `(source, predictions)` pairs over all vertices.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, &[(VertexId, f32)])> + '_ {
-        self.predictions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (VertexId::new(i as u32), p.as_slice()))
+        (0..self.num_vertices() as u32).map(move |u| {
+            let u = VertexId::new(u);
+            (u, self.for_vertex(u))
+        })
     }
 
     /// Total number of predicted edges.

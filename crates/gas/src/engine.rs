@@ -3,13 +3,13 @@
 use std::thread;
 
 use snaple_graph::hash::hash2;
-use snaple_graph::{store, Direction, GraphStore, VertexId, VertexMask};
+use snaple_graph::{store, Direction, GraphStore, RankedMask, VertexId, VertexMask};
 
 use crate::cluster::{ClusterSpec, NodeId};
 use crate::cost::CostModel;
 use crate::deploy::Deployment;
 use crate::error::EngineError;
-use crate::partition::{PartitionStrategy, PartitionedGraph};
+use crate::partition::{gather_runs, PartitionStrategy, PartitionedGraph};
 use crate::program::{GasStep, GatherCtx, NeighborStates, RunBudget, WorkTally};
 use crate::scratch::WorkerScratch;
 use crate::size::SizeEstimate;
@@ -17,6 +17,13 @@ use crate::stats::{NodeStats, RunStats, StepStats};
 
 /// Framing overhead charged per partial-gather message (vertex id + length).
 const MESSAGE_OVERHEAD: u64 = 8;
+
+/// Masked steps whose active gatherers hold fewer edges than this gather
+/// and apply on the calling thread. Spawning a `thread::scope` pool costs
+/// ≈25 µs per thread (≈60 µs for two, measured on a 2-core x86-64 VM),
+/// while the cheapest gather — the neighborhood step's — takes ≈15–30 ns
+/// per edge, so below a few thousand edges a split cannot repay its pool.
+const INLINE_ACTIVE_EDGES: usize = 4096;
 
 /// The host's available hardware parallelism, with a conservative
 /// fallback of 2 when the platform cannot report it — the one worker-count
@@ -63,7 +70,9 @@ pub struct Engine<'d> {
     seed: u64,
     step_counter: usize,
     injected_failure: Option<(NodeId, usize)>,
-    gather_workers: Option<usize>,
+    /// Host-thread cap of the gather and apply phases (`None`: the
+    /// host's parallelism).
+    workers: Option<usize>,
     /// One scratch slot per gather worker, kept across supersteps so the
     /// hot path reuses its edge/run/stripe buffers instead of
     /// re-allocating them per partition.
@@ -126,7 +135,7 @@ impl<'d> Engine<'d> {
             seed,
             step_counter: 0,
             injected_failure: None,
-            gather_workers: None,
+            workers: None,
             worker_scratch: Vec::new(),
         }
     }
@@ -138,17 +147,19 @@ impl<'d> Engine<'d> {
         self
     }
 
-    /// Caps the number of OS threads the gather phase uses (default: the
-    /// host's `available_parallelism`).
+    /// Caps the number of OS threads each phase of a step uses — the
+    /// gather pool and the apply pool alike (default: the host's
+    /// `available_parallelism`).
     ///
-    /// Simulated partitions are *chunked* across the workers, so any cap
-    /// produces bit-identical results and byte-identical cost accounting —
-    /// the per-partition tallies are computed the same way no matter which
-    /// host thread runs them. Exposed for tests and benchmarks that pin
-    /// host parallelism; a 64-partition cluster no longer spawns 64
-    /// threads on a 4-core host either way.
+    /// Simulated partitions (gather) and vertex ranges (apply) are
+    /// *chunked* across the workers, so any cap produces bit-identical
+    /// results and byte-identical cost accounting — the per-partition and
+    /// per-vertex tallies are computed the same way no matter which host
+    /// thread runs them. Exposed for tests and benchmarks that pin host
+    /// parallelism; a 64-partition cluster never spawns 64 threads on a
+    /// 4-core host either way.
     pub fn with_gather_workers(mut self, workers: usize) -> Self {
-        self.gather_workers = Some(workers.max(1));
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -226,9 +237,19 @@ impl<'d> Engine<'d> {
     /// gather calls along their edges, receive no accumulator, and keep
     /// their state untouched. Accounting follows the restriction — only
     /// the state of vertices an active gather can read (the active set
-    /// plus its gather-direction frontier) is charged for broadcast
-    /// traffic and replica memory. A full mask is exactly equivalent to
-    /// `None`, byte for byte.
+    /// plus its gather-direction frontier, the *read set*) is charged for
+    /// broadcast traffic and replica memory. A full mask is exactly
+    /// equivalent to `None`, byte for byte.
+    ///
+    /// A masked step costs its frontier, not the graph: gather walks only
+    /// the active vertices' edge runs (found by galloping through each
+    /// partition's gatherer-sorted edge list), broadcast accounting visits
+    /// only the read set, merge accumulators exist per active vertex, and
+    /// apply visits only active vertices. What remains proportional to the
+    /// graph is one pass over the mask's bitset words. Steps whose active
+    /// gatherers hold few edges run on the calling thread instead of
+    /// spawning phase pools. The dense `state` slice is still vertex-long;
+    /// [`Engine::run_step_sparse`] drops that too.
     ///
     /// This is the engine half of targeted prediction: callers that only
     /// need results for a query subset run each step under a mask covering
@@ -244,7 +265,39 @@ impl<'d> Engine<'d> {
         state: &mut [S::Vertex],
         mask: Option<&VertexMask>,
     ) -> Result<&StepStats, EngineError> {
-        self.run_step_inner(step, state, mask)?;
+        self.run_step_inner(step, state, None, mask)?;
+        self.last_step()
+    }
+
+    /// [`Engine::run_step_masked`] over **sparse** state: `state[i]` is the
+    /// program state of the `i`-th vertex of `slots` (ascending id order)
+    /// and other vertices have no state at all, so a step allocates and
+    /// touches nothing vertex-long.
+    ///
+    /// `slots` must cover the step's read set (`mask` plus its
+    /// gather-direction neighbors). A multi-step program whose masks
+    /// shrink step by step allocates one slot set — the first step's read
+    /// set — and runs every step on it. Results and every accounted
+    /// counter are identical to [`Engine::run_step_masked`] over a dense
+    /// state whose slotted entries equal `state`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run_step_masked`], plus
+    /// [`EngineError::InvalidConfig`] if `state` and `slots` differ in
+    /// length or `slots` misses part of the read set.
+    pub fn run_step_sparse<S: GasStep>(
+        &mut self,
+        step: &S,
+        state: &mut [S::Vertex],
+        slots: &RankedMask,
+        mask: &VertexMask,
+    ) -> Result<&StepStats, EngineError> {
+        self.run_step_inner(step, state, Some(slots), Some(mask))?;
+        self.last_step()
+    }
+
+    fn last_step(&self) -> Result<&StepStats, EngineError> {
         self.run
             .steps
             .last()
@@ -255,24 +308,42 @@ impl<'d> Engine<'d> {
         &mut self,
         step: &S,
         state: &mut [S::Vertex],
+        slots: Option<&RankedMask>,
         mask: Option<&VertexMask>,
     ) -> Result<(), EngineError> {
         let dep = self.deployment.get();
         let graph = dep.graph();
         let part = dep.partitioned();
-        if state.len() != graph.num_vertices() {
+        let num_vertices = graph.num_vertices();
+        let (state_len, state_what) = match slots {
+            None => (num_vertices, "the graph has"),
+            Some(s) => (s.len(), "the slots hold"),
+        };
+        if state.len() != state_len {
             return Err(EngineError::InvalidConfig(format!(
-                "state has {} entries but the graph has {} vertices",
+                "state has {} entries but {state_what} {state_len} vertices",
                 state.len(),
-                graph.num_vertices()
             )));
         }
-        if let Some(m) = mask {
-            if m.num_vertices() != graph.num_vertices() {
+        for (what, m) in [("mask", mask), ("slot mask", slots.map(RankedMask::mask))] {
+            if let Some(m) = m {
+                if m.num_vertices() != num_vertices {
+                    return Err(EngineError::InvalidConfig(format!(
+                        "{what} ranges over {} vertices but the graph has {num_vertices}",
+                        m.num_vertices(),
+                    )));
+                }
+            }
+        }
+        let dir = step.gather_direction();
+        // Read set of a masked step: active vertices plus the neighbors
+        // their gathers read. Only this state needs replicas this step.
+        let read_mask: Option<VertexMask> = mask.map(|m| m.expand(graph, dir));
+        if let (Some(s), Some(r)) = (slots, &read_mask) {
+            if !r.is_subset_of(s.mask()) {
                 return Err(EngineError::InvalidConfig(format!(
-                    "mask ranges over {} vertices but the graph has {}",
-                    m.num_vertices(),
-                    graph.num_vertices()
+                    "state slots miss part of the read set of step {}",
+                    step.name()
                 )));
             }
         }
@@ -290,13 +361,20 @@ impl<'d> Engine<'d> {
         let nodes = part.num_nodes();
         let cap = dep.cluster().memory_per_node;
         let step_seed = hash2(self.seed, step_idx as u64, 0x57e9);
-        let dir = step.gather_direction();
-        // Read set of a masked step: active vertices plus the neighbors
-        // their gathers read. Only this state needs replicas this step.
-        let read_mask: Option<VertexMask> = mask.map(|m| m.expand(graph, dir));
+        // Where each vertex's state lives: `state[v]` (dense) or
+        // `state[rank of v among the slots]` (sparse).
+        let slot_of = |v: VertexId| match slots {
+            None => Some(v.index()),
+            Some(s) => s.rank(v),
+        };
+        let missing_slot = |v: VertexId| {
+            EngineError::InvalidConfig(format!(
+                "vertex {v} has no state slot in step {}",
+                step.name()
+            ))
+        };
 
         // --- Broadcast phase: replicate vertex state to mirrors. ---------
-        let state_bytes: Vec<u64> = state.iter().map(SizeEstimate::estimated_bytes).collect();
         let mut mem_base = vec![0u64; nodes];
         let mut net = vec![0u64; nodes];
         let mut broadcast_total = 0u64;
@@ -304,19 +382,12 @@ impl<'d> Engine<'d> {
         // from the deployment's per-partition cache — maintained
         // incrementally across delta applies instead of recounted here.
         mem_base.copy_from_slice(dep.node_static_bytes());
-        for v in store::vertices(graph) {
-            if let Some(rm) = &read_mask {
-                if !rm.contains(v) {
-                    continue;
-                }
-            }
-            // snaple-lint: allow(index) — state_bytes has one entry per graph vertex (validated above)
-            let sb = state_bytes[v.index()];
+        let mut replicate = |v: VertexId, sb: u64| {
             let master = part.master(v).index();
-            let mut mask = part.presence_mask(v);
-            while mask != 0 {
-                let n = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
+            let mut presence = part.presence_mask(v);
+            while presence != 0 {
+                let n = presence.trailing_zeros() as usize;
+                presence &= presence - 1;
                 // snaple-lint: allow(index) — n is a presence-mask bit and master a partition id, both < nodes
                 mem_base[n] += sb;
                 if n != master {
@@ -325,6 +396,21 @@ impl<'d> Engine<'d> {
                     // snaple-lint: allow(index) — same bound as mem_base above
                     net[master] += sb;
                     broadcast_total += sb;
+                }
+            }
+        };
+        match &read_mask {
+            None => {
+                for (v, data) in store::vertices(graph).zip(state.iter()) {
+                    replicate(v, data.estimated_bytes());
+                }
+            }
+            Some(read) => {
+                for v in read.iter() {
+                    let data = slot_of(v)
+                        .and_then(|i| state.get(i))
+                        .ok_or_else(|| missing_slot(v))?;
+                    replicate(v, data.estimated_bytes());
                 }
             }
         }
@@ -338,6 +424,25 @@ impl<'d> Engine<'d> {
                 });
             }
         }
+
+        // Host threads per phase: the worker cap, or just the calling
+        // thread when the active gatherers hold too few edges to repay
+        // spawning a pool.
+        let inline = mask.is_some_and(|m| {
+            let mut active_edges = 0usize;
+            m.iter().all(|u| {
+                active_edges += match dir {
+                    Direction::Out => graph.out_degree(u),
+                    Direction::In => graph.in_degree(u),
+                };
+                active_edges < INLINE_ACTIVE_EDGES
+            })
+        });
+        let worker_cap = if inline {
+            1
+        } else {
+            self.workers.unwrap_or_else(host_parallelism)
+        };
 
         // --- Gather phase: per-node local gathers (parallel). ------------
         struct NodeGather<G> {
@@ -355,63 +460,43 @@ impl<'d> Engine<'d> {
         // The whole gather work of one simulated partition, runnable on
         // any host thread: the per-partition tallies depend only on the
         // partition's edge list, so the chunking below cannot change the
-        // accounting. Edges are walked as *runs* — maximal stretches of
-        // active same-gatherer edges (inactive edges never break a run,
-        // exactly as the historical per-edge loop's flush behaved) — and
-        // each run is handed to the program's `gather_run` in one call.
+        // accounting. Each active gatherer's edges form one contiguous
+        // run of the gatherer-sorted list, handed to the program's
+        // `gather_run` in one call.
         let gather_node =
             |n: usize, ws: &mut WorkerScratch| -> Result<NodeGather<S::Gather>, EngineError> {
                 let ctx = GatherCtx::new(graph, step_seed);
                 let node = NodeId::new(n as u16);
                 let stored = part.node_edges(node);
+                let WorkerScratch {
+                    edges: sorted,
+                    neighbors,
+                    arena,
+                } = ws;
                 let edges: &[(VertexId, VertexId)] = if dir == Direction::In {
-                    ws.edges.clear();
-                    ws.edges.extend_from_slice(stored);
-                    ws.edges.sort_unstable_by_key(|&(s, d)| (d, s));
-                    &ws.edges
+                    sorted.clear();
+                    sorted.extend_from_slice(stored);
+                    sorted.sort_unstable_by_key(|&(s, d)| (d, s));
+                    sorted
                 } else {
                     stored
                 };
-                let orient = |e: (VertexId, VertexId)| match dir {
-                    Direction::Out => (e.0, e.1),
-                    Direction::In => (e.1, e.0),
-                };
-                let states = NeighborStates::new(state_ro);
+                let states = NeighborStates::new(state_ro, slots);
                 let mut tally = WorkTally::new();
                 let mut partials: Vec<(VertexId, S::Gather, u64)> = Vec::new();
                 let mut gather_calls = 0u64;
                 let mut sum_calls = 0u64;
-                // snaple-lint: allow(index) — n comes from 0..nodes and mem_base has len nodes
-                let mut mem = mem_base_ref[n];
+                let mut mem = mem_base_ref.get(n).copied().unwrap_or_default();
                 let mut mem_peak = mem;
-                let mut i = 0usize;
-                while i < edges.len() {
-                    // snaple-lint: allow(index) — loop guard keeps i < edges.len()
-                    let (gatherer, neighbor) = orient(edges[i]);
-                    if let Some(m) = mask {
-                        if !m.contains(gatherer) {
-                            i += 1;
-                            continue;
-                        }
-                    }
-                    ws.neighbors.clear();
-                    ws.neighbors.push(neighbor);
-                    let mut j = i + 1;
-                    while j < edges.len() {
-                        // snaple-lint: allow(index) — loop guard keeps j < edges.len()
-                        let (g, nb) = orient(edges[j]);
-                        if let Some(m) = mask {
-                            if !m.contains(g) {
-                                j += 1;
-                                continue;
-                            }
-                        }
-                        if g != gatherer {
-                            break;
-                        }
-                        ws.neighbors.push(nb);
-                        j += 1;
-                    }
+                for (gatherer, run) in gather_runs(edges, dir, mask.map(VertexMask::iter)) {
+                    neighbors.clear();
+                    neighbors.extend(run.iter().map(|&(s, d)| match dir {
+                        Direction::Out => d,
+                        Direction::In => s,
+                    }));
+                    let gatherer_data = slot_of(gatherer)
+                        .and_then(|i| state_ro.get(i))
+                        .ok_or_else(|| missing_slot(gatherer))?;
                     let mut budget = RunBudget::new(
                         &mut gather_calls,
                         &mut sum_calls,
@@ -423,12 +508,11 @@ impl<'d> Engine<'d> {
                         .gather_run(
                             &ctx,
                             gatherer,
-                            // snaple-lint: allow(index) — gatherer is a partition-edge endpoint < num_vertices = state len
-                            &state_ro[gatherer.index()],
-                            &ws.neighbors,
+                            gatherer_data,
+                            neighbors,
                             &states,
                             &mut budget,
-                            &mut ws.arena,
+                            arena,
                             &mut tally,
                         )
                         .map_err(|overflow| EngineError::ResourceExhausted {
@@ -440,7 +524,6 @@ impl<'d> Engine<'d> {
                     if let Some((g, bytes)) = run {
                         partials.push((gatherer, g, bytes));
                     }
-                    i = j;
                 }
                 Ok(NodeGather {
                     node: n,
@@ -459,14 +542,13 @@ impl<'d> Engine<'d> {
         let nonempty: Vec<usize> = (0..nodes)
             .filter(|&n| !part.node_edges(NodeId::new(n as u16)).is_empty())
             .collect();
-        // Cap host threads at the hardware parallelism and chunk the
-        // partitions across them: a 64-partition cluster on a 4-core host
-        // gets 4 workers with 16 partitions each, not 64 oversubscribed
-        // threads. Each worker stops at its chunk's first error, so the
-        // surfaced error is the lowest-numbered failing partition's —
-        // exactly what the thread-per-partition layout reported.
-        let gather_worker_cap = self.gather_workers.unwrap_or_else(host_parallelism);
-        let gather_workers = gather_worker_cap.min(nonempty.len()).max(1);
+        // Chunk the partitions across at most `worker_cap` host threads: a
+        // 64-partition cluster on a 4-core host gets 4 workers with 16
+        // partitions each, not 64 oversubscribed threads. Each worker
+        // stops at its chunk's first error, so the surfaced error is the
+        // lowest-numbered failing partition's — exactly what the
+        // thread-per-partition layout reported.
+        let gather_workers = worker_cap.min(nonempty.len()).max(1);
         let chunk_len = nonempty.len().div_ceil(gather_workers).max(1);
         // Each worker borrows one persistent scratch slot; slots outlive
         // the step, so buffers grown on superstep k are reused on k+1.
@@ -474,26 +556,28 @@ impl<'d> Engine<'d> {
         if scratch_pool.len() < gather_workers {
             scratch_pool.resize_with(gather_workers, WorkerScratch::default);
         }
+        let gather_chunk = |chunk: &[usize], ws: &mut WorkerScratch| {
+            chunk
+                .iter()
+                .map(|&n| gather_node(n, ws))
+                .collect::<Result<Vec<_>, _>>()
+        };
         let gather_results: Vec<Result<Vec<NodeGather<S::Gather>>, EngineError>> =
-            thread::scope(|scope| {
-                let gather_node = &gather_node;
-                let handles: Vec<_> = nonempty
-                    .chunks(chunk_len)
-                    .zip(scratch_pool.iter_mut())
-                    .map(|(chunk, ws)| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|&n| gather_node(n, ws))
-                                .collect::<Result<Vec<_>, _>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
+            match scratch_pool.first_mut() {
+                Some(ws) if gather_workers == 1 => vec![gather_chunk(&nonempty, ws)],
+                _ => thread::scope(|scope| {
+                    let gather_chunk = &gather_chunk;
+                    let handles: Vec<_> = nonempty
+                        .chunks(chunk_len)
+                        .zip(scratch_pool.iter_mut())
+                        .map(|(chunk, ws)| scope.spawn(move || gather_chunk(chunk, ws)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
+                }),
+            };
 
         let mut node_ops = vec![0u64; nodes];
         let mut mem_peaks = mem_base.clone();
@@ -502,8 +586,11 @@ impl<'d> Engine<'d> {
         let mut partial_total = 0u64;
 
         // --- Merge partials at masters (deterministic node order). -------
-        let mut acc: Vec<Option<(S::Gather, u64)>> =
-            (0..graph.num_vertices()).map(|_| None).collect();
+        // One accumulator per active vertex, in ascending id order:
+        // `acc[v]` unmasked, `acc[rank of v among the active set]` masked.
+        let active_ranks: Option<RankedMask> = mask.map(|m| RankedMask::new(m.clone()));
+        let num_active = mask.map_or(num_vertices, VertexMask::len);
+        let mut acc: Vec<Option<(S::Gather, u64)>> = (0..num_active).map(|_| None).collect();
         let mut master_extra = vec![0u64; nodes];
         let mut merge_tallies: Vec<WorkTally> = vec![WorkTally::new(); nodes];
         let mut ordered: Vec<NodeGather<S::Gather>> = (0..nodes)
@@ -544,8 +631,12 @@ impl<'d> Engine<'d> {
                     // snaple-lint: allow(index) — same bound as above
                     master_extra[master] += bytes;
                 }
-                // snaple-lint: allow(index) — v < num_vertices: v is a partition-edge endpoint
-                let slot = &mut acc[v.index()];
+                let slot = match &active_ranks {
+                    None => Some(v.index()),
+                    Some(r) => r.rank(v),
+                }
+                .and_then(|i| acc.get_mut(i))
+                .ok_or_else(|| missing_slot(v))?;
                 *slot = Some(match slot.take() {
                     None => (g, bytes),
                     Some((prev, pb)) => {
@@ -575,47 +666,79 @@ impl<'d> Engine<'d> {
             }
         }
 
-        // --- Apply phase at masters (parallel over vertex shards). --------
-        let workers = host_parallelism().min(graph.num_vertices().max(1));
-        let chunk = graph.num_vertices().div_ceil(workers).max(1);
-        let apply_calls = mask.map_or(graph.num_vertices(), VertexMask::len) as u64;
-        let apply_node_ops: Vec<Vec<u64>> = thread::scope(|scope| {
-            let handles: Vec<_> = state
-                .chunks_mut(chunk)
-                .zip(acc.chunks_mut(chunk))
-                .enumerate()
-                .map(|(ci, (state_chunk, acc_chunk))| {
-                    scope.spawn(move || {
-                        let ctx = GatherCtx::new(graph, step_seed);
-                        let mut ops = vec![0u64; nodes];
-                        let base = ci * chunk;
-                        let mut tally = WorkTally::new();
-                        for (i, (data, a)) in
-                            state_chunk.iter_mut().zip(acc_chunk.iter_mut()).enumerate()
-                        {
-                            let u = VertexId::new((base + i) as u32);
-                            if let Some(m) = mask {
-                                if !m.contains(u) {
-                                    continue;
-                                }
-                            }
-                            let before = tally.ops();
-                            tally.add(1);
-                            step.apply(&ctx, u, data, a.take().map(|(g, _)| g), &mut tally);
-                            // snaple-lint: allow(index) — master partition ids are < nodes and ops has len nodes
-                            ops[part.master(u).index()] += tally.ops() - before;
-                        }
-                        ops
-                    })
-                })
-                .collect();
-            handles
+        // --- Apply phase at masters (parallel over active-vertex ranges). -
+        // The `i`-th active vertex, and where its state lives. Both grow
+        // with `i`, so contiguous active ranges own disjoint state ranges.
+        let active: Option<Vec<VertexId>> = mask.map(|m| m.iter().collect());
+        let vertex_at = |i: usize| match &active {
+            None => Some(VertexId::new(i as u32)),
+            Some(a) => a.get(i).copied(),
+        };
+        let slot_at = |i: usize| vertex_at(i).and_then(slot_of);
+        let apply_workers = worker_cap.min(num_active).max(1);
+        let chunk = num_active.div_ceil(apply_workers).max(1);
+        // Applies the active vertices `first..first + accs.len()`, whose
+        // states are `states[slot - base]`.
+        let apply_range = |first: usize,
+                           accs: &mut [Option<(S::Gather, u64)>],
+                           base: usize,
+                           states: &mut [S::Vertex]|
+         -> Result<Vec<u64>, EngineError> {
+            let ctx = GatherCtx::new(graph, step_seed);
+            let mut ops = vec![0u64; nodes];
+            let mut tally = WorkTally::new();
+            for (i, a) in (first..).zip(accs.iter_mut()) {
+                let u = vertex_at(i).unwrap_or_default();
+                let data = slot_at(i)
+                    .and_then(|s| states.get_mut(s.checked_sub(base)?))
+                    .ok_or_else(|| missing_slot(u))?;
+                let before = tally.ops();
+                tally.add(1);
+                step.apply(&ctx, u, data, a.take().map(|(g, _)| g), &mut tally);
+                if let Some(o) = ops.get_mut(part.master(u).index()) {
+                    *o += tally.ops() - before;
+                }
+            }
+            Ok(ops)
+        };
+        // Split the state where each range's next range starts, so every
+        // worker owns exactly the states of its own active vertices.
+        type Range<'r, G, V> = (usize, &'r mut [Option<(G, u64)>], usize, &'r mut [V]);
+        let mut ranges: Vec<Range<'_, S::Gather, S::Vertex>> = Vec::with_capacity(apply_workers);
+        let mut rest = state;
+        let mut base = 0usize;
+        for (ci, accs) in acc.chunks_mut(chunk).enumerate() {
+            let first = ci * chunk;
+            let rest_len = rest.len();
+            let end = slot_at(first + accs.len()).map_or(rest_len, |next| next - base);
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(end.min(rest_len));
+            let head_base = base;
+            base += head.len();
+            rest = tail;
+            ranges.push((first, accs, head_base, head));
+        }
+        let apply_node_ops: Vec<Result<Vec<u64>, EngineError>> = if ranges.len() <= 1 {
+            ranges
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .map(|(first, accs, base, states)| apply_range(first, accs, base, states))
                 .collect()
-        });
+        } else {
+            thread::scope(|scope| {
+                let apply_range = &apply_range;
+                let handles: Vec<_> = ranges
+                    .into_iter()
+                    .map(|(first, accs, base, states)| {
+                        scope.spawn(move || apply_range(first, accs, base, states))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
         for per_worker in apply_node_ops {
-            for (total, o) in node_ops.iter_mut().zip(per_worker) {
+            for (total, o) in node_ops.iter_mut().zip(per_worker?) {
                 *total += o;
             }
         }
@@ -635,7 +758,7 @@ impl<'d> Engine<'d> {
             name: step.name().to_owned(),
             gather_calls,
             sum_calls,
-            apply_calls,
+            apply_calls: num_active as u64,
             work_ops: node_ops.iter().sum(),
             broadcast_bytes: broadcast_total,
             partial_bytes: partial_total,
@@ -832,49 +955,195 @@ mod tests {
         ));
     }
 
+    /// Sums neighbor values along either direction and charges apply-side
+    /// work, so apply-phase accounting shows up in per-node ops.
+    struct SumAlong(Direction);
+    impl GasStep for SumAlong {
+        type Vertex = u64;
+        type Gather = u64;
+        fn name(&self) -> &str {
+            "sum-along"
+        }
+        fn gather_direction(&self) -> Direction {
+            self.0
+        }
+        fn gather(
+            &self,
+            _: &GatherCtx<'_>,
+            _u: VertexId,
+            _ud: &u64,
+            _v: VertexId,
+            vd: &u64,
+            _w: &mut WorkTally,
+        ) -> Option<u64> {
+            Some(*vd)
+        }
+        fn sum(&self, a: u64, b: u64, _w: &mut WorkTally) -> u64 {
+            a + b
+        }
+        fn apply(
+            &self,
+            _: &GatherCtx<'_>,
+            u: VertexId,
+            data: &mut u64,
+            acc: Option<u64>,
+            w: &mut WorkTally,
+        ) {
+            let a = acc.unwrap_or(0);
+            w.add(a % 5 + u.as_u32() as u64 % 3);
+            *data = a * 3 + u.as_u32() as u64;
+        }
+    }
+
+    fn assert_same_step(s: &StepStats, r: &StepStats, what: &str) {
+        assert_eq!(s.name, r.name, "{what}");
+        assert_eq!(s.gather_calls, r.gather_calls, "{what}");
+        assert_eq!(s.sum_calls, r.sum_calls, "{what}");
+        assert_eq!(s.apply_calls, r.apply_calls, "{what}");
+        assert_eq!(s.work_ops, r.work_ops, "{what}");
+        assert_eq!(s.broadcast_bytes, r.broadcast_bytes, "{what}");
+        assert_eq!(s.partial_bytes, r.partial_bytes, "{what}");
+        assert_eq!(s.per_node, r.per_node, "{what}");
+        assert_eq!(
+            s.simulated_seconds.to_bits(),
+            r.simulated_seconds.to_bits(),
+            "{what}"
+        );
+    }
+
     #[test]
     fn full_mask_is_bit_identical_to_unmasked() {
         let mut rng = StdRng::seed_from_u64(21);
-        let g = gen::erdos_renyi(250, 2_000, &mut rng).into_symmetric_graph();
-        let init: Vec<u64> = (0..250).map(|i| i * 31 % 97).collect();
-        let mut unmasked = init.clone();
-        let mut engine = Engine::new(
-            &g,
-            ClusterSpec::type_i(4),
-            PartitionStrategy::RandomVertexCut,
-            9,
-        )
-        .unwrap();
-        engine.run_step(&SumNeighbors, &mut unmasked).unwrap();
-        let reference = engine.into_stats();
-
-        let mut masked = init;
-        let mut engine = Engine::new(
-            &g,
-            ClusterSpec::type_i(4),
-            PartitionStrategy::RandomVertexCut,
-            9,
-        )
-        .unwrap();
-        let full = VertexMask::full(g.num_vertices());
-        engine
-            .run_step_masked(&SumNeighbors, &mut masked, Some(&full))
+        let sym = gen::erdos_renyi(250, 2_000, &mut rng).into_symmetric_graph();
+        // A directed graph too, so In- and Out-gathers see different runs.
+        let edges: Vec<(u32, u32)> = (0..1_500u64)
+            .map(|i| ((hash2(3, i, 0) % 250) as u32, (hash2(3, i, 1) % 250) as u32))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let directed = CsrGraph::from_edges(250, &edges);
+        for (g, dir) in [
+            (&sym, Direction::Out),
+            (&sym, Direction::In),
+            (&directed, Direction::Out),
+            (&directed, Direction::In),
+        ] {
+            let init: Vec<u64> = (0..250).map(|i| i * 31 % 97).collect();
+            let mut unmasked = init.clone();
+            let mut engine = Engine::new(
+                g,
+                ClusterSpec::type_i(4),
+                PartitionStrategy::RandomVertexCut,
+                9,
+            )
             .unwrap();
-        let stats = engine.into_stats();
-        assert_eq!(masked, unmasked);
-        assert_eq!(stats.steps[0].gather_calls, reference.steps[0].gather_calls);
-        assert_eq!(stats.steps[0].apply_calls, reference.steps[0].apply_calls);
-        assert_eq!(stats.steps[0].work_ops, reference.steps[0].work_ops);
-        assert_eq!(
-            stats.steps[0].broadcast_bytes,
-            reference.steps[0].broadcast_bytes
+            engine.run_step(&SumAlong(dir), &mut unmasked).unwrap();
+            let reference = engine.into_stats();
+
+            let mut masked = init;
+            let mut engine = Engine::new(
+                g,
+                ClusterSpec::type_i(4),
+                PartitionStrategy::RandomVertexCut,
+                9,
+            )
+            .unwrap();
+            let full = VertexMask::full(g.num_vertices());
+            engine
+                .run_step_masked(&SumAlong(dir), &mut masked, Some(&full))
+                .unwrap();
+            let stats = engine.into_stats();
+            assert_eq!(masked, unmasked, "{dir:?}");
+            assert_same_step(&stats.steps[0], &reference.steps[0], &format!("{dir:?}"));
+            assert_eq!(stats.total_network_bytes(), reference.total_network_bytes());
+            assert_eq!(stats.peak_memory(), reference.peak_memory());
+        }
+    }
+
+    #[test]
+    fn sparse_state_matches_dense_masked_runs() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let g = gen::erdos_renyi(400, 3_000, &mut rng).into_symmetric_graph();
+        let deployment = Deployment::new(
+            &g,
+            ClusterSpec::type_i(8),
+            PartitionStrategy::RandomVertexCut,
+            4,
+        )
+        .unwrap();
+        let init = |i: u32| i as u64 * 13 % 71;
+        for dir in [Direction::Out, Direction::In] {
+            for queries in [
+                vec![],
+                vec![5],
+                (0..400).step_by(17).collect(),
+                (0..400).collect(),
+            ] {
+                // Two shrinking steps, like a targeted program: the slots
+                // are the first step's read set.
+                let inner = VertexMask::from_vertices(400, queries.into_iter().map(VertexId::new));
+                let outer = inner.expand(&g, dir);
+                let slots = RankedMask::new(outer.expand(&g, dir));
+
+                let mut dense: Vec<u64> = (0..400).map(init).collect();
+                let mut engine = Engine::on(&deployment);
+                engine
+                    .run_step_masked(&SumAlong(dir), &mut dense, Some(&outer))
+                    .unwrap();
+                engine
+                    .run_step_masked(&SumAlong(dir), &mut dense, Some(&inner))
+                    .unwrap();
+                let reference = engine.into_stats();
+
+                let mut sparse: Vec<u64> = slots.mask().iter().map(|v| init(v.as_u32())).collect();
+                let mut engine = Engine::on(&deployment);
+                engine
+                    .run_step_sparse(&SumAlong(dir), &mut sparse, &slots, &outer)
+                    .unwrap();
+                engine
+                    .run_step_sparse(&SumAlong(dir), &mut sparse, &slots, &inner)
+                    .unwrap();
+                let stats = engine.into_stats();
+                for v in slots.mask().iter() {
+                    assert_eq!(
+                        sparse[slots.rank(v).unwrap()],
+                        dense[v.index()],
+                        "{dir:?} vertex {v}"
+                    );
+                }
+                for (s, r) in stats.steps.iter().zip(&reference.steps) {
+                    assert_same_step(s, r, &format!("{dir:?} |Q|={}", inner.len()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_slots_must_cover_the_read_set() {
+        let g = ring(10);
+        let mut engine = Engine::new(
+            &g,
+            ClusterSpec::type_i(2),
+            PartitionStrategy::RandomVertexCut,
+            1,
+        )
+        .unwrap();
+        // Vertex 2 gathers from 3, which has no slot.
+        let mask = VertexMask::from_vertices(10, [VertexId::new(2)]);
+        let slots = RankedMask::new(mask.clone());
+        let mut state = vec![0u64; 1];
+        assert!(matches!(
+            engine.run_step_sparse(&SumNeighbors, &mut state, &slots, &mask),
+            Err(EngineError::InvalidConfig(_))
+        ));
+        let mut state = vec![0u64; 3];
+        assert!(matches!(
+            engine.run_step_sparse(&SumNeighbors, &mut state, &slots, &mask),
+            Err(EngineError::InvalidConfig(_))
+        ));
+        assert!(
+            engine.stats().steps.is_empty(),
+            "rejected calls run no step"
         );
-        assert_eq!(
-            stats.steps[0].partial_bytes,
-            reference.steps[0].partial_bytes
-        );
-        assert_eq!(stats.total_network_bytes(), reference.total_network_bytes());
-        assert_eq!(stats.peak_memory(), reference.peak_memory());
     }
 
     #[test]
@@ -1107,6 +1376,49 @@ mod tests {
         assert_eq!(state, vec![1, 0, 1, 0]);
     }
 
+    /// [`SumAlong`] that records which host threads ran its applies.
+    struct ApplyThreads {
+        inner: SumAlong,
+        threads: std::sync::Mutex<Vec<thread::ThreadId>>,
+    }
+    impl GasStep for ApplyThreads {
+        type Vertex = u64;
+        type Gather = u64;
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn gather(
+            &self,
+            ctx: &GatherCtx<'_>,
+            u: VertexId,
+            ud: &u64,
+            v: VertexId,
+            vd: &u64,
+            w: &mut WorkTally,
+        ) -> Option<u64> {
+            self.inner.gather(ctx, u, ud, v, vd, w)
+        }
+        fn sum(&self, a: u64, b: u64, w: &mut WorkTally) -> u64 {
+            self.inner.sum(a, b, w)
+        }
+        fn apply(
+            &self,
+            ctx: &GatherCtx<'_>,
+            u: VertexId,
+            data: &mut u64,
+            acc: Option<u64>,
+            w: &mut WorkTally,
+        ) {
+            let mut threads = self.threads.lock().unwrap();
+            let id = thread::current().id();
+            if !threads.contains(&id) {
+                threads.push(id);
+            }
+            drop(threads);
+            self.inner.apply(ctx, u, data, acc, w);
+        }
+    }
+
     #[test]
     fn gather_worker_cap_keeps_results_and_cost_accounting_byte_identical() {
         // Regression for the oversubscription fix: a 64-partition cluster
@@ -1114,7 +1426,9 @@ mod tests {
         // now chunked over a capped worker pool — and because each
         // partition's tallies are computed identically no matter which
         // host thread runs them, every cap must produce bit-identical
-        // state and byte-identical simulated-cost accounting.
+        // state and byte-identical simulated-cost accounting. The apply
+        // phase obeys the same cap: its state, its ops (charged per vertex
+        // by `SumAlong::apply`) and its thread count.
         let mut rng = StdRng::seed_from_u64(17);
         let g = gen::erdos_renyi(400, 6_000, &mut rng).into_symmetric_graph();
         let deployment = Deployment::new(
@@ -1125,34 +1439,30 @@ mod tests {
         )
         .unwrap();
         let init: Vec<u64> = (0..400).map(|i| i * 7 % 53).collect();
+        let step = || ApplyThreads {
+            inner: SumAlong(Direction::Out),
+            threads: std::sync::Mutex::new(Vec::new()),
+        };
 
         let mut reference_state = init.clone();
         let mut reference = Engine::on(&deployment);
-        reference
-            .run_step(&SumNeighbors, &mut reference_state)
-            .unwrap();
+        reference.run_step(&step(), &mut reference_state).unwrap();
         let reference_stats = reference.into_stats();
 
         for workers in [1, 3, 8, 200] {
             let mut state = init.clone();
+            let counted = step();
             let mut engine = Engine::on(&deployment).with_gather_workers(workers);
-            engine.run_step(&SumNeighbors, &mut state).unwrap();
+            engine.run_step(&counted, &mut state).unwrap();
             let stats = engine.into_stats();
             assert_eq!(state, reference_state, "{workers} workers diverged");
             let (s, r) = (&stats.steps[0], &reference_stats.steps[0]);
-            assert_eq!(s.gather_calls, r.gather_calls, "{workers} workers");
-            assert_eq!(s.sum_calls, r.sum_calls, "{workers} workers");
-            assert_eq!(s.apply_calls, r.apply_calls, "{workers} workers");
-            assert_eq!(s.work_ops, r.work_ops, "{workers} workers");
-            assert_eq!(s.broadcast_bytes, r.broadcast_bytes, "{workers} workers");
-            assert_eq!(s.partial_bytes, r.partial_bytes, "{workers} workers");
-            assert_eq!(s.per_node.len(), r.per_node.len());
-            for (n, (sn, rn)) in s.per_node.iter().zip(&r.per_node).enumerate() {
-                assert_eq!(sn.compute_ops, rn.compute_ops, "node {n}");
-                assert_eq!(sn.net_bytes, rn.net_bytes, "node {n}");
-                assert_eq!(sn.memory_peak, rn.memory_peak, "node {n}");
-            }
-            assert_eq!(s.simulated_seconds, r.simulated_seconds);
+            assert_same_step(s, r, &format!("{workers} workers"));
+            let apply_threads = counted.threads.lock().unwrap().len();
+            assert!(
+                apply_threads <= workers,
+                "{workers} workers, {apply_threads} apply threads"
+            );
         }
     }
 

@@ -24,6 +24,17 @@
 //!   [`EngineError::ResourceExhausted`] exactly where a real GraphLab
 //!   deployment would die — which is how the paper's BASELINE fails on
 //!   *orkut* and *twitter-rv*.
+//! * Supersteps can be **masked** to an active vertex subset
+//!   ([`Engine::run_step_masked`]), and then cost their frontier, not the
+//!   graph: gather gallops to each active vertex's edge run in every
+//!   partition's gatherer-sorted edge list, broadcast accounting visits
+//!   only the read set (active vertices plus the neighbors their gathers
+//!   read), merge and apply touch only active vertices, and small
+//!   frontiers run on the calling thread. [`Engine::run_step_sparse`]
+//!   also keeps program state for the read set only, found by rank
+//!   through a [`RankedMask`](snaple_graph::RankedMask). Beyond that a
+//!   masked step scans only vertex bitmasks, `|V| / 64` words at a time.
+//!   Every counter is identical to the dense step restricted to the mask.
 //! * A calibrated [`cost::CostModel`] converts the per-node op and byte
 //!   tallies into simulated wall-clock seconds for a given
 //!   [`ClusterSpec`] (the paper's type-I and type-II machines ship as

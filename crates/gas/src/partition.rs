@@ -17,7 +17,7 @@
 //!   ties by load.
 
 use snaple_graph::hash::{hash1, hash2};
-use snaple_graph::{store, GraphStore, VertexId};
+use snaple_graph::{store, Direction, GraphStore, VertexId};
 
 use crate::error::EngineError;
 use crate::NodeId;
@@ -423,6 +423,73 @@ pub fn master_node(seed: u64, num_nodes: usize, vertex: u32) -> NodeId {
     NodeId::new((hash1(seed ^ MASTER_SALT, vertex as u64) % num_nodes as u64) as u16)
 }
 
+/// The gather runs of one partition's edge list: per gatherer, in
+/// ascending id order, the contiguous stretch of edges it gathers over.
+///
+/// `edges` must be sorted by gatherer — `(src, dst)` order for
+/// [`Direction::Out`] (how [`PartitionedGraph`] keeps every node's list),
+/// `(dst, src)` for [`Direction::In`]. With `active` set, only the listed
+/// gatherers (ascending) yield runs, and each run is found by galloping
+/// from the previous run's end: a step costs O(active gatherers + their
+/// edges) on sparse frontiers and O(edges) on a full one. Without it,
+/// every gatherer present in the list yields its run.
+pub(crate) fn gather_runs<I: Iterator<Item = VertexId>>(
+    edges: &[(VertexId, VertexId)],
+    dir: Direction,
+    active: Option<I>,
+) -> GatherRuns<'_, I> {
+    GatherRuns { edges, dir, active }
+}
+
+/// Iterator of [`gather_runs`].
+pub(crate) struct GatherRuns<'e, I> {
+    /// The edges not yet consumed.
+    edges: &'e [(VertexId, VertexId)],
+    dir: Direction,
+    active: Option<I>,
+}
+
+impl<'e, I: Iterator<Item = VertexId>> Iterator for GatherRuns<'e, I> {
+    type Item = (VertexId, &'e [(VertexId, VertexId)]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let dir = self.dir;
+        let key = move |e: &(VertexId, VertexId)| match dir {
+            Direction::Out => e.0,
+            Direction::In => e.1,
+        };
+        loop {
+            let first = self.edges.first()?;
+            let u = match &mut self.active {
+                None => key(first),
+                Some(active) => {
+                    let u = active.next()?;
+                    let skip = gallop(self.edges, |e| key(e) < u);
+                    self.edges = self.edges.get(skip..).unwrap_or_default();
+                    u
+                }
+            };
+            let len = self.edges.iter().take_while(|e| key(e) == u).count();
+            let (run, rest) = self.edges.split_at(len);
+            self.edges = rest;
+            if !run.is_empty() {
+                return Some((u, run));
+            }
+        }
+    }
+}
+
+/// `s.partition_point(pred)` for a monotone `pred`, found by exponential
+/// search from the front: O(log k) for an answer of k.
+fn gallop<T>(s: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    let mut bound = 1;
+    while bound < s.len() && pred(&s[bound]) {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + s[lo..bound.min(s.len())].partition_point(pred)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,5 +752,49 @@ mod tests {
         assert_eq!(p.total_edges(), 0);
         assert_eq!(p.edge_balance(), (0, 0));
         assert!((p.replication_factor() - 1.0).abs() < 1e-12);
+    }
+    #[test]
+    fn gallop_matches_partition_point() {
+        let s: Vec<u32> = (0..300).map(|i| i / 3).collect();
+        for t in 0..105 {
+            assert_eq!(gallop(&s, |&x| x < t), s.partition_point(|&x| x < t), "{t}");
+        }
+        assert_eq!(gallop(&[] as &[u32], |_| true), 0);
+    }
+
+    #[test]
+    fn gather_runs_split_sorted_edges_by_gatherer() {
+        let e = |s: u32, d: u32| (VertexId::new(s), VertexId::new(d));
+        let out = [
+            e(0, 1),
+            e(0, 4),
+            e(2, 0),
+            e(5, 1),
+            e(5, 2),
+            e(5, 3),
+            e(9, 0),
+        ];
+        let all: Vec<(u32, usize)> = gather_runs(&out, Direction::Out, None::<std::iter::Empty<_>>)
+            .map(|(u, run)| (u.as_u32(), run.len()))
+            .collect();
+        assert_eq!(all, vec![(0, 2), (2, 1), (5, 3), (9, 1)]);
+        // Active gatherers without edges here yield nothing; the rest
+        // yield exactly their dense runs.
+        let active = [1u32, 2, 5, 7, 9, 11].map(VertexId::new);
+        let some: Vec<(u32, usize)> = gather_runs(&out, Direction::Out, Some(active.into_iter()))
+            .map(|(u, run)| (u.as_u32(), run.len()))
+            .collect();
+        assert_eq!(some, vec![(2, 1), (5, 3), (9, 1)]);
+        // In-gathers walk a (dst, src)-sorted list keyed by dst.
+        let mut inward = out;
+        inward.sort_unstable_by_key(|&(s, d)| (d, s));
+        let runs: Vec<(u32, Vec<u32>)> = gather_runs(
+            &inward,
+            Direction::In,
+            Some([0u32, 2, 3].map(VertexId::new).into_iter()),
+        )
+        .map(|(u, run)| (u.as_u32(), run.iter().map(|&(s, _)| s.as_u32()).collect()))
+        .collect();
+        assert_eq!(runs, vec![(0, vec![2, 9]), (2, vec![5]), (3, vec![5])]);
     }
 }

@@ -1,6 +1,6 @@
 //! The GAS program interface.
 
-use snaple_graph::{Direction, GraphStore, VertexId};
+use snaple_graph::{Direction, GraphStore, RankedMask, VertexId};
 
 use crate::scratch::ScratchArena;
 use crate::size::SizeEstimate;
@@ -172,21 +172,35 @@ impl<'a> RunBudget<'a> {
 }
 
 /// Read access to the vertex states a gather run may consult, indexed by
-/// neighbor id. Wraps the full state slice without exposing mutation.
+/// neighbor id. Wraps the step's state slice without exposing mutation:
+/// dense (`states[v]`) or sparse over ranked slots (`states[rank(v)]`).
 #[derive(Debug)]
 pub struct NeighborStates<'a, V> {
     states: &'a [V],
+    slots: Option<&'a RankedMask>,
 }
 
 impl<'a, V> NeighborStates<'a, V> {
-    pub(crate) fn new(states: &'a [V]) -> Self {
-        NeighborStates { states }
+    pub(crate) fn new(states: &'a [V], slots: Option<&'a RankedMask>) -> Self {
+        NeighborStates { states, slots }
     }
 
     /// The program state of vertex `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v` has no state in this step: out of range, or, in a
+    /// sparse step, outside the slots (which cover every vertex a gather
+    /// along the step's edges can reach).
     #[inline]
     pub fn get(&self, v: VertexId) -> &'a V {
-        &self.states[v.index()]
+        match self.slots {
+            None => &self.states[v.index()],
+            Some(slots) => match slots.rank(v) {
+                Some(i) => &self.states[i],
+                None => panic!("vertex {v} has no state slot in this step"),
+            },
+        }
     }
 }
 

@@ -101,7 +101,7 @@ pub use delta::{DeltaOverlay, GraphDelta};
 pub use error::GraphError;
 pub use extbuild::ExternalGraphBuilder;
 pub use id::VertexId;
-pub use mask::VertexMask;
+pub use mask::{RankedMask, SetVertices, VertexMask};
 pub use relabel::Relabeling;
 pub use store::GraphStore;
 pub use v2::FileCsr;

@@ -110,19 +110,12 @@ impl VertexMask {
     }
 
     /// Iterates the set vertices in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            let base = w as u32 * 64;
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(VertexId::new(base + bit))
-            })
-        })
+    pub fn iter(&self) -> SetVertices<'_> {
+        SetVertices {
+            words: self.bits.iter(),
+            base: 0,
+            rest: 0,
+        }
     }
 
     /// Returns this mask united with the `dir`-neighbors of its set
@@ -153,6 +146,97 @@ impl VertexMask {
     /// steps gather over.
     pub fn expand_out(&self, graph: &dyn GraphStore) -> VertexMask {
         self.expand(graph, Direction::Out)
+    }
+
+    /// Whether every vertex set here is also set in `other` (masks over
+    /// different ranges never nest). One pass over the bitset words.
+    pub fn is_subset_of(&self, other: &VertexMask) -> bool {
+        self.num_vertices == other.num_vertices
+            && self.bits.iter().zip(&other.bits).all(|(a, b)| a & !b == 0)
+    }
+}
+
+/// Iterator over a [`VertexMask`]'s set vertices, ascending; see
+/// [`VertexMask::iter`]. Skips empty words in one compare each, so a
+/// sparse mask iterates in about `num_vertices / 64` cheap steps.
+#[derive(Clone, Debug)]
+pub struct SetVertices<'a> {
+    words: std::slice::Iter<'a, u64>,
+    /// Id of bit 0 of the word in `rest`.
+    base: u32,
+    /// The unvisited bits of the current word.
+    rest: u64,
+}
+
+impl Iterator for SetVertices<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        while self.rest == 0 {
+            self.rest = *self.words.next()?;
+            self.base = self.base.wrapping_add(64);
+        }
+        let bit = self.rest.trailing_zeros();
+        self.rest &= self.rest - 1;
+        // `base` runs one word ahead: it was bumped when the word loaded.
+        Some(VertexId::new(self.base.wrapping_sub(64) + bit))
+    }
+}
+
+/// A [`VertexMask`] with per-word prefix popcounts, numbering its set
+/// vertices `0..len` in ascending id order.
+///
+/// [`rank`](RankedMask::rank) is O(1): one prefix lookup plus one
+/// popcount. This is how sparse per-vertex storage finds a vertex's slot
+/// without a vertex-length table: building the ranks costs one pass over
+/// the bitset words (`num_vertices / 64`), not one per vertex.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RankedMask {
+    mask: VertexMask,
+    /// `prefix[w]` is the number of set bits in words `0..w`.
+    prefix: Vec<u32>,
+}
+
+impl RankedMask {
+    /// Ranks the set vertices of `mask`.
+    pub fn new(mask: VertexMask) -> Self {
+        let mut prefix = Vec::with_capacity(mask.bits.len());
+        let mut seen = 0u32;
+        for word in &mask.bits {
+            prefix.push(seen);
+            seen += word.count_ones();
+        }
+        RankedMask { mask, prefix }
+    }
+
+    /// The ranked mask.
+    pub fn mask(&self) -> &VertexMask {
+        &self.mask
+    }
+
+    /// Number of ranked (set) vertices.
+    pub fn len(&self) -> usize {
+        self.mask.len()
+    }
+
+    /// Whether no vertex is ranked.
+    pub fn is_empty(&self) -> bool {
+        self.mask.is_empty()
+    }
+
+    /// The rank of `v` among the set vertices, or `None` when `v` is not
+    /// set (or out of range).
+    #[inline]
+    pub fn rank(&self, v: VertexId) -> Option<usize> {
+        let i = v.index();
+        if i >= self.mask.num_vertices {
+            return None;
+        }
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let word = self.mask.bits[w];
+        (word & bit != 0)
+            .then(|| self.prefix[w] as usize + (word & (bit - 1)).count_ones() as usize)
     }
 }
 
@@ -276,6 +360,32 @@ mod tests {
         let m = VertexMask::empty(0);
         assert!(m.expand_out(&g).is_empty());
         assert_eq!(m.expand_out(&g).num_vertices(), 0);
+    }
+
+    #[test]
+    fn ranks_number_set_vertices_in_id_order() {
+        let ids = [0u32, 5, 63, 64, 65, 127, 128, 199];
+        let ranked = RankedMask::new(VertexMask::from_vertices(200, ids.map(v)));
+        assert_eq!(ranked.len(), ids.len());
+        for (r, &i) in ids.iter().enumerate() {
+            assert_eq!(ranked.rank(v(i)), Some(r), "vertex {i}");
+        }
+        for i in [1u32, 62, 66, 126, 198, 200, 5000] {
+            assert_eq!(ranked.rank(v(i)), None, "vertex {i}");
+        }
+        let full = RankedMask::new(VertexMask::full(130));
+        assert!((0..130).all(|i| full.rank(v(i)) == Some(i as usize)));
+        assert!(RankedMask::new(VertexMask::empty(0)).is_empty());
+    }
+
+    #[test]
+    fn subsets_nest_only_over_the_same_range() {
+        let small = VertexMask::from_vertices(100, [v(3), v(70)]);
+        let big = VertexMask::from_vertices(100, [v(3), v(9), v(70)]);
+        assert!(small.is_subset_of(&big));
+        assert!(!big.is_subset_of(&small));
+        assert!(VertexMask::empty(100).is_subset_of(&small));
+        assert!(!VertexMask::empty(99).is_subset_of(&small));
     }
 
     #[test]
