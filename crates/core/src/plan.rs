@@ -473,23 +473,27 @@ impl ScorePlan {
             }
         }
         let col_ops: Vec<AtomicU64> = (0..ncols).map(|_| AtomicU64::new(0)).collect();
-        let mut run = |step: &dyn PlanStep, mask: Option<&VertexMask>| -> Result<(), SnapleError> {
-            step.run(&mut engine, &mut state, slots.as_ref(), mask)
-        };
+        let slots = slots.as_ref();
 
-        run(
+        run_plan_step(
+            &mut engine,
             &PlanNeighborhoodStep {
                 thr_gamma: self.config.thr_gamma,
             },
+            &mut state,
+            slots,
             masks.as_ref().map(|m| &m.neighborhood),
         )?;
-        run(
+        run_plan_step(
+            &mut engine,
             &PlanSimilarityStep {
                 columns: &self.specs,
                 klocal: self.config.klocal,
                 selection: self.config.selection,
                 col_ops: &col_ops,
             },
+            &mut state,
+            slots,
             masks.as_ref().map(|m| &m.similarity),
         )?;
         if self.config.path_length == PathLength::Three {
@@ -502,34 +506,46 @@ impl ScorePlan {
                 .map(|&k| self.config.klocal.unwrap_or(k.max(20)))
                 .collect();
             let promote_mask = masks.as_ref().and_then(|m| m.promote.as_ref());
-            run(
+            run_plan_step(
+                &mut engine,
                 &PlanScoreStep {
                     columns: &self.specs,
                     ks: &keeps,
                     second_hop: SecondHop::Sims,
                     col_ops: &col_ops,
                 },
+                &mut state,
+                slots,
                 promote_mask,
             )?;
-            run(&PlanPromoteStep { keeps: &keeps }, promote_mask)?;
+            run_plan_step(
+                &mut engine,
+                &PlanPromoteStep { keeps: &keeps },
+                &mut state,
+                slots,
+                promote_mask,
+            )?;
         }
         let second_hop = match self.config.path_length {
             PathLength::Two => SecondHop::Sims,
             PathLength::Three => SecondHop::Paths,
         };
-        run(
+        run_plan_step(
+            &mut engine,
             &PlanScoreStep {
                 columns: &self.specs,
                 ks: &self.ks,
                 second_hop,
                 col_ops: &col_ops,
             },
+            &mut state,
+            slots,
             masks.as_ref().map(|m| &m.score),
         )?;
 
         // Rows: every vertex's, or the queries' alone (ascending).
         let sources: Option<Vec<VertexId>> = masks.as_ref().map(|m| m.score.iter().collect());
-        let scored: Vec<PlanVertex> = match (&sources, &slots) {
+        let scored: Vec<PlanVertex> = match (&sources, slots) {
             (Some(sources), Some(slots)) => sources
                 .iter()
                 .filter_map(|&v| slots.rank(v))
@@ -562,32 +578,20 @@ impl ScorePlan {
     }
 }
 
-/// One fused superstep, runnable on dense or slotted plan state (object
-/// safe, so the sweep drives its steps through one code path).
-trait PlanStep {
-    fn run(
-        &self,
-        engine: &mut Engine<'_>,
-        state: &mut [PlanVertex],
-        slots: Option<&RankedMask>,
-        mask: Option<&VertexMask>,
-    ) -> Result<(), SnapleError>;
-}
-
-impl<S: GasStep<Vertex = PlanVertex>> PlanStep for S {
-    fn run(
-        &self,
-        engine: &mut Engine<'_>,
-        state: &mut [PlanVertex],
-        slots: Option<&RankedMask>,
-        mask: Option<&VertexMask>,
-    ) -> Result<(), SnapleError> {
-        match (slots, mask) {
-            (Some(slots), Some(mask)) => engine.run_step_sparse(self, state, slots, mask)?,
-            _ => engine.run_step_masked(self, state, mask)?,
-        };
-        Ok(())
-    }
+/// Runs one fused superstep on slotted plan state (a query-subset sweep)
+/// or dense state (an all-vertices sweep).
+fn run_plan_step<S: GasStep<Vertex = PlanVertex>>(
+    engine: &mut Engine<'_>,
+    step: &S,
+    state: &mut [PlanVertex],
+    slots: Option<&RankedMask>,
+    mask: Option<&VertexMask>,
+) -> Result<(), SnapleError> {
+    match (slots, mask) {
+        (Some(slots), Some(mask)) => engine.run_step_sparse(step, state, slots, mask)?,
+        _ => engine.run_step_masked(step, state, mask)?,
+    };
+    Ok(())
 }
 
 /// A [`ScorePlan`] with its deployment built: the execute-many half of

@@ -425,12 +425,15 @@ impl<'d> Engine<'d> {
             }
         }
 
+        // The active vertices of a masked step, ascending: gather, apply
+        // and the threading decision all walk this list, not the mask.
+        let active: Option<Vec<VertexId>> = mask.map(|m| m.iter().collect());
         // Host threads per phase: the worker cap, or just the calling
         // thread when the active gatherers hold too few edges to repay
         // spawning a pool.
-        let inline = mask.is_some_and(|m| {
+        let inline = active.as_ref().is_some_and(|active| {
             let mut active_edges = 0usize;
-            m.iter().all(|u| {
+            active.iter().all(|&u| {
                 active_edges += match dir {
                     Direction::Out => graph.out_degree(u),
                     Direction::In => graph.in_degree(u),
@@ -488,7 +491,8 @@ impl<'d> Engine<'d> {
                 let mut sum_calls = 0u64;
                 let mut mem = mem_base_ref.get(n).copied().unwrap_or_default();
                 let mut mem_peak = mem;
-                for (gatherer, run) in gather_runs(edges, dir, mask.map(VertexMask::iter)) {
+                let active_gatherers = active.as_deref().map(|a| a.iter().copied());
+                for (gatherer, run) in gather_runs(edges, dir, active_gatherers) {
                     neighbors.clear();
                     neighbors.extend(run.iter().map(|&(s, d)| match dir {
                         Direction::Out => d,
@@ -669,7 +673,6 @@ impl<'d> Engine<'d> {
         // --- Apply phase at masters (parallel over active-vertex ranges). -
         // The `i`-th active vertex, and where its state lives. Both grow
         // with `i`, so contiguous active ranges own disjoint state ranges.
-        let active: Option<Vec<VertexId>> = mask.map(|m| m.iter().collect());
         let vertex_at = |i: usize| match &active {
             None => Some(VertexId::new(i as u32)),
             Some(a) => a.get(i).copied(),

@@ -67,6 +67,10 @@ pub struct PartitionedGraph {
     master: Vec<NodeId>,
     /// Per vertex: bitmask of nodes where a replica exists (master included).
     presence: Vec<u64>,
+    /// Set bits across `presence`, kept current by every update so the
+    /// replication factor (read once per engine, so once per served
+    /// request) costs O(1), not a pass over every vertex.
+    replicas: u64,
 }
 
 impl PartitionedGraph {
@@ -115,11 +119,13 @@ impl PartitionedGraph {
             presence[u.index()] |= 1 << node;
             presence[v.index()] |= 1 << node;
         }
+        let replicas = presence.iter().map(|m| m.count_ones() as u64).sum();
         Ok(PartitionedGraph {
             num_nodes,
             node_edges,
             master,
             presence,
+            replicas,
         })
     }
 
@@ -159,8 +165,7 @@ impl PartitionedGraph {
         if self.presence.is_empty() {
             return 1.0;
         }
-        let total: u64 = self.presence.iter().map(|m| m.count_ones() as u64).sum();
-        total as f64 / self.presence.len() as f64
+        self.replicas as f64 / self.presence.len() as f64
     }
 
     /// `(min, max)` edges per node, a load-balance indicator.
@@ -194,6 +199,7 @@ impl PartitionedGraph {
             let node = master_node(seed, self.num_nodes, u);
             self.master.push(node);
             self.presence.push(1u64 << node.index());
+            self.replicas += 1;
         }
     }
 
@@ -219,9 +225,10 @@ impl PartitionedGraph {
         let list = &mut self.node_edges[node];
         let pos = list.partition_point(|&e| e < (u, v));
         list.insert(pos, (u, v));
-        self.presence[u.index()] |= 1 << node;
-        self.presence[v.index()] |= 1 << node;
-        NodeId::new(node as u16)
+        let node = NodeId::new(node as u16);
+        self.mark_present(u, node);
+        self.mark_present(v, node);
+        node
     }
 
     /// The node `strategy` routes edge `(u, v)` onto, given the current
@@ -282,7 +289,12 @@ impl PartitionedGraph {
     /// Records that a replica of `v` lives on `node` (used when batching
     /// edge insertions outside [`PartitionedGraph::insert_edge`]).
     pub(crate) fn mark_present(&mut self, v: VertexId, node: NodeId) {
-        self.presence[v.index()] |= 1 << node.index();
+        let mask = &mut self.presence[v.index()];
+        let bit = 1 << node.index();
+        if *mask & bit == 0 {
+            *mask |= bit;
+            self.replicas += 1;
+        }
     }
 
     /// Splices every touched node's edge list — each list is rebuilt by
@@ -666,6 +678,16 @@ mod tests {
             let edges = p.node_edges(NodeId::new(n));
             assert!(edges.windows(2).all(|w| w[0] < w[1]), "node {n} unsorted");
         }
+        // The running replica count matches a recount after growth too.
+        p.ensure_vertices(205, 5);
+        p.insert_edge(
+            VertexId::new(3),
+            VertexId::new(204),
+            PartitionStrategy::GreedyVertexCut,
+            5,
+        );
+        let recount: u32 = (0..205).map(|v| p.replica_count(VertexId::new(v))).sum();
+        assert_eq!(p.replication_factor(), recount as f64 / 205.0);
     }
 
     #[test]
