@@ -246,10 +246,11 @@ impl<'d> Engine<'d> {
     /// partition's gatherer-sorted edge list), broadcast accounting visits
     /// only the read set, merge accumulators exist per active vertex, and
     /// apply visits only active vertices. What remains proportional to the
-    /// graph is one pass over the mask's bitset words. Steps whose active
-    /// gatherers hold few edges run on the calling thread instead of
-    /// spawning phase pools. The dense `state` slice is still vertex-long;
-    /// [`Engine::run_step_sparse`] drops that too.
+    /// graph is a few passes over mask bitset words (`|V| / 64` each:
+    /// expanding the read set, listing and ranking the active set). Steps
+    /// whose active gatherers hold few edges run on the calling thread
+    /// instead of spawning phase pools. The dense `state` slice is still
+    /// vertex-long; [`Engine::run_step_sparse`] drops that too.
     ///
     /// This is the engine half of targeted prediction: callers that only
     /// need results for a query subset run each step under a mask covering
