@@ -113,7 +113,7 @@ impl VertexMask {
     pub fn iter(&self) -> SetVertices<'_> {
         SetVertices {
             words: self.bits.iter(),
-            base: 0,
+            next_base: 0,
             rest: 0,
         }
     }
@@ -162,8 +162,9 @@ impl VertexMask {
 #[derive(Clone, Debug)]
 pub struct SetVertices<'a> {
     words: std::slice::Iter<'a, u64>,
-    /// Id of bit 0 of the word in `rest`.
-    base: u32,
+    /// Id of bit 0 of the word after the current one (wrapping, so the
+    /// last word of a `u32`-sized range cannot overflow it).
+    next_base: u32,
     /// The unvisited bits of the current word.
     rest: u64,
 }
@@ -175,12 +176,11 @@ impl Iterator for SetVertices<'_> {
     fn next(&mut self) -> Option<VertexId> {
         while self.rest == 0 {
             self.rest = *self.words.next()?;
-            self.base = self.base.wrapping_add(64);
+            self.next_base = self.next_base.wrapping_add(64);
         }
         let bit = self.rest.trailing_zeros();
         self.rest &= self.rest - 1;
-        // `base` runs one word ahead: it was bumped when the word loaded.
-        Some(VertexId::new(self.base.wrapping_sub(64) + bit))
+        Some(VertexId::new(self.next_base.wrapping_sub(64) + bit))
     }
 }
 
