@@ -25,6 +25,16 @@ const MESSAGE_OVERHEAD: u64 = 8;
 /// per edge, so below a few thousand edges a split cannot repay its pool.
 const INLINE_ACTIVE_EDGES: usize = 4096;
 
+/// Gather-direction edges per gatherer block of a step declared
+/// [`GasStep::apply_disjoint_from_gather`]: the host holds one block's
+/// gather partials and merge accumulators at a time, not the graph's.
+/// Swept with the batch-all benchmark (emulated gowalla@0.25, 442k edges,
+/// the four-column plan, 2-core x86-64 VM, two runs each): peak RSS was
+/// 82–87 MB at 8k-edge blocks, 102–106 MB at 32k and 163–197 MB at 128k,
+/// against 402–408 MB unblocked; pass times (1.6–1.9 s) did not separate
+/// beyond noise. A block costs one gather and one apply pool spawn.
+const BLOCK_EDGES: usize = 8192;
+
 /// The host's available hardware parallelism, with a conservative
 /// fallback of 2 when the platform cannot report it — the one worker-count
 /// policy shared by the engine's phase pools and the serving layers above.
@@ -216,12 +226,29 @@ impl<'d> Engine<'d> {
     /// `state[i]` is the program state of vertex `i`; it is read during the
     /// gather phase and rewritten by `apply` at the end of the step.
     ///
+    /// A step that declares [`GasStep::apply_disjoint_from_gather`] (and
+    /// gathers [`Direction::Out`]) runs in **gatherer blocks** of
+    /// consecutive vertices holding ≈8k gather-direction edges each:
+    /// gather → merge → apply once per block, so the host holds one
+    /// block's partials and accumulators at a time. Broadcast runs once,
+    /// each partition's budget carries across blocks, and partials merge
+    /// in node order within a block, so results and every counter equal
+    /// the single-block step's. The *simulated* per-node memory still
+    /// charges every partial a node gathers over the whole step, as a real
+    /// deployment holding them at once would. Other steps run as one block.
+    ///
     /// # Errors
     ///
     /// * [`EngineError::InvalidConfig`] if `state` does not match the graph.
     /// * [`EngineError::ResourceExhausted`] if any simulated node exceeds
     ///   its memory capacity while holding replicas and gather partials.
+    ///   The error names the lowest-numbered failing partition with its
+    ///   `required` bytes, blocked or not.
     /// * [`EngineError::NodeFailure`] if a failure was injected at this step.
+    ///
+    /// After an `Err` the contents of `state` are unspecified: a blocked
+    /// step may already have applied the blocks before the failure.
+    /// Discard the state.
     pub fn run_step<S: GasStep>(
         &mut self,
         step: &S,
@@ -254,12 +281,15 @@ impl<'d> Engine<'d> {
     ///
     /// This is the engine half of targeted prediction: callers that only
     /// need results for a query subset run each step under a mask covering
-    /// the vertices that can still influence those queries.
+    /// the vertices that can still influence those queries. A blockable
+    /// step's blocks are slices of the active list, cut by the same edge
+    /// count (see [`Engine::run_step`]).
     ///
     /// # Errors
     ///
-    /// As [`Engine::run_step`], plus [`EngineError::InvalidConfig`] if the
-    /// mask does not range over exactly the graph's vertices.
+    /// As [`Engine::run_step`] (including the unspecified `state` after an
+    /// `Err`), plus [`EngineError::InvalidConfig`] if the mask does not
+    /// range over exactly the graph's vertices.
     pub fn run_step_masked<S: GasStep>(
         &mut self,
         step: &S,
@@ -284,9 +314,9 @@ impl<'d> Engine<'d> {
     ///
     /// # Errors
     ///
-    /// As [`Engine::run_step_masked`], plus
-    /// [`EngineError::InvalidConfig`] if `state` and `slots` differ in
-    /// length or `slots` misses part of the read set.
+    /// As [`Engine::run_step_masked`] (including the unspecified `state`
+    /// after an `Err`), plus [`EngineError::InvalidConfig`] if `state` and
+    /// `slots` differ in length or `slots` misses part of the read set.
     pub fn run_step_sparse<S: GasStep>(
         &mut self,
         step: &S,
@@ -426,252 +456,10 @@ impl<'d> Engine<'d> {
             }
         }
 
-        // The active vertices of a masked step, ascending: gather, apply
-        // and the threading decision all walk this list, not the mask.
+        // The active vertices of a masked step, ascending: the degree
+        // walk, gather, merge and apply all walk this list, not the mask.
         let active: Option<Vec<VertexId>> = mask.map(|m| m.iter().collect());
-        // Host threads per phase: the worker cap, or just the calling
-        // thread when the active gatherers hold too few edges to repay
-        // spawning a pool.
-        let inline = active.as_ref().is_some_and(|active| {
-            let mut active_edges = 0usize;
-            active.iter().all(|&u| {
-                active_edges += match dir {
-                    Direction::Out => graph.out_degree(u),
-                    Direction::In => graph.in_degree(u),
-                };
-                active_edges < INLINE_ACTIVE_EDGES
-            })
-        });
-        let worker_cap = if inline {
-            1
-        } else {
-            self.workers.unwrap_or_else(host_parallelism)
-        };
-
-        // --- Gather phase: per-node local gathers (parallel). ------------
-        struct NodeGather<G> {
-            node: usize,
-            partials: Vec<(VertexId, G, u64)>,
-            gather_calls: u64,
-            sum_calls: u64,
-            ops: u64,
-            mem_peak: u64,
-        }
-
-        let state_ro: &[S::Vertex] = state;
-        let mem_base_ref = &mem_base;
-
-        // The whole gather work of one simulated partition, runnable on
-        // any host thread: the per-partition tallies depend only on the
-        // partition's edge list, so the chunking below cannot change the
-        // accounting. Each active gatherer's edges form one contiguous
-        // run of the gatherer-sorted list, handed to the program's
-        // `gather_run` in one call.
-        let gather_node =
-            |n: usize, ws: &mut WorkerScratch| -> Result<NodeGather<S::Gather>, EngineError> {
-                let ctx = GatherCtx::new(graph, step_seed);
-                let node = NodeId::new(n as u16);
-                let stored = part.node_edges(node);
-                let WorkerScratch {
-                    edges: sorted,
-                    neighbors,
-                    arena,
-                } = ws;
-                let edges: &[(VertexId, VertexId)] = if dir == Direction::In {
-                    sorted.clear();
-                    sorted.extend_from_slice(stored);
-                    sorted.sort_unstable_by_key(|&(s, d)| (d, s));
-                    sorted
-                } else {
-                    stored
-                };
-                let states = NeighborStates::new(state_ro, slots);
-                let mut tally = WorkTally::new();
-                let mut partials: Vec<(VertexId, S::Gather, u64)> = Vec::new();
-                let mut gather_calls = 0u64;
-                let mut sum_calls = 0u64;
-                let mut mem = mem_base_ref.get(n).copied().unwrap_or_default();
-                let mut mem_peak = mem;
-                let active_gatherers = active.as_deref().map(|a| a.iter().copied());
-                for (gatherer, run) in gather_runs(edges, dir, active_gatherers) {
-                    neighbors.clear();
-                    neighbors.extend(run.iter().map(|&(s, d)| match dir {
-                        Direction::Out => d,
-                        Direction::In => s,
-                    }));
-                    let gatherer_data = slot_of(gatherer)
-                        .and_then(|i| state_ro.get(i))
-                        .ok_or_else(|| missing_slot(gatherer))?;
-                    let mut budget = RunBudget::new(
-                        &mut gather_calls,
-                        &mut sum_calls,
-                        &mut mem,
-                        &mut mem_peak,
-                        cap,
-                    );
-                    let run = step
-                        .gather_run(
-                            &ctx,
-                            gatherer,
-                            gatherer_data,
-                            neighbors,
-                            &states,
-                            &mut budget,
-                            arena,
-                            &mut tally,
-                        )
-                        .map_err(|overflow| EngineError::ResourceExhausted {
-                            node,
-                            required: overflow.required,
-                            capacity: cap,
-                            step: step.name().to_owned(),
-                        })?;
-                    if let Some((g, bytes)) = run {
-                        partials.push((gatherer, g, bytes));
-                    }
-                }
-                Ok(NodeGather {
-                    node: n,
-                    partials,
-                    gather_calls,
-                    sum_calls,
-                    ops: tally.ops(),
-                    mem_peak,
-                })
-            };
-
-        // Gather only over partitions that actually hold edges: on small
-        // or skewed graphs many simulated nodes are empty, and gathering
-        // an empty edge list is pure overhead. Empty nodes contribute an
-        // empty tally directly.
-        let nonempty: Vec<usize> = (0..nodes)
-            .filter(|&n| !part.node_edges(NodeId::new(n as u16)).is_empty())
-            .collect();
-        // Chunk the partitions across at most `worker_cap` host threads: a
-        // 64-partition cluster on a 4-core host gets 4 workers with 16
-        // partitions each, not 64 oversubscribed threads. Each worker
-        // stops at its chunk's first error, so the surfaced error is the
-        // lowest-numbered failing partition's — exactly what the
-        // thread-per-partition layout reported.
-        let gather_workers = worker_cap.min(nonempty.len()).max(1);
-        let chunk_len = nonempty.len().div_ceil(gather_workers).max(1);
-        // Each worker borrows one persistent scratch slot; slots outlive
-        // the step, so buffers grown on superstep k are reused on k+1.
-        let scratch_pool = &mut self.worker_scratch;
-        if scratch_pool.len() < gather_workers {
-            scratch_pool.resize_with(gather_workers, WorkerScratch::default);
-        }
-        let gather_chunk = |chunk: &[usize], ws: &mut WorkerScratch| {
-            chunk
-                .iter()
-                .map(|&n| gather_node(n, ws))
-                .collect::<Result<Vec<_>, _>>()
-        };
-        let gather_results: Vec<Result<Vec<NodeGather<S::Gather>>, EngineError>> =
-            match scratch_pool.first_mut() {
-                Some(ws) if gather_workers == 1 => vec![gather_chunk(&nonempty, ws)],
-                _ => thread::scope(|scope| {
-                    let gather_chunk = &gather_chunk;
-                    let handles: Vec<_> = nonempty
-                        .chunks(chunk_len)
-                        .zip(scratch_pool.iter_mut())
-                        .map(|(chunk, ws)| scope.spawn(move || gather_chunk(chunk, ws)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                }),
-            };
-
-        let mut node_ops = vec![0u64; nodes];
-        let mut mem_peaks = mem_base.clone();
-        let mut gather_calls = 0u64;
-        let mut sum_calls = 0u64;
-        let mut partial_total = 0u64;
-
-        // --- Merge partials at masters (deterministic node order). -------
-        // One accumulator per active vertex, in ascending id order:
-        // `acc[v]` unmasked, `acc[rank of v among the active set]` masked.
-        let active_ranks: Option<RankedMask> = mask.map(|m| RankedMask::new(m.clone()));
-        let num_active = mask.map_or(num_vertices, VertexMask::len);
-        let mut acc: Vec<Option<(S::Gather, u64)>> = (0..num_active).map(|_| None).collect();
-        let mut master_extra = vec![0u64; nodes];
-        let mut merge_tallies: Vec<WorkTally> = vec![WorkTally::new(); nodes];
-        let mut ordered: Vec<NodeGather<S::Gather>> = (0..nodes)
-            .filter(|&n| part.node_edges(NodeId::new(n as u16)).is_empty())
-            .map(|n| NodeGather {
-                node: n,
-                partials: Vec::new(),
-                gather_calls: 0,
-                sum_calls: 0,
-                ops: 0,
-                // snaple-lint: allow(index) — n comes from 0..nodes and mem_base has len nodes
-                mem_peak: mem_base[n],
-            })
-            .collect();
-        for r in gather_results {
-            ordered.extend(r?);
-        }
-        ordered.sort_by_key(|g| g.node);
-
-        // Gathers produce `node` from 0..nodes and `v` from the partition's
-        // edge lists, so every index below is in bounds by construction.
-        for ng in ordered {
-            // snaple-lint: allow(index) — ng.node < nodes by construction
-            node_ops[ng.node] += ng.ops;
-            // snaple-lint: allow(index) — same bound as node_ops above
-            mem_peaks[ng.node] = mem_peaks[ng.node].max(ng.mem_peak);
-            gather_calls += ng.gather_calls;
-            sum_calls += ng.sum_calls;
-            for (v, g, bytes) in ng.partials {
-                let master = part.master(v).index();
-                if master != ng.node {
-                    let framed = bytes + MESSAGE_OVERHEAD;
-                    // snaple-lint: allow(index) — ng.node and master are partition ids < nodes
-                    net[ng.node] += framed;
-                    // snaple-lint: allow(index) — same bound as above
-                    net[master] += framed;
-                    partial_total += framed;
-                    // snaple-lint: allow(index) — same bound as above
-                    master_extra[master] += bytes;
-                }
-                let slot = match &active_ranks {
-                    None => Some(v.index()),
-                    Some(r) => r.rank(v),
-                }
-                .and_then(|i| acc.get_mut(i))
-                .ok_or_else(|| missing_slot(v))?;
-                *slot = Some(match slot.take() {
-                    None => (g, bytes),
-                    Some((prev, pb)) => {
-                        sum_calls += 1;
-                        // snaple-lint: allow(index) — master is a partition id < nodes
-                        let t = &mut merge_tallies[master];
-                        t.add(1);
-                        (step.sum(prev, g, t), pb + bytes)
-                    }
-                });
-            }
-        }
-        for n in 0..nodes {
-            // snaple-lint: allow(index) — every per-node vec here has len nodes and n < nodes
-            node_ops[n] += merge_tallies[n].ops();
-            // snaple-lint: allow(index) — same bound as above
-            let with_partials = mem_base[n] + master_extra[n];
-            // snaple-lint: allow(index) — same bound as above
-            mem_peaks[n] = mem_peaks[n].max(with_partials);
-            if with_partials > cap {
-                return Err(EngineError::ResourceExhausted {
-                    node: NodeId::new(n as u16),
-                    required: with_partials,
-                    capacity: cap,
-                    step: step.name().to_owned(),
-                });
-            }
-        }
-
-        // --- Apply phase at masters (parallel over active-vertex ranges). -
+        let num_active = active.as_ref().map_or(num_vertices, Vec::len);
         // The `i`-th active vertex, and where its state lives. Both grow
         // with `i`, so contiguous active ranges own disjoint state ranges.
         let vertex_at = |i: usize| match &active {
@@ -679,8 +467,192 @@ impl<'d> Engine<'d> {
             Some(a) => a.get(i).copied(),
         };
         let slot_at = |i: usize| vertex_at(i).and_then(slot_of);
-        let apply_workers = worker_cap.min(num_active).max(1);
-        let chunk = num_active.div_ceil(apply_workers).max(1);
+
+        // One walk over the active gatherers' degrees decides both whether
+        // the step runs on the calling thread (its gatherers hold too few
+        // edges to repay spawning a pool) and, for a step declared
+        // blockable, where its gatherer blocks end. `cuts` holds the
+        // active index each block but the last ends at; an undeclared step
+        // has none and runs as one block.
+        let blocked = dir == Direction::Out && step.apply_disjoint_from_gather();
+        let mut cuts: Vec<usize> = Vec::new();
+        let mut inline = false;
+        if blocked || active.is_some() {
+            let mut total_edges = 0usize;
+            let mut block_edges = 0usize;
+            for (i, u) in (0..num_active).filter_map(vertex_at).enumerate() {
+                let degree = match dir {
+                    Direction::Out => graph.out_degree(u),
+                    Direction::In => graph.in_degree(u),
+                };
+                total_edges += degree;
+                block_edges += degree;
+                if !blocked && total_edges >= INLINE_ACTIVE_EDGES {
+                    break;
+                }
+                if blocked && block_edges >= BLOCK_EDGES && i + 1 < num_active {
+                    cuts.push(i + 1);
+                    block_edges = 0;
+                }
+            }
+            inline = active.is_some() && total_edges < INLINE_ACTIVE_EDGES;
+        }
+        let worker_cap = if inline {
+            1
+        } else {
+            self.workers.unwrap_or_else(host_parallelism)
+        };
+
+        // --- Gather phase state: one ledger per non-empty partition. -----
+        // Gather only over partitions that actually hold edges: on small
+        // or skewed graphs many simulated nodes are empty, and gathering
+        // an empty edge list is pure overhead. Empty nodes keep their base
+        // memory as their peak and contribute nothing else.
+        //
+        // A ledger outlives the blocks: its budget (memory, call counts,
+        // work tally) and its cursor into the partition's edge list carry
+        // from block to block, so every counter of a blocked step equals
+        // the single-block step's.
+        struct NodeGather<G> {
+            node: usize,
+            /// Offset of the partition's first edge no block has reached.
+            next: usize,
+            /// This block's partials, drained by the merge.
+            partials: Vec<(VertexId, G, u64)>,
+            gather_calls: u64,
+            sum_calls: u64,
+            tally: WorkTally,
+            mem: u64,
+            mem_peak: u64,
+            failed: Option<EngineError>,
+        }
+        let mut ledgers: Vec<NodeGather<S::Gather>> = (0..nodes)
+            .filter(|&n| !part.node_edges(NodeId::new(n as u16)).is_empty())
+            .map(|n| {
+                let mem = mem_base.get(n).copied().unwrap_or_default();
+                NodeGather {
+                    node: n,
+                    next: 0,
+                    partials: Vec::new(),
+                    gather_calls: 0,
+                    sum_calls: 0,
+                    tally: WorkTally::new(),
+                    mem,
+                    mem_peak: mem,
+                    failed: None,
+                }
+            })
+            .collect();
+
+        // Gathers one block on one partition, runnable on any host thread:
+        // the tallies depend only on the partition's edge list, so the
+        // chunking below cannot change the accounting. `end` is the first
+        // gatherer of the next block (`None` for the last block) and
+        // `gatherers` the block's active list (`None` unmasked). Each
+        // gatherer's edges form one contiguous run of the gatherer-sorted
+        // list, handed to the program's `gather_run` in one call. An
+        // overflow is recorded in the ledger, which then gathers no more.
+        let gather_block = |g: &mut NodeGather<S::Gather>,
+                            ws: &mut WorkerScratch,
+                            state: &[S::Vertex],
+                            end: Option<VertexId>,
+                            gatherers: Option<&[VertexId]>| {
+            let ctx = GatherCtx::new(graph, step_seed);
+            let node = NodeId::new(g.node as u16);
+            let stored = part.node_edges(node);
+            let WorkerScratch {
+                edges: sorted,
+                neighbors,
+                arena,
+            } = ws;
+            // In-gathers run as one block over a `(dst,src)`-sorted copy;
+            // an Out block is the slice of the `(src,dst)`-sorted list
+            // from the cursor up to the next block's first gatherer.
+            let edges: &[(VertexId, VertexId)] = if dir == Direction::In {
+                sorted.clear();
+                sorted.extend_from_slice(stored);
+                sorted.sort_unstable_by_key(|&(s, d)| (d, s));
+                sorted
+            } else {
+                let rest = stored.get(g.next..).unwrap_or_default();
+                let len = end.map_or(rest.len(), |end| rest.partition_point(|e| e.0 < end));
+                g.next += len;
+                rest.get(..len).unwrap_or_default()
+            };
+            let states = NeighborStates::new(state, slots);
+            for (gatherer, run) in gather_runs(edges, dir, gatherers.map(|a| a.iter().copied())) {
+                neighbors.clear();
+                neighbors.extend(run.iter().map(|&(s, d)| match dir {
+                    Direction::Out => d,
+                    Direction::In => s,
+                }));
+                let Some(gatherer_data) = slot_of(gatherer).and_then(|i| state.get(i)) else {
+                    g.failed = Some(missing_slot(gatherer));
+                    return;
+                };
+                let mut budget = RunBudget::new(
+                    &mut g.gather_calls,
+                    &mut g.sum_calls,
+                    &mut g.mem,
+                    &mut g.mem_peak,
+                    cap,
+                );
+                match step.gather_run(
+                    &ctx,
+                    gatherer,
+                    gatherer_data,
+                    neighbors,
+                    &states,
+                    &mut budget,
+                    arena,
+                    &mut g.tally,
+                ) {
+                    Ok(Some((acc, bytes))) => g.partials.push((gatherer, acc, bytes)),
+                    Ok(None) => {}
+                    Err(overflow) => {
+                        g.failed = Some(EngineError::ResourceExhausted {
+                            node,
+                            required: overflow.required,
+                            capacity: cap,
+                            step: step.name().to_owned(),
+                        });
+                        return;
+                    }
+                }
+            }
+        };
+
+        // Chunk the partitions across at most `worker_cap` host threads: a
+        // 64-partition cluster on a 4-core host gets 4 workers with 16
+        // partitions each, not 64 oversubscribed threads. Each worker
+        // skips partitions at or above the lowest failure so far and stops
+        // at its chunk's first failure, so the surfaced error is the
+        // lowest-numbered failing partition's, with the `required` bytes
+        // of its own carried budget — exactly what one unblocked gather
+        // over all partitions reports.
+        let gather_workers = worker_cap.min(ledgers.len()).max(1);
+        let chunk_len = ledgers.len().div_ceil(gather_workers).max(1);
+        // Each worker borrows one persistent scratch slot; slots outlive
+        // the step, so buffers grown on superstep k are reused on k+1.
+        let scratch_pool = &mut self.worker_scratch;
+        if scratch_pool.len() < gather_workers {
+            scratch_pool.resize_with(gather_workers, WorkerScratch::default);
+        }
+        let gather_chunk = |chunk: &mut [NodeGather<S::Gather>],
+                            ws: &mut WorkerScratch,
+                            state: &[S::Vertex],
+                            end: Option<VertexId>,
+                            gatherers: Option<&[VertexId]>,
+                            below: usize| {
+            for g in chunk.iter_mut().take_while(|g| g.node < below) {
+                gather_block(g, ws, state, end, gatherers);
+                if g.failed.is_some() {
+                    break;
+                }
+            }
+        };
+
+        // --- Apply at masters (parallel over active-vertex ranges). ------
         // Applies the active vertices `first..first + accs.len()`, whose
         // states are `states[slot - base]`.
         let apply_range = |first: usize,
@@ -705,45 +677,170 @@ impl<'d> Engine<'d> {
             }
             Ok(ops)
         };
-        // Split the state where each range's next range starts, so every
-        // worker owns exactly the states of its own active vertices.
-        type Range<'r, G, V> = (usize, &'r mut [Option<(G, u64)>], usize, &'r mut [V]);
-        let mut ranges: Vec<Range<'_, S::Gather, S::Vertex>> = Vec::with_capacity(apply_workers);
-        let mut rest = state;
-        let mut base = 0usize;
-        for (ci, accs) in acc.chunks_mut(chunk).enumerate() {
-            let first = ci * chunk;
-            let rest_len = rest.len();
-            let end = slot_at(first + accs.len()).map_or(rest_len, |next| next - base);
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(end.min(rest_len));
-            let head_base = base;
-            base += head.len();
-            rest = tail;
-            ranges.push((first, accs, head_base, head));
-        }
-        let apply_node_ops: Vec<Result<Vec<u64>, EngineError>> = if ranges.len() <= 1 {
-            ranges
-                .into_iter()
-                .map(|(first, accs, base, states)| apply_range(first, accs, base, states))
-                .collect()
-        } else {
-            thread::scope(|scope| {
-                let apply_range = &apply_range;
-                let handles: Vec<_> = ranges
+
+        let mut node_ops = vec![0u64; nodes];
+        let mut mem_peaks = mem_base.clone();
+        let mut gather_calls = 0u64;
+        let mut sum_calls = 0u64;
+        let mut partial_total = 0u64;
+        let mut master_extra = vec![0u64; nodes];
+        let mut merge_tallies: Vec<WorkTally> = vec![WorkTally::new(); nodes];
+        // The block's accumulators, one per active gatherer of the block in
+        // ascending id order; reused across blocks.
+        let mut acc: Vec<Option<(S::Gather, u64)>> = Vec::new();
+
+        let starts = std::iter::once(0).chain(cuts.iter().copied());
+        let stops = cuts.iter().copied().chain(std::iter::once(num_active));
+        for (start, stop) in starts.zip(stops) {
+            let end = vertex_at(stop).filter(|_| stop < num_active);
+            let gatherers: Option<&[VertexId]> = active.as_deref().and_then(|a| a.get(start..stop));
+            // Once a partition has overflowed, blocks only gather (no
+            // merge, no apply) the partitions below it, which may still
+            // fail first.
+            let below = ledgers
+                .iter()
+                .find(|g| g.failed.is_some())
+                .map_or(usize::MAX, |g| g.node);
+
+            // --- Gather phase: per-node local gathers (parallel). --------
+            let state_ro: &[S::Vertex] = state;
+            match scratch_pool.first_mut() {
+                Some(ws) if gather_workers == 1 => {
+                    gather_chunk(&mut ledgers, ws, state_ro, end, gatherers, below);
+                }
+                _ => thread::scope(|scope| {
+                    let gather_chunk = &gather_chunk;
+                    let handles: Vec<_> = ledgers
+                        .chunks_mut(chunk_len)
+                        .zip(scratch_pool.iter_mut())
+                        .map(|(chunk, ws)| {
+                            scope.spawn(move || {
+                                gather_chunk(chunk, ws, state_ro, end, gatherers, below)
+                            })
+                        })
+                        .collect();
+                    for h in handles {
+                        h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    }
+                }),
+            }
+            if ledgers.iter().any(|g| g.failed.is_some()) {
+                for g in &mut ledgers {
+                    g.partials.clear();
+                }
+                continue;
+            }
+
+            // --- Merge partials at masters (deterministic node order). ---
+            // Every gatherer lies in exactly one block, so its partials
+            // fold in the same node order as in one unblocked merge.
+            acc.clear();
+            acc.resize_with(stop - start, || None);
+            for g in &mut ledgers {
+                for (v, gv, bytes) in g.partials.drain(..) {
+                    let master = part.master(v).index();
+                    if master != g.node {
+                        let framed = bytes + MESSAGE_OVERHEAD;
+                        // snaple-lint: allow(index) — g.node and master are partition ids < nodes
+                        net[g.node] += framed;
+                        // snaple-lint: allow(index) — same bound as above
+                        net[master] += framed;
+                        partial_total += framed;
+                        // snaple-lint: allow(index) — same bound as above
+                        master_extra[master] += bytes;
+                    }
+                    let slot = match gatherers {
+                        None => v.index().checked_sub(start),
+                        Some(block) => block.binary_search(&v).ok(),
+                    }
+                    .and_then(|i| acc.get_mut(i))
+                    .ok_or_else(|| missing_slot(v))?;
+                    *slot = Some(match slot.take() {
+                        None => (gv, bytes),
+                        Some((prev, pb)) => {
+                            sum_calls += 1;
+                            // snaple-lint: allow(index) — master is a partition id < nodes
+                            let t = &mut merge_tallies[master];
+                            t.add(1);
+                            (step.sum(prev, gv, t), pb + bytes)
+                        }
+                    });
+                }
+            }
+
+            // --- Apply phase for the block's active vertices. ------------
+            let apply_workers = worker_cap.min(acc.len()).max(1);
+            let chunk = acc.len().div_ceil(apply_workers).max(1);
+            // Split the state where each range's next range starts, so
+            // every worker owns exactly the states of its own active
+            // vertices.
+            type Range<'r, G, V> = (usize, &'r mut [Option<(G, u64)>], usize, &'r mut [V]);
+            let mut ranges: Vec<Range<'_, S::Gather, S::Vertex>> =
+                Vec::with_capacity(apply_workers);
+            let mut rest = &mut *state;
+            let mut base = 0usize;
+            for (ci, accs) in acc.chunks_mut(chunk).enumerate() {
+                let first = start + ci * chunk;
+                let rest_len = rest.len();
+                let split = slot_at(first + accs.len()).map_or(rest_len, |next| next - base);
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(split.min(rest_len));
+                let head_base = base;
+                base += head.len();
+                rest = tail;
+                ranges.push((first, accs, head_base, head));
+            }
+            let apply_node_ops: Vec<Result<Vec<u64>, EngineError>> = if ranges.len() <= 1 {
+                ranges
                     .into_iter()
-                    .map(|(first, accs, base, states)| {
-                        scope.spawn(move || apply_range(first, accs, base, states))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .map(|(first, accs, base, states)| apply_range(first, accs, base, states))
                     .collect()
-            })
-        };
-        for per_worker in apply_node_ops {
-            for (total, o) in node_ops.iter_mut().zip(per_worker?) {
-                *total += o;
+            } else {
+                thread::scope(|scope| {
+                    let apply_range = &apply_range;
+                    let handles: Vec<_> = ranges
+                        .into_iter()
+                        .map(|(first, accs, base, states)| {
+                            scope.spawn(move || apply_range(first, accs, base, states))
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
+                })
+            };
+            for per_worker in apply_node_ops {
+                for (total, o) in node_ops.iter_mut().zip(per_worker?) {
+                    *total += o;
+                }
+            }
+        }
+
+        if let Some(failed) = ledgers.iter_mut().find_map(|g| g.failed.take()) {
+            return Err(failed);
+        }
+        for g in &ledgers {
+            // snaple-lint: allow(index) — g.node < nodes by construction
+            node_ops[g.node] += g.tally.ops();
+            // snaple-lint: allow(index) — same bound as node_ops above
+            mem_peaks[g.node] = mem_peaks[g.node].max(g.mem_peak);
+            gather_calls += g.gather_calls;
+            sum_calls += g.sum_calls;
+        }
+        for n in 0..nodes {
+            // snaple-lint: allow(index) — every per-node vec here has len nodes and n < nodes
+            node_ops[n] += merge_tallies[n].ops();
+            // snaple-lint: allow(index) — same bound as above
+            let with_partials = mem_base[n] + master_extra[n];
+            // snaple-lint: allow(index) — same bound as above
+            mem_peaks[n] = mem_peaks[n].max(with_partials);
+            if with_partials > cap {
+                return Err(EngineError::ResourceExhausted {
+                    node: NodeId::new(n as u16),
+                    required: with_partials,
+                    capacity: cap,
+                    step: step.name().to_owned(),
+                });
             }
         }
 
@@ -1624,6 +1721,209 @@ mod tests {
             .run_step(&BatchedSumNeighbors, &mut b)
             .unwrap_err();
         assert_eq!(default_err, batched_err);
+    }
+
+    /// Accumulator that charges an arbitrary byte size, so a test can make
+    /// chosen edges overflow a node's memory.
+    struct Charged {
+        sum: u64,
+        bytes: u64,
+    }
+    impl SizeEstimate for Charged {
+        fn estimated_bytes(&self) -> u64 {
+            self.bytes
+        }
+    }
+
+    /// Gathers the neighbors' input field `.0` and writes only the output
+    /// field `.1`: a step that honours the blockable contract, run either
+    /// declared (blocked) or undeclared (one block). `heavy` edges charge
+    /// `heavy_bytes` instead of 8.
+    struct SplitState {
+        declared: bool,
+        heavy: Vec<(VertexId, VertexId)>,
+        heavy_bytes: u64,
+    }
+    impl GasStep for SplitState {
+        type Vertex = (u64, u64);
+        type Gather = Charged;
+        fn name(&self) -> &str {
+            "split-state"
+        }
+        fn apply_disjoint_from_gather(&self) -> bool {
+            self.declared
+        }
+        fn gather(
+            &self,
+            _: &GatherCtx<'_>,
+            u: VertexId,
+            ud: &(u64, u64),
+            v: VertexId,
+            vd: &(u64, u64),
+            w: &mut WorkTally,
+        ) -> Option<Charged> {
+            w.add(vd.0 % 3);
+            let bytes = if self.heavy.contains(&(u, v)) {
+                self.heavy_bytes
+            } else {
+                8
+            };
+            Some(Charged {
+                sum: vd.0 + ud.0 % 7,
+                bytes,
+            })
+        }
+        fn sum(&self, a: Charged, b: Charged, _w: &mut WorkTally) -> Charged {
+            Charged {
+                sum: a.sum + b.sum,
+                bytes: a.bytes + b.bytes,
+            }
+        }
+        fn apply(
+            &self,
+            _: &GatherCtx<'_>,
+            u: VertexId,
+            data: &mut (u64, u64),
+            acc: Option<Charged>,
+            w: &mut WorkTally,
+        ) {
+            let a = acc.map_or(0, |c| c.sum);
+            w.add(a % 5 + u.as_u32() as u64 % 3);
+            data.1 = a * 3 + u.as_u32() as u64;
+        }
+    }
+
+    /// A directed graph whose every 20th vertex is a hub of out-degree
+    /// 200 (the rest have 4), so both the graph and its hubs alone span
+    /// many gatherer blocks.
+    fn hub_graph() -> CsrGraph {
+        let n = 8_000u64;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| {
+                let degree = if u % 20 == 0 { 200 } else { 4 };
+                (0..degree).map(move |i| (u as u32, (hash2(u, i, 5) % n) as u32))
+            })
+            .filter(|(u, v)| u != v)
+            .collect();
+        CsrGraph::from_edges(n as usize, &edges)
+    }
+
+    /// Gather-direction edges of the gatherers below `v`.
+    fn edges_before(g: &CsrGraph, v: VertexId) -> usize {
+        (0..v.as_u32())
+            .map(|u| g.out_degree(VertexId::new(u)))
+            .sum()
+    }
+
+    #[test]
+    fn gatherer_blocks_are_bit_identical_to_one_block() {
+        let g = hub_graph();
+        let n = g.num_vertices();
+        let hubs = VertexMask::from_vertices(n, (0..n as u32).step_by(20).map(VertexId::new));
+        let hub_edges: usize = hubs.iter().map(|u| g.out_degree(u)).sum();
+        assert!(g.num_edges() >= 8 * BLOCK_EDGES, "{} edges", g.num_edges());
+        assert!(hub_edges >= 8 * BLOCK_EDGES, "{hub_edges} hub edges");
+        let deployment = Deployment::new(
+            &g,
+            ClusterSpec::type_i(8),
+            PartitionStrategy::RandomVertexCut,
+            3,
+        )
+        .unwrap();
+        let init: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 29 % 83, 0)).collect();
+        let full = VertexMask::full(n);
+        let run = |declared: bool, mask: Option<&VertexMask>| {
+            let step = SplitState {
+                declared,
+                heavy: Vec::new(),
+                heavy_bytes: 0,
+            };
+            let mut state = init.clone();
+            let mut engine = Engine::on(&deployment);
+            engine.run_step_masked(&step, &mut state, mask).unwrap();
+            (state, engine.into_stats())
+        };
+        for (what, mask) in [
+            ("unmasked", None),
+            ("5% mask", Some(&hubs)),
+            ("full mask", Some(&full)),
+        ] {
+            let (one_state, one) = run(false, mask);
+            let (blocked_state, blocked) = run(true, mask);
+            assert_eq!(blocked_state, one_state, "{what}");
+            assert_same_step(&blocked.steps[0], &one.steps[0], what);
+        }
+    }
+
+    #[test]
+    fn gatherer_blocks_surface_the_lowest_failing_partition() {
+        // The highest partition overflows on an edge of the first block,
+        // the lowest one only on an edge of a later block. An unblocked
+        // gather reports the lowest failing partition, so must a blocked
+        // one — with the `required` bytes of its carried budget.
+        let g = hub_graph();
+        let n = g.num_vertices();
+        let fits = Deployment::new(
+            &g,
+            ClusterSpec::type_i(8),
+            PartitionStrategy::RandomVertexCut,
+            3,
+        )
+        .unwrap();
+        let init: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 29 % 83, 0)).collect();
+        let mut state = init.clone();
+        let light = SplitState {
+            declared: false,
+            heavy: Vec::new(),
+            heavy_bytes: 0,
+        };
+        let stats = Engine::on(&fits)
+            .run_step(&light, &mut state)
+            .unwrap()
+            .clone();
+        let cap = stats.per_node.iter().map(|s| s.memory_peak).max().unwrap() + 1;
+        let cluster = ClusterSpec {
+            memory_per_node: cap,
+            ..ClusterSpec::type_i(8)
+        };
+        let deployment =
+            Deployment::new(&g, cluster, PartitionStrategy::RandomVertexCut, 3).unwrap();
+        // Vertex 0 opens the first block whatever the block size; the
+        // last vertices lie in a later one.
+        let part = deployment.partitioned();
+        let edges_of = |p: usize| part.node_edges(NodeId::new(p as u16));
+        let low = (0..part.num_nodes())
+            .find(|&p| !edges_of(p).is_empty())
+            .unwrap();
+        let high = (0..part.num_nodes())
+            .rev()
+            .find(|&p| edges_of(p).first().is_some_and(|e| e.0.index() == 0))
+            .unwrap();
+        assert!(low < high, "partitions {low} and {high}");
+        let early = edges_of(high)[0];
+        let late = *edges_of(low).last().unwrap();
+        assert!(edges_before(&g, late.0) >= BLOCK_EDGES);
+
+        let mut errors = Vec::new();
+        for declared in [false, true] {
+            let step = SplitState {
+                declared,
+                heavy: vec![early, late],
+                heavy_bytes: cap,
+            };
+            let mut state = init.clone();
+            errors.push(
+                Engine::on(&deployment)
+                    .run_step(&step, &mut state)
+                    .unwrap_err(),
+            );
+        }
+        assert_eq!(errors[0], errors[1]);
+        assert!(
+            matches!(&errors[0], EngineError::ResourceExhausted { node, .. } if node.index() == low),
+            "{:?}",
+            errors[0]
+        );
     }
 
     #[test]

@@ -35,6 +35,15 @@
 //!   through a [`RankedMask`](snaple_graph::RankedMask). Beyond that a
 //!   masked step scans only vertex bitmasks, `|V| / 64` words at a time.
 //!   Every counter is identical to the dense step restricted to the mask.
+//! * Steps whose `apply` writes no state their gather reads
+//!   ([`GasStep::apply_disjoint_from_gather`]) run in **gatherer blocks**:
+//!   gather → merge → apply once per block of consecutive gatherers
+//!   holding ≈8k edges, so host memory is one block's partials, not the
+//!   graph's. Each block is one slice of every partition's gatherer-sorted
+//!   edge list (masked: one slice of the active list). Results, every
+//!   counter and every error equal the single-block step's; the
+//!   simulated per-node memory still charges all partials of the step.
+//!   After an `Err` the program state is unspecified.
 //! * A calibrated [`cost::CostModel`] converts the per-node op and byte
 //!   tallies into simulated wall-clock seconds for a given
 //!   [`ClusterSpec`] (the paper's type-I and type-II machines ship as

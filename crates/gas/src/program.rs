@@ -314,6 +314,27 @@ pub trait GasStep: Sync {
         Ok(cur)
     }
 
+    /// Declares that [`apply`](GasStep::apply) writes no vertex state that
+    /// [`gather`](GasStep::gather) (or [`gather_run`](GasStep::gather_run))
+    /// reads, so the engine may run the step in **gatherer blocks**.
+    ///
+    /// A blocked step gathers, merges and applies one block of consecutive
+    /// gatherers at a time, and a block applies before later blocks
+    /// gather: a later gather may see an earlier block's applied state.
+    /// That is only equivalent to one all-at-once superstep when the
+    /// fields `apply` writes are disjoint from the fields any gather reads
+    /// — e.g. a step that gathers neighbor sets and writes similarity
+    /// tables. Results and every accounted counter are then identical to
+    /// the unblocked step, while the host holds one block's partials at a
+    /// time instead of the whole graph's.
+    ///
+    /// Defaults to `false`: an undeclared step runs as a single block,
+    /// exactly as one superstep always has. Steps that gather along
+    /// [`Direction::In`] run as a single block whatever they declare.
+    fn apply_disjoint_from_gather(&self) -> bool {
+        false
+    }
+
     /// Consumes the merged accumulator and updates the vertex state.
     fn apply(
         &self,
