@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for two design choices the paper's results rest on:
 //! partitioner choice (replication factor → traffic) and neighbor-selection
 //! policy (Γmax vs Γmin vs Γrnd work profiles).
 

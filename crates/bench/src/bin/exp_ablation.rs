@@ -16,7 +16,7 @@ fn main() {
     );
     banner(
         "exp-ablation",
-        "design-choice ablations (DESIGN.md §8)",
+        "ablations beyond the paper's figures (alpha, triad closure)",
         &args,
     );
 

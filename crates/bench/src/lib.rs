@@ -1,8 +1,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! Shared plumbing for the experiment binaries (`exp-table4` …
-//! `exp-table6`) that regenerate the paper's tables and figures.
+//! Shared plumbing for the experiment binaries that regenerate the
+//! paper's tables and figures: `exp_table4` … `exp_table6` and
+//! `exp_fig5` … `exp_fig11` are named for the table or figure they
+//! reproduce, and `exp_ablation` sweeps two parameters beyond them.
 //!
 //! Every binary follows the same shape:
 //!
@@ -15,7 +17,10 @@
 //! 4. print a [`snaple_eval::TextTable`] mirroring the paper's rows and
 //!    optionally persist it.
 //!
-//! See DESIGN.md §4 for the experiment-to-binary index.
+//! The reproduction's own extensions are checked elsewhere: their
+//! bit-identity contracts in the root integration suites, their
+//! wall-clock ratios in this crate's release-only `tests/gates.rs`, and
+//! their end-to-end costs in `perfbench`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -73,8 +78,12 @@ impl ExpArgs {
                 }
             }
         }
-        if args.scale <= 0.0 {
-            usage_and_exit(experiment, description, "--scale must be positive");
+        if !args.scale.is_finite() || args.scale <= 0.0 {
+            usage_and_exit(
+                experiment,
+                description,
+                "--scale must be positive and finite",
+            );
         }
         args
     }
@@ -194,9 +203,9 @@ pub fn dataset(args: &ExpArgs, name: &str) -> EvalDataset {
         .scaled_by(args.scale)
 }
 
-/// Applies the dataset's memory-capacity scaling to a cluster (DESIGN.md
-/// §2: per-node memory shrinks with dataset scale so that out-of-memory
-/// crossovers land on the same datasets as in the paper).
+/// Applies the dataset's memory-capacity scaling to a cluster: per-node
+/// memory shrinks with dataset scale so that out-of-memory crossovers
+/// land on the same datasets as in the paper.
 pub fn scaled_cluster(base: ClusterSpec, ds: &EvalDataset) -> ClusterSpec {
     base.with_memory_scale(ds.memory_scale())
 }
@@ -209,8 +218,8 @@ pub fn emit(args: &ExpArgs, name: &str, table: &TextTable) {
 
 /// Deterministic churn batch for the streaming experiments: removes
 /// `churn/2 · |E|` hash-ranked existing edges and inserts the same
-/// number of hash-probed non-edges. Shared by `exp_streaming` and the
-/// criterion streaming bench so both measure the identical workload.
+/// number of hash-probed non-edges. The criterion streaming bench
+/// measures every churn level on this workload.
 pub fn churn_delta(graph: &CsrGraph, churn: f64, seed: u64) -> GraphDelta {
     let half = ((graph.num_edges() as f64 * churn / 2.0).round() as usize).max(1);
     let n = graph.num_vertices() as u64;

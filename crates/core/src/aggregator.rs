@@ -106,7 +106,7 @@ impl Aggregator for GeometricMean {
 }
 
 /// `max x` — scores a candidate by its single best path (an extension
-/// beyond the paper's Table 2; see DESIGN.md §8).
+/// beyond the paper's Table 2, selected in plans as `@agg=max`).
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Max;
 

@@ -303,10 +303,9 @@
 //!   (`tests/relabeling.rs` pins down which configurations round-trip
 //!   bit-identically).
 //!
-//! The `exp-gather` bench binary races the scalar baseline against the
-//! striped/vectorized path on an emulated Orkut graph and writes
-//! `BENCH_gather.json` (one JSON line per kernel with
-//! `scalar_seconds`, `striped_seconds`, and `speedup`); CI enforces the
+//! A release-only gate in `crates/bench/tests/gates.rs` races the scalar
+//! baseline against the striped/vectorized path on an emulated Orkut
+//! graph; CI enforces its checksum equality and, under `simd`, its 1.3x
 //! speedup floor on every push. Criterion micros live in
 //! `crates/bench/benches/micro.rs` (`intersection-skew`,
 //! `kernel-stripe`, `relabel` groups).

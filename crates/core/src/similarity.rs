@@ -4,8 +4,8 @@
 //! neighborhoods — the only topological information a GAS vertex program
 //! can reach cheaply. The paper uses Jaccard's coefficient throughout its
 //! evaluation and `1/|Γ(v)|` for the PPR-like configuration; the other
-//! metrics here are classical alternatives that slot into the same
-//! framework (see DESIGN.md §8).
+//! metrics here are classical alternatives beyond the paper that slot
+//! into the same framework, selectable by name in score plans.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -137,7 +137,7 @@ pub fn intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
 /// The reference linear two-pointer merge — the scalar baseline every
 /// fast path (galloping, block compare) must match bit for bit.
 ///
-/// Public so benches and experiments (`exp_gather`, `micro`) can measure
+/// Public so benches and gates (`micro`, `gates.rs`) can measure
 /// the dispatching [`intersection_size`] against an honest scalar
 /// baseline; inputs must be sorted ascending like every other path.
 pub fn intersection_size_scalar(a: &[VertexId], b: &[VertexId]) -> usize {

@@ -80,7 +80,8 @@ impl EvalDataset {
 
     /// Memory-capacity scale for clusters processing this dataset: per-node
     /// memory is multiplied by the dataset scale so that out-of-memory
-    /// crossovers land on the same datasets as in the paper (DESIGN.md §2).
+    /// crossovers land on the same datasets as in the paper: a dataset
+    /// emulated at 1 % of its size gets 1 % of each node's memory.
     pub fn memory_scale(&self) -> f64 {
         self.scale
     }

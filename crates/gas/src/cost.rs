@@ -15,7 +15,9 @@
 //! *livejournal* workload at the paper's own scale would land within ~2× of
 //! the absolute times of the paper's Tables 5 and 6; all claims this
 //! repository makes are about *shape* (ratios, orderings, crossovers),
-//! which are insensitive to that calibration — see DESIGN.md §5.
+//! which are insensitive to that calibration: every configuration is
+//! charged through the same constant, so comparisons between
+//! configurations do not hinge on its absolute value.
 
 use crate::cluster::ClusterSpec;
 

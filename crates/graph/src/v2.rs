@@ -612,8 +612,8 @@ struct FileCsrInner {
 /// A file-backed [`GraphStore`] over a raw `SNPLG2` file.
 ///
 /// [`FileCsr::open`] reads only the header and section table — open
-/// time is flat in the edge count (the property `exp_dataplane`
-/// exit-enforces). Adjacency sections fault in lazily, each validated
+/// time is flat in the edge count (the property the bench crate's
+/// `gates.rs` enforces). Adjacency sections fault in lazily, each validated
 /// against its CRC on load. Accessors never panic: a section that fails
 /// its deferred load reads as empty and the failure is reported by
 /// [`FileCsr::hydrate`] — serving layers hydrate once up front, so the

@@ -81,7 +81,7 @@ fn print_fixtures() {
     assert!(rules_hit(LIB, include_str!("fixtures/print/neg.rs")).is_empty());
     // Entry points and the bench crate may print.
     assert!(rules_hit("src/bin/snaple_cli.rs", pos).is_empty());
-    assert!(rules_hit("crates/bench/src/exp_shard.rs", pos).is_empty());
+    assert!(rules_hit("crates/bench/tests/gates.rs", pos).is_empty());
 }
 
 #[test]

@@ -109,8 +109,9 @@
 //! the supervised feature panel extracts all of its columns from one
 //! fused sweep, and the CLI exposes plans via `snaple-cli predict/serve
 //! --scores` and the `snaple-cli sweep` config × metric table;
-//! `exp_sweep` + `crates/bench/benches/sweep.rs` track the
-//! fused-vs-independent gather-op ratio and wall-time speedup.
+//! `tests/score_plan.rs` holds the fused sweep under 60 % of the
+//! independent runs' gather calls, and `crates/bench/benches/sweep.rs`
+//! tracks the fused-vs-independent wall-time speedup.
 //!
 //! # Serving a request stream
 //!
@@ -185,9 +186,8 @@
 //! ```
 //!
 //! `snaple-cli serve --workers N` serves any request/update stream
-//! through the pool, and `exp_concurrent` tracks throughput vs workers
-//! and read latency during epoch swaps (exit-code enforced >= the
-//! sequential server).
+//! through the pool, and `crates/bench/tests/gates.rs` holds 8 workers
+//! at >= the sequential server's throughput (a release-only test).
 //!
 //! # Streaming graph updates
 //!
@@ -227,8 +227,8 @@
 //!
 //! The CLI serves mixed streams via `snaple-cli serve --updates
 //! mixed.txt` (`predict IDS` / `add U V` / `remove U V` lines), and
-//! `exp_streaming` + `crates/bench/benches/streaming.rs` track the
-//! incremental-apply vs full-re-prepare speedup across churn levels.
+//! `crates/bench/benches/streaming.rs` tracks the incremental-apply vs
+//! full-re-prepare speedup across churn levels.
 //!
 //! Under the concurrent runtime the same deltas go through
 //! [`ServeHandle::apply_update`](core::concurrent::ServeHandle::apply_update)
@@ -258,8 +258,8 @@
 //!
 //! See the [core serve docs](core::serve#restartable-serving) for the
 //! recovery protocol, `tests/durable_serving.rs` for the
-//! kill-at-any-byte crash-recovery properties, and `exp_durable` for
-//! the logging-overhead / recovery-time benchmarks.
+//! kill-at-any-byte crash-recovery properties, and perfbench's
+//! `serve-churn` workload for the fsync and recovery-time costs.
 
 pub use snaple_baseline as baseline;
 pub use snaple_cassovary as cassovary;

@@ -205,6 +205,28 @@ proptest! {
     }
 }
 
+/// Two fused plans on an emulated GOWALLA subset under the default plan
+/// configuration: the supervised panel's four scores, and a
+/// kernel-diverse plan with a custom aggregator, a blend, a `comb=sum`
+/// combiner, `invdeg` and `dice`. Every column equals its standalone
+/// run, and the fused sweep performs < 60% of their gather calls.
+#[test]
+fn gowalla_plans_fuse_under_the_gather_bar() {
+    let graph = datasets::GOWALLA.emulate(0.004, 42);
+    let queries = QuerySet::sample(graph.num_vertices(), graph.num_vertices() / 4, 42);
+    for scores in [
+        "linearSum, counter, PPR, euclSum",
+        "jaccard@agg=max, cosine*0.7+common, invdeg@comb=sum, dice@k3",
+    ] {
+        let plan = ScorePlan::parse(scores).expect("plan parses");
+        let (fused, independent) = assert_columns_match(&plan, &graph, &queries);
+        assert!(
+            (fused as f64) < 0.6 * independent as f64,
+            "{scores}: fused {fused} gathers !< 60% of independent {independent}"
+        );
+    }
+}
+
 /// The supervised feature panel's fused extraction matches the plan's
 /// column semantics end to end: each panel column is the standalone run
 /// of its named configuration at pool size.
