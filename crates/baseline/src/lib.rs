@@ -39,13 +39,11 @@
 //! # Ok::<(), snaple_core::SnapleError>(())
 //! ```
 
-use std::time::Instant;
-
 use snaple_core::similarity::{Jaccard, Similarity};
 use snaple_core::topk::top_k_by_score;
 use snaple_core::{
-    ExecuteRequest, NeighborhoodView, Prediction, Predictor, PrepareRequest, PreparedPredictor,
-    SetupStats, SnapleError,
+    ExecuteRequest, NeighborhoodView, Prediction, Predictor, PrepareRequest, Prepared,
+    PreparedPredictor, ScoringProgram, SnapleError,
 };
 use snaple_gas::size::COLLECTION_OVERHEAD;
 use snaple_gas::{
@@ -339,7 +337,9 @@ impl Baseline {
         }
         Ok(())
     }
+}
 
+impl ScoringProgram for Baseline {
     /// Runs the three BASELINE steps on a prepared [`Deployment`],
     /// answering one [`ExecuteRequest`] — the *execute* half of the
     /// serving lifecycle, reusing the deployment's partition.
@@ -359,7 +359,7 @@ impl Baseline {
     /// approach; [`SnapleError::InvalidConfig`] if `k` is zero, a query
     /// id is out of range, or attributes are attached (BASELINE is
     /// structural only).
-    pub fn execute_on(
+    fn execute_on(
         &self,
         deployment: &Deployment<'_>,
         req: &ExecuteRequest<'_>,
@@ -393,52 +393,9 @@ impl Baseline {
     }
 }
 
-/// A BASELINE predictor with its deployment already built.
-///
-/// Owns its configuration, so epoch forks
-/// ([`PreparedPredictor::fork_with_delta`]) detach into fully owned
-/// snapshots.
-pub struct PreparedBaseline<'a> {
-    baseline: Baseline,
-    deployment: Deployment<'a>,
-    setup: SetupStats,
-}
-
-impl PreparedPredictor for PreparedBaseline<'_> {
-    fn execute(&self, req: &ExecuteRequest<'_>) -> Result<Prediction, SnapleError> {
-        self.baseline.execute_on(&self.deployment, req)
-    }
-
-    fn apply_delta(
-        &mut self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<snaple_gas::DeltaStats, SnapleError> {
-        Ok(self.deployment.apply_delta(delta)?)
-    }
-
-    fn fork_with_delta(
-        &self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<(Box<dyn PreparedPredictor>, snaple_gas::DeltaStats), SnapleError> {
-        let mut deployment = self.deployment.detach();
-        let applied = deployment.apply_delta(delta)?;
-        let fork = PreparedBaseline {
-            baseline: self.baseline.clone(),
-            deployment,
-            setup: self.setup.clone(),
-        };
-        Ok((Box::new(fork), applied))
-    }
-
-    fn setup(&self) -> &SetupStats {
-        &self.setup
-    }
-}
-
 impl Predictor for Baseline {
-    /// Builds the vertex-cut partition once; the returned
-    /// [`PreparedBaseline`] answers any number of [`ExecuteRequest`]s
-    /// against it.
+    /// Builds the vertex-cut partition once; the returned [`Prepared`]
+    /// answers any number of [`ExecuteRequest`]s against it.
     ///
     /// # Errors
     ///
@@ -449,23 +406,9 @@ impl Predictor for Baseline {
         req: &PrepareRequest<'a>,
     ) -> Result<Box<dyn PreparedPredictor + 'a>, SnapleError> {
         self.validate_config()?;
-        let started = Instant::now();
-        let deployment = Deployment::new(
-            req.graph(),
-            req.cluster().clone(),
-            self.config.partition,
-            self.config.seed,
-        )?;
-        let setup = SetupStats {
-            prepare_wall_seconds: started.elapsed().as_secs_f64(),
-            partition_build_seconds: deployment.partition_build_seconds(),
-            replication_factor: deployment.replication_factor(),
-        };
-        Ok(Box::new(PreparedBaseline {
-            baseline: self.clone(),
-            deployment,
-            setup,
-        }))
+        let config = &self.config;
+        let prepared = Prepared::new(self.clone(), req, config.partition, config.seed)?;
+        Ok(Box::new(prepared))
     }
 }
 

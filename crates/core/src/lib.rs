@@ -335,10 +335,10 @@ pub use concurrent::{
 pub use config::{NamedScore, PathLength, ScoreComponents, SelectionPolicy, SnapleConfig};
 pub use error::SnapleError;
 pub use plan::{PlanConfig, PreparedPlan, ScoreMatrix, ScorePlan};
-pub use predictor::{Prediction, PreparedSnaple, Snaple};
+pub use predictor::{Prediction, Snaple};
 pub use predictor_api::{
-    ExecuteRequest, PredictRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet,
-    SetupStats,
+    ExecuteRequest, PredictRequest, Predictor, PrepareRequest, Prepared, PreparedPredictor,
+    QuerySet, ScoringProgram, SetupStats,
 };
 pub use serve::{LatencyHistogram, Server, ServerStats};
 pub use shard::{

@@ -47,7 +47,6 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use snaple_gas::size::COLLECTION_OVERHEAD;
 use snaple_gas::{
@@ -61,7 +60,7 @@ use crate::config::{PathLength, SelectionPolicy, SnapleConfig};
 use crate::error::SnapleError;
 use crate::predictor::{Prediction, RowIndex, Snaple, StepMasks};
 use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, SetupStats,
+    ExecuteRequest, Predictor, PrepareRequest, Prepared, PreparedPredictor, ScoringProgram,
 };
 use crate::similarity::NeighborhoodView;
 use crate::spec::{Registry, ScoreSpec};
@@ -398,23 +397,7 @@ impl ScorePlan {
         &self,
         req: &PrepareRequest<'a>,
     ) -> Result<PreparedPlan<'a>, SnapleError> {
-        let started = Instant::now();
-        let deployment = Deployment::new(
-            req.graph(),
-            req.cluster().clone(),
-            self.config.partition,
-            self.config.seed,
-        )?;
-        let setup = SetupStats {
-            prepare_wall_seconds: started.elapsed().as_secs_f64(),
-            partition_build_seconds: deployment.partition_build_seconds(),
-            replication_factor: deployment.replication_factor(),
-        };
-        Ok(PreparedPlan {
-            plan: self.clone(),
-            deployment,
-            setup,
-        })
+        Prepared::new(self.clone(), req, self.config.partition, self.config.seed)
     }
 
     /// Runs the fused sweep on a prepared [`Deployment`], evaluating
@@ -607,79 +590,28 @@ fn run_plan_step<S: GasStep<Vertex = PlanVertex>>(
 /// plan serving. [`PreparedPlan::execute_matrix`] returns full
 /// [`ScoreMatrix`] results; the [`PreparedPredictor`] impl answers with
 /// the plan's [combined](ScoreMatrix::combined) ranking.
-///
-/// Owns its plan (specs are `Arc`-shared, so the clone is cheap), which
-/// lets [`PreparedPredictor::fork_with_delta`] detach fully owned epoch
-/// snapshots for concurrent serving.
-pub struct PreparedPlan<'a> {
-    plan: ScorePlan,
-    deployment: Deployment<'a>,
-    setup: SetupStats,
-}
+pub type PreparedPlan<'a> = Prepared<'a, ScorePlan>;
 
-impl<'a> PreparedPlan<'a> {
-    /// The shared deployment the plan executes on.
-    pub fn deployment(&self) -> &Deployment<'a> {
-        &self.deployment
-    }
-
+impl PreparedPlan<'_> {
     /// Answers one request with all columns.
     ///
     /// # Errors
     ///
     /// As [`ScorePlan::execute_on`].
     pub fn execute_matrix(&self, req: &ExecuteRequest<'_>) -> Result<ScoreMatrix, SnapleError> {
-        self.plan.execute_on(&self.deployment, req)
-    }
-
-    /// Ingests a graph delta into the prepared deployment in place (see
-    /// [`PreparedPredictor::apply_delta`]); subsequent fused sweeps run on
-    /// the mutated graph, bit-identical to a cold rebuild.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapleError::Engine`] from the deployment refresh.
-    pub fn apply_delta(
-        &mut self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<snaple_gas::DeltaStats, SnapleError> {
-        Ok(self.deployment.apply_delta(delta)?)
-    }
-
-    /// The setup costs paid at prepare time.
-    pub fn setup(&self) -> &SetupStats {
-        &self.setup
+        self.program().execute_on(self.deployment(), req)
     }
 }
 
-impl PreparedPredictor for PreparedPlan<'_> {
-    fn execute(&self, req: &ExecuteRequest<'_>) -> Result<Prediction, SnapleError> {
-        Ok(self.execute_matrix(req)?.combined(self.plan.combined_k()))
-    }
-
-    fn apply_delta(
-        &mut self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<snaple_gas::DeltaStats, SnapleError> {
-        PreparedPlan::apply_delta(self, delta)
-    }
-
-    fn fork_with_delta(
+impl ScoringProgram for ScorePlan {
+    /// Runs the fused sweep and answers with the plan's weighted
+    /// [combined](ScoreMatrix::combined) ranking.
+    fn execute_on(
         &self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<(Box<dyn PreparedPredictor>, snaple_gas::DeltaStats), SnapleError> {
-        let mut deployment = self.deployment.detach();
-        let applied = deployment.apply_delta(delta)?;
-        let fork = PreparedPlan {
-            plan: self.plan.clone(),
-            deployment,
-            setup: self.setup.clone(),
-        };
-        Ok((Box::new(fork), applied))
-    }
-
-    fn setup(&self) -> &SetupStats {
-        &self.setup
+        deployment: &Deployment<'_>,
+        req: &ExecuteRequest<'_>,
+    ) -> Result<Prediction, SnapleError> {
+        Ok(ScorePlan::execute_on(self, deployment, req)?.combined(self.combined_k()))
     }
 }
 

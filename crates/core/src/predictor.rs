@@ -1,14 +1,12 @@
 //! The public SNAPLE predictor.
 
-use std::time::Instant;
-
 use snaple_gas::{Deployment, Engine, RunStats};
 use snaple_graph::{GraphStore, VertexId, VertexMask};
 
 use crate::config::{PathLength, ScoreComponents, SnapleConfig};
 use crate::error::SnapleError;
 use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, SetupStats,
+    ExecuteRequest, Predictor, PrepareRequest, Prepared, PreparedPredictor, ScoringProgram,
 };
 use crate::state::SnapleVertex;
 use crate::steps::{NeighborhoodStep, PromoteScoresStep, ScoreStep, SecondHop, SimilarityStep};
@@ -116,47 +114,6 @@ impl Snaple {
         Ok(())
     }
 
-    /// Runs the paper's Algorithm 2 on a prepared [`Deployment`],
-    /// answering one [`ExecuteRequest`].
-    ///
-    /// This is the *execute* half of the serving lifecycle — the engine
-    /// reuses the deployment's partition instead of re-hashing every edge,
-    /// so a stream of requests pays the O(edges) setup once.
-    ///
-    /// Since the [`ScorePlan`](crate::ScorePlan) redesign, `Snaple` *is*
-    /// the 1-spec special case of a plan: this method compiles the
-    /// configuration into a single-column plan and runs the fused sweep
-    /// ([`ScorePlan::execute_on`](crate::ScorePlan::execute_on)). To
-    /// evaluate several configurations, put them in one plan — N columns
-    /// cost roughly one sweep, not N
-    /// (see the [plan module docs](crate::plan)).
-    ///
-    /// With [`ExecuteRequest::queries`], the steps execute under shrinking
-    /// active-vertex masks — neighborhoods for everything within the
-    /// program's hop lookahead of a query, similarities for queries and
-    /// their direct neighbors, scores for the queries alone — so small
-    /// query sets do far less gather/scatter work. Queried rows are
-    /// bit-identical to an all-vertices run; all other rows are empty.
-    /// Per-vertex content arrives via [`ExecuteRequest::attributes`]
-    /// (paper §3.1's content extension).
-    ///
-    /// # Errors
-    ///
-    /// * [`SnapleError::InvalidConfig`] if `k` or `klocal` is zero, if
-    ///   attributes do not cover every vertex, or if a query id is out of
-    ///   range.
-    /// * [`SnapleError::Engine`] when the simulated cluster cannot execute
-    ///   the program (memory exhaustion).
-    pub fn execute_on(
-        &self,
-        deployment: &Deployment<'_>,
-        req: &ExecuteRequest<'_>,
-    ) -> Result<Prediction, SnapleError> {
-        self.validate_config()?;
-        let plan = crate::plan::ScorePlan::from_snaple(self)?;
-        Ok(plan.execute_on(deployment, req)?.into_column(0))
-    }
-
     /// The pre-[`ScorePlan`](crate::ScorePlan) reference implementation:
     /// drives the classic single-score [`steps`](crate::steps) directly
     /// instead of compiling to a fused plan.
@@ -164,11 +121,11 @@ impl Snaple {
     /// Kept public as the independent oracle the fused engine is
     /// differential-tested against (every plan column must be
     /// bit-identical to this path); applications should prefer
-    /// [`Snaple::execute_on`].
+    /// [`Snaple::execute_on`](ScoringProgram::execute_on).
     ///
     /// # Errors
     ///
-    /// As [`Snaple::execute_on`].
+    /// As [`Snaple::execute_on`](ScoringProgram::execute_on).
     pub fn execute_unfused_on(
         &self,
         deployment: &Deployment<'_>,
@@ -243,62 +200,53 @@ impl Snaple {
     }
 }
 
-/// A SNAPLE predictor with its deployment (partition layout, presence
-/// masks, cost model) already built — returned by [`Snaple`]'s
-/// [`Predictor::prepare`].
-///
-/// Owns its configuration (a cheap clone — scoring components are
-/// `Arc`-shared), so epoch forks
-/// ([`PreparedPredictor::fork_with_delta`]) detach into fully owned
-/// snapshots.
-pub struct PreparedSnaple<'a> {
-    snaple: Snaple,
-    deployment: Deployment<'a>,
-    setup: SetupStats,
-}
-
-impl<'a> PreparedSnaple<'a> {
-    /// The shared deployment this predictor executes on.
-    pub fn deployment(&self) -> &Deployment<'a> {
-        &self.deployment
-    }
-}
-
-impl PreparedPredictor for PreparedSnaple<'_> {
-    fn execute(&self, req: &ExecuteRequest<'_>) -> Result<Prediction, SnapleError> {
-        self.snaple.execute_on(&self.deployment, req)
-    }
-
-    fn apply_delta(
-        &mut self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<snaple_gas::DeltaStats, SnapleError> {
-        Ok(self.deployment.apply_delta(delta)?)
-    }
-
-    fn fork_with_delta(
+impl ScoringProgram for Snaple {
+    /// Runs the paper's Algorithm 2 on a prepared [`Deployment`],
+    /// answering one [`ExecuteRequest`].
+    ///
+    /// This is the *execute* half of the serving lifecycle — the engine
+    /// reuses the deployment's partition instead of re-hashing every edge,
+    /// so a stream of requests pays the O(edges) setup once.
+    ///
+    /// Since the [`ScorePlan`](crate::ScorePlan) redesign, `Snaple` *is*
+    /// the 1-spec special case of a plan: this method compiles the
+    /// configuration into a single-column plan and runs the fused sweep
+    /// ([`ScorePlan::execute_on`](crate::ScorePlan::execute_on)). To
+    /// evaluate several configurations, put them in one plan — N columns
+    /// cost roughly one sweep, not N
+    /// (see the [plan module docs](crate::plan)).
+    ///
+    /// With [`ExecuteRequest::queries`], the steps execute under shrinking
+    /// active-vertex masks — neighborhoods for everything within the
+    /// program's hop lookahead of a query, similarities for queries and
+    /// their direct neighbors, scores for the queries alone — so small
+    /// query sets do far less gather/scatter work. Queried rows are
+    /// bit-identical to an all-vertices run; all other rows are empty.
+    /// Per-vertex content arrives via [`ExecuteRequest::attributes`]
+    /// (paper §3.1's content extension).
+    ///
+    /// # Errors
+    ///
+    /// * [`SnapleError::InvalidConfig`] if `k` or `klocal` is zero, if
+    ///   attributes do not cover every vertex, or if a query id is out of
+    ///   range.
+    /// * [`SnapleError::Engine`] when the simulated cluster cannot execute
+    ///   the program (memory exhaustion).
+    fn execute_on(
         &self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<(Box<dyn PreparedPredictor>, snaple_gas::DeltaStats), SnapleError> {
-        let mut deployment = self.deployment.detach();
-        let applied = deployment.apply_delta(delta)?;
-        let fork = PreparedSnaple {
-            snaple: self.snaple.clone(),
-            deployment,
-            setup: self.setup.clone(),
-        };
-        Ok((Box::new(fork), applied))
-    }
-
-    fn setup(&self) -> &SetupStats {
-        &self.setup
+        deployment: &Deployment<'_>,
+        req: &ExecuteRequest<'_>,
+    ) -> Result<Prediction, SnapleError> {
+        self.validate_config()?;
+        let plan = crate::plan::ScorePlan::from_snaple(self)?;
+        Ok(plan.execute_on(deployment, req)?.into_column(0))
     }
 }
 
 impl Predictor for Snaple {
     /// Builds the deployment (vertex-cut partition over the requested
-    /// cluster, cost model) once; the returned [`PreparedSnaple`] answers
-    /// any number of [`ExecuteRequest`]s against it.
+    /// cluster, cost model) once; the returned [`Prepared`] answers any
+    /// number of [`ExecuteRequest`]s against it.
     ///
     /// # Errors
     ///
@@ -309,23 +257,9 @@ impl Predictor for Snaple {
         req: &PrepareRequest<'a>,
     ) -> Result<Box<dyn PreparedPredictor + 'a>, SnapleError> {
         self.validate_config()?;
-        let started = Instant::now();
-        let deployment = Deployment::new(
-            req.graph(),
-            req.cluster().clone(),
-            self.config.partition,
-            self.config.seed,
-        )?;
-        let setup = SetupStats {
-            prepare_wall_seconds: started.elapsed().as_secs_f64(),
-            partition_build_seconds: deployment.partition_build_seconds(),
-            replication_factor: deployment.replication_factor(),
-        };
-        Ok(Box::new(PreparedSnaple {
-            snaple: self.clone(),
-            deployment,
-            setup,
-        }))
+        let config = &self.config;
+        let prepared = Prepared::new(self.clone(), req, config.partition, config.seed)?;
+        Ok(Box::new(prepared))
     }
 }
 
@@ -408,6 +342,25 @@ impl Prediction {
             predictions,
             stats,
         }
+    }
+
+    /// A result storing `rows` only, every other vertex reading as an
+    /// empty row. Sources `>= num_vertices` are dropped and a repeated
+    /// source keeps its last row.
+    pub(crate) fn from_rows(
+        num_vertices: usize,
+        rows: impl IntoIterator<Item = (VertexId, Vec<(VertexId, f32)>)>,
+        stats: RunStats,
+    ) -> Self {
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .filter(|row| row.0.index() < num_vertices)
+            .collect();
+        rows.reverse();
+        rows.sort_by_key(|row| row.0);
+        rows.dedup_by_key(|row| row.0);
+        let (sources, predictions) = rows.into_iter().unzip();
+        Prediction::from_index(RowIndex::sparse(num_vertices, sources), predictions, stats)
     }
 
     /// Number of vertices predictions were computed for.

@@ -52,6 +52,13 @@
 //! # Ok::<(), snaple_core::SnapleError>(())
 //! ```
 //!
+//! Partition-backed backends (SNAPLE, [`ScorePlan`](crate::ScorePlan),
+//! BASELINE, the supervised panel) implement the one-method
+//! [`ScoringProgram`]; the generic [`Prepared`] owns their vertex-cut
+//! [`Deployment`] and is their one [`PreparedPredictor`], so execute,
+//! apply and fork exist once. The partition-free random-walk backend
+//! implements [`PreparedPredictor`] directly.
+//!
 //! A [`PredictRequest`] bundles everything a prediction run needs: the
 //! graph, the simulated [`ClusterSpec`], optional per-vertex content
 //! attributes, and — the serving-oriented capability — an optional
@@ -93,7 +100,9 @@
 //! # Ok::<(), snaple_core::SnapleError>(())
 //! ```
 
-use snaple_gas::{ClusterSpec, DeltaStats};
+use std::time::Instant;
+
+use snaple_gas::{ClusterSpec, DeltaStats, Deployment, PartitionStrategy};
 use snaple_graph::hash::hash2;
 use snaple_graph::{GraphDelta, GraphStore, VertexId, VertexMask};
 
@@ -191,20 +200,16 @@ impl FromIterator<VertexId> for QuerySet {
 /// [`PredictRequest::new`] and the `with_*` builders.
 #[derive(Clone, Copy, Debug)]
 pub struct PredictRequest<'a> {
-    graph: &'a dyn GraphStore,
-    cluster: &'a ClusterSpec,
-    attributes: Option<&'a [Vec<u32>]>,
-    queries: Option<&'a QuerySet>,
+    prepare: PrepareRequest<'a>,
+    execute: ExecuteRequest<'a>,
 }
 
 impl<'a> PredictRequest<'a> {
     /// Creates an all-vertices request without attributes.
     pub fn new(graph: &'a dyn GraphStore, cluster: &'a ClusterSpec) -> Self {
         PredictRequest {
-            graph,
-            cluster,
-            attributes: None,
-            queries: None,
+            prepare: PrepareRequest::new(graph, cluster),
+            execute: ExecuteRequest::new(),
         }
     }
 
@@ -212,38 +217,38 @@ impl<'a> PredictRequest<'a> {
     /// vertex `i`'s tag bag, visible to content-aware similarities such as
     /// [`similarity::ContentBlend`](crate::similarity::ContentBlend).
     pub fn with_attributes(mut self, attributes: &'a [Vec<u32>]) -> Self {
-        self.attributes = Some(attributes);
+        self.execute = self.execute.with_attributes(attributes);
         self
     }
 
     /// Restricts prediction to the sources in `queries`.
     pub fn with_queries(mut self, queries: &'a QuerySet) -> Self {
-        self.queries = Some(queries);
+        self.execute = self.execute.with_queries(queries);
         self
     }
 
     /// The graph to predict over.
     pub fn graph(&self) -> &'a dyn GraphStore {
-        self.graph
+        self.prepare.graph()
     }
 
     /// The simulated cluster to run on.
     pub fn cluster(&self) -> &'a ClusterSpec {
-        self.cluster
+        self.prepare.cluster()
     }
 
     /// Per-vertex content attributes, if attached.
     pub fn attributes(&self) -> Option<&'a [Vec<u32>]> {
-        self.attributes
+        self.execute.attributes()
     }
 
     /// The query subset, if any (`None` means all vertices).
     pub fn queries(&self) -> Option<&'a QuerySet> {
-        self.queries
+        self.execute.queries()
     }
 
-    /// Checks the request's internal consistency: attributes must cover
-    /// every vertex and queried ids must exist in the graph.
+    /// Checks the request's internal consistency (see
+    /// [`ExecuteRequest::validate_for`]).
     ///
     /// Backends call this first; it is public so front ends can fail fast
     /// before spending work.
@@ -252,33 +257,13 @@ impl<'a> PredictRequest<'a> {
     ///
     /// [`SnapleError::InvalidConfig`] describing the mismatch.
     pub fn validate(&self) -> Result<(), SnapleError> {
-        if let Some(attrs) = self.attributes {
-            if attrs.len() != self.graph.num_vertices() {
-                return Err(SnapleError::InvalidConfig(format!(
-                    "attributes cover {} vertices but the graph has {}",
-                    attrs.len(),
-                    self.graph.num_vertices()
-                )));
-            }
-        }
-        if let Some(queries) = self.queries {
-            if let Some(max) = queries.max_id() {
-                if max.index() >= self.graph.num_vertices() {
-                    return Err(SnapleError::InvalidConfig(format!(
-                        "query vertex {} out of range: the graph has {} vertices",
-                        max,
-                        self.graph.num_vertices()
-                    )));
-                }
-            }
-        }
-        Ok(())
+        self.execute.validate_for(self.graph())
     }
 
     /// The active-vertex mask of the query subset (`None` for
     /// all-vertices requests).
     pub fn query_mask(&self) -> Option<VertexMask> {
-        self.queries.map(|q| q.to_mask(self.graph.num_vertices()))
+        self.execute.query_mask(self.graph())
     }
 }
 
@@ -367,25 +352,18 @@ impl<'a> ExecuteRequest<'a> {
     ///
     /// [`SnapleError::InvalidConfig`] describing the mismatch.
     pub fn validate_for(&self, graph: &dyn GraphStore) -> Result<(), SnapleError> {
-        if let Some(attrs) = self.attributes {
-            if attrs.len() != graph.num_vertices() {
-                return Err(SnapleError::InvalidConfig(format!(
-                    "attributes cover {} vertices but the graph has {}",
-                    attrs.len(),
-                    graph.num_vertices()
-                )));
-            }
+        let n = graph.num_vertices();
+        if let Some(attrs) = self.attributes.filter(|a| a.len() != n) {
+            return Err(SnapleError::InvalidConfig(format!(
+                "attributes cover {} vertices but the graph has {n}",
+                attrs.len()
+            )));
         }
-        if let Some(queries) = self.queries {
-            if let Some(max) = queries.max_id() {
-                if max.index() >= graph.num_vertices() {
-                    return Err(SnapleError::InvalidConfig(format!(
-                        "query vertex {} out of range: the graph has {} vertices",
-                        max,
-                        graph.num_vertices()
-                    )));
-                }
-            }
+        let max = self.queries.and_then(QuerySet::max_id);
+        if let Some(max) = max.filter(|q| q.index() >= n) {
+            return Err(SnapleError::InvalidConfig(format!(
+                "query vertex {max} out of range: the graph has {n} vertices"
+            )));
         }
         Ok(())
     }
@@ -414,13 +392,13 @@ pub struct SetupStats {
 /// A predictor with its heavy per-graph state already built: the *execute
 /// many* half of the serving lifecycle.
 ///
-/// Implementations own the immutable state `prepare` built — partition
-/// layout, replica/presence masks, cost model, degree tables, feature
-/// panel plans — and answer any number of [`ExecuteRequest`]s against it.
-/// `execute` must be deterministic: the same request always returns
-/// bit-identical rows, and those rows match a fresh one-shot
-/// [`Predictor::predict`] with the same graph, cluster, configuration and
-/// seed.
+/// Partition-backed backends get it from the generic [`Prepared`] over
+/// their [`ScoringProgram`]; partition-free ones implement it directly.
+/// Either way it answers any number of [`ExecuteRequest`]s against the
+/// prepared state. `execute` must be deterministic: the same request
+/// always returns bit-identical rows, and those rows match a fresh
+/// one-shot [`Predictor::predict`] with the same graph, cluster,
+/// configuration and seed.
 ///
 /// # Sharing contract
 ///
@@ -499,6 +477,108 @@ pub trait PreparedPredictor: Send + Sync {
     fn setup(&self) -> &SetupStats;
 }
 
+/// A scoring program that runs on a prepared vertex-cut [`Deployment`]:
+/// the one method a partition-backed backend implements. Programs are
+/// owned and cheap to clone, so an epoch fork carries its own copy.
+pub trait ScoringProgram: Clone + Send + Sync + 'static {
+    /// Answers one request on a deployment shared with other callers.
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedPredictor::execute`].
+    fn execute_on(
+        &self,
+        deployment: &Deployment<'_>,
+        req: &ExecuteRequest<'_>,
+    ) -> Result<Prediction, SnapleError>;
+}
+
+/// A [`ScoringProgram`] with its [`Deployment`] (partition layout,
+/// presence masks, cost model) built once: the [`PreparedPredictor`] of
+/// every partition-backed backend. A fork detaches the deployment,
+/// applies the delta to the copy and clones the program.
+pub struct Prepared<'a, P> {
+    program: P,
+    deployment: Deployment<'a>,
+    setup: SetupStats,
+}
+
+impl<'a, P: ScoringProgram> Prepared<'a, P> {
+    /// Partitions the request's graph over its cluster with `strategy`
+    /// and `seed`, timing the build into [`SetupStats`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapleError::Engine`] for unusable cluster shapes.
+    pub fn new(
+        program: P,
+        req: &PrepareRequest<'a>,
+        strategy: PartitionStrategy,
+        seed: u64,
+    ) -> Result<Self, SnapleError> {
+        let started = Instant::now();
+        let deployment = Deployment::new(req.graph(), req.cluster().clone(), strategy, seed)?;
+        let setup = SetupStats {
+            prepare_wall_seconds: started.elapsed().as_secs_f64(),
+            partition_build_seconds: deployment.partition_build_seconds(),
+            replication_factor: deployment.replication_factor(),
+        };
+        Ok(Prepared {
+            program,
+            deployment,
+            setup,
+        })
+    }
+
+    /// The program this predictor executes.
+    pub fn program(&self) -> &P {
+        &self.program
+    }
+
+    /// The deployment the program executes on.
+    pub fn deployment(&self) -> &Deployment<'a> {
+        &self.deployment
+    }
+
+    /// Ingests a graph delta into the deployment in place (see
+    /// [`PreparedPredictor::apply_delta`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SnapleError::Engine`] from the deployment refresh.
+    pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
+        Ok(self.deployment.apply_delta(delta)?)
+    }
+}
+
+impl<P: ScoringProgram> PreparedPredictor for Prepared<'_, P> {
+    fn execute(&self, req: &ExecuteRequest<'_>) -> Result<Prediction, SnapleError> {
+        self.program.execute_on(&self.deployment, req)
+    }
+
+    fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
+        Prepared::apply_delta(self, delta)
+    }
+
+    fn fork_with_delta(
+        &self,
+        delta: &GraphDelta,
+    ) -> Result<(Box<dyn PreparedPredictor>, DeltaStats), SnapleError> {
+        let mut deployment = self.deployment.detach();
+        let applied = deployment.apply_delta(delta)?;
+        let fork = Prepared {
+            program: self.program.clone(),
+            deployment,
+            setup: self.setup.clone(),
+        };
+        Ok((Box::new(fork), applied))
+    }
+
+    fn setup(&self) -> &SetupStats {
+        &self.setup
+    }
+}
+
 /// The unified prediction interface every backend implements.
 ///
 /// Backends implement [`Predictor::prepare`]; the one-shot
@@ -534,15 +614,8 @@ pub trait Predictor {
     /// cluster cannot execute the run (e.g. memory exhaustion).
     fn predict(&self, req: &PredictRequest<'_>) -> Result<Prediction, SnapleError> {
         req.validate()?;
-        let prepared = self.prepare(&PrepareRequest::new(req.graph(), req.cluster()))?;
-        let mut exec = ExecuteRequest::new();
-        if let Some(q) = req.queries() {
-            exec = exec.with_queries(q);
-        }
-        if let Some(a) = req.attributes() {
-            exec = exec.with_attributes(a);
-        }
-        let mut prediction = prepared.execute(&exec)?;
+        let prepared = self.prepare(&req.prepare)?;
+        let mut prediction = prepared.execute(&req.execute)?;
         prediction.stats.partition_build_seconds += prepared.setup().partition_build_seconds;
         Ok(prediction)
     }
@@ -554,10 +627,6 @@ impl<P: Predictor + ?Sized> Predictor for &P {
         req: &PrepareRequest<'a>,
     ) -> Result<Box<dyn PreparedPredictor + 'a>, SnapleError> {
         (**self).prepare(req)
-    }
-
-    fn predict(&self, req: &PredictRequest<'_>) -> Result<Prediction, SnapleError> {
-        (**self).predict(req)
     }
 }
 

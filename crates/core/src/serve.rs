@@ -103,7 +103,7 @@
 use std::time::Instant;
 
 use snaple_gas::{ClusterSpec, DeltaStats};
-use snaple_graph::{GraphDelta, GraphStore};
+use snaple_graph::{GraphDelta, GraphStore, VertexId};
 use snaple_store::{Durability, DurabilityStats, StoreError};
 
 use crate::error::SnapleError;
@@ -527,18 +527,10 @@ pub(crate) fn execute_coalesced(
 /// carries exactly its request's rows (all other rows empty) plus a copy
 /// of the shared run's statistics.
 fn demultiplex(shared: &Prediction, requests: &[QuerySet]) -> Vec<Prediction> {
-    requests
-        .iter()
-        .map(|request| {
-            let mut rows = vec![Vec::new(); shared.num_vertices()];
-            for q in request.iter() {
-                if let Some(row) = rows.get_mut(q.index()) {
-                    *row = shared.for_vertex(q).to_vec();
-                }
-            }
-            Prediction::from_parts(rows, shared.stats.clone())
-        })
-        .collect()
+    let (n, stats) = (shared.num_vertices(), &shared.stats);
+    let row = |q: VertexId| (q, shared.for_vertex(q).to_vec());
+    let split = |r: &QuerySet| Prediction::from_rows(n, r.iter().map(row), stats.clone());
+    requests.iter().map(split).collect()
 }
 
 /// Appends `delta` to the commitlog — the write-ahead step every durable
@@ -692,8 +684,8 @@ impl<'a> Server<'a> {
     ///
     /// Each response is bit-identical to executing its request
     /// individually: queried rows match, non-queried rows are empty.
-    /// Responses use [`Prediction`]'s dense per-vertex row layout, so a
-    /// wide batch on a large graph allocates one row table per request.
+    /// Each response stores its own request's rows only, so a wide batch
+    /// costs its queries, not one row table per request.
     /// Every response carries the statistics of the *shared* run (the
     /// batch's cost is not attributed to individual requests), and every
     /// request records the batch's wall time as its latency.

@@ -466,8 +466,8 @@ impl PendingRows {
     pub fn wait(self) -> Result<Prediction, SnapleError> {
         let slot = match self.inner {
             PendingInner::Empty { num_vertices } => {
-                let rows = vec![Vec::new(); num_vertices as usize];
-                return Ok(Prediction::from_parts(rows, RunStats::default()));
+                let n = num_vertices as usize;
+                return Ok(Prediction::from_rows(n, [], RunStats::default()));
             }
             PendingInner::Waiting { slot } => slot,
         };
@@ -479,18 +479,13 @@ impl PendingRows {
         if let Some(e) = state.error {
             return Err(e);
         }
-        let mut rows = vec![Vec::new(); state.num_vertices as usize];
-        for (vertex, preds) in state.rows {
-            let preds: Vec<(VertexId, f32)> = preds
-                .into_iter()
-                .map(|(v, s)| (VertexId::new(v), s))
-                .collect();
-            if let Some(row) = rows.get_mut(vertex as usize) {
-                *row = preds;
-            }
-        }
+        let n = state.num_vertices as usize;
+        let rows = state.rows.into_iter().map(|(vertex, preds)| {
+            let preds = preds.into_iter().map(|(v, s)| (VertexId::new(v), s));
+            (VertexId::new(vertex), preds.collect())
+        });
         let stats = RunStats::merged_parallel(state.run_stats.iter()).unwrap_or_default();
-        Ok(Prediction::from_parts(rows, stats))
+        Ok(Prediction::from_rows(n, rows, stats))
     }
 }
 

@@ -1,9 +1,10 @@
 //! SNAPLE's link prediction as a GAS program (paper Algorithm 2).
 //!
-//! The three steps share the [`SnapleVertex`] state and are usually driven
-//! by [`Snaple::execute_on`](crate::Snaple::execute_on); they are public so that
-//! applications can embed individual phases (e.g. reuse step 1+2 as a
-//! standalone neighbor-similarity pipeline).
+//! The three steps share the [`SnapleVertex`] state and are driven by the
+//! unfused reference path,
+//! [`Snaple::execute_unfused_on`](crate::Snaple::execute_unfused_on); they
+//! are public so that applications can embed individual phases (e.g.
+//! reuse step 1+2 as a standalone neighbor-similarity pipeline).
 
 use snaple_gas::{GasStep, GatherCtx, WorkTally};
 use snaple_graph::hash::{edge_unit, hash2};

@@ -22,7 +22,8 @@
 //! | `suppression` | everywhere | malformed `snaple-lint: allow(..)` comments |
 //!
 //! The **panic-free zone** is [`rules::PANIC_FREE_ZONE`]: the serving
-//! core every serving runtime runs through, the shard wire codec, shard runtime,
+//! core every serving runtime runs through, the one prepared-predictor
+//! lifecycle every apply and fork runs through, the shard wire codec, shard runtime,
 //! scatter-gather router, the concurrent server, and the GAS engine — the paths a panic turns into a hung
 //! client or a dead shard instead of a typed `ShardFailed` error.
 //!

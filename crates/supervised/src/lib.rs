@@ -45,11 +45,9 @@
 pub mod features;
 pub mod logistic;
 
-use std::time::Instant;
-
 use snaple_core::{
-    ExecuteRequest, NamedScore, Prediction, Predictor, PrepareRequest, PreparedPredictor,
-    SetupStats, SnapleError,
+    ExecuteRequest, NamedScore, Prediction, Predictor, PrepareRequest, Prepared, PreparedPredictor,
+    ScoringProgram, SnapleError,
 };
 use snaple_gas::{ClusterSpec, Deployment};
 use snaple_graph::{CsrGraph, GraphStore};
@@ -237,21 +235,16 @@ impl TrainedModel {
     }
 }
 
-/// A trained supervised ranker with its feature-panel plan prepared: one
-/// shared [`Deployment`] serves every panel column of every request.
-///
-/// Owns a copy of the trained model (weights and panel config), so epoch
-/// forks ([`PreparedPredictor::fork_with_delta`]) detach into fully owned
-/// snapshots.
-pub struct PreparedModel<'a> {
-    model: TrainedModel,
-    deployment: Deployment<'a>,
-    setup: SetupStats,
-}
-
-impl PreparedPredictor for PreparedModel<'_> {
-    fn execute(&self, req: &ExecuteRequest<'_>) -> Result<Prediction, SnapleError> {
-        let graph = self.deployment.graph();
+impl ScoringProgram for TrainedModel {
+    /// Extracts the feature panel on the shared deployment (targeted when
+    /// the request carries a [`QuerySet`](snaple_core::QuerySet)) and
+    /// ranks each requested vertex's candidate pool by the learned model.
+    fn execute_on(
+        &self,
+        deployment: &Deployment<'_>,
+        req: &ExecuteRequest<'_>,
+    ) -> Result<Prediction, SnapleError> {
+        let graph = deployment.graph();
         req.validate_for(graph)?;
         if req.attributes().is_some() {
             return Err(SnapleError::InvalidConfig(
@@ -259,49 +252,18 @@ impl PreparedPredictor for PreparedModel<'_> {
                     .to_owned(),
             ));
         }
-        let panel = FeaturePanel::new(&self.model.config);
-        let table = panel.extract_on(&self.deployment, req.queries(), req.seed())?;
-        Ok(self.model.rank(graph, table))
-    }
-
-    /// Refreshes the **single shared deployment** once per delta — every
-    /// feature column of every subsequent request runs on the mutated
-    /// graph without any per-column repartitioning.
-    fn apply_delta(
-        &mut self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<snaple_gas::DeltaStats, SnapleError> {
-        Ok(self.deployment.apply_delta(delta)?)
-    }
-
-    fn fork_with_delta(
-        &self,
-        delta: &snaple_graph::GraphDelta,
-    ) -> Result<(Box<dyn PreparedPredictor>, snaple_gas::DeltaStats), SnapleError> {
-        let mut deployment = self.deployment.detach();
-        let applied = deployment.apply_delta(delta)?;
-        let fork = PreparedModel {
-            model: self.model.clone(),
-            deployment,
-            setup: self.setup.clone(),
-        };
-        Ok((Box::new(fork), applied))
-    }
-
-    fn setup(&self) -> &SetupStats {
-        &self.setup
+        let panel = FeaturePanel::new(&self.config);
+        let table = panel.extract_on(deployment, req.queries(), req.seed())?;
+        Ok(self.rank(graph, table))
     }
 }
 
 impl Predictor for TrainedModel {
     /// Prepares the feature-panel plan: one shared deployment (partition +
     /// cost model) that every panel column of every subsequent
-    /// [`ExecuteRequest`] runs on — where the one-shot path used to
-    /// rebuild the partition once per column per call.
-    ///
-    /// The returned [`PreparedModel`] extracts the panel (targeted when
-    /// the request carries a [`QuerySet`](snaple_core::QuerySet)) and
-    /// ranks each requested vertex's candidate pool by the learned model.
+    /// [`ExecuteRequest`] runs on, and that one
+    /// [`apply_delta`](PreparedPredictor::apply_delta) refreshes for
+    /// every column at once.
     ///
     /// # Errors
     ///
@@ -312,19 +274,10 @@ impl Predictor for TrainedModel {
         &'a self,
         req: &PrepareRequest<'a>,
     ) -> Result<Box<dyn PreparedPredictor + 'a>, SnapleError> {
-        let started = Instant::now();
-        let panel = FeaturePanel::new(&self.config);
-        let deployment = panel.deploy(req.graph(), req.cluster())?;
-        let setup = SetupStats {
-            prepare_wall_seconds: started.elapsed().as_secs_f64(),
-            partition_build_seconds: deployment.partition_build_seconds(),
-            replication_factor: deployment.replication_factor(),
-        };
-        Ok(Box::new(PreparedModel {
-            model: self.clone(),
-            deployment,
-            setup,
-        }))
+        let plan = FeaturePanel::new(&self.config).plan()?;
+        let config = plan.config();
+        let prepared = Prepared::new(self.clone(), req, config.partition, config.seed)?;
+        Ok(Box::new(prepared))
     }
 }
 

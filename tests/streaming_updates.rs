@@ -17,7 +17,8 @@ use snaple::baseline::{Baseline, BaselineConfig};
 use snaple::cassovary::{RandomWalkConfig, RandomWalkPpr};
 use snaple::core::serve::Server;
 use snaple::core::{
-    ExecuteRequest, NamedScore, Predictor, PrepareRequest, QuerySet, Snaple, SnapleConfig,
+    ExecuteRequest, NamedScore, Predictor, PrepareRequest, QuerySet, ScorePlan, Snaple,
+    SnapleConfig,
 };
 use snaple::gas::ClusterSpec;
 use snaple::graph::gen::datasets;
@@ -161,8 +162,10 @@ proptest! {
 
 /// The GOWALLA-style acceptance check: random churn batches on an
 /// emulated dataset, bit-identical rows against a cold rebuild, for all
-/// four backends (the supervised panel refreshes its one shared
-/// deployment).
+/// four backends plus a fused score plan (the supervised panel refreshes
+/// its one shared deployment). Each backend is mutated both in place and
+/// through an epoch fork, and the fork leaves its parent's rows as they
+/// were before the delta.
 #[test]
 fn gowalla_churn_matches_cold_rebuild_across_all_four_backends() {
     use snaple::supervised::{SupervisedConfig, SupervisedSnaple};
@@ -198,34 +201,63 @@ fn gowalla_churn_matches_cold_rebuild_across_all_four_backends() {
     let model = SupervisedSnaple::new(SupervisedConfig::new().k(3).seed(3))
         .train(&graph, &cluster)
         .unwrap();
+    let plan = ScorePlan::parse("linearSum, counter@k3").unwrap();
     let mut all: Vec<(&str, Box<dyn Predictor>)> = backends();
     all.push(("supervised", Box::new(model)));
+    all.push(("score-plan", Box::new(plan)));
 
+    let exec = ExecuteRequest::new().with_queries(&queries);
+    let mut changed_rows = 0;
     for (label, predictor) in all {
         let mut prepared = predictor
             .prepare(&PrepareRequest::new(&graph, &cluster))
             .unwrap();
+        let (fork, forked) = prepared.fork_with_delta(&delta).unwrap();
+        let parent = prepared.execute(&exec).unwrap();
         let applied = prepared.apply_delta(&delta).unwrap();
         assert!(
             applied.inserted_edges > 0 && applied.removed_edges > 0,
             "{label}"
         );
-        let incremental = prepared
-            .execute(&ExecuteRequest::new().with_queries(&queries))
-            .unwrap();
-        let cold = predictor
-            .prepare(&PrepareRequest::new(&mutated, &cluster))
-            .unwrap()
-            .execute(&ExecuteRequest::new().with_queries(&queries))
-            .unwrap();
+        assert_eq!(
+            (forked.inserted_edges, forked.removed_edges),
+            (applied.inserted_edges, applied.removed_edges),
+            "{label}"
+        );
+        let incremental = prepared.execute(&exec).unwrap();
+        let forked_rows = fork.execute(&exec).unwrap();
+        let cold_on = |g: &CsrGraph| {
+            predictor
+                .prepare(&PrepareRequest::new(g, &cluster))
+                .unwrap()
+                .execute(&exec)
+                .unwrap()
+        };
+        let (cold, pre_delta) = (cold_on(&mutated), cold_on(&graph));
+        changed_rows += queries
+            .iter()
+            .filter(|&q| cold.for_vertex(q) != pre_delta.for_vertex(q))
+            .count();
         for q in queries.iter() {
             assert_eq!(
                 incremental.for_vertex(q),
                 cold.for_vertex(q),
                 "{label}: row {q} diverged after churn"
             );
+            assert_eq!(
+                forked_rows.for_vertex(q),
+                cold.for_vertex(q),
+                "{label}: forked row {q} diverged after churn"
+            );
+            assert_eq!(
+                parent.for_vertex(q),
+                pre_delta.for_vertex(q),
+                "{label}: forking changed the parent's row {q}"
+            );
         }
     }
+    // The parent checks only bite on rows the churn changes.
+    assert!(changed_rows > 0, "the churn changed no queried row");
 }
 
 /// Server streams interleave updates with batches; the demultiplexed
