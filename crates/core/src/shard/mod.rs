@@ -29,16 +29,9 @@
 //!
 //! # Wire framing
 //!
-//! Shards speak a length-prefixed, checksummed binary protocol
-//! ([`wire`]); one message per frame:
-//!
-//! ```text
-//! +----+----+-----+----------+---------+----------+
-//! | 'S' | 'L' | tag | len: u32 | payload | crc: u32 |
-//! +----+----+-----+----------+---------+----------+
-//!        magic      LE, <= 1 GiB          CRC-32 over tag+len+payload
-//! ```
-//!
+//! Shards speak a binary protocol ([`wire`]), one message per
+//! [`snaple_graph::codec`] frame: length-prefixed and CRC-32-checksummed,
+//! the same framed record the durability commitlog writes.
 //! Requests are `Prepare`, `Predict`, `Delta`, `Shutdown`; replies are
 //! `Ready`, `Rows`, `DeltaOk`, `Err`, `Stats`. Scores cross the wire as
 //! raw `f32` bits, so serving through shards is bit-identical to

@@ -587,11 +587,13 @@ impl RouterHandle<'_> {
         if let Some(e) = self.first_dead_error(&involved) {
             return Err(e);
         }
-        let ops: Vec<(u32, u32, f32, bool)> = delta.ops().collect();
         let request_id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Request::Delta { request_id, ops }
-            .encode()
-            .map_err(|e| SnapleError::InvalidConfig(format!("encoding delta: {e}")))?;
+        let frame = Request::Delta {
+            request_id,
+            delta: delta.clone(),
+        }
+        .encode()
+        .map_err(|e| SnapleError::InvalidConfig(format!("encoding delta: {e}")))?;
         let frames: Vec<_> = involved.into_iter().map(|i| (i, frame.clone())).collect();
         let slot = self.shared.scatter(request_id, &frames);
         let (error, all) = {

@@ -20,8 +20,6 @@
 use std::io::{Read, Write};
 use std::sync::mpsc::{Receiver, Sender};
 
-use snaple_graph::GraphDelta;
-
 use crate::plan::ScorePlan;
 use crate::predictor::Snaple;
 use crate::predictor_api::{Predictor, QuerySet};
@@ -164,15 +162,7 @@ fn run_shard<R: Read, W: Write>(
                     Err(e) => send_err(writer, request_id, e)?,
                 }
             }
-            Request::Delta { request_id, ops } => {
-                let mut delta = GraphDelta::new();
-                for (u, v, w, insert) in ops {
-                    if insert {
-                        delta.insert_weighted(u, v, w);
-                    } else {
-                        delta.remove(u, v);
-                    }
-                }
+            Request::Delta { request_id, delta } => {
                 // A shard serves on one thread, so the update applies in
                 // place between requests, as on the sequential server.
                 match server.apply_update(&delta) {

@@ -1,26 +1,14 @@
-//! The shard wire protocol: length-prefixed, checksummed binary frames.
+//! The shard wire protocol: the message layouts router and shards
+//! exchange.
 //!
-//! Both shard transports — in-process channels and OS-process pipes —
+//! Both shard transports (in-process channels and OS-process pipes)
 //! exchange **identical serialized frames**, so one codec defines the
 //! protocol and one serve loop ([`super::runtime`]) speaks it regardless
-//! of what carries the bytes.
-//!
-//! # Frame layout
-//!
-//! ```text
-//! ┌──────┬─────┬──────────┬───────────────┬───────────┐
-//! │ "SL" │ tag │ len: u32 │ payload (len) │ crc32: u32│
-//! │ 2 B  │ 1 B │ LE       │               │ LE        │
-//! └──────┴─────┴──────────┴───────────────┴───────────┘
-//! ```
-//!
-//! The CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) covers `tag`,
-//! `len`, and the payload, so a flipped bit anywhere after the magic is
-//! detected. `len` is capped at [`MAX_FRAME_LEN`]; a larger prefix is
-//! rejected *before* any allocation, and payload bytes are read in
-//! bounded chunks so even an in-cap lying prefix on a truncated stream
-//! never balloons memory. Every malformed input maps to a typed
-//! [`WireError`] — the codec never panics.
+//! of what carries the bytes. Each message is one
+//! [`snaple_graph::codec`] frame: the codec owns the framing, the
+//! checksum, the payload primitives and the delta encoding, and maps
+//! every malformed input to a typed [`WireError`]. This module holds
+//! only the message layouts.
 //!
 //! # Messages
 //!
@@ -31,30 +19,19 @@
 //! (`to_bits`/`from_bits`), so a row that crosses the wire is
 //! bit-identical to one that never left the process.
 
-use std::error::Error as StdError;
-use std::fmt;
-use std::io::{Read, Write};
-
 use snaple_gas::{ClusterSpec, DeltaStats, NodeStats, RunStats, StepStats};
+use snaple_graph::codec::{
+    decode_delta, encode_delta, encode_frame, get_bytes, get_count, get_f32, get_f64, get_opt_u64,
+    get_str, get_u32, get_u64, get_u8, put_bytes, put_f32, put_f64, put_opt_u64, put_str, put_u32,
+    put_u64, put_u8,
+};
+pub use snaple_graph::codec::{read_frame, WireError};
+use snaple_graph::GraphDelta;
 
 use crate::config::{NamedScore, PathLength, SelectionPolicy, SnapleConfig};
 use crate::plan::PlanConfig;
 use crate::serve::{LatencyHistogram, ServerStats};
 use snaple_gas::PartitionStrategy;
-
-/// The two magic bytes opening every frame.
-pub const MAGIC: [u8; 2] = *b"SL";
-
-/// Upper bound on a frame's payload length (1 GiB). A length prefix
-/// beyond this is rejected as [`WireError::FrameTooLarge`] before any
-/// allocation happens — the cap is what makes a corrupt or hostile
-/// length prefix harmless.
-pub const MAX_FRAME_LEN: u32 = 1 << 30;
-
-/// Payloads are read in chunks of this size, so a lying in-cap length
-/// prefix on a short stream errors out after at most one chunk of
-/// over-allocation instead of reserving the full advertised length.
-const READ_CHUNK: usize = 64 * 1024;
 
 // Request tags (router → shard).
 const TAG_PREPARE: u8 = 1;
@@ -67,284 +44,6 @@ const TAG_DELTA_OK: u8 = 17;
 const TAG_ERR: u8 = 18;
 const TAG_READY: u8 = 19;
 const TAG_STATS_OK: u8 = 20;
-
-/// Everything that can go wrong on the wire. Every variant is a typed,
-/// non-panicking error; transport-level variants ([`WireError::Io`],
-/// [`WireError::Closed`], [`WireError::Truncated`],
-/// [`WireError::BadChecksum`]) mean the connection is unusable, while
-/// [`WireError::UnknownTag`] and [`WireError::Malformed`] indicate a
-/// protocol bug or version skew.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The peer closed the connection cleanly (EOF on a frame boundary).
-    Closed,
-    /// The stream ended in the middle of a frame.
-    Truncated,
-    /// The frame did not start with [`MAGIC`].
-    BadMagic([u8; 2]),
-    /// The checksum did not match — the frame was corrupted in transit.
-    BadChecksum {
-        /// CRC-32 carried by the frame.
-        expected: u32,
-        /// CRC-32 computed over the received bytes.
-        computed: u32,
-    },
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
-    FrameTooLarge {
-        /// The advertised payload length.
-        len: u64,
-    },
-    /// The frame tag is not part of the protocol.
-    UnknownTag(u8),
-    /// The payload did not decode as the message its tag promises.
-    Malformed(&'static str),
-    /// An underlying I/O error (broken pipe, dead child process, ...).
-    Io(String),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Closed => write!(f, "connection closed"),
-            WireError::Truncated => write!(f, "stream truncated mid-frame"),
-            WireError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
-            WireError::BadChecksum { expected, computed } => write!(
-                f,
-                "frame checksum mismatch: frame says {expected:#010x}, computed {computed:#010x}"
-            ),
-            WireError::FrameTooLarge { len } => {
-                write!(f, "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap")
-            }
-            WireError::UnknownTag(t) => write!(f, "unknown frame tag {t}"),
-            WireError::Malformed(what) => write!(f, "malformed payload: {what}"),
-            WireError::Io(msg) => write!(f, "wire i/o error: {msg}"),
-        }
-    }
-}
-
-impl StdError for WireError {}
-
-impl From<std::io::Error> for WireError {
-    fn from(e: std::io::Error) -> Self {
-        match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => WireError::Truncated,
-            _ => WireError::Io(e.to_string()),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE) — the shared implementation in `snaple_graph::codec`,
-// re-exported so wire users keep one import path.
-// ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3 / zlib) of `data`, resumable via `seed` (pass the
-/// previous return value to continue over a split buffer; start at 0).
-///
-/// This is [`snaple_graph::codec::crc32`] — the same checksum guards the
-/// shard frames and the durability commitlog frames.
-pub use snaple_graph::codec::crc32;
-
-// ---------------------------------------------------------------------------
-// Framing.
-// ---------------------------------------------------------------------------
-
-/// Encodes one complete frame into a byte vector: magic, tag, length,
-/// payload, checksum.
-///
-/// # Errors
-///
-/// [`WireError::FrameTooLarge`] if the payload exceeds [`MAX_FRAME_LEN`].
-pub fn encode_frame(tag: u8, payload: &[u8]) -> Result<Vec<u8>, WireError> {
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(WireError::FrameTooLarge {
-            len: payload.len() as u64,
-        });
-    }
-    let len = payload.len() as u32;
-    let mut frame = Vec::with_capacity(2 + 1 + 4 + payload.len() + 4);
-    frame.extend_from_slice(&MAGIC);
-    frame.push(tag);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(payload);
-    let crc = crc32(0, &frame[2..]); // snaple-lint: allow(index) — frame starts with the 2-byte magic pushed above
-    frame.extend_from_slice(&crc.to_le_bytes());
-    Ok(frame)
-}
-
-/// Writes one frame and flushes, as a single `write_all` so interleaving
-/// writers on the same pipe cannot shear a frame.
-pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<(), WireError> {
-    let frame = encode_frame(tag, payload)?;
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads one frame, returning its tag and filling `payload` (cleared
-/// first) with the verified payload bytes.
-///
-/// # Errors
-///
-/// [`WireError::Closed`] on clean EOF before any frame byte;
-/// [`WireError::Truncated`] on EOF inside a frame; [`WireError::BadMagic`],
-/// [`WireError::FrameTooLarge`], [`WireError::BadChecksum`] on the
-/// corresponding corruptions; [`WireError::Io`] for transport failures.
-pub fn read_frame<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<u8, WireError> {
-    payload.clear();
-    // Magic: distinguish clean EOF (no bytes at all) from truncation.
-    let mut magic = [0u8; 2];
-    let mut got = 0;
-    while got < 2 {
-        // snaple-lint: allow(index) — loop guard keeps got < 2 = magic.len()
-        match r.read(&mut magic[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    WireError::Closed
-                } else {
-                    WireError::Truncated
-                });
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let mut head = [0u8; 5];
-    r.read_exact(&mut head)?;
-    let [tag, l0, l1, l2, l3] = head;
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLarge { len: len as u64 });
-    }
-    // Chunked payload read: never reserve more than one chunk beyond the
-    // bytes actually received, so a lying length prefix cannot force a
-    // huge allocation on a short stream.
-    let mut remaining = len as usize;
-    let mut chunk = [0u8; READ_CHUNK];
-    while remaining > 0 {
-        let take = remaining.min(READ_CHUNK);
-        // snaple-lint: allow(index) — take = min(remaining, READ_CHUNK) never exceeds chunk.len()
-        r.read_exact(&mut chunk[..take])?;
-        // snaple-lint: allow(index) — same bound as the read_exact above
-        payload.extend_from_slice(&chunk[..take]);
-        remaining -= take;
-    }
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let expected = u32::from_le_bytes(crc_bytes);
-    let computed = crc32(crc32(0, &head), payload);
-    if expected != computed {
-        return Err(WireError::BadChecksum { expected, computed });
-    }
-    Ok(tag)
-}
-
-// ---------------------------------------------------------------------------
-// Primitive payload (de)serialization.
-// ---------------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    put_u32(out, v.to_bits());
-}
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_u8(out, 0),
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
-    }
-}
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u64(out, b.len() as u64);
-    out.extend_from_slice(b);
-}
-
-fn short(what: &'static str) -> WireError {
-    WireError::Malformed(what)
-}
-
-fn get_u8(input: &mut &[u8], what: &'static str) -> Result<u8, WireError> {
-    let (&b, rest) = input.split_first().ok_or(short(what))?;
-    *input = rest;
-    Ok(b)
-}
-fn get_u32(input: &mut &[u8], what: &'static str) -> Result<u32, WireError> {
-    let (head, rest) = input.split_first_chunk::<4>().ok_or(short(what))?;
-    *input = rest;
-    Ok(u32::from_le_bytes(*head))
-}
-fn get_u64(input: &mut &[u8], what: &'static str) -> Result<u64, WireError> {
-    let (head, rest) = input.split_first_chunk::<8>().ok_or(short(what))?;
-    *input = rest;
-    Ok(u64::from_le_bytes(*head))
-}
-fn get_f32(input: &mut &[u8], what: &'static str) -> Result<f32, WireError> {
-    Ok(f32::from_bits(get_u32(input, what)?))
-}
-fn get_f64(input: &mut &[u8], what: &'static str) -> Result<f64, WireError> {
-    Ok(f64::from_bits(get_u64(input, what)?))
-}
-fn get_str(input: &mut &[u8], what: &'static str) -> Result<String, WireError> {
-    let len = get_u32(input, what)? as usize;
-    if input.len() < len {
-        return Err(short(what));
-    }
-    let (s, rest) = input.split_at(len);
-    *input = rest;
-    String::from_utf8(s.to_vec()).map_err(|_| short(what))
-}
-fn get_opt_u64(input: &mut &[u8], what: &'static str) -> Result<Option<u64>, WireError> {
-    match get_u8(input, what)? {
-        0 => Ok(None),
-        1 => Ok(Some(get_u64(input, what)?)),
-        _ => Err(short(what)),
-    }
-}
-fn get_bytes(input: &mut &[u8], what: &'static str) -> Result<Vec<u8>, WireError> {
-    let len = get_u64(input, what)? as usize;
-    if input.len() < len {
-        return Err(short(what));
-    }
-    let (b, rest) = input.split_at(len);
-    *input = rest;
-    Ok(b.to_vec())
-}
-
-/// Reads a element count and guards it against the remaining payload
-/// size: each element needs at least `min_elem_bytes`, so a lying count
-/// cannot drive an over-allocation — the check rejects it up front.
-fn get_count(
-    input: &mut &[u8],
-    min_elem_bytes: usize,
-    what: &'static str,
-) -> Result<usize, WireError> {
-    let n = get_u32(input, what)? as usize;
-    if n.saturating_mul(min_elem_bytes) > input.len() {
-        return Err(short(what));
-    }
-    Ok(n)
-}
 
 // ---------------------------------------------------------------------------
 // Predictor specification.
@@ -401,7 +100,7 @@ fn get_selection(input: &mut &[u8]) -> Result<SelectionPolicy, WireError> {
         0 => SelectionPolicy::Max,
         1 => SelectionPolicy::Min,
         2 => SelectionPolicy::Random,
-        _ => return Err(short("selection policy")),
+        _ => return Err(WireError::Malformed("selection policy")),
     })
 }
 fn put_partition(out: &mut Vec<u8>, p: PartitionStrategy) {
@@ -419,7 +118,7 @@ fn get_partition(input: &mut &[u8]) -> Result<PartitionStrategy, WireError> {
         0 => PartitionStrategy::RandomVertexCut,
         1 => PartitionStrategy::SourceHash1D,
         2 => PartitionStrategy::GreedyVertexCut,
-        _ => return Err(short("partition strategy")),
+        _ => return Err(WireError::Malformed("partition strategy")),
     })
 }
 fn put_path_length(out: &mut Vec<u8>, p: PathLength) {
@@ -429,7 +128,7 @@ fn get_path_length(input: &mut &[u8]) -> Result<PathLength, WireError> {
     Ok(match get_u8(input, "path length")? {
         2 => PathLength::Two,
         3 => PathLength::Three,
-        _ => return Err(short("path length")),
+        _ => return Err(WireError::Malformed("path length")),
     })
 }
 
@@ -468,7 +167,7 @@ fn get_spec(input: &mut &[u8]) -> Result<ShardSpec, WireError> {
     match get_u8(input, "spec kind")? {
         0 => {
             let name = get_str(input, "score name")?;
-            let score = NamedScore::parse(&name).ok_or(short("score name"))?;
+            let score = NamedScore::parse(&name).ok_or(WireError::Malformed("score name"))?;
             let k = get_u64(input, "spec k")? as usize;
             let klocal = get_opt_u64(input, "spec klocal")?.map(|v| v as usize);
             let thr_gamma = get_opt_u64(input, "spec thr_gamma")?.map(|v| v as usize);
@@ -504,7 +203,7 @@ fn get_spec(input: &mut &[u8]) -> Result<ShardSpec, WireError> {
             config.path_length = get_path_length(input)?;
             Ok(ShardSpec::Plan { specs, config })
         }
-        _ => Err(short("spec kind")),
+        _ => Err(WireError::Malformed("spec kind")),
     }
 }
 
@@ -688,9 +387,8 @@ pub enum Request {
     Delta {
         /// Correlates the reply with the submission.
         request_id: u64,
-        /// The delta's operations in application order:
-        /// `(u, v, weight, is_insert)`.
-        ops: Vec<(u32, u32, f32, bool)>,
+        /// The delta, in the codec's shared delta encoding on the wire.
+        delta: GraphDelta,
     },
     /// Stop serving; the shard answers with [`Reply::Stats`] and exits.
     Shutdown,
@@ -702,7 +400,7 @@ impl Request {
     /// # Errors
     ///
     /// [`WireError::FrameTooLarge`] if the encoded payload (practically:
-    /// the graph blob) exceeds [`MAX_FRAME_LEN`].
+    /// the graph blob) exceeds [`snaple_graph::codec::MAX_FRAME_LEN`].
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut payload = Vec::new();
         let tag = match self {
@@ -731,11 +429,9 @@ impl Request {
                 }
                 TAG_PREDICT
             }
-            Request::Delta { request_id, ops } => {
+            Request::Delta { request_id, delta } => {
                 put_u64(&mut payload, *request_id);
-                // The shared delta codec: identical bytes to the
-                // durability commitlog's frames.
-                snaple_graph::codec::encode_ops(&mut payload, ops);
+                encode_delta(&mut payload, delta);
                 TAG_DELTA
             }
             Request::Shutdown => TAG_SHUTDOWN,
@@ -788,17 +484,15 @@ impl Request {
                     queries,
                 }
             }
-            TAG_DELTA => {
-                let request_id = get_u64(input, "delta id")?;
-                let ops = snaple_graph::codec::decode_ops(input)
-                    .map_err(|e| WireError::Malformed(e.what()))?;
-                Request::Delta { request_id, ops }
-            }
+            TAG_DELTA => Request::Delta {
+                request_id: get_u64(input, "delta id")?,
+                delta: decode_delta(input)?,
+            },
             TAG_SHUTDOWN => Request::Shutdown,
             other => return Err(WireError::UnknownTag(other)),
         };
         if !input.is_empty() {
-            return Err(short("trailing request bytes"));
+            return Err(WireError::Malformed("trailing request bytes"));
         }
         Ok(req)
     }
@@ -858,7 +552,7 @@ impl Reply {
     /// # Errors
     ///
     /// [`WireError::FrameTooLarge`] if the encoded rows exceed
-    /// [`MAX_FRAME_LEN`].
+    /// [`snaple_graph::codec::MAX_FRAME_LEN`].
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut payload = Vec::new();
         let tag = match self {
@@ -964,7 +658,7 @@ impl Reply {
             other => return Err(WireError::UnknownTag(other)),
         };
         if !input.is_empty() {
-            return Err(short("trailing reply bytes"));
+            return Err(WireError::Malformed("trailing reply bytes"));
         }
         Ok(reply)
     }
@@ -986,114 +680,6 @@ mod tests {
         let mut payload = Vec::new();
         let tag = read_frame(&mut frame.as_slice(), &mut payload).unwrap();
         Reply::decode(tag, &payload).unwrap()
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The canonical zlib check value.
-        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(0, b""), 0);
-        // Resumable: split computation equals whole-buffer computation.
-        let split = crc32(crc32(0, b"1234"), b"56789");
-        assert_eq!(split, 0xCBF4_3926);
-    }
-
-    #[test]
-    fn frames_round_trip() {
-        for (tag, payload) in [(1u8, &b""[..]), (7, b"x"), (42, b"hello, shard")] {
-            let frame = encode_frame(tag, payload).unwrap();
-            let mut out = Vec::new();
-            let got = read_frame(&mut frame.as_slice(), &mut out).unwrap();
-            assert_eq!(got, tag);
-            assert_eq!(out, payload);
-        }
-    }
-
-    #[test]
-    fn clean_eof_is_closed_and_partial_frames_are_truncated() {
-        let mut buf = Vec::new();
-        let empty: &[u8] = &[];
-        assert_eq!(read_frame(&mut { empty }, &mut buf), Err(WireError::Closed));
-        let frame = encode_frame(3, b"payload").unwrap();
-        // Every strict prefix of a valid frame is either Truncated (cut
-        // mid-frame) — never a panic, never a bogus success.
-        for cut in 1..frame.len() {
-            let err = read_frame(&mut &frame[..cut], &mut buf).unwrap_err();
-            assert_eq!(err, WireError::Truncated, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut frame = encode_frame(3, b"payload").unwrap();
-        frame[0] = b'X';
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_frame(&mut frame.as_slice(), &mut buf),
-            Err(WireError::BadMagic([b'X', b'L']))
-        ));
-    }
-
-    #[test]
-    fn corrupt_bytes_fail_the_checksum() {
-        let frame = encode_frame(3, b"some payload bytes").unwrap();
-        // Flip one bit in every checksummed position (tag, length,
-        // payload): all must be caught.
-        for pos in 2..frame.len() - 4 {
-            let mut bad = frame.clone();
-            bad[pos] ^= 0x01;
-            let mut buf = Vec::new();
-            let err = read_frame(&mut bad.as_slice(), &mut buf).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    WireError::BadChecksum { .. }
-                        | WireError::FrameTooLarge { .. }
-                        | WireError::Truncated
-                ),
-                "pos {pos}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_without_allocation() {
-        // A hand-built header advertising a 4 GiB payload: rejected on
-        // the spot.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC);
-        frame.push(2);
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame(&mut frame.as_slice(), &mut buf),
-            Err(WireError::FrameTooLarge {
-                len: u32::MAX as u64
-            })
-        );
-        assert_eq!(buf.capacity(), 0, "no allocation for a rejected frame");
-    }
-
-    #[test]
-    fn in_cap_lying_length_prefix_stays_bounded() {
-        // The header promises 512 MiB but the stream holds 10 bytes: the
-        // chunked reader must fail with Truncated after at most one
-        // chunk's worth of buffering.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&MAGIC);
-        frame.push(2);
-        frame.extend_from_slice(&(512u32 << 20).to_le_bytes());
-        frame.extend_from_slice(&[0u8; 10]);
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame(&mut frame.as_slice(), &mut buf),
-            Err(WireError::Truncated)
-        );
-        assert!(
-            buf.capacity() <= 4 * READ_CHUNK,
-            "buffered {} bytes for a truncated stream",
-            buf.capacity()
-        );
     }
 
     #[test]
@@ -1130,14 +716,22 @@ mod tests {
             }
             other => panic!("wrong decode: {other:?}"),
         }
+        let mut delta = GraphDelta::new();
+        delta.insert_weighted(1, 2, 1.5).remove(3, 4);
         let req = Request::Delta {
             request_id: 78,
-            ops: vec![(1, 2, 1.5, true), (3, 4, 1.0, false)],
+            delta: delta.clone(),
         };
         match round_trip_request(&req) {
-            Request::Delta { request_id, ops } => {
+            Request::Delta {
+                request_id,
+                delta: got,
+            } => {
                 assert_eq!(request_id, 78);
-                assert_eq!(ops, vec![(1, 2, 1.5, true), (3, 4, 1.0, false)]);
+                assert_eq!(
+                    got.ops().collect::<Vec<_>>(),
+                    delta.ops().collect::<Vec<_>>()
+                );
             }
             other => panic!("wrong decode: {other:?}"),
         }
@@ -1153,9 +747,11 @@ mod tests {
         // delta-codec refactor: a `Request::Delta` frame must serialize
         // to exactly these bytes, forever. Any codec change that shifts
         // them is a protocol break.
+        let mut delta = GraphDelta::new();
+        delta.insert_weighted(1, 2, 1.5).remove(3, 4);
         let req = Request::Delta {
             request_id: 0x0102_0304_0506_0708,
-            ops: vec![(1, 2, 1.5, true), (3, 4, 0.0, false)],
+            delta,
         };
         let frame = req.encode().unwrap();
         #[rustfmt::skip]

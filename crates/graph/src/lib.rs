@@ -20,7 +20,8 @@
 //!   ([`GraphDelta`]) with an overlay adjacency that composes with the
 //!   immutable CSR, folded back into CSR form by [`CsrGraph::compact`].
 //! * [`io`] — text edge-list (SNAP style) and a compact binary codec.
-//! * [`codec`] — the shared [`GraphDelta`] wire encoding (+ CRC-32),
+//! * [`codec`] — the one framed-record codec (`"SL"` frame reader and
+//!   writer, payload primitives, the [`GraphDelta`] encoding, CRC-32),
 //!   spoken identically by the shard protocol and the durability
 //!   commitlog in the upper layers.
 //! * [`stats`] — degree histograms/CDFs, clustering, reciprocity; used to

@@ -9,12 +9,11 @@
 //! stats. `snaple-store` gives a serving process a `--data-dir`:
 //!
 //! * [`log`] — an append-only **commitlog**. Every applied delta is one
-//!   fsync'd, length-prefixed, CRC-32-checksummed frame (the same
-//!   framing style and the same shared
-//!   [`snaple_graph::codec`] delta encoding as the shard wire
-//!   protocol). A torn or truncated tail — the signature of a crash
-//!   mid-write — is detected on open and cleanly truncated away, never
-//!   panicking.
+//!   fsync'd, length-prefixed, CRC-32-checksummed
+//!   [`snaple_graph::codec`] frame (the same frame reader, writer and
+//!   delta encoding as the shard wire protocol). A torn or truncated
+//!   tail — the signature of a crash mid-write — is detected on open and
+//!   cleanly truncated away, never panicking.
 //! * [`snapshot`] — versioned, checksummed binary checkpoints of the
 //!   compacted graph plus the serve config, written after every K
 //!   logged deltas and published atomically (tmp + rename). The last N
@@ -71,6 +70,7 @@
 
 use std::error::Error as StdError;
 use std::fmt;
+use std::path::Path;
 
 pub mod log;
 pub mod recover;
@@ -111,4 +111,22 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e.to_string())
     }
+}
+
+/// Renames `tmp` over `path`, then fsyncs the parent directory so the
+/// rename itself survives a crash: without the directory sync the old
+/// inode can come back, taking everything written to the new one with
+/// it.
+fn rename_durably(tmp: &Path, path: &Path) -> Result<(), StoreError> {
+    std::fs::rename(tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    // A platform that cannot open a directory has no directory fsync to
+    // issue; a failed fsync is an error like any other.
+    if let Ok(dir) = std::fs::File::open(dir) {
+        dir.sync_all()?;
+    }
+    Ok(())
 }

@@ -1,21 +1,13 @@
 //! The append-only delta commitlog.
 //!
-//! One frame per applied [`GraphDelta`], in the shard wire protocol's
-//! framing style and with the shared [`snaple_graph::codec`] delta
-//! encoding, so a logged delta is byte-identical to one sent to a
-//! shard:
-//!
-//! ```text
-//! ┌──────┬─────┬──────────┬──────────┬────────────────┬───────────┐
-//! │ "SL" │ 'd' │ len: u32 │ seq: u64 │ delta ops      │ crc32: u32│
-//! │ 2 B  │ 1 B │ LE       │ LE       │ (shared codec) │ LE        │
-//! └──────┴─────┴──────────┴──────────┴────────────────┴───────────┘
-//! ```
-//!
-//! The CRC-32 covers tag, length, and payload. `seq` is the frame's
-//! monotonically increasing sequence number; snapshots record the first
-//! seq they do *not* cover, so recovery replays exactly the frames a
-//! snapshot misses.
+//! One [`snaple_graph::codec`] frame per applied [`GraphDelta`], tag
+//! [`TAG_DELTA_FRAME`], payload `seq: u64` followed by the shared delta
+//! encoding, so a logged delta is byte-identical to one sent to a shard.
+//! The codec owns the magic, the length cap and the CRC; the log checks
+//! only what is its own: the tag, a payload with no trailing bytes, and
+//! monotone seq numbers. `seq` is the frame's sequence number;
+//! snapshots record the first seq they do *not* cover, so recovery
+//! replays exactly the frames a snapshot misses.
 //!
 //! # Crash safety
 //!
@@ -35,7 +27,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use snaple_graph::codec::{self, crc32};
+use snaple_graph::codec::{self, WireError};
 use snaple_graph::GraphDelta;
 
 use crate::StoreError;
@@ -43,18 +35,10 @@ use crate::StoreError;
 /// The commitlog's file name inside a data dir.
 pub const LOG_FILE: &str = "commitlog.bin";
 
-/// The two magic bytes opening every frame (shared with the shard wire
-/// protocol).
-pub const MAGIC: [u8; 2] = *b"SL";
-
 /// The delta frame tag. Outside the shard protocol's request/reply tag
 /// ranges so a log frame misrouted onto the wire (or vice versa) is an
 /// immediate `UnknownTag`, not a confused decode.
 pub const TAG_DELTA_FRAME: u8 = b'd';
-
-/// Upper bound on a frame's payload length (1 GiB), rejected before any
-/// allocation — a corrupted length prefix is harmless.
-pub const MAX_FRAME_LEN: u32 = 1 << 30;
 
 /// Under [`FsyncPolicy::Batch`], fsync after this many appends.
 pub const BATCH_SYNC_EVERY: usize = 32;
@@ -118,113 +102,58 @@ pub struct Commitlog {
     fsyncs: u64,
 }
 
-/// One parsed frame boundary: `(offset, total_len, seq, delta)`.
-type ParsedFrame = (u64, u64, u64, GraphDelta);
+/// The good prefix of a log image: each frame's `(offset, seq, delta)`
+/// in file order, where that prefix ends, and the typed error that
+/// stopped the scan before the end of the bytes, if one did.
+struct Scan {
+    frames: Vec<(u64, u64, GraphDelta)>,
+    good_len: u64,
+    error: Option<StoreError>,
+}
 
-/// Scans `bytes` frame by frame. Returns the good frames and, when the
-/// scan stopped before the end, the typed error that stopped it. The
-/// good prefix ends at the last returned frame's `offset + total_len`.
-fn scan_frames(bytes: &[u8]) -> (Vec<ParsedFrame>, Option<StoreError>) {
-    let mut frames = Vec::new();
-    let mut offset = 0usize;
-    let mut expected_seq: Option<u64> = None;
+/// Reads one log frame off the front of `input`: a codec frame tagged
+/// [`TAG_DELTA_FRAME`] whose payload is exactly `seq` and a delta.
+fn read_log_frame(
+    input: &mut &[u8],
+    payload: &mut Vec<u8>,
+) -> Result<(u64, GraphDelta), WireError> {
+    let tag = codec::read_frame(input, payload)?;
+    if tag != TAG_DELTA_FRAME {
+        return Err(WireError::UnknownTag(tag));
+    }
+    let mut rest = payload.as_slice();
+    let seq = codec::get_u64(&mut rest, "frame seq")?;
+    let delta = codec::decode_delta(&mut rest)?;
+    if !rest.is_empty() {
+        return Err(WireError::Malformed("trailing frame payload bytes"));
+    }
+    Ok((seq, delta))
+}
+
+/// Scans `bytes` frame by frame until the end or the first invalid
+/// frame.
+fn scan_frames(bytes: &[u8]) -> Scan {
+    let mut rest = bytes;
+    let mut payload = Vec::new();
+    let mut frames: Vec<(u64, u64, GraphDelta)> = Vec::new();
     loop {
-        let rest = match bytes.get(offset..) {
-            Some(r) if !r.is_empty() => r,
-            _ => return (frames, None), // clean end on a frame boundary
-        };
-        // Header: magic (2) + tag (1) + len (4).
-        let Some(head) = rest.get(..7) else {
-            return (
-                frames,
-                Some(StoreError::Corrupt("truncated frame header".into())),
-            );
-        };
-        let Some((magic, tag_len)) = head.split_first_chunk::<2>() else {
-            return (
-                frames,
-                Some(StoreError::Corrupt("truncated frame header".into())),
-            );
-        };
-        if *magic != MAGIC {
-            return (frames, Some(StoreError::Corrupt("bad frame magic".into())));
-        }
-        let (Some(&tag), Some(len_bytes)) = (tag_len.first(), tag_len.get(1..5)) else {
-            return (
-                frames,
-                Some(StoreError::Corrupt("truncated frame header".into())),
-            );
-        };
-        if tag != TAG_DELTA_FRAME {
-            return (
-                frames,
-                Some(StoreError::Corrupt("unknown frame tag".into())),
-            );
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(len_bytes);
-        let len = u32::from_le_bytes(len4);
-        if len > MAX_FRAME_LEN {
-            return (
-                frames,
-                Some(StoreError::Corrupt("frame length exceeds cap".into())),
-            );
-        }
-        let total = 7usize.saturating_add(len as usize).saturating_add(4);
-        let Some(frame) = rest.get(..total) else {
-            return (frames, Some(StoreError::Corrupt("truncated frame".into())));
-        };
-        let (payload, crc_bytes) = (
-            frame.get(7..7 + len as usize),
-            frame.get(7 + len as usize..total),
-        );
-        let (Some(payload), Some(crc_bytes)) = (payload, crc_bytes) else {
-            return (frames, Some(StoreError::Corrupt("truncated frame".into())));
-        };
-        let mut crc4 = [0u8; 4];
-        crc4.copy_from_slice(crc_bytes);
-        let expected = u32::from_le_bytes(crc4);
-        let computed = match frame.get(2..7 + len as usize) {
-            Some(checksummed) => crc32(0, checksummed),
-            None => return (frames, Some(StoreError::Corrupt("truncated frame".into()))),
-        };
-        if expected != computed {
-            return (
-                frames,
-                Some(StoreError::Corrupt("frame checksum mismatch".into())),
-            );
-        }
-        // Payload: seq u64 + shared delta codec.
-        let (Some(seq8), Some(mut ops)) = (payload.get(..8), payload.get(8..)) else {
-            return (
-                frames,
-                Some(StoreError::Corrupt("frame payload too short".into())),
-            );
-        };
-        let mut seq_bytes = [0u8; 8];
-        seq_bytes.copy_from_slice(seq8);
-        let seq = u64::from_le_bytes(seq_bytes);
-        let delta = match codec::decode_delta(&mut ops) {
-            Ok(d) if ops.is_empty() => d,
-            Ok(_) => {
-                return (
-                    frames,
-                    Some(StoreError::Corrupt("trailing frame payload bytes".into())),
-                )
+        let good_len = (bytes.len() - rest.len()) as u64;
+        let error = match read_log_frame(&mut rest, &mut payload) {
+            Err(WireError::Closed) => None, // clean end on a frame boundary
+            Err(e) => Some(StoreError::Corrupt(format!("commitlog frame: {e}"))),
+            Ok((seq, _)) if frames.last().is_some_and(|f| seq != f.1.wrapping_add(1)) => Some(
+                StoreError::Corrupt("commitlog frame: non-monotonic seq".into()),
+            ),
+            Ok((seq, delta)) => {
+                frames.push((good_len, seq, delta));
+                continue;
             }
-            Err(e) => return (frames, Some(StoreError::Corrupt(e.to_string()))),
         };
-        if let Some(expected_seq) = expected_seq {
-            if seq != expected_seq {
-                return (
-                    frames,
-                    Some(StoreError::Corrupt("non-monotonic frame seq".into())),
-                );
-            }
-        }
-        expected_seq = Some(seq.wrapping_add(1));
-        frames.push((offset as u64, total as u64, seq, delta));
-        offset = offset.saturating_add(total);
+        return Scan {
+            frames,
+            good_len,
+            error,
+        };
     }
 }
 
@@ -244,9 +173,12 @@ impl Commitlog {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
-        let (parsed, tail_error) = scan_frames(&bytes);
-        let good_len: u64 = parsed.last().map_or(0, |&(off, total, _, _)| off + total);
-        let next_seq = parsed.last().map_or(0, |&(_, _, seq, _)| seq + 1);
+        let Scan {
+            frames,
+            good_len,
+            error,
+        } = scan_frames(&bytes);
+        let next_seq = frames.last().map_or(0, |&(_, seq, _)| seq + 1);
 
         let mut file = OpenOptions::new()
             .read(true)
@@ -254,7 +186,7 @@ impl Commitlog {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let tail = match tail_error {
+        let tail = match error {
             Some(error) => {
                 let dropped_bytes = (bytes.len() as u64).saturating_sub(good_len);
                 file.set_len(good_len)?;
@@ -268,9 +200,9 @@ impl Commitlog {
         };
         file.seek(SeekFrom::Start(good_len))?;
 
-        let frames = parsed
+        let frames = frames
             .into_iter()
-            .map(|(_, _, seq, delta)| (seq, delta))
+            .map(|(_, seq, delta)| (seq, delta))
             .collect();
         Ok(LogOpen {
             log: Commitlog {
@@ -299,21 +231,10 @@ impl Commitlog {
     pub fn append(&mut self, delta: &GraphDelta) -> Result<u64, StoreError> {
         let seq = self.next_seq;
         let mut payload = Vec::with_capacity(12 + delta.len() * codec::OP_BYTES);
-        payload.extend_from_slice(&seq.to_le_bytes());
+        codec::put_u64(&mut payload, seq);
         codec::encode_delta(&mut payload, delta);
-        if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-            return Err(StoreError::Corrupt("delta frame exceeds length cap".into()));
-        }
-        let mut frame = Vec::with_capacity(7 + payload.len() + 4);
-        frame.extend_from_slice(&MAGIC);
-        frame.push(TAG_DELTA_FRAME);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let crc = match frame.get(2..) {
-            Some(checksummed) => crc32(0, checksummed),
-            None => 0, // unreachable: frame always holds >= 7 bytes
-        };
-        frame.extend_from_slice(&crc.to_le_bytes());
+        let frame = codec::encode_frame(TAG_DELTA_FRAME, &payload)
+            .map_err(|e| StoreError::Corrupt(format!("commitlog append: {e}")))?;
 
         self.file.write_all(&frame)?;
         self.next_seq = seq + 1;
@@ -347,19 +268,22 @@ impl Commitlog {
 
     /// Drops every frame with `seq < keep_from` by rewriting the log
     /// (tmp + rename), called after snapshot retention pruning so the
-    /// log never outgrows what the oldest retained snapshot needs.
+    /// log never outgrows what the oldest retained snapshot needs. The
+    /// next appended frame is numbered at least `keep_from`, even when
+    /// no frame is left to number it from.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failures.
     pub fn trim_below(&mut self, keep_from: u64) -> Result<(), StoreError> {
+        self.next_seq = self.next_seq.max(keep_from);
         self.sync()?;
         let bytes = std::fs::read(&self.path)?;
-        let (parsed, _) = scan_frames(&bytes);
-        let keep_offset = parsed
+        let keep_offset = scan_frames(&bytes)
+            .frames
             .iter()
-            .find(|&&(_, _, seq, _)| seq >= keep_from)
-            .map_or(bytes.len() as u64, |&(off, _, _, _)| off);
+            .find(|&&(_, seq, _)| seq >= keep_from)
+            .map_or(bytes.len() as u64, |&(offset, _, _)| offset);
         if keep_offset == 0 {
             return Ok(()); // nothing to trim
         }
@@ -371,7 +295,7 @@ impl Commitlog {
             }
             out.sync_data()?;
         }
-        std::fs::rename(&tmp, &self.path)?;
+        crate::rename_durably(&tmp, &self.path)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         let len = file.seek(SeekFrom::End(0))?;
         self.file = file;
@@ -450,6 +374,54 @@ mod tests {
                 delta(i as u32).ops().collect::<Vec<_>>()
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn delta_frame_golden_bytes() {
+        // Pins the commitlog format byte for byte: existing data dirs must
+        // keep recovering, so an appended frame must serialize to exactly
+        // these bytes, and these bytes alone must reopen as a log.
+        let dir = tmp_dir("golden");
+        let path = dir.join(LOG_FILE);
+        let mut golden = GraphDelta::new();
+        golden.insert_weighted(1, 2, 1.5).remove(3, 4);
+        let mut log = Commitlog::open(&path, FsyncPolicy::Always)
+            .expect("open")
+            .log;
+        log.append(&delta(0)).expect("append seq 0");
+        let start = log.len_bytes() as usize;
+        assert_eq!(log.append(&golden).expect("append seq 1"), 1);
+        let bytes = std::fs::read(&path).expect("read log");
+        #[rustfmt::skip]
+        let expected: Vec<u8> = vec![
+            b'S', b'L',                                     // magic
+            b'd',                                           // TAG_DELTA_FRAME
+            38, 0, 0, 0,                                    // payload len
+            1, 0, 0, 0, 0, 0, 0, 0,                         // seq LE
+            2, 0, 0, 0,                                     // op count
+            1, 0, 0, 0,   2, 0, 0, 0,                       // u, v
+            0x00, 0x00, 0xC0, 0x3F,                         // 1.5f32.to_bits()
+            1,                                              // insert
+            3, 0, 0, 0,   4, 0, 0, 0,                       // u, v
+            0, 0, 0, 0,                                     // 0.0
+            0,                                              // remove
+            0x83, 0x53, 0x98, 0x88,                         // crc32 LE
+        ];
+        assert_eq!(&bytes[start..], expected.as_slice());
+
+        std::fs::write(&path, &expected).expect("write golden frame");
+        let reopened = Commitlog::open(&path, FsyncPolicy::Always).expect("reopen");
+        assert!(reopened.tail.is_none());
+        assert_eq!(reopened.log.next_seq(), 2);
+        let [(seq, d)] = reopened.frames.as_slice() else {
+            panic!("expected exactly one frame, got {}", reopened.frames.len());
+        };
+        assert_eq!(*seq, 1);
+        assert_eq!(
+            d.ops().collect::<Vec<_>>(),
+            golden.ops().collect::<Vec<_>>()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

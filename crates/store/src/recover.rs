@@ -217,8 +217,11 @@ impl Durability {
         std::fs::create_dir_all(dir)?;
         let snapshots = SnapshotStore::new(dir, opts.retain);
         let (loaded, skipped) = snapshots.load_latest()?;
-        let LogOpen { log, frames, tail } =
-            Commitlog::open(&dir.join(crate::log::LOG_FILE), opts.fsync)?;
+        let LogOpen {
+            mut log,
+            frames,
+            tail,
+        } = Commitlog::open(&dir.join(crate::log::LOG_FILE), opts.fsync)?;
 
         let (tail_truncated_bytes, tail_error) = match tail {
             Some(TornTail {
@@ -237,6 +240,12 @@ impl Durability {
             // replay the whole log.
             None => (base.clone(), 0, None, Vec::new()),
         };
+        // Every logged frame is older than the snapshot (the log was
+        // trimmed empty, or a torn tail took the newer frames): new frames
+        // must number past the snapshot, or the next recovery skips them.
+        if log.next_seq() < covers_seq {
+            log.trim_below(covers_seq)?;
+        }
 
         let replay: Vec<GraphDelta> = frames
             .into_iter()
@@ -423,6 +432,42 @@ mod tests {
         assert_eq!(graph_bytes(&rec.graph), graph_bytes(&base));
         assert_eq!(rec.config, b"cfg");
         assert!(rec.replay.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_after_an_emptied_log_resume_past_the_snapshot() {
+        // With one retained snapshot a checkpoint trims the whole log, so
+        // a reopened log has no frame to take its next seq from. New
+        // frames must still number past the snapshot, or the next
+        // recovery skips them as already covered.
+        let dir = tmp_dir("resume-seq");
+        let base = base_graph();
+        let opts = DurabilityOptions::default().snapshot_every(2).retain(1);
+        let mut oracle = base.clone();
+        let mut next = 0;
+        // Two records reach the cadence and empty the log; one more is
+        // then the only frame; the last open checks both survived.
+        for (round, records) in [2, 1, 0].into_iter().enumerate() {
+            let (mut durable, recovered, _) =
+                Durability::open(&dir, &base, b"cfg", opts.clone()).expect("open");
+            if let Some(rec) = recovered {
+                let mut restored = rec.graph;
+                for d in &rec.replay {
+                    restored = restored.compact(d);
+                }
+                assert_eq!(
+                    graph_bytes(&restored),
+                    graph_bytes(&oracle),
+                    "round {round}"
+                );
+            }
+            for _ in 0..records {
+                durable.record(&delta(next)).expect("record");
+                oracle = oracle.compact(&delta(next));
+                next += 1;
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -193,11 +193,7 @@ impl SnapshotStore {
             file.write_all(&crc.to_le_bytes())?;
             file.sync_data()?;
         }
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename itself durable.
-        if let Ok(dir) = File::open(&self.dir) {
-            dir.sync_all().ok();
-        }
+        crate::rename_durably(&tmp, &path)?;
         Ok(path)
     }
 
