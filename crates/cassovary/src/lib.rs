@@ -329,6 +329,9 @@ impl PreparedPredictor for PreparedWalk<'_> {
             targets,
             req.seed().unwrap_or(self.ppr.config.seed),
         );
+        // A section that failed to load during the walks was read as
+        // empty lists, so the rows cannot be trusted.
+        self.graph.store().check_fault()?;
         prediction.stats.delta_apply_seconds = self.delta_apply_seconds;
         Ok(prediction)
     }
@@ -342,6 +345,7 @@ impl PreparedPredictor for PreparedWalk<'_> {
     ) -> Result<snaple_gas::DeltaStats, SnapleError> {
         let started = Instant::now();
         let overlay = delta.resolve(self.graph.store());
+        self.graph.store().check_fault()?;
         let grown_vertices = overlay.num_vertices() - self.graph.store().num_vertices();
         let stats = snaple_gas::DeltaStats {
             inserted_edges: overlay.num_inserted(),
@@ -351,14 +355,19 @@ impl PreparedPredictor for PreparedWalk<'_> {
             apply_wall_seconds: 0.0,
         };
         if !overlay.is_noop() {
-            // Consume an owned graph in place; materialize any other
-            // backend once, then fold the overlay in.
-            let placeholder = WalkGraph::Owned(CsrGraph::from_edges(0, &[]));
-            let mutated = match std::mem::replace(&mut self.graph, placeholder) {
-                WalkGraph::Owned(g) => g.compact_overlay_owned(&overlay),
+            // Consume an owned graph in place; materialize a file-backed
+            // one once (refusing it if a section fails to load), then fold
+            // the overlay in.
+            let mutated = match &mut self.graph {
+                WalkGraph::Owned(g) => std::mem::replace(g, CsrGraph::from_edges(0, &[]))
+                    .compact_overlay_owned(&overlay),
                 WalkGraph::Borrowed(g) => match g.as_csr() {
                     Some(csr) => csr.compact_overlay(&overlay),
-                    None => g.to_csr().compact_overlay_owned(&overlay),
+                    None => {
+                        let csr = g.to_csr();
+                        g.check_fault()?;
+                        csr.compact_overlay_owned(&overlay)
+                    }
                 },
             };
             self.storage_bytes = mutated.storage_bytes();
@@ -380,9 +389,11 @@ impl PreparedPredictor for PreparedWalk<'_> {
         &self,
         delta: &snaple_graph::GraphDelta,
     ) -> Result<(Box<dyn PreparedPredictor>, snaple_gas::DeltaStats), SnapleError> {
+        let graph = self.graph.store().to_csr();
+        self.graph.store().check_fault()?;
         let mut fork = PreparedWalk {
             ppr: self.ppr.clone(),
-            graph: WalkGraph::Owned(self.graph.store().to_csr()),
+            graph: WalkGraph::Owned(graph),
             cost: self.cost.clone(),
             storage_bytes: self.storage_bytes,
             all_vertices: self.all_vertices.clone(),

@@ -82,6 +82,14 @@ impl From<EngineError> for SnapleError {
     }
 }
 
+/// A graph backend's recorded load failure, as
+/// [`EngineError::GraphFault`].
+impl From<snaple_graph::GraphError> for SnapleError {
+    fn from(e: snaple_graph::GraphError) -> Self {
+        SnapleError::Engine(e.into())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

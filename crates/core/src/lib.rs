@@ -62,16 +62,20 @@
 //!
 //! # The GAS program
 //!
-//! [`Snaple`] runs the paper's Algorithm 2 as three GAS steps on a
-//! [`snaple_gas::Engine`]:
+//! The paper's Algorithm 2 is three GAS phases on a
+//! [`snaple_gas::Engine`]: collect each vertex's neighbor ids,
+//! probabilistically truncated to `thrΓ` entries; compute raw
+//! similarities along edges and keep each vertex's `klocal` most similar
+//! neighbors (`Γmax_klocal`, eq. 11 — or the min/random variants of
+//! §5.6); combine and aggregate path similarities over the sampled 2-hop
+//! paths and keep the top-`k` candidates.
 //!
-//! 1. [`steps::NeighborhoodStep`] — collect each vertex's neighbor ids,
-//!    probabilistically truncated to `thrΓ` entries;
-//! 2. [`steps::SimilarityStep`] — compute raw similarities along edges and
-//!    keep each vertex's `klocal` most similar neighbors
-//!    (`Γmax_klocal`, eq. 11 — or the min/random variants of §5.6);
-//! 3. [`steps::ScoreStep`] — combine and aggregate path similarities over
-//!    the sampled 2-hop paths and keep the top-`k` candidates.
+//! [`Snaple`] compiles its configuration into a one-column fused
+//! [`ScorePlan`] and runs the plan's steps. The [`steps`] module
+//! ([`steps::NeighborhoodStep`], [`steps::SimilarityStep`],
+//! [`steps::ScoreStep`]) is the unfused oracle the fused plan is tested
+//! against, driven by
+//! [`Snaple::execute_unfused_on`](Snaple::execute_unfused_on).
 //!
 //! # The prediction API
 //!

@@ -426,7 +426,9 @@ pub trait PreparedPredictor: Send + Sync {
     /// [`SnapleError::InvalidConfig`] for malformed requests (out-of-range
     /// queries, short attribute tables, attributes on a structural-only
     /// backend); [`SnapleError::Engine`] when the simulated cluster cannot
-    /// execute the run.
+    /// execute the run, or with
+    /// [`EngineError::GraphFault`](snaple_gas::EngineError::GraphFault)
+    /// when a section of a file-backed graph failed to load.
     fn execute(&self, req: &ExecuteRequest<'_>) -> Result<Prediction, SnapleError>;
 
     /// Ingests a batch of edge insertions/removals *without* rebuilding
@@ -444,7 +446,9 @@ pub trait PreparedPredictor: Send + Sync {
     /// # Errors
     ///
     /// Propagates [`SnapleError::Engine`] from the underlying deployment
-    /// refresh.
+    /// refresh, including
+    /// [`EngineError::GraphFault`](snaple_gas::EngineError::GraphFault)
+    /// when a section of a file-backed graph failed to load.
     fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError>;
 
     /// Builds the post-delta snapshot **off to the side**: a fully owned
@@ -509,7 +513,9 @@ impl<'a, P: ScoringProgram> Prepared<'a, P> {
     ///
     /// # Errors
     ///
-    /// [`SnapleError::Engine`] for unusable cluster shapes.
+    /// [`SnapleError::Engine`] for unusable cluster shapes, or with
+    /// [`EngineError::GraphFault`](snaple_gas::EngineError::GraphFault)
+    /// when a section the partition build read failed to load.
     pub fn new(
         program: P,
         req: &PrepareRequest<'a>,
@@ -553,7 +559,11 @@ impl<'a, P: ScoringProgram> Prepared<'a, P> {
 
 impl<P: ScoringProgram> PreparedPredictor for Prepared<'_, P> {
     fn execute(&self, req: &ExecuteRequest<'_>) -> Result<Prediction, SnapleError> {
-        self.program.execute_on(&self.deployment, req)
+        let prediction = self.program.execute_on(&self.deployment, req)?;
+        // A section that failed to load during the run was read as empty
+        // lists, so the rows cannot be trusted.
+        self.deployment.graph().check_fault()?;
+        Ok(prediction)
     }
 
     fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {

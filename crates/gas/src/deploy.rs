@@ -88,11 +88,10 @@ pub struct DeltaStats {
     pub apply_wall_seconds: f64,
 }
 
-/// The graph a deployment partitions, in whichever ownership shape the
-/// caller handed it over: borrowed from the caller (the historical
-/// `Cow::Borrowed` path), owned after the first applied delta, or shared
-/// with other deployments behind an `Arc` (how file-backed and compressed
-/// [`GraphStore`] backends are served without copying them per engine).
+/// The graph a deployment partitions: borrowed from the caller until the
+/// first applied delta, owned afterwards, or — in a
+/// [`detach`](Deployment::detach)ed fork of a borrowed file-backed graph —
+/// shared behind an `Arc`, so a fork does not copy that graph into RAM.
 #[derive(Clone, Debug)]
 enum DepGraph<'g> {
     Borrowed(&'g dyn GraphStore),
@@ -113,12 +112,12 @@ impl DepGraph<'_> {
 /// The immutable-between-updates heavy state of a GAS run: graph, cluster,
 /// vertex-cut partition and cost model.
 ///
-/// The graph can be any [`GraphStore`] backend — an in-memory
-/// [`CsrGraph`], a file-backed `snaple_graph::v2::FileCsr`, or a
-/// compressed `snaple_graph::compress::CompressedGraph` — and partitioning,
-/// supersteps and delta applies behave identically over all of them
-/// (applying a delta folds any backend into an owned in-memory CSR, since
-/// the mutated graph no longer matches the on-disk bytes).
+/// The graph can be either [`GraphStore`] backend — an in-memory
+/// [`CsrGraph`] or a file-backed `snaple_graph::v2::FileCsr` — and
+/// partitioning, supersteps and delta applies behave identically over
+/// both (applying a delta folds the file-backed graph into an owned
+/// in-memory CSR, since the mutated graph no longer matches the on-disk
+/// bytes).
 ///
 /// See the [module docs](self) for why this exists, how it is shared, and
 /// how [`Deployment::apply_delta`] refreshes it in place.
@@ -148,48 +147,25 @@ impl<'g> Deployment<'g> {
     /// # Errors
     ///
     /// Returns [`EngineError::InvalidConfig`] for unusable cluster shapes
-    /// (zero nodes, more than [`crate::partition::MAX_NODES`] nodes).
+    /// (zero nodes, more than [`crate::partition::MAX_NODES`] nodes), and
+    /// [`EngineError::GraphFault`] when a section the partition build
+    /// read failed to load.
     pub fn new(
         graph: &'g dyn GraphStore,
         cluster: ClusterSpec,
         strategy: PartitionStrategy,
         seed: u64,
     ) -> Result<Self, EngineError> {
-        Deployment::assemble(DepGraph::Borrowed(graph), cluster, strategy, seed)
-    }
-
-    /// Like [`Deployment::new`] over a shared, owning graph handle — the
-    /// entry point for serving layers that open a [`GraphStore`] backend
-    /// themselves (e.g. `snaple_graph::io::open_store`) and need a
-    /// `'static` deployment.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::new`].
-    pub fn new_shared(
-        graph: Arc<dyn GraphStore>,
-        cluster: ClusterSpec,
-        strategy: PartitionStrategy,
-        seed: u64,
-    ) -> Result<Deployment<'static>, EngineError> {
-        Deployment::assemble(DepGraph::Shared(graph), cluster, strategy, seed)
-    }
-
-    fn assemble<'a>(
-        graph: DepGraph<'a>,
-        cluster: ClusterSpec,
-        strategy: PartitionStrategy,
-        seed: u64,
-    ) -> Result<Deployment<'a>, EngineError> {
         let started = Instant::now();
-        let part = PartitionedGraph::build(graph.store(), cluster.nodes, strategy, seed)?;
+        let part = PartitionedGraph::build(graph, cluster.nodes, strategy, seed)?;
+        graph.check_fault()?;
         let partition_build_seconds = started.elapsed().as_secs_f64();
         let cost = CostModel::for_cluster(&cluster);
         let node_static_bytes = (0..part.num_nodes())
             .map(|n| part.node_edges(NodeId::new(n as u16)).len() as u64 * 8)
             .collect();
         Ok(Deployment {
-            graph,
+            graph: DepGraph::Borrowed(graph),
             cluster,
             strategy,
             seed,
@@ -221,12 +197,12 @@ impl<'g> Deployment<'g> {
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice — the signature reserves the
-    /// error channel for future cluster-capacity validation, matching
-    /// [`Deployment::new`].
+    /// [`EngineError::GraphFault`] when a section of a file-backed graph
+    /// failed to load; the deployment is then left unchanged.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DeltaStats, EngineError> {
         let started = Instant::now();
         let overlay = delta.resolve(self.graph.store());
+        self.graph.store().check_fault()?;
         if overlay.is_noop() {
             let stats = DeltaStats {
                 apply_wall_seconds: started.elapsed().as_secs_f64(),
@@ -237,6 +213,29 @@ impl<'g> Deployment<'g> {
             return Ok(stats);
         }
         let grown_vertices = overlay.num_vertices() - self.graph.store().num_vertices();
+
+        // Fold the overlay in before the partition is touched, so a
+        // file-backed graph whose sections fail to load leaves the
+        // deployment unchanged. An owned CSR is compacted *consuming* (its
+        // arrays are reused in place, so the adjacency is not transiently
+        // doubled), an in-memory borrow uses the cloning merge, and a
+        // file-backed graph is materialized once and then consumed.
+        let new_graph = match &mut self.graph {
+            DepGraph::Owned(g) => {
+                std::mem::replace(g, CsrGraph::from_edges(0, &[])).compact_overlay_owned(&overlay)
+            }
+            other => {
+                let store = other.store();
+                match store.as_csr() {
+                    Some(csr) => csr.compact_overlay(&overlay),
+                    None => {
+                        let csr = store.to_csr();
+                        store.check_fault()?;
+                        csr.compact_overlay_owned(&overlay)
+                    }
+                }
+            }
+        };
         self.part.ensure_vertices(overlay.num_vertices(), self.seed);
 
         // Route the whole batch first, then splice each touched node's
@@ -281,22 +280,6 @@ impl<'g> Deployment<'g> {
             added_by_node[n].sort_unstable();
         }
 
-        // Fold the overlay in without transiently doubling the adjacency:
-        // an owned CSR is compacted *consuming* (its arrays are reused in
-        // place), an in-memory borrow uses the cloning merge, and any
-        // other backend is materialized once and then consumed.
-        let placeholder = DepGraph::Owned(CsrGraph::from_edges(0, &[]));
-        let new_graph = match std::mem::replace(&mut self.graph, placeholder) {
-            DepGraph::Owned(g) => g.compact_overlay_owned(&overlay),
-            DepGraph::Borrowed(g) => match g.as_csr() {
-                Some(csr) => csr.compact_overlay(&overlay),
-                None => g.to_csr().compact_overlay_owned(&overlay),
-            },
-            DepGraph::Shared(g) => match g.as_csr() {
-                Some(csr) => csr.compact_overlay(&overlay),
-                None => g.to_csr().compact_overlay_owned(&overlay),
-            },
-        };
         self.part.splice_nodes(&removed_by_node, &added_by_node);
         // Refresh the touched partitions' cached cost-model entries;
         // untouched entries are already exact.

@@ -29,6 +29,11 @@ pub enum EngineError {
     },
     /// The engine was configured inconsistently.
     InvalidConfig(String),
+    /// The graph backend recorded a failure to load a lazily loaded
+    /// section (an I/O error or a checksum mismatch), so it served that
+    /// section as empty lists; see
+    /// [`GraphStore::check_fault`](snaple_graph::GraphStore::check_fault).
+    GraphFault(String),
 }
 
 impl fmt::Display for EngineError {
@@ -47,11 +52,18 @@ impl fmt::Display for EngineError {
                 write!(f, "node {node} failed during step {step:?}")
             }
             EngineError::InvalidConfig(msg) => write!(f, "invalid engine configuration: {msg}"),
+            EngineError::GraphFault(msg) => write!(f, "graph storage fault: {msg}"),
         }
     }
 }
 
 impl StdError for EngineError {}
+
+impl From<snaple_graph::GraphError> for EngineError {
+    fn from(e: snaple_graph::GraphError) -> Self {
+        EngineError::GraphFault(e.to_string())
+    }
+}
 
 #[cfg(test)]
 mod tests {

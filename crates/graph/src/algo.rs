@@ -1,15 +1,9 @@
-//! Classic sequential graph algorithms.
-//!
-//! These serve two roles in the reproduction: validating the synthetic
-//! dataset emulators (e.g. giant-component size, core structure), and
-//! acting as *sequential oracles* for the GAS engine — the engine's
-//! distributed PageRank and connected-components programs
-//! ([`snaple_gas::programs`](https://example.org)) are tested for exact
-//! agreement with the implementations here.
+//! Classic sequential graph algorithms: the *sequential oracles* of the
+//! GAS engine. The engine's distributed PageRank and connected-components
+//! programs ([`snaple_gas::programs`](https://example.org)) are tested
+//! for exact agreement with the implementations here.
 
-use std::collections::VecDeque;
-
-use crate::{CsrGraph, VertexId};
+use crate::CsrGraph;
 
 /// Union-find with path halving and union by size.
 #[derive(Clone, Debug)]
@@ -76,122 +70,6 @@ pub fn weakly_connected_components(graph: &CsrGraph) -> Vec<u32> {
         label[r] = label[r].min(x);
     }
     (0..n as u32).map(|x| label[uf.find(x) as usize]).collect()
-}
-
-/// Number of vertices in the largest weakly connected component.
-pub fn largest_component_size(graph: &CsrGraph) -> usize {
-    let labels = weakly_connected_components(graph);
-    let mut counts = std::collections::HashMap::new();
-    for l in labels {
-        *counts.entry(l).or_insert(0usize) += 1;
-    }
-    counts.into_values().max().unwrap_or(0)
-}
-
-/// BFS hop distances from `source` along out-edges, up to `max_depth`
-/// (`None` = unreachable within the bound).
-pub fn bfs_distances(graph: &CsrGraph, source: VertexId, max_depth: usize) -> Vec<Option<u32>> {
-    let mut dist = vec![None; graph.num_vertices()];
-    dist[source.index()] = Some(0);
-    let mut queue = VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u.index()].expect("queued vertices have distances");
-        if d as usize >= max_depth {
-            continue;
-        }
-        for &v in graph.out_neighbors(u) {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(d + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// K-core decomposition (Batagelj–Zaveršnik peeling) over the undirected
-/// view of the graph (union of in- and out-adjacency). Returns each
-/// vertex's core number.
-pub fn core_numbers(graph: &CsrGraph) -> Vec<u32> {
-    let n = graph.num_vertices();
-    // Undirected degree = |Γ(u) ∪ Γ⁻¹(u)|; merge the two sorted lists.
-    let und_degree = |u: VertexId| {
-        let (a, b) = (graph.out_neighbors(u), graph.in_neighbors(u));
-        let mut count = 0usize;
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
-            count += 1;
-            if j >= b.len() || (i < a.len() && a[i] < b[j]) {
-                i += 1;
-            } else if i >= a.len() || b[j] < a[i] {
-                j += 1;
-            } else {
-                i += 1;
-                j += 1;
-            }
-        }
-        count
-    };
-    let mut degree: Vec<usize> = graph.vertices().map(und_degree).collect();
-    let max_degree = degree.iter().copied().max().unwrap_or(0);
-
-    // Bucket sort by degree.
-    let mut bins = vec![0usize; max_degree + 2];
-    for &d in &degree {
-        bins[d] += 1;
-    }
-    let mut start = 0;
-    for bin in bins.iter_mut() {
-        let count = *bin;
-        *bin = start;
-        start += count;
-    }
-    let mut pos = vec![0usize; n];
-    let mut order = vec![0u32; n];
-    for u in 0..n {
-        pos[u] = bins[degree[u]];
-        order[pos[u]] = u as u32;
-        bins[degree[u]] += 1;
-    }
-    for d in (1..bins.len()).rev() {
-        bins[d] = bins[d - 1];
-    }
-    bins[0] = 0;
-
-    let mut core = vec![0u32; n];
-    let neighbors = |u: VertexId| -> Vec<VertexId> {
-        let mut ns: Vec<VertexId> = graph
-            .out_neighbors(u)
-            .iter()
-            .chain(graph.in_neighbors(u))
-            .copied()
-            .collect();
-        ns.sort_unstable();
-        ns.dedup();
-        ns
-    };
-    for i in 0..n {
-        let u = order[i] as usize;
-        core[u] = degree[u] as u32;
-        for v in neighbors(VertexId::new(u as u32)) {
-            let v = v.index();
-            if degree[v] > degree[u] {
-                // Move v one bucket down.
-                let dv = degree[v];
-                let pv = pos[v];
-                let pw = bins[dv];
-                let w = order[pw] as usize;
-                if v != w {
-                    order.swap(pv, pw);
-                    pos[v] = pw;
-                    pos[w] = pv;
-                }
-                bins[dv] += 1;
-                degree[v] -= 1;
-            }
-        }
-    }
-    core
 }
 
 /// Sequential PageRank with uniform teleport, `iterations` synchronous
@@ -269,7 +147,6 @@ mod tests {
         let g = two_triangles_and_isolate();
         let labels = weakly_connected_components(&g);
         assert_eq!(labels, vec![0, 0, 0, 3, 3, 5]);
-        assert_eq!(largest_component_size(&g), 3);
     }
 
     #[test]
@@ -277,51 +154,6 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1), (2, 1)]);
         let labels = weakly_connected_components(&g);
         assert!(labels.iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn bfs_distances_on_a_path() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let d = bfs_distances(&g, VertexId::new(0), 10);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
-        let bounded = bfs_distances(&g, VertexId::new(0), 2);
-        assert_eq!(bounded, vec![Some(0), Some(1), Some(2), None]);
-        // Directionality respected.
-        let back = bfs_distances(&g, VertexId::new(3), 10);
-        assert_eq!(back, vec![None, None, None, Some(0)]);
-    }
-
-    #[test]
-    fn core_numbers_of_triangle_with_tail() {
-        // Triangle (core 2) with a pendant vertex (core 1).
-        let g = CsrGraph::from_edges(
-            4,
-            &[
-                (0, 1),
-                (1, 0),
-                (1, 2),
-                (2, 1),
-                (0, 2),
-                (2, 0),
-                (2, 3),
-                (3, 2),
-            ],
-        );
-        assert_eq!(core_numbers(&g), vec![2, 2, 2, 1]);
-    }
-
-    #[test]
-    fn core_numbers_of_clique() {
-        let mut edges = Vec::new();
-        for a in 0..5u32 {
-            for b in 0..5u32 {
-                if a != b {
-                    edges.push((a, b));
-                }
-            }
-        }
-        let g = CsrGraph::from_edges(5, &edges);
-        assert!(core_numbers(&g).iter().all(|&c| c == 4));
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   still writes it for tooling that needs the old layout.
 //!
 //! [`read_binary`] accepts either. [`open_store`] is the file-level
-//! entry point: it dispatches on magic (and the varint flag) to the
-//! right [`GraphStore`] backend — eager [`CsrGraph`], lazy
-//! [`FileCsr`](crate::v2::FileCsr), or compressed
-//! [`CompressedGraph`](crate::compress::CompressedGraph).
+//! entry point: it dispatches on magic (and the varint flag) to one of
+//! the two [`GraphStore`] backends — lazy [`FileCsr`](crate::v2::FileCsr)
+//! for raw `SNPLG2`, eager [`CsrGraph`] for everything else.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -138,8 +137,8 @@ pub fn write_edge_list<W: Write>(graph: &dyn GraphStore, mut writer: W) -> Resul
 /// Encodes a graph in the current binary format (`SNPLG2`, raw flavor).
 ///
 /// Use [`write_binary_v1`] when the legacy layout is explicitly needed;
-/// [`read_binary`] auto-detects either. For the compressed flavor see
-/// [`compress::write_v2_varint`](crate::compress::write_v2_varint).
+/// [`read_binary`] auto-detects either. For the varint flavor see
+/// [`v2::write_v2_varint`].
 ///
 /// # Errors
 ///
@@ -213,9 +212,8 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
 ///
 /// * raw `SNPLG2` → lazy [`FileCsr`](crate::v2::FileCsr) (open is O(1)
 ///   in the edge count);
-/// * varint `SNPLG2` → [`CompressedGraph`](crate::compress::CompressedGraph)
-///   (streams stay compressed in memory);
-/// * `SNPLG1` → eager in-RAM [`CsrGraph`].
+/// * varint `SNPLG2` and `SNPLG1` → eager in-RAM [`CsrGraph`] (the
+///   same decode [`read_binary`] runs).
 ///
 /// # Errors
 ///
@@ -224,21 +222,18 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
 pub fn open_store(path: &Path) -> Result<Arc<dyn GraphStore>, GraphError> {
     use std::io::Seek;
     let mut file = std::fs::File::open(path)?;
-    let mut prelude = [0u8; 8];
-    let got = file.read(&mut prelude)?;
-    if prelude.get(..v2::MAGIC2.len()) == Some(v2::MAGIC2.as_slice()) {
-        let varint = prelude.get(7).is_some_and(|f| f & v2::FLAG2_VARINT != 0);
+    let mut buf = [0u8; 8];
+    let got = file.read(&mut buf)?;
+    let prelude = &buf[..got];
+    let is_v2 = prelude.starts_with(v2::MAGIC2);
+    if is_v2 && prelude.get(7).is_some_and(|f| f & v2::FLAG2_VARINT == 0) {
         drop(file);
-        if varint {
-            return Ok(Arc::new(crate::compress::CompressedGraph::open(path)?));
-        }
         return Ok(Arc::new(v2::FileCsr::open(path)?));
     }
-    if prelude.get(..MAGIC.len()) == Some(MAGIC.as_slice()) {
+    if is_v2 || prelude.starts_with(MAGIC) {
         file.seek(std::io::SeekFrom::Start(0))?;
         return Ok(Arc::new(read_binary(BufReader::new(file))?));
     }
-    let _ = got;
     Err(GraphError::Corrupt(format!(
         "{}: not a SNPLG1/SNPLG2 graph file",
         path.display()
@@ -423,18 +418,13 @@ mod tests {
 
         let vz_path = dir.join("g.vz.snplg");
         let mut vz_bytes = Vec::new();
-        crate::compress::write_v2_varint(&g, &mut vz_bytes).unwrap();
+        v2::write_v2_varint(&g, &mut vz_bytes).unwrap();
         std::fs::write(&vz_path, &vz_bytes).unwrap();
 
-        let expectations = [
-            (&v2_path, "file-csr"),
-            (&v1_path, "csr"),
-            (&vz_path, "varint"),
-        ];
+        let expectations = [(&v2_path, "file-csr"), (&v1_path, "csr"), (&vz_path, "csr")];
         for (path, backend) in expectations {
             let s = open_store(path).unwrap();
             assert_eq!(s.backend_name(), backend, "{}", path.display());
-            assert!(s.hydrate().is_ok());
             assert_eq!(s.num_edges(), g.num_edges());
             for u in g.vertices() {
                 assert_eq!(s.out_neighbors(u), g.out_neighbors(u));

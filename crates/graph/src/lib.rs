@@ -10,9 +10,8 @@
 //!   both out- and in-adjacency, the storage format consumed by the GAS
 //!   engine ([`snaple-gas`](https://example.org/snaple)).
 //! * [`GraphStore`] — the storage-backend abstraction over adjacency
-//!   access: [`CsrGraph`] (eager, in RAM), [`v2::FileCsr`] (lazy,
-//!   file-backed, zero-parse) and [`compress::CompressedGraph`]
-//!   (delta-varint, opt-in) all serve the same engine code.
+//!   access: [`CsrGraph`] (eager, in RAM) and [`v2::FileCsr`] (lazy,
+//!   file-backed, zero-parse) serve the same engine code.
 //! * [`GraphBuilder`] — the mutable construction side: collect edges, then
 //!   [`GraphBuilder::build`] a [`CsrGraph`] (deduplicated, sorted, optionally
 //!   symmetrized).
@@ -70,16 +69,15 @@
 //!    first touch; [`io::open_store`] picks the right backend from the
 //!    file magic. `--graph-format file` on `snaple predict`/`serve`
 //!    selects it end to end.
-//! 3. **Serve any backend.** The engine, partitioner and serving
-//!    layers consume [`GraphStore`], so eager, file-backed and
-//!    compressed ([`compress::CompressedGraph`], `--graph-format
-//!    varint`) graphs produce bit-identical predictions — pinned by
-//!    property tests.
+//! 3. **Serve either backend.** The engine, partitioner and serving
+//!    layers consume [`GraphStore`], so eager and file-backed graphs
+//!    produce bit-identical predictions — pinned by property tests. The
+//!    varint flavor of `SNPLG2` ([`v2::write_v2_varint`]) halves the
+//!    file and opens into an in-RAM [`CsrGraph`].
 
 pub mod algo;
 pub mod builder;
 pub mod codec;
-pub mod compress;
 pub mod csr;
 pub mod delta;
 pub mod error;
@@ -96,7 +94,6 @@ pub mod store;
 pub mod v2;
 
 pub use builder::GraphBuilder;
-pub use compress::CompressedGraph;
 pub use csr::{CsrGraph, Direction};
 pub use delta::{DeltaOverlay, GraphDelta};
 pub use error::GraphError;

@@ -10,11 +10,11 @@
 //! * [`CsrGraph`] — everything in RAM, the fastest backend and the only
 //!   one that can absorb [`GraphDelta`](crate::GraphDelta)s directly;
 //! * [`FileCsr`](crate::v2::FileCsr) — a zero-parse file-backed view of a
-//!   [`SNPLG2`](crate::v2) file: opening reads only the header and
-//!   section table, adjacency sections fault in lazily on first touch;
-//! * [`CompressedGraph`](crate::compress::CompressedGraph) — opt-in
-//!   delta-varint compressed adjacency, decoded block-by-block on
-//!   demand.
+//!   raw [`SNPLG2`](crate::v2) file: opening reads only the header and
+//!   section table, adjacency sections fault in lazily on first touch.
+//!
+//! The varint flavor of `SNPLG2` is a file format, not a backend: it
+//! decodes into a [`CsrGraph`] on open.
 //!
 //! The trait is object-safe on purpose: deployments and requests carry
 //! `&dyn GraphStore` (or `Arc<dyn GraphStore>`), so a single prepared
@@ -37,8 +37,8 @@ use crate::{CsrGraph, GraphError, VertexId};
 /// gathers from many worker threads against one `&dyn GraphStore`.
 /// Accessors never panic; a backend that discovers corruption after
 /// construction (e.g. a lazily loaded section failing its checksum)
-/// serves empty lists and surfaces the fault through
-/// [`GraphStore::hydrate`].
+/// serves empty lists and records the fault, which
+/// [`GraphStore::check_fault`] returns.
 pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Number of vertices (ids are `0..num_vertices`).
     fn num_vertices(&self) -> usize;
@@ -65,30 +65,33 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     fn out_weights(&self, u: VertexId) -> Option<&[f32]>;
 
     /// A short static name for diagnostics and bench labels
-    /// (`"csr"`, `"file-csr"`, `"varint"`).
+    /// (`"csr"`, `"file-csr"`).
     fn backend_name(&self) -> &'static str;
 
     /// Total bytes of the backend's storage (resident or on disk) — the
     /// same accounting [`CsrGraph::storage_bytes`] reports for RAM.
     fn storage_bytes(&self) -> u64;
 
-    /// Forces every lazily loaded structure resident and surfaces any
-    /// deferred I/O or checksum failure as a typed error.
+    /// Returns the first deferred I/O or checksum failure this backend
+    /// has recorded, without loading anything.
     ///
-    /// Serving layers call this once before entering panic-free zones so
-    /// the infallible accessors above never have to hide a fault behind
-    /// an empty list mid-superstep. In-RAM backends return `Ok(())`.
+    /// Once a lazily loaded section fails, the accessors above serve it
+    /// as empty lists, so any result computed since may be wrong. The
+    /// serving layers call this after prepare, after every execute and
+    /// before folding a delta in, and return the fault instead of the
+    /// result. In-RAM backends return `Ok(())`.
     ///
     /// # Errors
     ///
-    /// [`GraphError::Io`] / [`GraphError::Corrupt`] from the deferred
-    /// load.
-    fn hydrate(&self) -> Result<(), GraphError> {
+    /// [`GraphError::Corrupt`] describing the recorded failure.
+    fn check_fault(&self) -> Result<(), GraphError> {
         Ok(())
     }
 
     /// Materializes the graph as an owned in-RAM [`CsrGraph`] — the form
-    /// deltas compact against.
+    /// deltas compact against. A lazy backend whose sections fail to load
+    /// returns an empty graph; [`GraphStore::check_fault`] then reports
+    /// the failure.
     fn to_csr(&self) -> CsrGraph;
 
     /// A cheaply clonable shared handle to this backend (`Arc`-backed
@@ -300,7 +303,7 @@ mod tests {
         assert_eq!(s.edge_weight(VertexId::new(0), VertexId::new(1)), Some(1.0));
         assert_eq!(s.storage_bytes(), g.storage_bytes());
         assert_eq!(s.backend_name(), "csr");
-        assert!(s.hydrate().is_ok());
+        assert!(s.check_fault().is_ok());
         assert!(s.as_csr().is_some());
     }
 

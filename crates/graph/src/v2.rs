@@ -1,5 +1,6 @@
-//! `SNPLG2`: the zero-parse on-disk CSR format, and [`FileCsr`], its
-//! lazily loaded file-backed [`GraphStore`] backend.
+//! `SNPLG2`: the zero-parse on-disk CSR format in its two flavors, and
+//! [`FileCsr`], the lazily loaded file-backed [`GraphStore`] backend over
+//! the raw one.
 //!
 //! # Why a second binary format
 //!
@@ -42,11 +43,20 @@
 //! Raw files (`flags & VARINT == 0`) carry [`SEC_OUT_OFFSETS`],
 //! [`SEC_OUT_TARGETS`], [`SEC_IN_OFFSETS`], [`SEC_IN_SOURCES`] and, when
 //! weighted, [`SEC_OUT_WEIGHTS`]. Varint files replace the two id
-//! sections with delta-varint streams plus per-block byte indexes (see
-//! [`compress`](crate::compress)). Every section carries its own CRC-32;
-//! the header and table are validated structurally (bounds, element
-//! counts, duplicate/unknown kinds) before any allocation is sized from
-//! them.
+//! sections with delta-varint streams plus per-block byte indexes. Every
+//! section carries its own CRC-32; the header and table are validated
+//! structurally (bounds, element counts, duplicate/unknown kinds) before
+//! any allocation is sized from them.
+//!
+//! # The varint flavor
+//!
+//! The varint flavor is an on-disk format only: its file is about half
+//! the size of the raw one, and it opens by eager decode into an in-RAM
+//! [`CsrGraph`] ([`decode_v2`], reached through
+//! [`io::read_binary`](crate::io::read_binary) and
+//! [`io::open_store`](crate::io::open_store)). [`write_v2_varint`]
+//! writes it; `graph convert` back to the raw flavor gives a file
+//! [`FileCsr`] can open.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -67,7 +77,7 @@ pub const VERSION2: u8 = 1;
 pub const FLAG2_WEIGHTED: u8 = 1;
 
 /// Flag bit: adjacency ids are delta-varint compressed
-/// (see [`compress`](crate::compress)).
+/// (see [`write_v2_varint`]).
 pub const FLAG2_VARINT: u8 = 2;
 
 /// Fixed header size; the section table starts here.
@@ -348,7 +358,7 @@ pub fn decode_weights(bytes: &[u8], m: usize) -> Result<Vec<f32>, GraphError> {
         .collect())
 }
 
-pub(crate) fn section_bytes<'a>(data: &'a [u8], sec: &Section) -> Result<&'a [u8], GraphError> {
+fn section_bytes<'a>(data: &'a [u8], sec: &Section) -> Result<&'a [u8], GraphError> {
     let lo = sec.offset as usize;
     let hi = lo
         .checked_add(sec.byte_len as usize)
@@ -365,7 +375,7 @@ pub(crate) fn section_bytes<'a>(data: &'a [u8], sec: &Section) -> Result<&'a [u8
 /// Eagerly decodes a whole in-memory `SNPLG2` file into a [`CsrGraph`].
 ///
 /// Raw files cost one vectorized copy per section; varint files decode
-/// through [`compress`](crate::compress). Used by
+/// their gap streams block by block. Used by
 /// [`io::read_binary`](crate::io::read_binary) after magic dispatch.
 ///
 /// # Errors
@@ -390,18 +400,8 @@ pub fn decode_v2(data: &[u8]) -> Result<CsrGraph, GraphError> {
     let (out_targets, in_sources) = if h.varint {
         let out_index = decode_block_index(get(SEC_OUT_BLOCK_INDEX)?)?;
         let in_index = decode_block_index(get(SEC_IN_BLOCK_INDEX)?)?;
-        let out = crate::compress::decode_all_blocks(
-            get(SEC_OUT_TARGETS_VARINT)?,
-            &out_index,
-            &out_offsets,
-            h.n,
-        )?;
-        let inn = crate::compress::decode_all_blocks(
-            get(SEC_IN_SOURCES_VARINT)?,
-            &in_index,
-            &in_offsets,
-            h.n,
-        )?;
+        let out = decode_all_blocks(get(SEC_OUT_TARGETS_VARINT)?, &out_index, &out_offsets, h.n)?;
+        let inn = decode_all_blocks(get(SEC_IN_SOURCES_VARINT)?, &in_index, &in_offsets, h.n)?;
         (out, inn)
     } else {
         (
@@ -435,6 +435,160 @@ pub fn decode_block_index(bytes: &[u8]) -> Result<Vec<usize>, GraphError> {
 }
 
 // ---------------------------------------------------------------------------
+// The varint flavor's section codec. Adjacency ids within a vertex's list
+// are sorted, so consecutive ids are close: each list stores its first id
+// absolute and the rest as LEB128-encoded gaps. Lists are grouped into
+// blocks of `BLOCK_VERTICES` vertices with a per-block byte index. Offsets
+// and weights stay raw.
+// ---------------------------------------------------------------------------
+
+/// Vertices per varint block: the granularity of the per-block byte
+/// index, which lets the decoder bound each block's bytes.
+const BLOCK_VERTICES: usize = 64;
+
+/// Appends `value` to `out` as LEB128.
+fn push_varint(out: &mut Vec<u8>, mut value: u32) {
+    while value >= 0x80 {
+        out.push((value & 0x7F) as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Reads one LEB128 `u32` from `bytes[*pos..]`, advancing `pos`.
+///
+/// # Errors
+///
+/// [`GraphError::Corrupt`] on truncation or a value overflowing `u32`.
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, GraphError> {
+    let mut value: u32 = 0;
+    let mut shift = 0u32;
+    loop {
+        let b = *bytes
+            .get(*pos)
+            .ok_or_else(|| corrupt("truncated varint stream"))?;
+        *pos += 1;
+        let payload = (b & 0x7F) as u32;
+        if shift >= 32 || (shift == 28 && payload > 0x0F) {
+            return Err(corrupt("varint overflows u32"));
+        }
+        value |= payload << shift;
+        if b & 0x80 == 0 {
+            return Ok(value);
+        }
+        shift += 7;
+    }
+}
+
+/// Encodes the adjacency lists of vertices `[0, n)` (ascending ids per
+/// list: first absolute, rest gaps) into a stream plus a per-block byte
+/// index of length `blocks + 1`.
+fn encode_stream(n: usize, mut list_of: impl FnMut(u32) -> Vec<u32>) -> (Vec<u8>, Vec<usize>) {
+    let blocks = n.div_ceil(BLOCK_VERTICES);
+    let mut stream = Vec::new();
+    let mut index = Vec::with_capacity(blocks + 1);
+    index.push(0);
+    for b in 0..blocks {
+        let lo = b * BLOCK_VERTICES;
+        let hi = ((b + 1) * BLOCK_VERTICES).min(n);
+        for u in lo..hi {
+            let list = list_of(u as u32);
+            let mut prev = 0u32;
+            for (i, &v) in list.iter().enumerate() {
+                if i == 0 {
+                    push_varint(&mut stream, v);
+                } else {
+                    push_varint(&mut stream, v.wrapping_sub(prev));
+                }
+                prev = v;
+            }
+        }
+        index.push(stream.len());
+    }
+    (stream, index)
+}
+
+/// Decodes the block covering vertices `[lo, hi)` from `bytes` (the
+/// block's byte range) onto `out`, using `offsets` for per-list counts.
+///
+/// # Errors
+///
+/// [`GraphError::Corrupt`] on truncation or trailing garbage,
+/// [`GraphError::VertexOutOfRange`] on an id out of `[0, n)`.
+fn decode_block(
+    bytes: &[u8],
+    offsets: &[usize],
+    lo: usize,
+    hi: usize,
+    n: usize,
+    out: &mut Vec<VertexId>,
+) -> Result<(), GraphError> {
+    let mut pos = 0usize;
+    for u in lo..hi {
+        let count = match (offsets.get(u), offsets.get(u + 1)) {
+            (Some(&a), Some(&b)) => b.saturating_sub(a),
+            _ => 0,
+        };
+        let mut prev = 0u32;
+        for i in 0..count {
+            let raw = read_varint(bytes, &mut pos)?;
+            let v = if i == 0 { raw } else { prev.wrapping_add(raw) };
+            if v as usize >= n {
+                return Err(GraphError::VertexOutOfRange {
+                    vertex: v,
+                    num_vertices: n,
+                });
+            }
+            out.push(VertexId::new(v));
+            prev = v;
+        }
+    }
+    if pos != bytes.len() {
+        return Err(corrupt("trailing bytes in varint block"));
+    }
+    Ok(())
+}
+
+/// Eagerly decodes a full varint stream back into its adjacency ids.
+///
+/// # Errors
+///
+/// [`GraphError::Corrupt`] / [`GraphError::VertexOutOfRange`] on any
+/// malformed block.
+fn decode_all_blocks(
+    stream: &[u8],
+    index: &[usize],
+    offsets: &[usize],
+    n: usize,
+) -> Result<Vec<VertexId>, GraphError> {
+    let blocks = n.div_ceil(BLOCK_VERTICES);
+    if index.len() != blocks + 1
+        || index.first().copied().unwrap_or(1) != 0
+        || index.last().copied().unwrap_or(usize::MAX) != stream.len()
+        || !index.is_sorted()
+    {
+        return Err(corrupt("malformed varint block index"));
+    }
+    let total = offsets.last().copied().unwrap_or(0);
+    // Every decoded id costs >= 1 stream byte, so clamping to the
+    // stream length keeps a forged offset table from forcing an
+    // allocation larger than the actual file.
+    // snaple-lint: allow(wire-alloc) — capacity clamped to stream.len(), bounded by real file bytes
+    let mut out = Vec::with_capacity(total.min(stream.len()));
+    for b in 0..blocks {
+        let lo = b * BLOCK_VERTICES;
+        let hi = ((b + 1) * BLOCK_VERTICES).min(n);
+        let bytes = index
+            .get(b)
+            .zip(index.get(b + 1))
+            .and_then(|(&a, &z)| stream.get(a..z))
+            .ok_or_else(|| corrupt("malformed varint block index"))?;
+        decode_block(bytes, offsets, lo, hi, n, &mut out)?;
+    }
+    Ok(out)
+}
+
+// ---------------------------------------------------------------------------
 // Writing.
 // ---------------------------------------------------------------------------
 
@@ -448,6 +602,28 @@ pub fn encoded_len(graph: &dyn GraphStore) -> u64 {
     let sections: u64 = if graph.is_weighted() { 5 } else { 4 };
     let payload = 2 * (n + 1) * 8 + 2 * m * 4 + if graph.is_weighted() { m * 4 } else { 0 };
     HEADER2_LEN as u64 + sections * SECTION_ENTRY_LEN as u64 + payload
+}
+
+/// Encodes the fixed header and section table of a file with `flags`,
+/// `n` vertices, `m` edges and `sections` in file order — the inverse of
+/// [`parse_header`].
+pub(crate) fn encode_prelude(flags: u8, n: u64, m: u64, sections: &[Section]) -> Vec<u8> {
+    let mut head = Vec::with_capacity(HEADER2_LEN + sections.len() * SECTION_ENTRY_LEN);
+    head.extend_from_slice(MAGIC2);
+    head.push(VERSION2);
+    head.push(flags);
+    head.extend_from_slice(&n.to_le_bytes());
+    head.extend_from_slice(&m.to_le_bytes());
+    head.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    head.extend_from_slice(&0u32.to_le_bytes());
+    for s in sections {
+        head.extend_from_slice(&s.kind.to_le_bytes());
+        head.extend_from_slice(&s.crc.to_le_bytes());
+        head.extend_from_slice(&s.offset.to_le_bytes());
+        head.extend_from_slice(&s.byte_len.to_le_bytes());
+        head.extend_from_slice(&s.elem_count.to_le_bytes());
+    }
+    head
 }
 
 /// Streams one logical section's bytes through `sink` in bounded
@@ -517,8 +693,7 @@ fn stream_section<E>(
 /// Two passes per section — a CRC/length pre-pass, then the write — so
 /// nothing is buffered beyond a 64 KiB chunk: a 100M-edge checkpoint
 /// streams straight to its file instead of transiently tripling memory.
-/// For the varint flavor use
-/// [`compress::write_v2_varint`](crate::compress::write_v2_varint).
+/// For the varint flavor use [`write_v2_varint`].
 ///
 /// # Errors
 ///
@@ -563,29 +738,110 @@ pub fn write_v2<W: std::io::Write>(
         offset += len;
     }
 
-    // Header + section table.
-    let mut head = Vec::with_capacity(HEADER2_LEN + kinds.len() * SECTION_ENTRY_LEN);
-    head.extend_from_slice(MAGIC2);
-    head.push(VERSION2);
-    head.push(if weighted { FLAG2_WEIGHTED } else { 0 });
-    head.extend_from_slice(&n.to_le_bytes());
-    head.extend_from_slice(&m.to_le_bytes());
-    head.extend_from_slice(&(kinds.len() as u32).to_le_bytes());
-    head.extend_from_slice(&0u32.to_le_bytes());
-    for s in &sections {
-        head.extend_from_slice(&s.kind.to_le_bytes());
-        head.extend_from_slice(&s.crc.to_le_bytes());
-        head.extend_from_slice(&s.offset.to_le_bytes());
-        head.extend_from_slice(&s.byte_len.to_le_bytes());
-        head.extend_from_slice(&s.elem_count.to_le_bytes());
-    }
-    writer.write_all(&head)?;
+    let flags = if weighted { FLAG2_WEIGHTED } else { 0 };
+    writer.write_all(&encode_prelude(flags, n, m, &sections))?;
 
     // Pass 2: the payloads.
     for &kind in &kinds {
         stream_section::<GraphError>(graph, kind, &mut |chunk| {
             writer.write_all(chunk).map_err(GraphError::from)
         })?;
+    }
+    Ok(())
+}
+
+/// Encodes `graph` as a **varint**-flavored `SNPLG2` file.
+///
+/// The compressed streams are materialized in memory (they are the
+/// small representation); offsets and weights stream raw.
+///
+/// # Errors
+///
+/// [`GraphError::Io`] on write failures.
+pub fn write_v2_varint<W: std::io::Write>(
+    graph: &dyn GraphStore,
+    mut writer: W,
+) -> Result<(), GraphError> {
+    let n = graph.num_vertices();
+    let m = graph.num_edges() as u64;
+    let weighted = graph.is_weighted();
+    let (out_stream, out_index) = encode_stream(n, |u| {
+        graph
+            .out_neighbors(VertexId::new(u))
+            .iter()
+            .map(|v| v.as_u32())
+            .collect()
+    });
+    let (in_stream, in_index) = encode_stream(n, |u| {
+        graph
+            .in_neighbors(VertexId::new(u))
+            .iter()
+            .map(|v| v.as_u32())
+            .collect()
+    });
+    let index_bytes = |index: &[usize]| -> Vec<u8> {
+        let mut b = Vec::with_capacity(index.len() * 8);
+        for &v in index {
+            b.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        b
+    };
+    let offsets_bytes = |out_dir: bool| -> Vec<u8> {
+        let mut b = Vec::with_capacity((n + 1) * 8);
+        let mut total = 0u64;
+        b.extend_from_slice(&0u64.to_le_bytes());
+        for raw in 0..n as u32 {
+            let u = VertexId::new(raw);
+            total += if out_dir {
+                graph.out_degree(u) as u64
+            } else {
+                graph.in_degree(u) as u64
+            };
+            b.extend_from_slice(&total.to_le_bytes());
+        }
+        b
+    };
+    let mut payloads: Vec<(u32, u64, Vec<u8>)> = vec![
+        (SEC_OUT_OFFSETS, n as u64 + 1, offsets_bytes(true)),
+        (SEC_OUT_TARGETS_VARINT, m, out_stream),
+        (
+            SEC_OUT_BLOCK_INDEX,
+            out_index.len() as u64,
+            index_bytes(&out_index),
+        ),
+        (SEC_IN_OFFSETS, n as u64 + 1, offsets_bytes(false)),
+        (SEC_IN_SOURCES_VARINT, m, in_stream),
+        (
+            SEC_IN_BLOCK_INDEX,
+            in_index.len() as u64,
+            index_bytes(&in_index),
+        ),
+    ];
+    if weighted {
+        let mut ws = Vec::with_capacity(m as usize * 4);
+        for raw in 0..n as u32 {
+            for &w in graph.out_weights(VertexId::new(raw)).unwrap_or(&[]) {
+                ws.extend_from_slice(&w.to_bits().to_le_bytes());
+            }
+        }
+        payloads.push((SEC_OUT_WEIGHTS, m, ws));
+    }
+    let mut offset = (HEADER2_LEN + payloads.len() * SECTION_ENTRY_LEN) as u64;
+    let mut sections = Vec::with_capacity(payloads.len());
+    for (kind, elem_count, bytes) in &payloads {
+        sections.push(Section {
+            kind: *kind,
+            crc: crc32(0, bytes),
+            offset,
+            byte_len: bytes.len() as u64,
+            elem_count: *elem_count,
+        });
+        offset += bytes.len() as u64;
+    }
+    let flags = FLAG2_VARINT | if weighted { FLAG2_WEIGHTED } else { 0 };
+    writer.write_all(&encode_prelude(flags, n as u64, m, &sections))?;
+    for (_, _, bytes) in &payloads {
+        writer.write_all(bytes)?;
     }
     Ok(())
 }
@@ -605,7 +861,7 @@ struct FileCsrInner {
     in_offsets: OnceLock<Vec<usize>>,
     in_sources: OnceLock<Vec<VertexId>>,
     /// First deferred load failure; accessors serve empty lists once
-    /// set, [`FileCsr::hydrate`] surfaces it as a typed error.
+    /// set, [`GraphStore::check_fault`] returns it as a typed error.
     fault: OnceLock<String>,
 }
 
@@ -615,9 +871,10 @@ struct FileCsrInner {
 /// time is flat in the edge count (the property the bench crate's
 /// `gates.rs` enforces). Adjacency sections fault in lazily, each validated
 /// against its CRC on load. Accessors never panic: a section that fails
-/// its deferred load reads as empty and the failure is reported by
-/// [`FileCsr::hydrate`] — serving layers hydrate once up front, so the
-/// panic-free engine zones never observe a half-loaded graph.
+/// its deferred load reads as empty and the failure is recorded. The
+/// serving layers ask [`GraphStore::check_fault`] after prepare, after
+/// every execute and before a delta folds in, so a result computed over
+/// an empty section is returned as an error, never as rows.
 ///
 /// Cloning is cheap (`Arc`-backed); clones share loaded sections.
 #[derive(Clone, Debug)]
@@ -633,8 +890,8 @@ impl FileCsr {
     ///
     /// [`GraphError::Io`] on filesystem failures, [`GraphError::Corrupt`]
     /// on a malformed prelude, or if the file is varint-flavored (open
-    /// those via [`io::open_store`](crate::io::open_store), which routes
-    /// them to the compressed backend).
+    /// those via [`io::open_store`](crate::io::open_store), which decodes
+    /// them into an in-RAM [`CsrGraph`]).
     pub fn open(path: &Path) -> Result<FileCsr, GraphError> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -672,17 +929,15 @@ impl FileCsr {
         &self.inner.header
     }
 
-    /// The first deferred-load failure, if any section failed to fault
-    /// in. [`FileCsr::hydrate`] returns this as a typed error.
-    pub fn fault(&self) -> Option<&str> {
-        self.inner.fault.get().map(String::as_str)
-    }
-
     fn record_fault(&self, e: &GraphError) {
+        let what = match e {
+            GraphError::Corrupt(msg) => msg.clone(),
+            other => other.to_string(),
+        };
         let _ = self
             .inner
             .fault
-            .set(format!("{}: {e}", self.inner.path.display()));
+            .set(format!("{}: {what}", self.inner.path.display()));
     }
 
     /// Reads and CRC-checks one section's raw bytes.
@@ -838,31 +1093,32 @@ impl GraphStore for FileCsr {
             + HEADER2_LEN as u64
     }
 
-    fn hydrate(&self) -> Result<(), GraphError> {
-        self.out_offs();
-        self.ids_of(&self.inner.out_targets, SEC_OUT_TARGETS);
-        self.in_offs();
-        self.ids_of(&self.inner.in_sources, SEC_IN_SOURCES);
-        self.weights_slice();
-        match self.fault() {
-            Some(msg) => Err(corrupt(msg.to_string())),
+    fn check_fault(&self) -> Result<(), GraphError> {
+        match self.inner.fault.get() {
+            Some(msg) => Err(corrupt(msg.clone())),
             None => Ok(()),
         }
     }
 
+    /// Loads every section, then copies them. A section that fails to
+    /// load yields an empty graph and records the fault
+    /// [`GraphStore::check_fault`] reports.
     fn to_csr(&self) -> CsrGraph {
-        if self.hydrate().is_err() {
+        let out_offsets = self.out_offs();
+        let out_targets = self.ids_of(&self.inner.out_targets, SEC_OUT_TARGETS);
+        let in_offsets = self.in_offs();
+        let in_sources = self.ids_of(&self.inner.in_sources, SEC_IN_SOURCES);
+        let weights = self.weights_slice();
+        if self.check_fault().is_err() {
             return CsrGraph::from_edges(0, &[]);
         }
-        let h = &self.inner.header;
         CsrGraph::from_parts_with_reverse(
-            h.n,
-            self.out_offs().to_vec(),
-            self.ids_of(&self.inner.out_targets, SEC_OUT_TARGETS)
-                .to_vec(),
-            self.weights_slice().map(<[f32]>::to_vec),
-            self.in_offs().to_vec(),
-            self.ids_of(&self.inner.in_sources, SEC_IN_SOURCES).to_vec(),
+            self.inner.header.n,
+            out_offsets.to_vec(),
+            out_targets.to_vec(),
+            weights.map(<[f32]>::to_vec),
+            in_offsets.to_vec(),
+            in_sources.to_vec(),
         )
     }
 
@@ -914,6 +1170,109 @@ mod tests {
         }
     }
 
+    /// A graph whose adjacency spans several varint blocks.
+    fn multi_block_sample() -> CsrGraph {
+        let mut b = GraphBuilder::new();
+        for (u, v) in [
+            (0u32, 1u32),
+            (0, 7),
+            (0, 130),
+            (1, 2),
+            (5, 0),
+            (64, 65),
+            (64, 200),
+            (199, 3),
+            (200, 64),
+        ] {
+            b.add_edge(u, v);
+        }
+        b.build()
+    }
+
+    fn encode_varint(g: &CsrGraph) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_v2_varint(g, &mut out).expect("encode");
+        out
+    }
+
+    #[test]
+    fn varint_codec_round_trips() {
+        let mut buf = Vec::new();
+        let values = [0u32, 1, 127, 128, 300, 16383, 16384, u32::MAX];
+        for &v in &values {
+            push_varint(&mut buf, v);
+        }
+        let mut pos = 0;
+        for &v in &values {
+            assert_eq!(read_varint(&buf, &mut pos).expect("decode"), v);
+        }
+        assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn varint_rejects_truncation_and_overflow() {
+        let mut buf = Vec::new();
+        push_varint(&mut buf, u32::MAX);
+        let mut pos = 0;
+        assert!(read_varint(&buf[..buf.len() - 1], &mut pos).is_err());
+        // Six continuation bytes can never fit a u32.
+        let over = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let mut pos = 0;
+        assert!(read_varint(&over, &mut pos).is_err());
+    }
+
+    #[test]
+    fn varint_v2_file_round_trips() {
+        for g in [multi_block_sample(), weighted_sample()] {
+            let bytes = encode_varint(&g);
+            assert!(
+                parse_header(&bytes, bytes.len() as u64)
+                    .expect("header")
+                    .varint
+            );
+            assert_same(&g, &decode_v2(&bytes).expect("decode"));
+        }
+    }
+
+    #[test]
+    fn corrupt_varint_files_are_typed_errors() {
+        let bytes = encode_varint(&multi_block_sample());
+        for pos in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 0x20;
+            assert!(decode_v2(&bad).is_err(), "flip at {pos} went unnoticed");
+        }
+    }
+
+    #[test]
+    fn malformed_varint_stream_is_a_typed_error() {
+        let g = multi_block_sample();
+        let n = g.num_vertices();
+        let (mut stream, index) = encode_stream(n, |u| {
+            g.out_neighbors(VertexId::new(u))
+                .iter()
+                .map(|v| v.as_u32())
+                .collect()
+        });
+        // Blow up a gap so a decoded id lands out of range.
+        stream[0] = 0xFF;
+        stream[1] = 0x7F;
+        let mut offsets = vec![0usize];
+        for u in g.vertices() {
+            offsets.push(offsets[offsets.len() - 1] + g.out_degree(u));
+        }
+        assert!(matches!(
+            decode_all_blocks(&stream, &index, &offsets, n),
+            Err(GraphError::VertexOutOfRange { vertex: 16383, .. })
+        ));
+        // A stream shorter than its block index records is corrupt.
+        stream.pop();
+        assert!(matches!(
+            decode_all_blocks(&stream, &index, &offsets, n),
+            Err(GraphError::Corrupt(_))
+        ));
+    }
+
     #[test]
     fn round_trip_is_bit_identical() {
         for g in [sample(), weighted_sample(), CsrGraph::from_edges(0, &[])] {
@@ -956,7 +1315,6 @@ mod tests {
             let path = dir.join(format!("{name}.snplg"));
             std::fs::write(&path, encode(&g)).expect("write");
             let f = FileCsr::open(&path).expect("open");
-            assert!(f.hydrate().is_ok());
             assert_eq!(f.backend_name(), "file-csr");
             let s: &dyn GraphStore = &f;
             assert_eq!(s.num_vertices(), g.num_vertices());
@@ -969,6 +1327,7 @@ mod tests {
                 assert_eq!(s.out_weights(u), g.out_weights(u));
             }
             assert_same(&g, &s.to_csr());
+            assert!(s.check_fault().is_ok());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -981,17 +1340,20 @@ mod tests {
         let path = dir.join("lazy.snplg");
         let mut bytes = encode(&g);
         // Corrupt a payload byte (past the section table): open must
-        // still succeed, the fault surfaces on access/hydrate.
+        // still succeed, the fault surfaces on access.
         let table_end = HEADER2_LEN + 4 * SECTION_ENTRY_LEN;
         bytes[table_end + 3] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("write");
         let f = FileCsr::open(&path).expect("open ignores payloads");
-        assert!(f.fault().is_none());
+        assert!(f.check_fault().is_ok());
         // Touching the corrupt section serves empty and records a fault.
         let _ = f.out_degree(VertexId::new(0));
-        assert!(f.fault().is_some());
-        assert!(matches!(f.hydrate(), Err(GraphError::Corrupt(_))));
+        assert!(matches!(f.check_fault(), Err(GraphError::Corrupt(_))));
         assert!(f.out_neighbors(VertexId::new(0)).is_empty());
+        // Materializing a faulted file yields an empty graph, and the
+        // fault stays recorded for the caller to return.
+        assert_eq!(f.to_csr().num_edges(), 0);
+        assert!(f.check_fault().is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

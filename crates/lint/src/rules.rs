@@ -121,7 +121,7 @@ pub struct Analysis {
 
 /// Files whose non-test code must be panic-free (rules `panic` +
 /// `index`). Paths are workspace-relative with forward slashes.
-pub const PANIC_FREE_ZONE: [&str; 13] = [
+pub const PANIC_FREE_ZONE: [&str; 12] = [
     "crates/core/src/serve.rs",
     "crates/core/src/predictor_api.rs",
     "crates/core/src/shard/wire.rs",
@@ -131,7 +131,6 @@ pub const PANIC_FREE_ZONE: [&str; 13] = [
     "crates/gas/src/engine.rs",
     "crates/graph/src/codec.rs",
     "crates/graph/src/v2.rs",
-    "crates/graph/src/compress.rs",
     "crates/store/src/log.rs",
     "crates/store/src/snapshot.rs",
     "crates/store/src/recover.rs",
@@ -139,14 +138,13 @@ pub const PANIC_FREE_ZONE: [&str; 13] = [
 
 /// Files whose decode-path functions get the wire-safety rules: the
 /// shard protocol plus everything that decodes bytes that may have been
-/// corrupted at rest (the shared delta codec, the `SNPLG2` zero-parse
-/// reader, the delta-varint block decoder, the commitlog scanner, the
-/// snapshot loader).
-pub const WIRE_ZONE: [&str; 6] = [
+/// corrupted at rest (the shared delta codec, the `SNPLG2` reader with
+/// its delta-varint block decoder, the commitlog scanner, the snapshot
+/// loader).
+pub const WIRE_ZONE: [&str; 5] = [
     "crates/core/src/shard/wire.rs",
     "crates/graph/src/codec.rs",
     "crates/graph/src/v2.rs",
-    "crates/graph/src/compress.rs",
     "crates/store/src/log.rs",
     "crates/store/src/snapshot.rs",
 ];

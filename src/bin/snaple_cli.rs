@@ -53,9 +53,7 @@ use snaple::gas::{ClusterSpec, DeltaStats};
 use snaple::graph::gen::datasets;
 use snaple::graph::gen::rmat::RmatConfig;
 use snaple::graph::stats::GraphSummary;
-use snaple::graph::{
-    compress, io, CompressedGraph, CsrGraph, ExternalGraphBuilder, FileCsr, GraphStore,
-};
+use snaple::graph::{io, v2, CsrGraph, ExternalGraphBuilder, FileCsr, GraphStore};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -427,13 +425,14 @@ commands:
 serve accepts --scores too: the served rows are then the plan's
 weighted combined ranking (one fused sweep per coalesced batch).
 
-predict/serve accept --graph-format auto|csr|file|varint to pick the
-storage backend ('auto' dispatches on the file magic): 'csr' is the
-fully in-RAM adjacency, 'file' opens a raw SNPLG2 file zero-parse (the
+predict/serve accept --graph-format auto|csr|file to pick the storage
+backend ('auto' dispatches on the file magic): 'csr' is the fully
+in-RAM adjacency, 'file' opens a raw SNPLG2 file zero-parse (the
 on-disk sections ARE the CSR arrays — open cost is header + TOC only,
-flat in graph size), 'varint' is the delta-varint compressed backend
-(~2-4x smaller resident footprint). Rows are bit-identical across all
-backends.
+flat in graph size). Rows are bit-identical across both backends.
+'graph convert --graph-format varint' writes the delta-varint flavor of
+SNPLG2: the file is about 2x smaller, it opens into RAM as 'csr', and
+'graph convert' back to raw v2 gives a file 'file' can serve.
 
 graphs bigger than RAM — quickstart:
   snaple-cli graph gen --rmat-scale 25 --out big.snplg     # ~0.5G edges
@@ -470,20 +469,16 @@ fn is_binary(path: &Path) -> bool {
 ///
 /// * `auto` (default) — binary files open through
 ///   [`io::open_store`], which dispatches on the magic (zero-parse
-///   `file-csr` for raw `SNPLG2`, `varint` for the compressed flavor,
-///   in-RAM `csr` for legacy `SNPLG1`); text edge lists parse in RAM.
+///   `file-csr` for raw `SNPLG2`, in-RAM `csr` for the varint flavor and
+///   legacy `SNPLG1`); text edge lists parse in RAM.
 /// * `csr` — force a fully in-RAM [`CsrGraph`].
 /// * `file` — force the zero-parse file-backed backend (raw `SNPLG2`
 ///   only; convert other inputs first with `graph convert`).
-/// * `varint` — force the delta-varint compressed backend (re-encoding
-///   in RAM when the input is not already varint-flavored).
 fn load_store(opts: &Options) -> Result<Arc<dyn GraphStore>, String> {
     let path = opts.graph.as_ref().ok_or("missing --graph")?;
     match opts.graph_format.as_str() {
-        "auto" if is_binary(path) => {
-            io::open_store(path).map_err(|e| format!("{}: {e}", path.display()))
-        }
-        "auto" | "csr" => Ok(Arc::new(load_graph(opts)?)),
+        "auto" => open_auto(opts),
+        "csr" => Ok(Arc::new(load_graph(opts)?)),
         "file" => {
             if !is_binary(path) {
                 return Err(format!(
@@ -497,19 +492,20 @@ fn load_store(opts: &Options) -> Result<Arc<dyn GraphStore>, String> {
                 Err(e) => Err(format!("{}: {e}", path.display())),
             }
         }
-        "varint" => {
-            if is_binary(path) {
-                if let Ok(g) = CompressedGraph::open(path) {
-                    return Ok(Arc::new(g));
-                }
-            }
-            // Not varint-flavored on disk: load and re-encode in RAM.
-            let g = load_graph(opts)?;
-            Ok(Arc::new(CompressedGraph::from_store(&g)))
-        }
         other => Err(format!(
-            "--graph-format expects auto, csr, file or varint, got {other:?}"
+            "--graph-format expects auto, csr or file, got {other:?}"
         )),
+    }
+}
+
+/// Opens `--graph` as the backend its format calls for: binary files
+/// through [`io::open_store`], text edge lists parsed in RAM.
+fn open_auto(opts: &Options) -> Result<Arc<dyn GraphStore>, String> {
+    let path = opts.graph.as_ref().ok_or("missing --graph")?;
+    if is_binary(path) {
+        io::open_store(path).map_err(|e| format!("{}: {e}", path.display()))
+    } else {
+        Ok(Arc::new(load_graph(opts)?))
     }
 }
 
@@ -581,16 +577,17 @@ fn cmd_graph_convert(opts: &Options) -> Result<(), String> {
     }
 
     // In-RAM re-encode between binary flavors (or into v1/varint).
-    let store = load_store(opts)?;
+    let store = open_auto(opts)?;
     let file = File::create(out).map_err(|e| format!("{}: {e}", out.display()))?;
     let mut writer = BufWriter::new(file);
     match format {
         "v2" => io::write_binary(store.as_ref(), &mut writer).map_err(|e| e.to_string())?,
-        "varint" => {
-            compress::write_v2_varint(store.as_ref(), &mut writer).map_err(|e| e.to_string())?
-        }
+        "varint" => v2::write_v2_varint(store.as_ref(), &mut writer).map_err(|e| e.to_string())?,
         _ => io::write_binary_v1(&store.to_csr(), &mut writer).map_err(|e| e.to_string())?,
     }
+    // A section of a file-backed input that failed to load was written
+    // out as empty lists.
+    store.check_fault().map_err(|e| e.to_string())?;
     writer.flush().map_err(|e| e.to_string())?;
     println!(
         "wrote {} ({format}): {} vertices, {} edges",
@@ -948,6 +945,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             Some(csr) => csr,
             None => {
                 base_owned = store.to_csr();
+                store.check_fault().map_err(|e| e.to_string())?;
                 &base_owned
             }
         };

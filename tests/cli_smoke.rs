@@ -118,6 +118,64 @@ fn helpful_errors_for_bad_input() {
     let _ = std::fs::remove_file(graph_path);
 }
 
+/// A varint file predicts the raw file's rows; a raw file with a corrupt
+/// section fails `predict` (with and without queries) and `serve` with a
+/// non-zero exit naming the checksum failure, never "predicted 0 edges".
+#[test]
+fn varint_files_predict_like_raw_ones_and_corrupt_sections_fail_the_run() {
+    let raw = tmp("flavors.snplg");
+    let vz = tmp("flavors.vz.snplg");
+    let (raw_s, vz_s) = (raw.to_str().unwrap(), vz.to_str().unwrap());
+    let ok = |args: &[&str]| {
+        let out = run(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    ok(&["graph", "gen", "--rmat-scale", "10", "--out", raw_s]);
+    ok(&[
+        "graph",
+        "convert",
+        "--graph",
+        raw_s,
+        "--graph-format",
+        "varint",
+        "--out",
+        vz_s,
+    ]);
+    let predict = |g: &str| ok(&["predict", "--graph", g, "--query-sample", "16"]).stdout;
+    let rows = predict(raw_s);
+    assert!(!rows.is_empty());
+    assert_eq!(rows, predict(vz_s));
+    let out = run(&["predict", "--graph", raw_s, "--graph-format", "varint"]);
+    assert!(!out.status.success());
+
+    let mut bytes = std::fs::read(&raw).unwrap();
+    let header = snaple::graph::v2::parse_header(&bytes, bytes.len() as u64).unwrap();
+    let at = header
+        .section(snaple::graph::v2::SEC_OUT_TARGETS)
+        .unwrap()
+        .offset as usize
+        + 1;
+    bytes[at] ^= 0xff;
+    std::fs::write(&raw, &bytes).unwrap();
+    for args in [
+        &["predict", "--graph", raw_s, "--query-sample", "16"][..],
+        &["predict", "--graph", raw_s],
+        &["serve", "--graph", raw_s, "--request-count", "4"],
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?}: {stderr}");
+        assert!(stderr.contains("checksum mismatch"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(raw);
+    let _ = std::fs::remove_file(vz);
+}
+
 #[test]
 fn help_lists_all_commands() {
     let out = run(&["--help"]);

@@ -7,19 +7,24 @@
 //!    graph the in-RAM [`GraphBuilder`] produces, on arbitrary edge
 //!    lists and with chunk sizes small enough to force multi-run
 //!    spills and k-way merges;
-//! 3. SNAPLE prediction rows are bit-identical across the `csr`,
-//!    `file-csr`, and `varint` storage backends;
+//! 3. SNAPLE prediction rows are bit-identical across the `csr` and
+//!    `file-csr` storage backends and a varint file opened through
+//!    `io::open_store`;
 //! 4. forged or truncated `SNPLG2` bytes are rejected with typed
-//!    errors on every open path — never a panic.
+//!    errors on every open path — never a panic;
+//! 5. a section that fails its checksum after open fails the run with
+//!    a typed error instead of serving an empty graph.
 
 use proptest::prelude::*;
 
-use snaple::core::{NamedScore, PredictRequest, Predictor, Snaple, SnapleConfig};
+use snaple::core::{
+    ExecuteRequest, NamedScore, PredictRequest, Predictor, PrepareRequest, QuerySet, Snaple,
+    SnapleConfig,
+};
 use snaple::gas::ClusterSpec;
 use snaple::graph::relabel::Relabeling;
 use snaple::graph::{
-    compress, io, store, CompressedGraph, CsrGraph, ExternalGraphBuilder, FileCsr, GraphBuilder,
-    GraphDelta, GraphStore,
+    io, store, v2, CsrGraph, ExternalGraphBuilder, FileCsr, GraphBuilder, GraphDelta, GraphStore,
 };
 
 fn edges_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -128,7 +133,7 @@ proptest! {
         assert_same_graph(&g, &io::read_binary(&raw[..]).unwrap());
 
         let mut vz = Vec::new();
-        compress::write_v2_varint(&g, &mut vz).unwrap();
+        v2::write_v2_varint(&g, &mut vz).unwrap();
         assert_same_graph(&g, &io::read_binary(&vz[..]).unwrap());
     }
 
@@ -176,19 +181,19 @@ proptest! {
         let file_csr = FileCsr::open(&path).unwrap();
         let varint = {
             let mut vz = Vec::new();
-            compress::write_v2_varint(&g, &mut vz).unwrap();
+            v2::write_v2_varint(&g, &mut vz).unwrap();
             let vz_path = scratch("predvz", case);
             std::fs::write(&vz_path, &vz).unwrap();
-            let c = CompressedGraph::open(&vz_path).unwrap();
+            let opened = io::open_store(&vz_path).unwrap();
             std::fs::remove_file(&vz_path).ok();
-            c
+            opened
         };
 
         let cluster = ClusterSpec::type_i(2);
         let snaple = Snaple::new(
             SnapleConfig::new(NamedScore::LinearSum).k(4).klocal(Some(8)).seed(7),
         );
-        let backends: [&dyn GraphStore; 3] = [&g, &file_csr, &varint];
+        let backends: [&dyn GraphStore; 3] = [&g, &file_csr, varint.as_ref()];
         let mut reference: Option<Vec<Row>> = None;
         for backend in backends {
             let pred = snaple.predict(&PredictRequest::new(backend, &cluster)).unwrap();
@@ -221,7 +226,7 @@ proptest! {
         let mut raw = Vec::new();
         io::write_binary(&g, &mut raw).unwrap();
         let mut vz = Vec::new();
-        compress::write_v2_varint(&g, &mut vz).unwrap();
+        v2::write_v2_varint(&g, &mut vz).unwrap();
 
         let path = scratch("forge", case);
         for buf in [&raw, &vz] {
@@ -230,7 +235,6 @@ proptest! {
             let _ = io::read_binary(&buf[..cut]);
             std::fs::write(&path, &buf[..cut]).unwrap();
             let _ = FileCsr::open(&path);
-            let _ = CompressedGraph::open(&path);
             let _ = io::open_store(&path);
             // Bit flip: same.
             if !buf.is_empty() {
@@ -240,7 +244,6 @@ proptest! {
                 let _ = io::read_binary(&forged[..]);
                 std::fs::write(&path, &forged).unwrap();
                 let _ = FileCsr::open(&path);
-                let _ = CompressedGraph::open(&path);
                 let _ = io::open_store(&path);
             }
         }
@@ -249,8 +252,8 @@ proptest! {
 }
 
 /// `FileCsr` refuses to open a varint-flavored file (the zero-parse
-/// contract only holds for raw sections) and `CompressedGraph` refuses
-/// a raw one — both with typed errors naming the right entry point.
+/// contract only holds for raw sections) with a typed error naming
+/// `io::open_store`, which decodes it into the in-RAM `csr` backend.
 #[test]
 fn flavor_mismatch_is_a_typed_error() {
     let g = build(&[(0, 1), (1, 2), (2, 0)]);
@@ -262,18 +265,101 @@ fn flavor_mismatch_is_a_typed_error() {
     io::write_binary(&g, &mut raw).unwrap();
     std::fs::write(&raw_path, &raw).unwrap();
     let mut vz = Vec::new();
-    compress::write_v2_varint(&g, &mut vz).unwrap();
+    v2::write_v2_varint(&g, &mut vz).unwrap();
     std::fs::write(&vz_path, &vz).unwrap();
 
-    assert!(CompressedGraph::open(&raw_path).is_err());
-    assert!(FileCsr::open(&vz_path).is_err());
+    let refused = FileCsr::open(&vz_path).unwrap_err().to_string();
+    assert!(refused.contains("io::open_store"), "{refused}");
     // open_store dispatches both correctly.
     assert_eq!(
         io::open_store(&raw_path).unwrap().backend_name(),
         "file-csr"
     );
-    assert_eq!(io::open_store(&vz_path).unwrap().backend_name(), "varint");
+    assert_eq!(io::open_store(&vz_path).unwrap().backend_name(), "csr");
 
     std::fs::remove_file(&raw_path).ok();
     std::fs::remove_file(&vz_path).ok();
+}
+
+/// Writes `g` as a raw SNPLG2 file with one payload byte of section
+/// `kind` flipped, so the file opens cleanly and the section fails its
+/// checksum when it is first loaded.
+fn write_with_corrupt_section(g: &CsrGraph, kind: u32, tag: &str) -> std::path::PathBuf {
+    let mut raw = Vec::new();
+    io::write_binary(g, &mut raw).unwrap();
+    let header = v2::parse_header(&raw, raw.len() as u64).unwrap();
+    let at = header.section(kind).unwrap().offset as usize + 1;
+    raw[at] ^= 0xff;
+    let path = scratch(tag, 0);
+    std::fs::write(&path, &raw).unwrap();
+    path
+}
+
+/// A section that fails its checksum after open is an error from
+/// prepare, from a one-shot predict (with and without queries), from
+/// random-walk execute and from delta apply/fork — never rows computed
+/// over an empty section. A corrupt section the run never reads (the
+/// in-adjacency, which the plan's gathers do not walk) is not loaded,
+/// and the run's rows match the intact graph's.
+#[test]
+fn corrupt_section_is_a_typed_error_not_an_empty_graph() {
+    let edges: Vec<(u32, u32)> = (0..40u32)
+        .flat_map(|u| [(u, (u + 1) % 40), (u, (u * 7 + 3) % 40)])
+        .collect();
+    let g = build(&edges);
+    let cluster = ClusterSpec::type_i(2);
+    let snaple = Snaple::new(SnapleConfig::new(NamedScore::LinearSum).k(4).seed(7));
+    let queries = QuerySet::from_indices([0, 5, 17]);
+    let expect_fault = |err: String| assert!(err.contains("checksum mismatch"), "{err}");
+
+    let out_path = write_with_corrupt_section(&g, v2::SEC_OUT_TARGETS, "corrupt-out");
+    for q in [None, Some(&queries)] {
+        let file = FileCsr::open(&out_path).unwrap();
+        let mut req = PredictRequest::new(&file, &cluster);
+        if let Some(q) = q {
+            req = req.with_queries(q);
+        }
+        expect_fault(snaple.predict(&req).unwrap_err().to_string());
+    }
+    let file = FileCsr::open(&out_path).unwrap();
+    let prepared = snaple.prepare(&PrepareRequest::new(&file, &cluster));
+    expect_fault(prepared.err().unwrap().to_string());
+    let walk = snaple::cassovary::RandomWalkPpr::new(
+        snaple::cassovary::RandomWalkConfig::new().walks(4).depth(3),
+    );
+    let file = FileCsr::open(&out_path).unwrap();
+    let walked = walk.predict(&PredictRequest::new(&file, &cluster).with_queries(&queries));
+    expect_fault(walked.unwrap_err().to_string());
+    std::fs::remove_file(&out_path).ok();
+
+    let in_path = write_with_corrupt_section(&g, v2::SEC_IN_SOURCES, "corrupt-in");
+    let mut delta = GraphDelta::new();
+    delta.insert(0, 20);
+    let walk_file = FileCsr::open(&in_path).unwrap();
+    let walk_prepared = walk
+        .prepare(&PrepareRequest::new(&walk_file, &cluster))
+        .unwrap();
+    expect_fault(
+        walk_prepared
+            .fork_with_delta(&delta)
+            .err()
+            .unwrap()
+            .to_string(),
+    );
+    let file = FileCsr::open(&in_path).unwrap();
+    let mut prepared = snaple
+        .prepare(&PrepareRequest::new(&file, &cluster))
+        .unwrap();
+    let served = prepared
+        .execute(&ExecuteRequest::new().with_queries(&queries))
+        .unwrap();
+    let clean = snaple
+        .predict(&PredictRequest::new(&g, &cluster).with_queries(&queries))
+        .unwrap();
+    for q in queries.iter() {
+        assert_eq!(served.for_vertex(q), clean.for_vertex(q));
+    }
+    expect_fault(prepared.fork_with_delta(&delta).err().unwrap().to_string());
+    expect_fault(prepared.apply_delta(&delta).unwrap_err().to_string());
+    std::fs::remove_file(&in_path).ok();
 }
