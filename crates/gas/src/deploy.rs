@@ -669,4 +669,53 @@ mod tests {
             );
         }
     }
+
+    /// A file-backed graph whose in-sources fail their checksum deploys
+    /// (the partition build reads out-lists only), but a delta that must
+    /// materialize the graph is refused with the fault and leaves the
+    /// graph, the partition and the counters as they were.
+    #[test]
+    fn apply_delta_on_a_faulted_file_graph_leaves_the_deployment_unchanged() {
+        use snaple_graph::{io, v2};
+        let g = ring(40);
+        let mut bytes = Vec::new();
+        io::write_binary(&g, &mut bytes).unwrap();
+        let header = v2::parse_header(&bytes, bytes.len() as u64).unwrap();
+        let at = header.section(v2::SEC_IN_SOURCES).unwrap().offset as usize + 1;
+        bytes[at] ^= 0xff;
+        let path =
+            std::env::temp_dir().join(format!("snaple-deploy-fault-{}.snplg", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let file = v2::FileCsr::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let mut d = Deployment::new(
+            &file,
+            ClusterSpec::type_i(4),
+            PartitionStrategy::RandomVertexCut,
+            7,
+        )
+        .unwrap();
+        let before: Vec<Vec<_>> = (0..4)
+            .map(|n| d.partitioned().node_edges(NodeId::new(n)).to_vec())
+            .collect();
+        let static_bytes = d.node_static_bytes().to_vec();
+
+        let mut delta = GraphDelta::new();
+        delta.insert(0, 20).remove(0, 1);
+        let err = d.apply_delta(&delta).unwrap_err();
+        assert!(matches!(err, EngineError::GraphFault(_)), "{err}");
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        assert_eq!(d.graph().backend_name(), "file-csr");
+        assert_eq!(d.graph().num_edges(), g.num_edges());
+        for (n, edges) in before.iter().enumerate() {
+            assert_eq!(
+                d.partitioned().node_edges(NodeId::new(n as u16)),
+                &edges[..]
+            );
+        }
+        assert_eq!(d.node_static_bytes(), &static_bytes[..]);
+        assert_eq!(d.deltas_applied(), 0);
+        assert_eq!(d.delta_touched_partitions(), 0);
+    }
 }

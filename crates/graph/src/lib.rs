@@ -78,6 +78,11 @@
 pub mod algo;
 pub mod builder;
 pub mod codec;
+/// Tests of the varint (compressed) `SNPLG2` flavor, whose codec lives in
+/// [`v2`].
+#[cfg(test)]
+#[path = "varint_tests.rs"]
+mod compress;
 pub mod csr;
 pub mod delta;
 pub mod error;

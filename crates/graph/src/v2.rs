@@ -439,7 +439,8 @@ pub fn decode_block_index(bytes: &[u8]) -> Result<Vec<usize>, GraphError> {
 // are sorted, so consecutive ids are close: each list stores its first id
 // absolute and the rest as LEB128-encoded gaps. Lists are grouped into
 // blocks of `BLOCK_VERTICES` vertices with a per-block byte index. Offsets
-// and weights stay raw.
+// and weights stay raw. The crate-visible items are tested by the
+// crate's `compress` test module (`varint_tests.rs`).
 // ---------------------------------------------------------------------------
 
 /// Vertices per varint block: the granularity of the per-block byte
@@ -447,7 +448,7 @@ pub fn decode_block_index(bytes: &[u8]) -> Result<Vec<usize>, GraphError> {
 const BLOCK_VERTICES: usize = 64;
 
 /// Appends `value` to `out` as LEB128.
-fn push_varint(out: &mut Vec<u8>, mut value: u32) {
+pub(crate) fn push_varint(out: &mut Vec<u8>, mut value: u32) {
     while value >= 0x80 {
         out.push((value & 0x7F) as u8 | 0x80);
         value >>= 7;
@@ -460,7 +461,7 @@ fn push_varint(out: &mut Vec<u8>, mut value: u32) {
 /// # Errors
 ///
 /// [`GraphError::Corrupt`] on truncation or a value overflowing `u32`.
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, GraphError> {
+pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, GraphError> {
     let mut value: u32 = 0;
     let mut shift = 0u32;
     loop {
@@ -483,7 +484,10 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, GraphError> {
 /// Encodes the adjacency lists of vertices `[0, n)` (ascending ids per
 /// list: first absolute, rest gaps) into a stream plus a per-block byte
 /// index of length `blocks + 1`.
-fn encode_stream(n: usize, mut list_of: impl FnMut(u32) -> Vec<u32>) -> (Vec<u8>, Vec<usize>) {
+pub(crate) fn encode_stream(
+    n: usize,
+    mut list_of: impl FnMut(u32) -> Vec<u32>,
+) -> (Vec<u8>, Vec<usize>) {
     let blocks = n.div_ceil(BLOCK_VERTICES);
     let mut stream = Vec::new();
     let mut index = Vec::with_capacity(blocks + 1);
@@ -555,7 +559,7 @@ fn decode_block(
 ///
 /// [`GraphError::Corrupt`] / [`GraphError::VertexOutOfRange`] on any
 /// malformed block.
-fn decode_all_blocks(
+pub(crate) fn decode_all_blocks(
     stream: &[u8],
     index: &[usize],
     offsets: &[usize],
@@ -1168,109 +1172,6 @@ mod tests {
                 other => panic!("weight presence diverged at {u}: {other:?}"),
             }
         }
-    }
-
-    /// A graph whose adjacency spans several varint blocks.
-    fn multi_block_sample() -> CsrGraph {
-        let mut b = GraphBuilder::new();
-        for (u, v) in [
-            (0u32, 1u32),
-            (0, 7),
-            (0, 130),
-            (1, 2),
-            (5, 0),
-            (64, 65),
-            (64, 200),
-            (199, 3),
-            (200, 64),
-        ] {
-            b.add_edge(u, v);
-        }
-        b.build()
-    }
-
-    fn encode_varint(g: &CsrGraph) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_v2_varint(g, &mut out).expect("encode");
-        out
-    }
-
-    #[test]
-    fn varint_codec_round_trips() {
-        let mut buf = Vec::new();
-        let values = [0u32, 1, 127, 128, 300, 16383, 16384, u32::MAX];
-        for &v in &values {
-            push_varint(&mut buf, v);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(read_varint(&buf, &mut pos).expect("decode"), v);
-        }
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn varint_rejects_truncation_and_overflow() {
-        let mut buf = Vec::new();
-        push_varint(&mut buf, u32::MAX);
-        let mut pos = 0;
-        assert!(read_varint(&buf[..buf.len() - 1], &mut pos).is_err());
-        // Six continuation bytes can never fit a u32.
-        let over = [0x80u8, 0x80, 0x80, 0x80, 0x80, 0x01];
-        let mut pos = 0;
-        assert!(read_varint(&over, &mut pos).is_err());
-    }
-
-    #[test]
-    fn varint_v2_file_round_trips() {
-        for g in [multi_block_sample(), weighted_sample()] {
-            let bytes = encode_varint(&g);
-            assert!(
-                parse_header(&bytes, bytes.len() as u64)
-                    .expect("header")
-                    .varint
-            );
-            assert_same(&g, &decode_v2(&bytes).expect("decode"));
-        }
-    }
-
-    #[test]
-    fn corrupt_varint_files_are_typed_errors() {
-        let bytes = encode_varint(&multi_block_sample());
-        for pos in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x20;
-            assert!(decode_v2(&bad).is_err(), "flip at {pos} went unnoticed");
-        }
-    }
-
-    #[test]
-    fn malformed_varint_stream_is_a_typed_error() {
-        let g = multi_block_sample();
-        let n = g.num_vertices();
-        let (mut stream, index) = encode_stream(n, |u| {
-            g.out_neighbors(VertexId::new(u))
-                .iter()
-                .map(|v| v.as_u32())
-                .collect()
-        });
-        // Blow up a gap so a decoded id lands out of range.
-        stream[0] = 0xFF;
-        stream[1] = 0x7F;
-        let mut offsets = vec![0usize];
-        for u in g.vertices() {
-            offsets.push(offsets[offsets.len() - 1] + g.out_degree(u));
-        }
-        assert!(matches!(
-            decode_all_blocks(&stream, &index, &offsets, n),
-            Err(GraphError::VertexOutOfRange { vertex: 16383, .. })
-        ));
-        // A stream shorter than its block index records is corrupt.
-        stream.pop();
-        assert!(matches!(
-            decode_all_blocks(&stream, &index, &offsets, n),
-            Err(GraphError::Corrupt(_))
-        ));
     }
 
     #[test]
