@@ -53,7 +53,7 @@ use snaple_core::{
 use snaple_gas::stats::{NodeStats, RunStats, StepStats};
 use snaple_gas::CostModel;
 use snaple_graph::hash::hash2;
-use snaple_graph::{CsrGraph, GraphStore, VertexId};
+use snaple_graph::{GraphStore, LiveGraph, VertexId};
 
 /// Cost of one random-walk hop, in seconds.
 ///
@@ -170,26 +170,33 @@ impl RandomWalkPpr {
         Ok(())
     }
 
-    /// Runs the walks for `targets` and assembles the shared result type.
+    /// Runs the walks for `queries` (every vertex when `None`) and
+    /// assembles the shared result type: one row per vertex for an
+    /// all-vertices run, the queried rows only otherwise.
     fn walk(
         &self,
         graph: &dyn GraphStore,
         cost: &CostModel,
-        storage_bytes: u64,
-        targets: &[VertexId],
+        queries: Option<&[VertexId]>,
         seed: u64,
     ) -> Prediction {
         let n = graph.num_vertices();
+        let all: Vec<VertexId>;
+        let targets = match queries {
+            Some(q) => q,
+            None => {
+                all = snaple_graph::store::vertices(graph).collect();
+                &all
+            }
+        };
         let workers = self
             .config
             .threads
-            .unwrap_or_else(|| thread::available_parallelism().map_or(2, |p| p.get()))
+            .unwrap_or_else(snaple_gas::host_parallelism)
             .max(1);
         let chunk = targets.len().div_ceil(workers).max(1);
         let hops = self.config.depth.saturating_sub(1);
 
-        let mut predictions: Vec<Vec<(VertexId, f32)>> = vec![Vec::new(); n];
-        let mut total_hops = 0u64;
         // One shard's output: per-source prediction rows plus hops taken.
         type ShardResult = (Vec<(VertexId, Vec<(VertexId, f32)>)>, u64);
         let shard_results: Vec<ShardResult> = thread::scope(|scope| {
@@ -240,14 +247,9 @@ impl RandomWalkPpr {
                 .map(|h| h.join().expect("walk worker panicked"))
                 .collect()
         });
-        let mut sources = 0u64;
-        for (shard, hops_done) in shard_results {
-            for (u, preds) in shard {
-                predictions[u.index()] = preds;
-                sources += 1;
-            }
-            total_hops += hops_done;
-        }
+        let total_hops = shard_results.iter().map(|(_, hops_done)| hops_done).sum();
+        let rows = shard_results.into_iter().flat_map(|(shard, _)| shard);
+        let sources = targets.len() as u64;
 
         let step = StepStats {
             name: "cassovary-random-walk-ppr".to_owned(),
@@ -260,7 +262,7 @@ impl RandomWalkPpr {
             per_node: vec![NodeStats {
                 compute_ops: total_hops,
                 net_bytes: 0,
-                memory_peak: storage_bytes,
+                memory_peak: graph.storage_bytes(),
             }],
             simulated_seconds: cost.step_seconds(total_hops, 0),
         };
@@ -269,42 +271,26 @@ impl RandomWalkPpr {
             replication_factor: 1.0,
             ..RunStats::default()
         };
-        Prediction::from_parts(predictions, stats)
-    }
-}
-
-/// The graph a [`PreparedWalk`] runs over: any [`GraphStore`] backend
-/// while it is still the caller's borrow, an owned in-memory CSR once a
-/// delta has been folded in.
-enum WalkGraph<'a> {
-    Borrowed(&'a dyn GraphStore),
-    Owned(CsrGraph),
-}
-
-impl WalkGraph<'_> {
-    fn store(&self) -> &dyn GraphStore {
-        match self {
-            WalkGraph::Borrowed(g) => *g,
-            WalkGraph::Owned(g) => g,
+        match queries {
+            Some(_) => Prediction::from_rows(n, rows, stats),
+            None => Prediction::from_parts(rows.map(|(_, preds)| preds).collect(), stats),
         }
     }
 }
 
 /// A random-walk predictor with its per-graph state precomputed: the
-/// hop-calibrated cost model, the graph's storage footprint, and the
-/// all-vertices target table.
+/// hop-calibrated cost model.
 ///
 /// Random walks need no partition, so `prepare` is cheap here — but going
 /// through the same lifecycle lets the serving layer treat every backend
-/// uniformly. The graph starts as a borrow and becomes owned once a
-/// delta is applied (see [`PreparedPredictor::apply_delta`]), so a served
-/// stream can keep mutating it in place.
+/// uniformly. The graph is held in a [`LiveGraph`]: the caller's borrow
+/// until a delta is applied (see [`PreparedPredictor::apply_delta`]), an
+/// owned CSR afterwards, so a served stream can keep mutating it in
+/// place.
 pub struct PreparedWalk<'a> {
     ppr: RandomWalkPpr,
-    graph: WalkGraph<'a>,
+    graph: LiveGraph<'a>,
     cost: CostModel,
-    storage_bytes: u64,
-    all_vertices: Vec<VertexId>,
     delta_apply_seconds: f64,
     setup: SetupStats,
 }
@@ -318,15 +304,10 @@ impl PreparedPredictor for PreparedWalk<'_> {
                     .to_owned(),
             ));
         }
-        let targets: &[VertexId] = match req.queries() {
-            Some(q) => q.as_slice(),
-            None => &self.all_vertices,
-        };
         let mut prediction = self.ppr.walk(
             self.graph.store(),
             &self.cost,
-            self.storage_bytes,
-            targets,
+            req.queries().map(|q| q.as_slice()),
             req.seed().unwrap_or(self.ppr.config.seed),
         );
         // A section that failed to load during the walks was read as
@@ -336,8 +317,7 @@ impl PreparedPredictor for PreparedWalk<'_> {
         Ok(prediction)
     }
 
-    /// Folds the delta into the owned graph and refreshes the per-graph
-    /// tables (storage footprint, target list). Partition-free: the
+    /// Folds the delta into the owned graph. Partition-free: the
     /// touched-partition count is always zero.
     fn apply_delta(
         &mut self,
@@ -347,56 +327,32 @@ impl PreparedPredictor for PreparedWalk<'_> {
         let overlay = delta.resolve(self.graph.store());
         self.graph.store().check_fault()?;
         let grown_vertices = overlay.num_vertices() - self.graph.store().num_vertices();
-        let stats = snaple_gas::DeltaStats {
-            inserted_edges: overlay.num_inserted(),
-            removed_edges: overlay.num_removed(),
-            grown_vertices,
-            touched_partitions: 0,
-            apply_wall_seconds: 0.0,
-        };
         if !overlay.is_noop() {
-            // Consume an owned graph in place; materialize a file-backed
-            // one once (refusing it if a section fails to load), then fold
-            // the overlay in.
-            let mutated = match &mut self.graph {
-                WalkGraph::Owned(g) => std::mem::replace(g, CsrGraph::from_edges(0, &[]))
-                    .compact_overlay_owned(&overlay),
-                WalkGraph::Borrowed(g) => match g.as_csr() {
-                    Some(csr) => csr.compact_overlay(&overlay),
-                    None => {
-                        let csr = g.to_csr();
-                        g.check_fault()?;
-                        csr.compact_overlay_owned(&overlay)
-                    }
-                },
-            };
-            self.storage_bytes = mutated.storage_bytes();
-            self.all_vertices = mutated.vertices().collect();
-            self.graph = WalkGraph::Owned(mutated);
+            self.graph.fold(&overlay)?;
         }
         let apply_wall_seconds = started.elapsed().as_secs_f64();
         self.delta_apply_seconds += apply_wall_seconds;
         Ok(snaple_gas::DeltaStats {
+            inserted_edges: overlay.num_inserted(),
+            removed_edges: overlay.num_removed(),
+            grown_vertices,
+            touched_partitions: 0,
             apply_wall_seconds,
-            ..stats
         })
     }
 
-    /// Detaches a fully owned copy of the walk state and folds the delta
-    /// into it, leaving `self` untouched — the epoch-snapshot path of
-    /// concurrent serving.
+    /// Detaches a copy of the walk state and folds the delta into it,
+    /// leaving `self` untouched — the epoch-snapshot path of concurrent
+    /// serving. A file-backed graph is shared, not copied, until the
+    /// fold needs it in RAM.
     fn fork_with_delta(
         &self,
         delta: &snaple_graph::GraphDelta,
     ) -> Result<(Box<dyn PreparedPredictor>, snaple_gas::DeltaStats), SnapleError> {
-        let graph = self.graph.store().to_csr();
-        self.graph.store().check_fault()?;
         let mut fork = PreparedWalk {
             ppr: self.ppr.clone(),
-            graph: WalkGraph::Owned(graph),
+            graph: self.graph.detach(),
             cost: self.cost.clone(),
-            storage_bytes: self.storage_bytes,
-            all_vertices: self.all_vertices.clone(),
             delta_apply_seconds: self.delta_apply_seconds,
             setup: self.setup.clone(),
         };
@@ -410,8 +366,8 @@ impl PreparedPredictor for PreparedWalk<'_> {
 }
 
 impl Predictor for RandomWalkPpr {
-    /// Precomputes the walk state (cost model, degree/storage tables,
-    /// target list); the returned [`PreparedWalk`] runs `w` random walks
+    /// Precomputes the walk state (the hop-calibrated cost model); the
+    /// returned [`PreparedWalk`] runs `w` random walks
     /// of depth `d` from every requested source and predicts the `k`
     /// most-visited non-neighbors per source.
     ///
@@ -430,10 +386,7 @@ impl Predictor for RandomWalkPpr {
     ) -> Result<Box<dyn PreparedPredictor + 'a>, SnapleError> {
         self.validate_config()?;
         let started = Instant::now();
-        let graph = req.graph();
         let cost = CostModel::for_cluster(req.cluster()).with_op_cost(WALK_HOP_COST);
-        let storage_bytes = graph.storage_bytes();
-        let all_vertices: Vec<VertexId> = snaple_graph::store::vertices(graph).collect();
         let setup = SetupStats {
             prepare_wall_seconds: started.elapsed().as_secs_f64(),
             partition_build_seconds: 0.0,
@@ -441,10 +394,8 @@ impl Predictor for RandomWalkPpr {
         };
         Ok(Box::new(PreparedWalk {
             ppr: self.clone(),
-            graph: WalkGraph::Borrowed(graph),
+            graph: LiveGraph::Borrowed(req.graph()),
             cost,
-            storage_bytes,
-            all_vertices,
             delta_apply_seconds: 0.0,
             setup,
         }))
@@ -457,6 +408,7 @@ mod tests {
     use snaple_core::{PredictRequest, QuerySet};
     use snaple_gas::ClusterSpec;
     use snaple_graph::gen::datasets;
+    use snaple_graph::CsrGraph;
 
     fn v(i: u32) -> VertexId {
         VertexId::new(i)

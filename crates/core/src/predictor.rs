@@ -347,7 +347,7 @@ impl Prediction {
     /// A result storing `rows` only, every other vertex reading as an
     /// empty row. Sources `>= num_vertices` are dropped and a repeated
     /// source keeps its last row.
-    pub(crate) fn from_rows(
+    pub fn from_rows(
         num_vertices: usize,
         rows: impl IntoIterator<Item = (VertexId, Vec<(VertexId, f32)>)>,
         stats: RunStats,

@@ -27,9 +27,11 @@
 //! A serving deployment over a *growing* graph must not repartition
 //! O(edges) state whenever a follow edge arrives.
 //! [`Deployment::apply_delta`] ingests a
-//! [`snaple_graph::GraphDelta`] incrementally: the mutated
-//! graph is folded in with a linear
-//! [`CsrGraph::compact`](snaple_graph::CsrGraph::compact) merge, removed
+//! [`snaple_graph::GraphDelta`] incrementally: the deployment holds its
+//! graph in a [`LiveGraph`], whose
+//! [`fold`](snaple_graph::LiveGraph::fold) runs the one linear
+//! CSR merge in place (after materializing a borrowed or file-backed
+//! graph once, on the first delta), removed
 //! edges are dropped from — and inserted edges routed onto — only the
 //! partitions that actually hold them, and the per-partition cost-model
 //! entries (static CSR bytes per node) are rebuilt for the touched
@@ -61,10 +63,9 @@
 //! stream step, and refresh the deployment in place when update batches
 //! interleave with prediction batches.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use snaple_graph::{CsrGraph, GraphDelta, GraphStore};
+use snaple_graph::{GraphDelta, GraphStore, LiveGraph, VertexId};
 
 use crate::cluster::{ClusterSpec, NodeId};
 use crate::cost::CostModel;
@@ -88,43 +89,23 @@ pub struct DeltaStats {
     pub apply_wall_seconds: f64,
 }
 
-/// The graph a deployment partitions: borrowed from the caller until the
-/// first applied delta, owned afterwards, or — in a
-/// [`detach`](Deployment::detach)ed fork of a borrowed file-backed graph —
-/// shared behind an `Arc`, so a fork does not copy that graph into RAM.
-#[derive(Clone, Debug)]
-enum DepGraph<'g> {
-    Borrowed(&'g dyn GraphStore),
-    Owned(CsrGraph),
-    Shared(Arc<dyn GraphStore>),
-}
-
-impl DepGraph<'_> {
-    fn store(&self) -> &dyn GraphStore {
-        match self {
-            DepGraph::Borrowed(g) => *g,
-            DepGraph::Owned(g) => g,
-            DepGraph::Shared(g) => g.as_ref(),
-        }
-    }
-}
-
 /// The immutable-between-updates heavy state of a GAS run: graph, cluster,
 /// vertex-cut partition and cost model.
 ///
 /// The graph can be either [`GraphStore`] backend — an in-memory
-/// [`CsrGraph`] or a file-backed `snaple_graph::v2::FileCsr` — and
+/// `CsrGraph` or a file-backed `snaple_graph::v2::FileCsr` — and
 /// partitioning, supersteps and delta applies behave identically over
-/// both (applying a delta folds the file-backed graph into an owned
-/// in-memory CSR, since the mutated graph no longer matches the on-disk
-/// bytes).
+/// both. It is held in a [`LiveGraph`]: the caller's borrow until the
+/// first applied delta, an owned in-memory CSR afterwards (the mutated
+/// graph no longer matches the caller's graph or the on-disk bytes), and
+/// a shared handle in a [`detach`](Deployment::detach)ed fork of a
+/// file-backed graph.
 ///
 /// See the [module docs](self) for why this exists, how it is shared, and
 /// how [`Deployment::apply_delta`] refreshes it in place.
 #[derive(Clone, Debug)]
 pub struct Deployment<'g> {
-    /// Borrowed until the first applied delta, owned afterwards.
-    graph: DepGraph<'g>,
+    graph: LiveGraph<'g>,
     cluster: ClusterSpec,
     strategy: PartitionStrategy,
     seed: u64,
@@ -165,7 +146,7 @@ impl<'g> Deployment<'g> {
             .map(|n| part.node_edges(NodeId::new(n as u16)).len() as u64 * 8)
             .collect();
         Ok(Deployment {
-            graph: DepGraph::Borrowed(graph),
+            graph: LiveGraph::Borrowed(graph),
             cluster,
             strategy,
             seed,
@@ -216,81 +197,60 @@ impl<'g> Deployment<'g> {
 
         // Fold the overlay in before the partition is touched, so a
         // file-backed graph whose sections fail to load leaves the
-        // deployment unchanged. An owned CSR is compacted *consuming* (its
-        // arrays are reused in place, so the adjacency is not transiently
-        // doubled), an in-memory borrow uses the cloning merge, and a
-        // file-backed graph is materialized once and then consumed.
-        let new_graph = match &mut self.graph {
-            DepGraph::Owned(g) => {
-                std::mem::replace(g, CsrGraph::from_edges(0, &[])).compact_overlay_owned(&overlay)
-            }
-            other => {
-                let store = other.store();
-                match store.as_csr() {
-                    Some(csr) => csr.compact_overlay(&overlay),
-                    None => {
-                        let csr = store.to_csr();
-                        store.check_fault()?;
-                        csr.compact_overlay_owned(&overlay)
-                    }
-                }
-            }
-        };
+        // deployment unchanged.
+        self.graph.fold(&overlay)?;
         self.part.ensure_vertices(overlay.num_vertices(), self.seed);
 
         // Route the whole batch first, then splice each touched node's
         // edge list in one merge pass — O(delta + touched lists), instead
         // of one O(list) shift per edge.
         let nodes = self.part.num_nodes();
-        let mut removed_by_node: Vec<Vec<_>> = vec![Vec::new(); nodes];
-        for (u, v) in overlay.removed_edges() {
-            if let Some(node) = self.part.locate_edge(u, v, self.strategy, self.seed) {
-                removed_by_node[node.index()].push((u, v));
-            }
-        }
+        let removed: Vec<_> = overlay
+            .removed_edges()
+            .filter_map(|(u, v)| {
+                let node = self.part.locate_edge(u, v, self.strategy, self.seed)?;
+                Some((node.index(), (u, v)))
+            })
+            .collect();
+        let removed_by_node = group_by_node(nodes, removed);
         // Greedy placement consults live state: loads net of the edges
         // queued for removal, and presence bits updated as each insert
         // lands — so a batch routes exactly like a sequence of per-edge
         // `insert_edge` calls preceded by the removals.
-        let mut added_by_node: Vec<Vec<_>> = vec![Vec::new(); nodes];
-        let mut loads: Vec<u64> = (0..nodes)
-            .map(|n| {
-                (self.part.node_edges(NodeId::new(n as u16)).len() - removed_by_node[n].len())
-                    as u64
+        let mut loads: Vec<u64> = removed_by_node
+            .iter()
+            .enumerate()
+            .map(|(n, gone)| {
+                (self.part.node_edges(NodeId::new(n as u16)).len() - gone.len()) as u64
             })
             .collect();
+        let mut added = Vec::with_capacity(overlay.num_inserted());
         for (u, v, _) in overlay.inserted_edges() {
             let node = self.part.placement(u, v, self.strategy, self.seed, &loads);
-            loads[node] += 1;
-            added_by_node[node].push((u, v));
+            if let Some(load) = loads.get_mut(node) {
+                *load += 1;
+            }
+            added.push((node, (u, v)));
             self.part.mark_present(u, NodeId::new(node as u16));
             self.part.mark_present(v, NodeId::new(node as u16));
         }
-        let mut touched = 0u64; // bitmask over MAX_NODES ≤ 64 partitions
-        for n in 0..nodes {
-            if removed_by_node[n].is_empty() && added_by_node[n].is_empty() {
-                continue;
-            }
-            touched |= 1 << n;
-            // `removed_edges`/`inserted_edges` iterate in (src, dst)
-            // order, so the per-node groups arrive sorted — but the
-            // added groups are not guaranteed disjoint-sorted against
-            // interleaving, so sort defensively (cheap: per-node slices).
-            removed_by_node[n].sort_unstable();
-            added_by_node[n].sort_unstable();
-        }
+        let added_by_node = group_by_node(nodes, added);
+        // Bitmask over MAX_NODES ≤ 64 partitions.
+        let touched = removed_by_node
+            .iter()
+            .zip(&added_by_node)
+            .enumerate()
+            .filter(|(_, (gone, new))| !gone.is_empty() || !new.is_empty())
+            .fold(0u64, |mask, (n, _)| mask | 1 << n);
 
         self.part.splice_nodes(&removed_by_node, &added_by_node);
         // Refresh the touched partitions' cached cost-model entries;
         // untouched entries are already exact.
-        let mut mask = touched;
-        while mask != 0 {
-            let n = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            self.node_static_bytes[n] =
-                self.part.node_edges(NodeId::new(n as u16)).len() as u64 * 8;
+        for (n, bytes) in self.node_static_bytes.iter_mut().enumerate() {
+            if touched >> n & 1 == 1 {
+                *bytes = self.part.node_edges(NodeId::new(n as u16)).len() as u64 * 8;
+            }
         }
-        self.graph = DepGraph::Owned(new_graph);
 
         let stats = DeltaStats {
             inserted_edges: overlay.num_inserted(),
@@ -305,32 +265,21 @@ impl<'g> Deployment<'g> {
         Ok(stats)
     }
 
-    /// Clones the deployment into a fully owned (`'static`) snapshot,
-    /// detaching it from the borrowed base graph.
+    /// Clones the deployment into a `'static` snapshot, detached from the
+    /// caller's borrow.
     ///
     /// This is the building block of *epoch-based* serving
     /// (`snaple_core::concurrent`): a concurrent server forks the current
     /// deployment off to the side, applies a delta to the fork, and
     /// atomically publishes it — readers keep executing on the old epoch
-    /// and never observe a half-applied update. The copy is memcpy-bound
-    /// (graph CSR arrays, partition edge lists); the subsequent
-    /// [`Deployment::apply_delta`] on the fork is still incremental.
+    /// and never observe a half-applied update. The graph detaches by
+    /// [`LiveGraph::detach`]: an in-memory graph is copied, a file-backed
+    /// one is shared behind an `Arc` (the fork's first
+    /// [`Deployment::apply_delta`] materializes it). The partition edge
+    /// lists are copied; the apply on the fork is still incremental.
     pub fn detach(&self) -> Deployment<'static> {
-        let graph = match &self.graph {
-            DepGraph::Owned(g) => DepGraph::Owned(g.clone()),
-            // An in-memory borrow detaches to an owned copy (the
-            // historical behavior); other backends detach to a shared
-            // handle — cloning a file-backed graph into RAM would defeat
-            // its purpose, and epoch forks only mutate via `apply_delta`,
-            // which folds to an owned CSR anyway.
-            DepGraph::Borrowed(g) => match g.as_csr() {
-                Some(csr) => DepGraph::Owned(csr.clone()),
-                None => DepGraph::Shared(g.clone_shared()),
-            },
-            DepGraph::Shared(g) => DepGraph::Shared(Arc::clone(g)),
-        };
         Deployment {
-            graph,
+            graph: self.graph.detach(),
             cluster: self.cluster.clone(),
             strategy: self.strategy,
             seed: self.seed,
@@ -414,10 +363,29 @@ impl<'g> Deployment<'g> {
     }
 }
 
+/// Groups node-tagged edges into one list per node, each sorted by
+/// `(src, dst)` as [`PartitionedGraph::splice_nodes`] needs. Edges are
+/// tagged by `placement`/`locate_edge`, so every tag is below `nodes`.
+fn group_by_node(
+    nodes: usize,
+    mut routed: Vec<(usize, (VertexId, VertexId))>,
+) -> Vec<Vec<(VertexId, VertexId)>> {
+    routed.sort_unstable();
+    let mut routed = routed.into_iter().peekable();
+    (0..nodes)
+        .map(|n| {
+            std::iter::from_fn(|| routed.next_if(|&(m, _)| m == n))
+                .map(|(_, edge)| edge)
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::NodeId;
+    use snaple_graph::CsrGraph;
 
     fn ring(n: u32) -> CsrGraph {
         let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();

@@ -241,25 +241,10 @@ impl CsrGraph {
         self.out_offsets[u.index()] + i
     }
 
-    /// Raw out-CSR arrays `(offsets, targets, weights)` — for the delta
-    /// compactor's bulk range copies.
-    pub(crate) fn out_csr(&self) -> (&[usize], &[VertexId], Option<&[f32]>) {
-        (
-            &self.out_offsets,
-            &self.out_targets,
-            self.out_weights.as_deref(),
-        )
-    }
-
-    /// Raw in-CSR arrays `(offsets, sources)`.
-    pub(crate) fn in_csr(&self) -> (&[usize], &[VertexId]) {
-        (&self.in_offsets, &self.in_sources)
-    }
-
     /// Decomposes the graph into its owned arrays
     /// `(n, out_offsets, out_targets, out_weights, in_offsets, in_sources)`
-    /// — for the consuming delta compactor, which rebuilds adjacency
-    /// in place instead of cloning it.
+    /// — for the delta compactor, which rebuilds adjacency in place
+    /// instead of cloning it.
     pub(crate) fn into_parts(self) -> CsrParts {
         (
             self.num_vertices,

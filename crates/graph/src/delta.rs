@@ -10,11 +10,13 @@
 //!    matters only per edge: the last operation on a pair wins);
 //! 2. [`GraphDelta::resolve`] the batch against a base graph into a
 //!    [`DeltaOverlay`] — the *effective* changes, deduplicated,
-//!    self-loop-free and grouped per source vertex, which composes with
-//!    the base CSR as an overlay adjacency
-//!    ([`DeltaOverlay::out_neighbors`]);
-//! 3. [`CsrGraph::compact`] folds the overlay back into a fresh CSR —
-//!    a linear merge per touched vertex, no global re-sort.
+//!    self-loop-free and grouped per source (and per target) vertex;
+//! 3. fold the overlay back into CSR form. There is one merge,
+//!    [`CsrGraph::compact_overlay_owned`]: a linear pass over the graph's
+//!    own arrays, in place, with no global re-sort. [`CsrGraph::compact`]
+//!    runs it on a copy; a serving epoch holds its graph in a
+//!    [`LiveGraph`], whose [`fold`](LiveGraph::fold) runs it over any
+//!    backend.
 //!
 //! Insertions may reference vertices beyond the base graph's range; the
 //! overlay (and the compacted graph) grow to cover them, which is how a
@@ -32,8 +34,10 @@
 //! assert!(!g2.has_edge(VertexId::new(1), VertexId::new(2)));
 //! ```
 
+use std::sync::Arc;
+
 use crate::store::GraphStore;
-use crate::{CsrGraph, VertexId};
+use crate::{CsrGraph, GraphError, VertexId};
 
 /// A batch of edge insertions and removals against a base [`CsrGraph`].
 ///
@@ -124,7 +128,7 @@ impl GraphDelta {
         keyed.sort_unstable();
 
         let mut num_vertices = n;
-        let mut entries: Vec<OverlayEntry> = Vec::new();
+        let mut entries: Vec<SideEntry> = Vec::new();
         let mut in_added: Vec<(VertexId, VertexId)> = Vec::new(); // (target, source)
         let mut in_removed: Vec<(VertexId, VertexId)> = Vec::new();
         let mut inserted = 0usize;
@@ -143,16 +147,13 @@ impl GraphDelta {
             if is_insert == exists {
                 continue; // inserting a present edge / removing an absent one
             }
-            if entries.last().map(|e| e.source.as_u32()) != Some(u) {
-                entries.push(OverlayEntry {
-                    source: VertexId::new(u),
-                    added: Vec::new(),
-                    removed: Vec::new(),
-                });
+            if entries.last().map(|e| e.vertex.as_u32()) != Some(u) {
+                entries.push(SideEntry::new(VertexId::new(u)));
             }
             let entry = entries.last_mut().expect("just pushed");
             if is_insert {
-                entry.added.push((VertexId::new(v), w));
+                entry.added.push(VertexId::new(v));
+                entry.added_ws.push(w);
                 in_added.push((VertexId::new(v), VertexId::new(u)));
                 inserted += 1;
                 num_vertices = num_vertices.max(u as usize + 1).max(v as usize + 1);
@@ -172,23 +173,27 @@ impl GraphDelta {
     }
 }
 
-/// Per-source overlay entry: the effective additions and removals of one
-/// source vertex, each sorted by target id.
+/// One vertex's effective changes on one adjacency side: the neighbors
+/// it gains and loses, each sorted by id. On the out side `vertex` is a
+/// source and `added_ws` holds the added edges' weights; on the in side
+/// `vertex` is a target and `added_ws` is empty.
 #[derive(Clone, Debug)]
-struct OverlayEntry {
-    source: VertexId,
-    added: Vec<(VertexId, f32)>,
+struct SideEntry {
+    vertex: VertexId,
+    added: Vec<VertexId>,
+    added_ws: Vec<f32>,
     removed: Vec<VertexId>,
 }
 
-/// The in-direction mirror of [`OverlayEntry`]: per *target* vertex, the
-/// sources gained and lost — what the compactor needs to patch the
-/// reverse adjacency with a merge instead of a full re-scatter.
-#[derive(Clone, Debug)]
-struct InOverlayEntry {
-    target: VertexId,
-    added: Vec<VertexId>,
-    removed: Vec<VertexId>,
+impl SideEntry {
+    fn new(vertex: VertexId) -> Self {
+        SideEntry {
+            vertex,
+            added: Vec::new(),
+            added_ws: Vec::new(),
+            removed: Vec::new(),
+        }
+    }
 }
 
 /// Groups `(target, source)` pairs into sorted per-target entries: one
@@ -196,21 +201,17 @@ struct InOverlayEntry {
 fn group_by_target(
     added: Vec<(VertexId, VertexId)>,
     removed: Vec<(VertexId, VertexId)>,
-) -> Vec<InOverlayEntry> {
+) -> Vec<SideEntry> {
     let mut tagged: Vec<(VertexId, VertexId, bool)> = added
         .into_iter()
         .map(|(t, s)| (t, s, true))
         .chain(removed.into_iter().map(|(t, s)| (t, s, false)))
         .collect();
     tagged.sort_unstable_by_key(|&(t, s, _)| (t, s));
-    let mut entries: Vec<InOverlayEntry> = Vec::new();
+    let mut entries: Vec<SideEntry> = Vec::new();
     for (t, s, is_add) in tagged {
-        if entries.last().map(|e| e.target) != Some(t) {
-            entries.push(InOverlayEntry {
-                target: t,
-                added: Vec::new(),
-                removed: Vec::new(),
-            });
+        if entries.last().map(|e| e.vertex) != Some(t) {
+            entries.push(SideEntry::new(t));
         }
         let entry = entries.last_mut().expect("just pushed");
         if is_add {
@@ -225,17 +226,18 @@ fn group_by_target(
 /// The effective changes of a [`GraphDelta`] against one base graph: an
 /// overlay adjacency that composes with the immutable CSR.
 ///
-/// Produced by [`GraphDelta::resolve`]; consumed by [`CsrGraph::compact`]
-/// and by the incremental partition repair in `snaple-gas`.
+/// Produced by [`GraphDelta::resolve`]; consumed by
+/// [`CsrGraph::compact_overlay_owned`] (through [`LiveGraph::fold`]) and
+/// by the incremental partition repair in `snaple-gas`.
 #[derive(Clone, Debug)]
 pub struct DeltaOverlay {
     num_vertices: usize,
     /// Sorted by source id; each entry's `added`/`removed` sorted by
     /// target id.
-    entries: Vec<OverlayEntry>,
+    entries: Vec<SideEntry>,
     /// Sorted by target id; each entry's `added`/`removed` sorted by
     /// source id.
-    in_entries: Vec<InOverlayEntry>,
+    in_entries: Vec<SideEntry>,
     inserted: usize,
     removed: usize,
 }
@@ -266,9 +268,10 @@ impl DeltaOverlay {
     /// Iterates the effective insertions as `(source, target, weight)`,
     /// in `(source, target)` order.
     pub fn inserted_edges(&self) -> impl Iterator<Item = (VertexId, VertexId, f32)> + '_ {
-        self.entries
-            .iter()
-            .flat_map(|e| e.added.iter().map(move |&(v, w)| (e.source, v, w)))
+        self.entries.iter().flat_map(|e| {
+            let weighted = e.added.iter().zip(&e.added_ws);
+            weighted.map(move |(&v, &w)| (e.vertex, v, w))
+        })
     }
 
     /// Iterates the effective removals as `(source, target)`, in
@@ -276,51 +279,79 @@ impl DeltaOverlay {
     pub fn removed_edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         self.entries
             .iter()
-            .flat_map(|e| e.removed.iter().map(move |&v| (e.source, v)))
+            .flat_map(|e| e.removed.iter().map(move |&v| (e.vertex, v)))
     }
+}
 
-    /// The composed out-neighborhood of `u`: the base adjacency with this
-    /// overlay's removals dropped and additions merged in, sorted.
-    ///
-    /// This is the adjacency the compacted graph will materialize; it lets
-    /// callers consult the mutated topology *before* paying for
-    /// [`CsrGraph::compact`].
-    pub fn out_neighbors(&self, base: &CsrGraph, u: VertexId) -> Vec<VertexId> {
-        let base_nbrs: &[VertexId] = if u.index() < base.num_vertices() {
-            base.out_neighbors(u)
-        } else {
-            &[]
-        };
-        let Some(entry) = self.entry_for(u) else {
-            return base_nbrs.to_vec();
-        };
-        let mut out = Vec::with_capacity(base_nbrs.len() + entry.added.len());
-        let mut add = entry.added.iter().peekable();
-        for &v in base_nbrs {
-            if entry.removed.binary_search(&v).is_ok() {
-                continue;
-            }
-            while add.peek().is_some_and(|&&(a, _)| a < v) {
-                out.push(add.next().expect("peeked").0);
-            }
-            out.push(v);
+/// The graph an epoch serves: the caller's borrow until the first delta
+/// is folded in, an owned in-RAM CSR from then on, or — in a
+/// [`detach`](LiveGraph::detach)ed copy of a file-backed graph — a shared
+/// handle, so a fork does not copy that graph into RAM before a delta
+/// needs it.
+///
+/// Every serving lifecycle that absorbs deltas (`snaple_gas`'s
+/// `Deployment`, the random-walk predictor's prepared state) holds its
+/// graph in one of these.
+#[derive(Clone, Debug)]
+pub enum LiveGraph<'g> {
+    /// The caller's graph, any backend, not yet mutated.
+    Borrowed(&'g dyn GraphStore),
+    /// An in-RAM graph this holder owns; folds consume it in place.
+    Owned(CsrGraph),
+    /// A shared handle to a graph that is not in RAM.
+    Shared(Arc<dyn GraphStore>),
+}
+
+impl LiveGraph<'_> {
+    /// The current graph, reflecting every folded delta.
+    pub fn store(&self) -> &dyn GraphStore {
+        match self {
+            LiveGraph::Borrowed(g) => *g,
+            LiveGraph::Owned(g) => g,
+            LiveGraph::Shared(g) => g.as_ref(),
         }
-        out.extend(add.map(|&(a, _)| a));
-        out
     }
 
-    fn entry_for(&self, u: VertexId) -> Option<&OverlayEntry> {
-        self.entries
-            .binary_search_by_key(&u, |e| e.source)
-            .ok()
-            .map(|i| &self.entries[i])
+    /// Folds `overlay` (resolved against [`LiveGraph::store`]) into the
+    /// graph, which is owned afterwards. An owned CSR is consumed in
+    /// place; any other graph is materialized once with
+    /// [`GraphStore::to_csr`] (a copy, for an in-RAM graph) and the copy
+    /// consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::Corrupt`] when a section of a file-backed graph fails
+    /// to load while it is materialized; the holder is then unchanged.
+    pub fn fold(&mut self, overlay: &DeltaOverlay) -> Result<(), GraphError> {
+        let base = if let LiveGraph::Owned(g) = self {
+            std::mem::replace(g, CsrGraph::from_edges(0, &[]))
+        } else {
+            let csr = self.store().to_csr();
+            self.store().check_fault()?;
+            csr
+        };
+        *self = LiveGraph::Owned(base.compact_overlay_owned(overlay));
+        Ok(())
+    }
+
+    /// A holder that owns or shares its graph, for an epoch fork that
+    /// outlives the borrow: an in-RAM graph is copied, any other backend
+    /// is shared behind an `Arc` (see [`GraphStore::clone_shared`]).
+    pub fn detach(&self) -> LiveGraph<'static> {
+        match self {
+            LiveGraph::Owned(g) => LiveGraph::Owned(g.clone()),
+            LiveGraph::Borrowed(g) => match g.as_csr() {
+                Some(csr) => LiveGraph::Owned(csr.clone()),
+                None => LiveGraph::Shared(g.clone_shared()),
+            },
+            LiveGraph::Shared(g) => LiveGraph::Shared(Arc::clone(g)),
+        }
     }
 }
 
 impl CsrGraph {
-    /// Folds a delta back into CSR form: a fresh graph holding the base
-    /// adjacency with the delta's effective removals dropped and
-    /// insertions merged in.
+    /// Folds a delta into a copy of this graph: the base adjacency with
+    /// the delta's effective removals dropped and insertions merged in.
     ///
     /// The result is exactly the graph [`GraphBuilder`](crate::GraphBuilder)
     /// would produce from the mutated edge list: sorted neighbor lists, no
@@ -329,141 +360,38 @@ impl CsrGraph {
     /// [`GraphDelta::insert_weighted`] weight, `1.0` by default);
     /// unweighted bases stay unweighted.
     ///
-    /// Cost is a linear merge — O(V + E) with small constants and no
-    /// global re-sort — which is what makes a delta-then-compact refresh
-    /// an order of magnitude cheaper than rebuilding from an edge list.
+    /// A clone followed by [`CsrGraph::compact_owned`]: there is one
+    /// merge, and it runs in place on the copy.
     pub fn compact(&self, delta: &GraphDelta) -> CsrGraph {
-        self.compact_overlay(&delta.resolve(self))
+        self.clone().compact_owned(delta)
     }
 
-    /// [`CsrGraph::compact`] with the delta already resolved — lets
-    /// callers that also need the overlay (e.g. the incremental partition
-    /// repair) resolve once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `overlay` was resolved against a different graph (its
-    /// vertex range must cover this graph's).
-    pub fn compact_overlay(&self, overlay: &DeltaOverlay) -> CsrGraph {
-        let n_old = self.num_vertices();
-        let n = overlay.num_vertices();
-        assert!(
-            n >= n_old,
-            "overlay ranges over {n} vertices but the base graph has {n_old}"
-        );
-        let weighted = self.is_weighted();
-
-        // Out-adjacency: bulk-copy the CSR runs of untouched vertices and
-        // merge only the touched ones — the whole pass is memcpy-bound
-        // for small deltas.
-        let (base_offsets, base_targets, base_weights) = self.out_csr();
-        let mut out = SideBuilder::new(n, base_targets.len() + overlay.inserted, weighted);
-        for entry in &overlay.entries {
-            out.copy_until(
-                entry.source.index(),
-                n_old,
-                base_offsets,
-                base_targets,
-                base_weights,
-            );
-            let u = entry.source.index();
-            let (lo, hi) = if u < n_old {
-                (base_offsets[u], base_offsets[u + 1])
-            } else {
-                (0, 0)
-            };
-            let mut add = entry.added.iter().peekable();
-            let mut rem = entry.removed.iter().peekable();
-            for i in lo..hi {
-                let v = base_targets[i];
-                while add.peek().is_some_and(|&&(a, _)| a < v) {
-                    let &(a, w) = add.next().expect("peeked");
-                    out.push(a, w);
-                }
-                while rem.peek().is_some_and(|&&r| r < v) {
-                    rem.next();
-                }
-                if rem.peek() == Some(&&v) {
-                    rem.next();
-                    continue;
-                }
-                out.push(v, base_weights.map_or(1.0, |ws| ws[i]));
-            }
-            for &(a, w) in add {
-                out.push(a, w);
-            }
-            out.seal_vertex();
-        }
-        out.copy_until(n, n_old, base_offsets, base_targets, base_weights);
-        let (offsets, targets, weights) = out.finish();
-
-        // In-adjacency by the same scheme: patch the reverse lists of the
-        // targets the delta touches, bulk-copy everything else — no
-        // re-scatter of all E edges.
-        let (base_in_offsets, base_in_sources) = self.in_csr();
-        let mut inn = SideBuilder::new(n, targets.len(), false);
-        for entry in &overlay.in_entries {
-            inn.copy_until(
-                entry.target.index(),
-                n_old,
-                base_in_offsets,
-                base_in_sources,
-                None,
-            );
-            let v = entry.target.index();
-            let (lo, hi) = if v < n_old {
-                (base_in_offsets[v], base_in_offsets[v + 1])
-            } else {
-                (0, 0)
-            };
-            let mut add = entry.added.iter().peekable();
-            let mut rem = entry.removed.iter().peekable();
-            for &s in &base_in_sources[lo..hi] {
-                while add.peek().is_some_and(|&&a| a < s) {
-                    inn.push(*add.next().expect("peeked"), 1.0);
-                }
-                while rem.peek().is_some_and(|&&r| r < s) {
-                    rem.next();
-                }
-                if rem.peek() == Some(&&s) {
-                    rem.next();
-                    continue;
-                }
-                inn.push(s, 1.0);
-            }
-            for &a in add {
-                inn.push(a, 1.0);
-            }
-            inn.seal_vertex();
-        }
-        inn.copy_until(n, n_old, base_in_offsets, base_in_sources, None);
-        let (in_offsets, in_sources, _) = inn.finish();
-
-        CsrGraph::from_parts_with_reverse(
-            n,
-            offsets,
-            targets,
-            weighted.then_some(weights),
-            in_offsets,
-            in_sources,
-        )
-    }
-
-    /// Consuming [`CsrGraph::compact`]: folds the delta into this
-    /// graph's own arrays instead of building fresh copies.
+    /// Consuming [`CsrGraph::compact`]: resolves the delta against this
+    /// graph and folds it into this graph's own arrays with
+    /// [`CsrGraph::compact_overlay_owned`].
     pub fn compact_owned(self, delta: &GraphDelta) -> CsrGraph {
         let overlay = delta.resolve(&self);
         self.compact_overlay_owned(&overlay)
     }
 
-    /// Consuming [`CsrGraph::compact_overlay`]: the adjacency arrays are
-    /// rebuilt **in place** by a two-phase merge (removals compacted
-    /// left-to-right, then insertions merged right-to-left), so peak
-    /// memory is the *final* graph plus O(vertices) for new offsets —
-    /// not base + result simultaneously. At 100M edges that's the
-    /// difference between a checkpoint/delta refresh fitting in memory
-    /// or transiently doubling it. Produces exactly the graph
-    /// [`CsrGraph::compact_overlay`] would.
+    /// Folds an already resolved overlay into this graph — the one CSR
+    /// merge every delta fold goes through ([`CsrGraph::compact`],
+    /// [`CsrGraph::compact_owned`] and [`LiveGraph::fold`]).
+    ///
+    /// The adjacency arrays are rebuilt **in place** by a two-phase merge
+    /// (removals compacted left-to-right, then insertions merged
+    /// right-to-left), so peak memory is the *final* graph plus
+    /// O(vertices) for new offsets — not base + result simultaneously.
+    /// At 100M edges that's the difference between a checkpoint/delta
+    /// refresh fitting in memory or transiently doubling it.
+    ///
+    /// This is the only merge on purpose. A cloning merge, which writes
+    /// the result next to an untouched base, is faster per fold: routing
+    /// every fold through one cut perfbench's `update_p50_ms` from 1.68
+    /// to 1.11 ms on batch-all and from 1.85 to 1.29 ms on serve-point.
+    /// But it holds base and result at once, and it raised serve-churn's
+    /// `peak_rss_mb` in 4 of 4 runs (median 117.9 → 136.4 MB). Memory,
+    /// not merge time, is what limits a server at the paper's scale.
     ///
     /// # Panics
     ///
@@ -479,38 +407,23 @@ impl CsrGraph {
         let (_, out_offsets, mut out_targets, mut out_weights, in_offsets, mut in_sources) =
             self.into_parts();
 
-        let out_touched: Vec<TouchedSide<'_>> = overlay
-            .entries
-            .iter()
-            .map(|e| TouchedSide {
-                vertex: e.source.index(),
-                added_ids: e.added.iter().map(|&(v, _)| v).collect(),
-                added_ws: e.added.iter().map(|&(_, w)| w).collect(),
-                removed: &e.removed,
-            })
-            .collect();
         let new_out_offsets = rebuild_side_owned(
             n_old,
             n,
             &out_offsets,
             &mut out_targets,
             out_weights.as_mut(),
-            &out_touched,
+            &overlay.entries,
         );
         drop(out_offsets);
-
-        let in_touched: Vec<TouchedSide<'_>> = overlay
-            .in_entries
-            .iter()
-            .map(|e| TouchedSide {
-                vertex: e.target.index(),
-                added_ids: e.added.clone(),
-                added_ws: Vec::new(),
-                removed: &e.removed,
-            })
-            .collect();
-        let new_in_offsets =
-            rebuild_side_owned(n_old, n, &in_offsets, &mut in_sources, None, &in_touched);
+        let new_in_offsets = rebuild_side_owned(
+            n_old,
+            n,
+            &in_offsets,
+            &mut in_sources,
+            None,
+            &overlay.in_entries,
+        );
         drop(in_offsets);
 
         CsrGraph::from_parts_with_reverse(
@@ -522,16 +435,6 @@ impl CsrGraph {
             in_sources,
         )
     }
-}
-
-/// One vertex's effective changes on one adjacency side, in the shape
-/// the in-place rebuild consumes. `added_ws` is empty on unweighted
-/// sides.
-struct TouchedSide<'o> {
-    vertex: usize,
-    added_ids: Vec<VertexId>,
-    added_ws: Vec<f32>,
-    removed: &'o [VertexId],
 }
 
 /// Rebuilds one adjacency side in place and returns its new offsets.
@@ -550,7 +453,7 @@ fn rebuild_side_owned(
     base_offsets: &[usize],
     items: &mut Vec<VertexId>,
     mut weights: Option<&mut Vec<f32>>,
-    touched: &[TouchedSide<'_>],
+    touched: &[SideEntry],
 ) -> Vec<usize> {
     // Degree bookkeeping: mid = base − removed, final = mid + added.
     let deg_of = |u: usize| {
@@ -568,7 +471,7 @@ fn rebuild_side_owned(
         if t.removed.is_empty() {
             continue;
         }
-        let u = t.vertex;
+        let u = t.vertex.index();
         debug_assert!(u < n_old, "effective removals only target base edges");
         let (lo, hi) = (base_offsets[u], base_offsets[u + 1]);
         if write != read {
@@ -621,10 +524,10 @@ fn rebuild_side_owned(
         for u in 0..n {
             let mut d_mid = deg_of(u);
             let mut d_fin = d_mid;
-            if ti.peek().is_some_and(|t| t.vertex == u) {
+            if ti.peek().is_some_and(|t| t.vertex.index() == u) {
                 let t = ti.next().expect("peeked");
                 d_mid -= t.removed.len();
-                d_fin = d_mid + t.added_ids.len();
+                d_fin = d_mid + t.added.len();
             }
             mid += d_mid;
             fin += d_fin;
@@ -642,10 +545,10 @@ fn rebuild_side_owned(
     }
     let mut hi_v = n; // exclusive top of the yet-unmoved suffix run
     for t in touched.iter().rev() {
-        if t.added_ids.is_empty() {
+        if t.added.is_empty() {
             continue;
         }
-        let u = t.vertex;
+        let u = t.vertex.index();
         // Untouched run (u, hi_v): one bulk move.
         let (src_lo, src_hi) = (mid_offsets[u + 1], mid_offsets[hi_v]);
         let dst = fin_offsets[u + 1];
@@ -659,9 +562,9 @@ fn rebuild_side_owned(
         let mut w = fin_offsets[u + 1];
         let mut r = mid_offsets[u + 1];
         let r_lo = mid_offsets[u];
-        let mut ai = t.added_ids.len();
+        let mut ai = t.added.len();
         while ai > 0 || r > r_lo {
-            let take_base = r > r_lo && (ai == 0 || items[r - 1] > t.added_ids[ai - 1]);
+            let take_base = r > r_lo && (ai == 0 || items[r - 1] > t.added[ai - 1]);
             w -= 1;
             if take_base {
                 r -= 1;
@@ -671,7 +574,7 @@ fn rebuild_side_owned(
                 }
             } else {
                 ai -= 1;
-                items[w] = t.added_ids[ai];
+                items[w] = t.added[ai];
                 if let Some(ws) = weights.as_deref_mut() {
                     ws[w] = t.added_ws.get(ai).copied().unwrap_or(1.0);
                 }
@@ -690,89 +593,6 @@ fn rebuild_side_owned(
         }
     }
     fin_offsets
-}
-
-/// Accumulates one adjacency side (offsets + item list + optional
-/// weights) of a compacted graph, bulk-copying the untouched vertex runs
-/// between overlay entries.
-struct SideBuilder {
-    offsets: Vec<usize>,
-    items: Vec<VertexId>,
-    weights: Vec<f32>,
-    weighted: bool,
-    /// Next vertex whose list has not been emitted yet.
-    next: usize,
-}
-
-impl SideBuilder {
-    fn new(n: usize, item_capacity: usize, weighted: bool) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        SideBuilder {
-            offsets,
-            items: Vec::with_capacity(item_capacity),
-            weights: if weighted {
-                Vec::with_capacity(item_capacity)
-            } else {
-                Vec::new()
-            },
-            weighted,
-            next: 0,
-        }
-    }
-
-    /// Emits the lists of every vertex in `[next, until)` straight from
-    /// the base arrays: one slice copy for the whole run plus a shifted
-    /// offset fill. Vertices at or beyond `n_old` (grown range) get empty
-    /// lists.
-    fn copy_until(
-        &mut self,
-        until: usize,
-        n_old: usize,
-        base_offsets: &[usize],
-        base_items: &[VertexId],
-        base_weights: Option<&[f32]>,
-    ) {
-        let run_end = until.min(n_old);
-        if self.next < run_end {
-            let lo = base_offsets[self.next];
-            let hi = base_offsets[run_end];
-            let shift = self.items.len() as i64 - lo as i64;
-            self.items.extend_from_slice(&base_items[lo..hi]);
-            if self.weighted {
-                self.weights
-                    .extend_from_slice(&base_weights.expect("weighted base")[lo..hi]);
-            }
-            self.offsets.extend(
-                base_offsets[self.next + 1..=run_end]
-                    .iter()
-                    .map(|&o| (o as i64 + shift) as usize),
-            );
-            self.next = run_end;
-        }
-        // Grown vertices without overlay entries: empty lists.
-        while self.next < until {
-            self.offsets.push(self.items.len());
-            self.next += 1;
-        }
-    }
-
-    fn push(&mut self, item: VertexId, weight: f32) {
-        self.items.push(item);
-        if self.weighted {
-            self.weights.push(weight);
-        }
-    }
-
-    /// Closes the currently-merged (touched) vertex.
-    fn seal_vertex(&mut self) {
-        self.offsets.push(self.items.len());
-        self.next += 1;
-    }
-
-    fn finish(self) -> (Vec<usize>, Vec<VertexId>, Vec<f32>) {
-        (self.offsets, self.items, self.weights)
-    }
 }
 
 #[cfg(test)]
@@ -860,27 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn overlay_adjacency_matches_the_compacted_graph() {
-        let g = CsrGraph::from_edges(6, &[(0, 1), (0, 3), (0, 5), (1, 2), (2, 0), (4, 1)]);
-        let mut d = GraphDelta::new();
-        d.remove(0, 3)
-            .insert(0, 2)
-            .insert(0, 4)
-            .remove(2, 0)
-            .insert(7, 1);
-        let overlay = d.resolve(&g);
-        let compacted = g.compact(&d);
-        assert_eq!(overlay.num_vertices(), compacted.num_vertices());
-        for u in 0..overlay.num_vertices() as u32 {
-            assert_eq!(
-                overlay.out_neighbors(&g, v(u)),
-                compacted.out_neighbors(v(u)),
-                "vertex {u}"
-            );
-        }
-    }
-
-    #[test]
     fn weighted_bases_keep_and_gain_weights() {
         let mut b = GraphBuilder::new();
         b.add_weighted_edge(0, 1, 0.25).add_weighted_edge(1, 2, 4.0);
@@ -937,11 +736,23 @@ mod tests {
         assert_eq!(GraphDelta::with_capacity(8).len(), 0);
     }
 
+    /// Out-weights of `u` as bits, `1.0` per edge for an unweighted graph.
+    fn weight_bits(g: &CsrGraph, u: u32) -> Vec<u32> {
+        match g.out_weights(v(u)) {
+            Some(ws) => ws.iter().map(|w| w.to_bits()).collect(),
+            None => vec![1f32.to_bits(); g.out_degree(v(u))],
+        }
+    }
+
     #[test]
     fn owned_compact_matches_the_cloning_compact() {
-        // The in-place two-phase merge must produce exactly what the
-        // SideBuilder path produces, across removals, insertions, range
-        // growth and weights.
+        // The in-place two-phase merge against an independent oracle: the
+        // base's edge map with the delta replayed by `resolve`'s rules
+        // (last operation per pair wins, self-loops dropped, inserting a
+        // present edge keeps its weight, removing an absent one is a
+        // no-op, effective insertions grow the range), rebuilt with a
+        // weighted `GraphBuilder`.
+        use std::collections::BTreeMap;
         let mut rng = StdRng::seed_from_u64(23);
         for round in 0..30 {
             let n = rng.gen_range(1usize..30);
@@ -968,34 +779,62 @@ mod tests {
                     d.remove(u, w);
                 }
             }
-            let overlay = d.resolve(&g);
-            let cloning = g.compact_overlay(&overlay);
-            let owned = g.compact_overlay_owned(&overlay);
+
+            let mut map: BTreeMap<(u32, u32), f32> = BTreeMap::new();
+            for u in 0..g.num_vertices() as u32 {
+                for (z, bits) in neighbors(&g, u).into_iter().zip(weight_bits(&g, u)) {
+                    map.insert((u, z), f32::from_bits(bits));
+                }
+            }
+            let mut last: BTreeMap<(u32, u32), (f32, bool)> = BTreeMap::new();
+            for (u, z, w, is_insert) in d.ops() {
+                last.insert((u, z), (w, is_insert));
+            }
+            let mut num_vertices = g.num_vertices();
+            for (&(u, z), &(w, is_insert)) in &last {
+                let present = map.contains_key(&(u, z));
+                if u == z || is_insert == present {
+                    continue;
+                }
+                if is_insert {
+                    map.insert((u, z), if g.is_weighted() { w } else { 1.0 });
+                    num_vertices = num_vertices.max(u as usize + 1).max(z as usize + 1);
+                } else {
+                    map.remove(&(u, z));
+                }
+            }
+            let mut rebuild = GraphBuilder::new();
+            rebuild.reserve_vertices(num_vertices);
+            for (&(u, z), &w) in &map {
+                rebuild.add_weighted_edge(u, z, w);
+            }
+            let rebuilt = rebuild.build();
+
+            let owned = g.clone().compact_overlay_owned(&d.resolve(&g));
+            assert_eq!(owned.num_vertices(), num_vertices, "round {round}");
             assert_eq!(
                 owned.num_vertices(),
-                cloning.num_vertices(),
+                rebuilt.num_vertices(),
                 "round {round}"
             );
-            assert_eq!(owned.num_edges(), cloning.num_edges(), "round {round}");
-            assert_eq!(owned.is_weighted(), cloning.is_weighted());
+            assert_eq!(owned.num_edges(), map.len(), "round {round}");
+            assert_eq!(owned.is_weighted(), g.is_weighted(), "round {round}");
             for u in 0..owned.num_vertices() as u32 {
                 assert_eq!(
                     owned.out_neighbors(v(u)),
-                    cloning.out_neighbors(v(u)),
+                    rebuilt.out_neighbors(v(u)),
                     "round {round}, out-list of {u}"
                 );
                 assert_eq!(
                     owned.in_neighbors(v(u)),
-                    cloning.in_neighbors(v(u)),
+                    rebuilt.in_neighbors(v(u)),
                     "round {round}, in-list of {u}"
                 );
-                let a: Option<Vec<u32>> = owned
-                    .out_weights(v(u))
-                    .map(|ws| ws.iter().map(|w| w.to_bits()).collect());
-                let b: Option<Vec<u32>> = cloning
-                    .out_weights(v(u))
-                    .map(|ws| ws.iter().map(|w| w.to_bits()).collect());
-                assert_eq!(a, b, "round {round}, weights of {u}");
+                assert_eq!(
+                    weight_bits(&owned, u),
+                    weight_bits(&rebuilt, u),
+                    "round {round}, weights of {u}"
+                );
             }
         }
     }

@@ -100,7 +100,7 @@ pub mod v2;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, Direction};
-pub use delta::{DeltaOverlay, GraphDelta};
+pub use delta::{DeltaOverlay, GraphDelta, LiveGraph};
 pub use error::GraphError;
 pub use extbuild::ExternalGraphBuilder;
 pub use id::VertexId;

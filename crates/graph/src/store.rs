@@ -16,6 +16,12 @@
 //! The varint flavor of `SNPLG2` is a file format, not a backend: it
 //! decodes into a [`CsrGraph`] on open.
 //!
+//! A graph that absorbs deltas while it serves is held in one
+//! [`LiveGraph`](crate::LiveGraph), whatever its backend: the first fold
+//! materializes a borrowed or file-backed graph once with
+//! [`GraphStore::to_csr`], and every fold runs the one in-place CSR merge
+//! ([`CsrGraph::compact_overlay_owned`]).
+//!
 //! The trait is object-safe on purpose: deployments and requests carry
 //! `&dyn GraphStore` (or `Arc<dyn GraphStore>`), so a single prepared
 //! serving stack handles any backend. Prediction results are pinned
@@ -89,18 +95,22 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     }
 
     /// Materializes the graph as an owned in-RAM [`CsrGraph`] — the form
-    /// deltas compact against. A lazy backend whose sections fail to load
-    /// returns an empty graph; [`GraphStore::check_fault`] then reports
-    /// the failure.
+    /// deltas are merged into: [`LiveGraph::fold`](crate::LiveGraph::fold)
+    /// calls it once, on the first fold over a graph it does not own. A
+    /// lazy backend whose sections fail to load returns an empty graph;
+    /// [`GraphStore::check_fault`] then reports the failure, and callers
+    /// check it before using the copy.
     fn to_csr(&self) -> CsrGraph;
 
     /// A cheaply clonable shared handle to this backend (`Arc`-backed
     /// where the backend supports it, a materialized copy otherwise) —
-    /// what [`detach`](GraphStore::clone_shared)-style epoch forks hold.
+    /// what [`LiveGraph::detach`](crate::LiveGraph::detach) holds for a
+    /// graph that is not in RAM.
     fn clone_shared(&self) -> Arc<dyn GraphStore>;
 
     /// The concrete in-RAM graph, if this backend *is* one — lets
-    /// delta compaction and bulk serializers skip the accessor loop.
+    /// [`LiveGraph::detach`](crate::LiveGraph::detach) hold its own copy,
+    /// which later folds consume in place, instead of a shared handle.
     fn as_csr(&self) -> Option<&CsrGraph> {
         None
     }

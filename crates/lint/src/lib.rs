@@ -23,7 +23,8 @@
 //!
 //! The **panic-free zone** is [`rules::PANIC_FREE_ZONE`]: the serving
 //! core every serving runtime runs through, the one prepared-predictor
-//! lifecycle every apply and fork runs through, the shard wire codec, shard runtime,
+//! lifecycle every apply and fork runs through, the GAS deployment every epoch fork
+//! and in-place apply folds its delta through, the shard wire codec, shard runtime,
 //! scatter-gather router, the concurrent server, and the GAS engine — the paths a panic turns into a hung
 //! client or a dead shard instead of a typed `ShardFailed` error.
 //!

@@ -121,13 +121,14 @@ pub struct Analysis {
 
 /// Files whose non-test code must be panic-free (rules `panic` +
 /// `index`). Paths are workspace-relative with forward slashes.
-pub const PANIC_FREE_ZONE: [&str; 12] = [
+pub const PANIC_FREE_ZONE: [&str; 13] = [
     "crates/core/src/serve.rs",
     "crates/core/src/predictor_api.rs",
     "crates/core/src/shard/wire.rs",
     "crates/core/src/shard/runtime.rs",
     "crates/core/src/shard/router.rs",
     "crates/core/src/concurrent.rs",
+    "crates/gas/src/deploy.rs",
     "crates/gas/src/engine.rs",
     "crates/graph/src/codec.rs",
     "crates/graph/src/v2.rs",

@@ -29,7 +29,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use snaple_graph::{CsrGraph, GraphDelta};
+use snaple_graph::{CsrGraph, GraphDelta, GraphStore};
 
 use crate::log::{Commitlog, FsyncPolicy, LogOpen, TornTail};
 use crate::snapshot::{SnapshotMeta, SnapshotStore};
@@ -203,14 +203,21 @@ impl Durability {
     /// snapshot is corrupt, recovery falls back to `base` and replays
     /// the whole log.
     ///
+    /// `base` may be any backend. It is read (materialized with
+    /// [`GraphStore::to_csr`], which becomes the handle's own copy) only
+    /// on a fresh dir or on that fallback; a recovery that loads a
+    /// snapshot never touches it.
+    ///
     /// # Errors
     ///
     /// [`StoreError`] when the dir cannot be created or the log/seed
-    /// snapshot cannot be written — corrupt *existing* state is
-    /// handled (reported, fallen back from), not returned.
+    /// snapshot cannot be written, and [`StoreError::Corrupt`] when
+    /// `base` is needed and a section of it fails to load — corrupt
+    /// *existing* state is handled (reported, fallen back from), not
+    /// returned.
     pub fn open(
         dir: &Path,
-        base: &CsrGraph,
+        base: &dyn GraphStore,
         config: &[u8],
         opts: DurabilityOptions,
     ) -> Result<(Durability, Option<RecoveredState>, RecoveryReport), StoreError> {
@@ -238,7 +245,12 @@ impl Durability {
             }
             // No loadable snapshot: fall back to the caller's base and
             // replay the whole log.
-            None => (base.clone(), 0, None, Vec::new()),
+            None => {
+                let graph = base.to_csr();
+                base.check_fault()
+                    .map_err(|e| StoreError::Corrupt(format!("base graph: {e}")))?;
+                (graph, 0, None, Vec::new())
+            }
         };
         // Every logged frame is older than the snapshot (the log was
         // trimmed empty, or a torn tail took the newer frames): new frames
@@ -274,20 +286,17 @@ impl Durability {
             config: config.to_vec(),
             opts,
             stats: DurabilityStats::default(),
-            graph: graph.clone(),
+            graph,
         };
 
         if had_prior_state {
             durable.stats.recovery = Some(report.clone());
-            Ok((
-                durable,
-                Some(RecoveredState {
-                    graph,
-                    replay,
-                    config: recovered_config,
-                }),
-                report,
-            ))
+            let recovered = RecoveredState {
+                graph: durable.graph.clone(),
+                replay,
+                config: recovered_config,
+            };
+            Ok((durable, Some(recovered), report))
         } else {
             // Fresh dir: publish the seed snapshot so future recoveries
             // never need the original graph file.
@@ -593,6 +602,45 @@ mod tests {
         }
         assert_eq!(graph_bytes(&restored), graph_bytes(&oracle));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The base is read only when recovery needs it: a dir with a valid
+    /// snapshot recovers over a base file whose out-targets fail their
+    /// checksum, while a fresh dir seeded from that file is refused.
+    #[test]
+    fn a_corrupt_base_file_fails_only_the_opens_that_read_it() {
+        use snaple_graph::v2;
+        let dir = tmp_dir("corruptbase");
+        let base = base_graph();
+        let opts = DurabilityOptions::default().snapshot_every(0);
+        let (mut durable, _, _) =
+            Durability::open(&dir, &base, b"cfg", opts.clone()).expect("open");
+        durable.record(&delta(1)).expect("record");
+        drop(durable);
+
+        let mut bytes = graph_bytes(&base);
+        let header = v2::parse_header(&bytes, bytes.len() as u64).expect("header");
+        let at = header.section(v2::SEC_OUT_TARGETS).expect("section").offset as usize + 1;
+        bytes[at] ^= 0xff;
+        let path = dir.with_extension("snplg");
+        std::fs::write(&path, &bytes).expect("write");
+        let corrupt = v2::FileCsr::open(&path).expect("open reads the prelude only");
+        std::fs::remove_file(&path).ok();
+
+        let (_d2, recovered, report) =
+            Durability::open(&dir, &corrupt, b"cfg", opts.clone()).expect("reopen");
+        let rec = recovered.expect("recovers");
+        assert_eq!(report.snapshot_seq, Some(0));
+        assert_eq!(graph_bytes(&rec.graph), graph_bytes(&base));
+        assert_eq!(rec.replay.len(), 1);
+        assert!(corrupt.check_fault().is_ok(), "the base was never read");
+
+        let fresh = tmp_dir("corruptbase-fresh");
+        let err = Durability::open(&fresh, &corrupt, b"cfg", opts).expect_err("fresh seed");
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&fresh).ok();
     }
 
     #[test]

@@ -938,19 +938,8 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
             .snapshot_every(opts.snapshot_every)
             .retain(opts.retain);
         let config_blob = serve_config_blob(opts);
-        // Durability owns an in-RAM base copy; borrow the CSR directly
-        // when the backend is already one, materialize otherwise.
-        let base_owned;
-        let base: &CsrGraph = match store.as_csr() {
-            Some(csr) => csr,
-            None => {
-                base_owned = store.to_csr();
-                store.check_fault().map_err(|e| e.to_string())?;
-                &base_owned
-            }
-        };
         let (d, recovered, report): (_, _, RecoveryReport) =
-            Durability::open(dir, base, config_blob.as_bytes(), store_opts)
+            Durability::open(dir, store.as_ref(), config_blob.as_bytes(), store_opts)
                 .map_err(|e| format!("{}: {e}", dir.display()))?;
         eprintln!("data dir {}: {}", dir.display(), report.summary());
         let mut replay = Vec::new();
