@@ -20,17 +20,14 @@
 //! The reproduction's own extensions are checked elsewhere: their
 //! bit-identity contracts in the root integration suites, their
 //! wall-clock ratios in this crate's release-only `tests/gates.rs`, and
-//! their end-to-end costs in `perfbench`.
+//! their end-to-end and per-layer costs in `perfbench`.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::exit;
 
-use snaple_core::ServerStats;
 use snaple_eval::{EvalDataset, TextTable};
 use snaple_gas::ClusterSpec;
-use snaple_graph::hash::hash2;
-use snaple_graph::{CsrGraph, GraphDelta, VertexId};
 
 /// Common command-line arguments of every experiment binary.
 #[derive(Clone, Debug)]
@@ -125,62 +122,6 @@ fn usage_and_exit(experiment: &str, description: &str, error: &str) -> ! {
     exit(if error.is_empty() { 0 } else { 2 })
 }
 
-/// Appends one pre-rendered JSON line to the file named by the
-/// `BENCH_JSON` environment variable, if set — the convention the
-/// criterion stand-in also follows, shared here so bench binaries emit
-/// custom lines (totals, speedups, [`server_stats_json`]) without
-/// re-implementing the plumbing.
-pub fn append_bench_json(line: &str) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    use std::io::Write;
-    match fs::OpenOptions::new().create(true).append(true).open(&path) {
-        Ok(mut f) => {
-            if let Err(e) = writeln!(f, "{line}") {
-                eprintln!("warning: cannot append to {path}: {e}");
-            }
-        }
-        Err(e) => eprintln!("warning: cannot open {path}: {e}"),
-    }
-}
-
-/// Renders a served stream's [`ServerStats`] as one JSON line for
-/// [`append_bench_json`]. Every ratio is taken from the stats' guarded
-/// accessors, so an empty or update-only stream renders finite numbers.
-pub fn server_stats_json(name: &str, stats: &ServerStats) -> String {
-    format!(
-        "{{\"name\":\"{name}\",\"requests\":{},\"batches\":{},\"workers\":{},\
-         \"serve_wall_seconds\":{:.6},\"setup_wall_seconds\":{:.6},\
-         \"partition_build_seconds\":{:.6},\"throughput_rps\":{:.2},\
-         \"mean_latency_ms\":{:.4},\"latency_p50_ms\":{:.4},\
-         \"latency_p95_ms\":{:.4},\"latency_p99_ms\":{:.4},\
-         \"coalescing\":{:.3},\
-         \"simulated_seconds\":{:.4},\"replication_factor\":{:.3},\
-         \"updates\":{},\"edges_inserted\":{},\"edges_removed\":{},\
-         \"delta_apply_seconds\":{:.6},\"delta_touched_partitions\":{}}}",
-        stats.requests,
-        stats.batches,
-        stats.workers,
-        stats.serve_wall_seconds,
-        stats.setup_wall_seconds,
-        stats.partition_build_seconds,
-        stats.throughput_rps(),
-        stats.mean_latency_seconds() * 1e3,
-        stats.latency.p50() * 1e3,
-        stats.latency.p95() * 1e3,
-        stats.latency.p99() * 1e3,
-        stats.coalescing_factor(),
-        stats.simulated_seconds,
-        stats.replication_factor,
-        stats.updates,
-        stats.edges_inserted,
-        stats.edges_removed,
-        stats.delta_apply_seconds,
-        stats.delta_touched_partitions,
-    )
-}
-
 /// Prints the standard experiment header.
 pub fn banner(experiment: &str, paper_ref: &str, args: &ExpArgs) {
     println!("=== {experiment} — reproduces {paper_ref} ===");
@@ -214,104 +155,4 @@ pub fn scaled_cluster(base: ClusterSpec, ds: &EvalDataset) -> ClusterSpec {
 pub fn emit(args: &ExpArgs, name: &str, table: &TextTable) {
     println!("{}", table.render());
     args.persist(name, table);
-}
-
-/// Deterministic churn batch for the streaming experiments: removes
-/// `churn/2 · |E|` hash-ranked existing edges and inserts the same
-/// number of hash-probed non-edges. The criterion streaming bench
-/// measures every churn level on this workload.
-pub fn churn_delta(graph: &CsrGraph, churn: f64, seed: u64) -> GraphDelta {
-    let half = ((graph.num_edges() as f64 * churn / 2.0).round() as usize).max(1);
-    let n = graph.num_vertices() as u64;
-    let mut delta = GraphDelta::new();
-    // Remove: hash-rank all edges, retract the lowest-ranked `half`.
-    let mut ranked: Vec<(u64, u32, u32)> = graph
-        .edges()
-        .map(|(u, v)| {
-            (
-                hash2(seed, u.as_u32() as u64, v.as_u32() as u64),
-                u.as_u32(),
-                v.as_u32(),
-            )
-        })
-        .collect();
-    ranked.sort_unstable();
-    for &(_, u, v) in ranked.iter().take(half) {
-        delta.remove(u, v);
-    }
-    // Insert: probe hash-generated pairs until `half` non-edges found.
-    let mut inserted = 0usize;
-    let mut probe = 0u64;
-    while inserted < half {
-        let u = (hash2(seed ^ 0xadd, probe, 1) % n) as u32;
-        let v = (hash2(seed ^ 0xadd, probe, 2) % n) as u32;
-        probe += 1;
-        if u == v || graph.has_edge(VertexId::new(u), VertexId::new(v)) {
-            continue;
-        }
-        delta.insert(u, v);
-        inserted += 1;
-    }
-    delta
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use snaple_core::{NamedScore, QuerySet, Server, Snaple, SnapleConfig};
-    use snaple_graph::gen::datasets;
-
-    fn assert_finite(json: &str) {
-        assert!(!json.contains("NaN") && !json.contains("nan"), "{json}");
-        assert!(!json.contains("inf"), "{json}");
-    }
-
-    #[test]
-    fn server_stats_json_is_finite_for_every_stream_shape() {
-        // Zero-denominator shapes: never served, zero wall seconds.
-        let empty = ServerStats::default();
-        assert_finite(&server_stats_json("empty-stream", &empty));
-        let zero_wall = ServerStats {
-            requests: 5,
-            batches: 1,
-            queries_received: 50,
-            ..ServerStats::default()
-        };
-        let json = server_stats_json("zero-wall", &zero_wall);
-        assert_finite(&json);
-        assert!(json.contains("\"throughput_rps\":0.00"), "{json}");
-
-        let graph = datasets::GOWALLA.emulate(0.005, 3);
-        let cluster = ClusterSpec::type_ii(4);
-        let snaple = Snaple::new(
-            SnapleConfig::new(NamedScore::LinearSum)
-                .k(5)
-                .klocal(Some(10)),
-        );
-        let mut server = Server::new(&snaple, &graph, &cluster).unwrap();
-        assert_finite(&server_stats_json("prepared-only", server.stats()));
-
-        // An update-only stream, then an all-empty batch.
-        let n = graph.num_vertices() as u32;
-        let mut delta = GraphDelta::new();
-        delta.insert(0, n - 1);
-        server.apply_update(&delta).unwrap();
-        let json = server_stats_json("update-only", server.stats());
-        assert_finite(&json);
-        assert!(json.contains("\"updates\":1"), "{json}");
-        let empties = [QuerySet::from_indices([]), QuerySet::from_indices([])];
-        server.serve_batch(&empties).unwrap();
-        assert_finite(&server_stats_json("empty-union", server.stats()));
-
-        // A served stream carries its counters and latency percentiles.
-        server
-            .serve(&QuerySet::sample(graph.num_vertices(), 20, 1))
-            .unwrap();
-        let json = server_stats_json("unit", server.stats());
-        assert!(json.starts_with("{\"name\":\"unit\""), "{json}");
-        assert!(json.contains("\"requests\":3"), "{json}");
-        assert!(json.contains("\"latency_p50_ms\":"), "{json}");
-        assert!(json.contains("\"latency_p99_ms\":"), "{json}");
-        assert!(json.contains("\"workers\":0"), "{json}");
-    }
 }

@@ -310,9 +310,8 @@
 //! A release-only gate in `crates/bench/tests/gates.rs` races the scalar
 //! baseline against the striped/vectorized path on an emulated Orkut
 //! graph; CI enforces its checksum equality and, under `simd`, its 1.3x
-//! speedup floor on every push. Criterion micros live in
-//! `crates/bench/benches/micro.rs` (`intersection-skew`,
-//! `kernel-stripe`, `relabel` groups).
+//! speedup floor on every push; perfbench's `batch-all` workload times
+//! the whole all-vertices pass these kernels serve.
 
 pub mod aggregator;
 pub mod combinator;

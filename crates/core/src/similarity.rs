@@ -71,8 +71,8 @@ fn tag_intersection(a: &[u32], b: &[u32]) -> usize {
 /// `O(|short| + |long|)`; it only wins when the long side dwarfs the
 /// short one, and on near-equal lengths its branchier inner loop loses to
 /// the merge's tight scan. The crossover is coarse — anywhere in the
-/// 8–32× band measures within noise on the `micro` bench — so a
-/// round power of two keeps the check cheap.
+/// 8–32× band measured within noise — so a round power of two keeps the
+/// check cheap.
 const GALLOP_RATIO: usize = 16;
 
 /// Minimum length of the *short* side for the block-compare path (cargo
@@ -137,9 +137,9 @@ pub fn intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
 /// The reference linear two-pointer merge — the scalar baseline every
 /// fast path (galloping, block compare) must match bit for bit.
 ///
-/// Public so benches and gates (`micro`, `gates.rs`) can measure
-/// the dispatching [`intersection_size`] against an honest scalar
-/// baseline; inputs must be sorted ascending like every other path.
+/// Public so the striped-gather gate (`crates/bench/tests/gates.rs`)
+/// can measure the fast paths against an honest scalar baseline;
+/// inputs must be sorted ascending like every other path.
 pub fn intersection_size_scalar(a: &[VertexId], b: &[VertexId]) -> usize {
     merge_intersection(a, b)
 }

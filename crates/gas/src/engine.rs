@@ -6,7 +6,6 @@ use snaple_graph::hash::hash2;
 use snaple_graph::{store, Direction, GraphStore, RankedMask, VertexId, VertexMask};
 
 use crate::cluster::{ClusterSpec, NodeId};
-use crate::cost::CostModel;
 use crate::deploy::Deployment;
 use crate::error::EngineError;
 use crate::partition::{gather_runs, PartitionStrategy, PartitionedGraph};
@@ -75,7 +74,6 @@ impl<'d> DeploymentRef<'d> {
 #[derive(Debug)]
 pub struct Engine<'d> {
     deployment: DeploymentRef<'d>,
-    cost_override: Option<CostModel>,
     run: RunStats,
     seed: u64,
     step_counter: usize,
@@ -134,7 +132,6 @@ impl<'d> Engine<'d> {
         let delta_touched_partitions = dep.delta_touched_partitions();
         Engine {
             deployment,
-            cost_override: None,
             run: RunStats {
                 steps: Vec::new(),
                 replication_factor,
@@ -207,12 +204,6 @@ impl<'d> Engine<'d> {
     /// Simulated seconds accumulated so far.
     pub fn simulated_seconds(&self) -> f64 {
         self.run.simulated_seconds()
-    }
-
-    /// Replaces the cost model for this engine's runs (e.g. for
-    /// sensitivity analyses); the shared deployment's model is untouched.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost_override = Some(cost);
     }
 
     /// Arranges for `node` to fail when step number `at_step` (0-based,
@@ -866,9 +857,9 @@ impl<'d> Engine<'d> {
             per_node,
             simulated_seconds: 0.0,
         };
-        let cost = self.cost_override.as_ref().unwrap_or_else(|| dep.cost());
-        stats.simulated_seconds =
-            cost.step_seconds(stats.max_node_ops(), stats.max_node_net_bytes());
+        stats.simulated_seconds = dep
+            .cost()
+            .step_seconds(stats.max_node_ops(), stats.max_node_net_bytes());
         self.run.steps.push(stats);
         Ok(())
     }

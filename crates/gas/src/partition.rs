@@ -38,7 +38,7 @@ pub enum PartitionStrategy {
 }
 
 impl PartitionStrategy {
-    /// All strategies, for sweeps and ablation benches.
+    /// All strategies, for suites that sweep every partitioner.
     pub fn all() -> [PartitionStrategy; 3] {
         [
             PartitionStrategy::RandomVertexCut,

@@ -941,7 +941,11 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         let (d, recovered, report): (_, _, RecoveryReport) =
             Durability::open(dir, store.as_ref(), config_blob.as_bytes(), store_opts)
                 .map_err(|e| format!("{}: {e}", dir.display()))?;
-        eprintln!("data dir {}: {}", dir.display(), report.summary());
+        let opened = match &recovered {
+            Some(_) => report.summary(),
+            None => "new, seeded snapshot@0 from the base graph".to_string(),
+        };
+        eprintln!("data dir {}: {opened}", dir.display());
         let mut replay = Vec::new();
         if let Some(state) = recovered {
             if !state.config.is_empty() && state.config != config_blob.as_bytes() {

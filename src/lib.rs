@@ -110,8 +110,8 @@
 //! fused sweep, and the CLI exposes plans via `snaple-cli predict/serve
 //! --scores` and the `snaple-cli sweep` config × metric table;
 //! `tests/score_plan.rs` holds the fused sweep under 60 % of the
-//! independent runs' gather calls, and `crates/bench/benches/sweep.rs`
-//! tracks the fused-vs-independent wall-time speedup.
+//! independent runs' gather calls, and perfbench's `batch-all` workload
+//! runs a four-column plan (`core.execute_all_ms`).
 //!
 //! # Serving a request stream
 //!
@@ -145,9 +145,10 @@
 //! ```
 //!
 //! The CLI exposes the same layer as `snaple-cli serve --graph g.snplg
-//! --requests stream.txt --batch 8`, and
-//! `crates/bench/benches/serve.rs` tracks the end-to-end speedup over
-//! repeated one-shot `predict`s.
+//! --requests stream.txt --batch 8`. `tests/prepared_serving.rs` holds
+//! served rows bit-identical to one-shot `predict`s, and perfbench
+//! measures the split (`core.prepare_ms`, `core.execute_point_ms`,
+//! `core.server_overhead_share`).
 //!
 //! # Concurrent serving
 //!
@@ -227,8 +228,9 @@
 //!
 //! The CLI serves mixed streams via `snaple-cli serve --updates
 //! mixed.txt` (`predict IDS` / `add U V` / `remove U V` lines), and
-//! `crates/bench/benches/streaming.rs` tracks the incremental-apply vs
-//! full-re-prepare speedup across churn levels.
+//! perfbench's `serve-churn` workload measures an update's phases
+//! (`gas.apply_delta_first_ms`, `gas.apply_delta_ms`,
+//! `graph.compact_ms`) against a cold `gas.deploy_ms`.
 //!
 //! Under the concurrent runtime the same deltas go through
 //! [`ServeHandle::apply_update`](core::concurrent::ServeHandle::apply_update)

@@ -263,6 +263,51 @@ fn serve_answers_request_streams_from_file_and_synthetic() {
 }
 
 #[test]
+fn serve_data_dir_reports_a_new_dir_then_its_recovery() {
+    let graph_path = tmp("data-dir.snplg");
+    let data_dir = tmp("data-dir-state");
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let out = run(&[
+        "emulate",
+        "--dataset",
+        "gowalla",
+        "--scale",
+        "0.003",
+        "--seed",
+        "7",
+        "--out",
+        graph_path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let serve = || {
+        let out = run(&[
+            "serve",
+            "--graph",
+            graph_path.to_str().unwrap(),
+            "--request-count",
+            "2",
+            "--data-dir",
+            data_dir.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        stderr
+    };
+
+    let first = serve();
+    assert!(
+        first.contains("new, seeded snapshot@0 from the base graph"),
+        "{first}"
+    );
+    assert!(!first.contains("recovered"), "{first}");
+    let second = serve();
+    assert!(second.contains("recovered from snapshot@0"), "{second}");
+
+    let _ = std::fs::remove_file(graph_path);
+    let _ = std::fs::remove_dir_all(data_dir);
+}
+
+#[test]
 fn serve_with_workers_matches_the_sequential_server() {
     let graph_path = tmp("serve-workers.snplg");
     let out = run(&[
