@@ -8,7 +8,7 @@ use snaple_graph::{store, Direction, GraphStore, RankedMask, VertexId, VertexMas
 use crate::cluster::{ClusterSpec, NodeId};
 use crate::deploy::Deployment;
 use crate::error::EngineError;
-use crate::partition::{gather_runs, PartitionStrategy, PartitionedGraph};
+use crate::partition::{gather_runs, PartitionedGraph};
 use crate::program::{GasStep, GatherCtx, NeighborStates, RunBudget, WorkTally};
 use crate::scratch::WorkerScratch;
 use crate::size::SizeEstimate;
@@ -41,39 +41,19 @@ pub fn host_parallelism() -> usize {
     thread::available_parallelism().map_or(2, |p| p.get())
 }
 
-/// The deployment an engine runs on: built for this engine alone, or
-/// borrowed from a prepared, shared [`Deployment`].
-#[derive(Debug)]
-enum DeploymentRef<'d> {
-    /// Boxed: a deployment is several hundred bytes and the shared
-    /// variant is one pointer.
-    Owned(Box<Deployment<'d>>),
-    Shared(&'d Deployment<'d>),
-}
-
-impl<'d> DeploymentRef<'d> {
-    fn get(&self) -> &Deployment<'d> {
-        match self {
-            DeploymentRef::Owned(d) => d,
-            DeploymentRef::Shared(d) => d,
-        }
-    }
-}
-
 /// Executes GAS programs over a partitioned graph on a simulated cluster.
 ///
-/// The immutable heavy state (partition, cost model) lives in a
-/// [`Deployment`]; per-run accounting ([`RunStats`], the step counter,
-/// injected failures) lives here. [`Engine::new`] builds a private
-/// deployment — the historical one-shot path — while [`Engine::on`] borrows
-/// a prepared one, so repeated runs over the same graph/cluster reuse the
-/// O(edges) partition instead of re-hashing every edge.
+/// The immutable heavy state (partition, cost model) lives in a prepared
+/// [`Deployment`] that the engine borrows; per-run accounting
+/// ([`RunStats`], the step counter, injected failures) lives here, so
+/// repeated runs over the same graph/cluster reuse the O(edges) partition
+/// instead of re-hashing every edge.
 ///
 /// See the [crate docs](crate) for the execution and accounting model and a
 /// complete example.
 #[derive(Debug)]
 pub struct Engine<'d> {
-    deployment: DeploymentRef<'d>,
+    deployment: &'d Deployment<'d>,
     run: RunStats,
     seed: u64,
     step_counter: usize,
@@ -88,58 +68,24 @@ pub struct Engine<'d> {
 }
 
 impl<'d> Engine<'d> {
-    /// Partitions `graph` over `cluster` and prepares an engine owning the
-    /// resulting deployment.
-    ///
-    /// The partition build time is recorded in the run's
-    /// [`RunStats::partition_build_seconds`]; engines created with
-    /// [`Engine::on`] report zero there because their deployment was
-    /// prepared ahead of time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidConfig`] for unusable cluster shapes
-    /// (zero nodes, more than [`crate::partition::MAX_NODES`] nodes).
-    pub fn new(
-        graph: &'d dyn GraphStore,
-        cluster: ClusterSpec,
-        strategy: PartitionStrategy,
-        seed: u64,
-    ) -> Result<Self, EngineError> {
-        let deployment = Deployment::new(graph, cluster, strategy, seed)?;
-        let partition_build_seconds = deployment.partition_build_seconds();
-        Ok(Engine::assemble(
-            DeploymentRef::Owned(Box::new(deployment)),
-            partition_build_seconds,
-        ))
-    }
-
-    /// Creates an engine running on a prepared, shared [`Deployment`] —
-    /// the *execute* half of prepare-once/execute-many serving.
+    /// Creates an engine running on a prepared [`Deployment`] — the
+    /// *execute* half of prepare-once/execute-many serving.
     ///
     /// The engine inherits the deployment's seed for per-step randomness
-    /// (override with [`Engine::with_seed`]); its [`RunStats`] report a
-    /// partition build time of zero since setup was paid at prepare time.
+    /// (override with [`Engine::with_seed`]) and its delta-apply counters;
+    /// its [`RunStats`] report a partition build time of zero, since the
+    /// partition was paid for when the deployment was built.
     pub fn on(deployment: &'d Deployment<'d>) -> Self {
-        Engine::assemble(DeploymentRef::Shared(deployment), 0.0)
-    }
-
-    fn assemble(deployment: DeploymentRef<'d>, partition_build_seconds: f64) -> Self {
-        let dep = deployment.get();
-        let replication_factor = dep.replication_factor();
-        let seed = dep.seed();
-        let delta_apply_seconds = dep.delta_apply_seconds();
-        let delta_touched_partitions = dep.delta_touched_partitions();
         Engine {
             deployment,
             run: RunStats {
                 steps: Vec::new(),
-                replication_factor,
-                partition_build_seconds,
-                delta_apply_seconds,
-                delta_touched_partitions,
+                replication_factor: deployment.replication_factor(),
+                partition_build_seconds: 0.0,
+                delta_apply_seconds: deployment.delta_apply_seconds(),
+                delta_touched_partitions: deployment.delta_touched_partitions(),
             },
-            seed,
+            seed: deployment.seed(),
             step_counter: 0,
             injected_failure: None,
             workers: None,
@@ -172,23 +118,23 @@ impl<'d> Engine<'d> {
 
     /// The deployment this engine runs on.
     pub fn deployment(&self) -> &Deployment<'d> {
-        self.deployment.get()
+        self.deployment
     }
 
     /// The graph this engine executes over — the deployment's *current*
     /// graph, reflecting any deltas applied before this engine was made.
     pub fn graph(&self) -> &dyn GraphStore {
-        self.deployment.get().graph()
+        self.deployment.graph()
     }
 
     /// The simulated cluster.
     pub fn cluster(&self) -> &ClusterSpec {
-        self.deployment.get().cluster()
+        self.deployment.cluster()
     }
 
     /// The vertex-cut partition.
     pub fn partitioned(&self) -> &PartitionedGraph {
-        self.deployment.get().partitioned()
+        self.deployment.partitioned()
     }
 
     /// Statistics accumulated so far.
@@ -333,7 +279,7 @@ impl<'d> Engine<'d> {
         slots: Option<&RankedMask>,
         mask: Option<&VertexMask>,
     ) -> Result<(), EngineError> {
-        let dep = self.deployment.get();
+        let dep = self.deployment;
         let graph = dep.graph();
         let part = dep.partitioned();
         let num_vertices = graph.num_vertices();
@@ -868,6 +814,7 @@ impl<'d> Engine<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::PartitionStrategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snaple_graph::{gen, CsrGraph};
@@ -914,13 +861,14 @@ mod tests {
     #[test]
     fn sum_neighbors_on_a_ring() {
         let g = ring(10);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(4),
             PartitionStrategy::RandomVertexCut,
             3,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state: Vec<u64> = (0..10).collect();
         engine.run_step(&SumNeighbors, &mut state).unwrap();
         // Each vertex takes its successor's old value.
@@ -933,23 +881,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let g = gen::erdos_renyi(300, 1_500, &mut rng).into_symmetric_graph();
         let mut reference: Vec<u64> = (0..300).map(|i| i * 17 % 101).collect();
-        let mut one = Engine::new(
+        let one_dep = Deployment::new(
             &g,
             ClusterSpec::type_i(1),
             PartitionStrategy::RandomVertexCut,
             3,
         )
         .unwrap();
+        let mut one = Engine::on(&one_dep);
         one.run_step(&SumNeighbors, &mut reference).unwrap();
         for nodes in [2, 8, 32] {
             let mut state: Vec<u64> = (0..300).map(|i| i * 17 % 101).collect();
-            let mut engine = Engine::new(
+            let dep = Deployment::new(
                 &g,
                 ClusterSpec::type_i(nodes),
                 PartitionStrategy::GreedyVertexCut,
                 99,
             )
             .unwrap();
+            let mut engine = Engine::on(&dep);
             engine.run_step(&SumNeighbors, &mut state).unwrap();
             assert_eq!(state, reference, "cluster of {nodes} nodes diverged");
         }
@@ -958,13 +908,14 @@ mod tests {
     #[test]
     fn single_node_has_no_network_traffic() {
         let g = ring(20);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(1),
             PartitionStrategy::RandomVertexCut,
             5,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![1u64; 20];
         let stats = engine.run_step(&SumNeighbors, &mut state).unwrap();
         assert_eq!(stats.network_bytes(), 0);
@@ -976,13 +927,14 @@ mod tests {
     fn multi_node_runs_account_network_traffic() {
         let mut rng = StdRng::seed_from_u64(1);
         let g = gen::erdos_renyi(200, 2_000, &mut rng).into_symmetric_graph();
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(8),
             PartitionStrategy::RandomVertexCut,
             5,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![1u64; 200];
         let stats = engine.run_step(&SumNeighbors, &mut state).unwrap();
         assert!(stats.broadcast_bytes > 0, "mirrors must receive state");
@@ -998,7 +950,8 @@ mod tests {
             memory_per_node: 64, // bytes! nothing fits
             ..ClusterSpec::type_i(2)
         };
-        let mut engine = Engine::new(&g, cluster, PartitionStrategy::RandomVertexCut, 1).unwrap();
+        let dep = Deployment::new(&g, cluster, PartitionStrategy::RandomVertexCut, 1).unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![1u64; 100];
         let err = engine.run_step(&SumNeighbors, &mut state).unwrap_err();
         assert!(
@@ -1010,13 +963,14 @@ mod tests {
     #[test]
     fn injected_failures_fire_at_the_right_step() {
         let g = ring(10);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(2),
             PartitionStrategy::RandomVertexCut,
             1,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         engine.inject_failure(NodeId::new(1), 1);
         let mut state = vec![0u64; 10];
         engine.run_step(&SumNeighbors, &mut state).unwrap();
@@ -1033,13 +987,14 @@ mod tests {
     #[test]
     fn state_length_mismatch_is_rejected() {
         let g = ring(10);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(2),
             PartitionStrategy::RandomVertexCut,
             1,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![0u64; 9];
         assert!(matches!(
             engine.run_step(&SumNeighbors, &mut state),
@@ -1121,24 +1076,19 @@ mod tests {
         ] {
             let init: Vec<u64> = (0..250).map(|i| i * 31 % 97).collect();
             let mut unmasked = init.clone();
-            let mut engine = Engine::new(
+            let dep = Deployment::new(
                 g,
                 ClusterSpec::type_i(4),
                 PartitionStrategy::RandomVertexCut,
                 9,
             )
             .unwrap();
+            let mut engine = Engine::on(&dep);
             engine.run_step(&SumAlong(dir), &mut unmasked).unwrap();
             let reference = engine.into_stats();
 
             let mut masked = init;
-            let mut engine = Engine::new(
-                g,
-                ClusterSpec::type_i(4),
-                PartitionStrategy::RandomVertexCut,
-                9,
-            )
-            .unwrap();
+            let mut engine = Engine::on(&dep);
             let full = VertexMask::full(g.num_vertices());
             engine
                 .run_step_masked(&SumAlong(dir), &mut masked, Some(&full))
@@ -1212,13 +1162,14 @@ mod tests {
     #[test]
     fn sparse_slots_must_cover_the_read_set() {
         let g = ring(10);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(2),
             PartitionStrategy::RandomVertexCut,
             1,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         // Vertex 2 gathers from 3, which has no slot.
         let mask = VertexMask::from_vertices(10, [VertexId::new(2)]);
         let slots = RankedMask::new(mask.clone());
@@ -1241,13 +1192,14 @@ mod tests {
     #[test]
     fn masked_steps_only_touch_active_vertices() {
         let g = ring(10);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(2),
             PartitionStrategy::RandomVertexCut,
             1,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state: Vec<u64> = (0..10).collect();
         let mask = VertexMask::from_vertices(10, [VertexId::new(2), VertexId::new(7)]);
         let stats = engine
@@ -1267,24 +1219,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let g = gen::erdos_renyi(400, 4_000, &mut rng).into_symmetric_graph();
         let mut full_state = vec![1u64; 400];
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(4),
             PartitionStrategy::RandomVertexCut,
             2,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         engine.run_step(&SumNeighbors, &mut full_state).unwrap();
         let full = engine.into_stats();
 
         let mask = VertexMask::from_vertices(400, (0..4).map(VertexId::new));
-        let mut engine = Engine::new(
-            &g,
-            ClusterSpec::type_i(4),
-            PartitionStrategy::RandomVertexCut,
-            2,
-        )
-        .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![1u64; 400];
         engine
             .run_step_masked(&SumNeighbors, &mut state, Some(&mask))
@@ -1297,66 +1244,20 @@ mod tests {
     #[test]
     fn mismatched_mask_is_rejected() {
         let g = ring(10);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(2),
             PartitionStrategy::RandomVertexCut,
             1,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![0u64; 10];
         let mask = VertexMask::full(9);
         assert!(matches!(
             engine.run_step_masked(&SumNeighbors, &mut state, Some(&mask)),
             Err(EngineError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn shared_deployment_runs_match_owned_engines() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let g = gen::erdos_renyi(300, 2_500, &mut rng).into_symmetric_graph();
-        let init: Vec<u64> = (0..300).map(|i| i * 13 % 89).collect();
-
-        let mut owned_state = init.clone();
-        let mut owned = Engine::new(
-            &g,
-            ClusterSpec::type_i(4),
-            PartitionStrategy::RandomVertexCut,
-            9,
-        )
-        .unwrap();
-        owned.run_step(&SumNeighbors, &mut owned_state).unwrap();
-        let owned_stats = owned.into_stats();
-        assert!(
-            owned_stats.partition_build_seconds > 0.0,
-            "one-shot engines pay the partition build"
-        );
-
-        let deployment = Deployment::new(
-            &g,
-            ClusterSpec::type_i(4),
-            PartitionStrategy::RandomVertexCut,
-            9,
-        )
-        .unwrap();
-        for _ in 0..3 {
-            let mut state = init.clone();
-            let mut engine = Engine::on(&deployment);
-            engine.run_step(&SumNeighbors, &mut state).unwrap();
-            let stats = engine.into_stats();
-            assert_eq!(state, owned_state);
-            assert_eq!(stats.steps[0].work_ops, owned_stats.steps[0].work_ops);
-            assert_eq!(
-                stats.total_network_bytes(),
-                owned_stats.total_network_bytes()
-            );
-            assert_eq!(stats.peak_memory(), owned_stats.peak_memory());
-            assert_eq!(
-                stats.partition_build_seconds, 0.0,
-                "prepared deployments amortize the partition build"
-            );
-        }
     }
 
     #[test]
@@ -1411,13 +1312,14 @@ mod tests {
         assert!(run.delta_apply_seconds > 0.0);
 
         let mut cold_state = vec![1u64; mutated.num_vertices()];
-        let mut cold = Engine::new(
+        let cold_dep = Deployment::new(
             &mutated,
             ClusterSpec::type_i(4),
             PartitionStrategy::RandomVertexCut,
             9,
         )
         .unwrap();
+        let mut cold = Engine::on(&cold_dep);
         cold.run_step(&SumNeighbors, &mut cold_state).unwrap();
         assert_eq!(incremental_state, cold_state);
         assert_eq!(cold.stats().delta_apply_seconds, 0.0);
@@ -1453,13 +1355,14 @@ mod tests {
         // phase spawns at most 2 workers — and the empty nodes must still
         // report their (zero-edge) base memory without skewing stats.
         let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(32),
             PartitionStrategy::RandomVertexCut,
             2,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![1u64; 4];
         let stats = engine.run_step(&SumNeighbors, &mut state).unwrap();
         assert_eq!(stats.gather_calls, 2);
@@ -1920,13 +1823,14 @@ mod tests {
     #[test]
     fn stats_accumulate_across_steps() {
         let g = ring(10);
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(2),
             PartitionStrategy::RandomVertexCut,
             1,
         )
         .unwrap();
+        let mut engine = Engine::on(&dep);
         let mut state = vec![1u64; 10];
         engine.run_step(&SumNeighbors, &mut state).unwrap();
         engine.run_step(&SumNeighbors, &mut state).unwrap();

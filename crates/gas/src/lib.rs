@@ -61,10 +61,13 @@
 //!
 //! # Example
 //!
-//! Count each vertex's in-degree with a one-step GAS program:
+//! Partition a graph once into a [`Deployment`], then count each vertex's
+//! in-degree with a one-step GAS program run on it:
 //!
 //! ```
-//! use snaple_gas::{ClusterSpec, Engine, GasStep, GatherCtx, PartitionStrategy, WorkTally};
+//! use snaple_gas::{
+//!     ClusterSpec, Deployment, Engine, GasStep, GatherCtx, PartitionStrategy, WorkTally,
+//! };
 //! use snaple_graph::{CsrGraph, Direction, VertexId};
 //!
 //! struct InDegree;
@@ -82,7 +85,8 @@
 //!
 //! let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
 //! let cluster = ClusterSpec::type_i(2);
-//! let mut engine = Engine::new(&g, cluster, PartitionStrategy::RandomVertexCut, 7)?;
+//! let deployment = Deployment::new(&g, cluster, PartitionStrategy::RandomVertexCut, 7)?;
+//! let mut engine = Engine::on(&deployment);
 //! let mut state = vec![0u64; 3];
 //! engine.run_step(&InDegree, &mut state)?;
 //! assert_eq!(state, vec![0, 1, 2]);
@@ -96,7 +100,6 @@ pub mod engine;
 pub mod error;
 pub mod partition;
 pub mod program;
-pub mod programs;
 pub mod scratch;
 pub mod shard;
 pub mod size;

@@ -168,21 +168,6 @@ impl PartitionedGraph {
         self.replicas as f64 / self.presence.len() as f64
     }
 
-    /// `(min, max)` edges per node, a load-balance indicator.
-    pub fn edge_balance(&self) -> (usize, usize) {
-        let mut min = usize::MAX;
-        let mut max = 0;
-        for e in &self.node_edges {
-            min = min.min(e.len());
-            max = max.max(e.len());
-        }
-        if min == usize::MAX {
-            (0, 0)
-        } else {
-            (min, max)
-        }
-    }
-
     /// Total number of edges across all nodes.
     pub fn total_edges(&self) -> usize {
         self.node_edges.iter().map(Vec::len).sum()
@@ -772,7 +757,6 @@ mod tests {
         let g = CsrGraph::from_edges(0, &[]);
         let p = PartitionedGraph::build(&g, 4, PartitionStrategy::RandomVertexCut, 0).unwrap();
         assert_eq!(p.total_edges(), 0);
-        assert_eq!(p.edge_balance(), (0, 0));
         assert!((p.replication_factor() - 1.0).abs() < 1e-12);
     }
     #[test]

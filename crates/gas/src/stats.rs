@@ -110,16 +110,16 @@ pub struct RunStats {
     /// Replication factor of the partition the run executed on.
     pub replication_factor: f64,
     /// Host wall-clock seconds spent building the partition *for this
-    /// run*: the full O(edges) build for one-shot engines
-    /// ([`Engine::new`](crate::Engine::new)), zero for engines executing
-    /// on a prepared, shared [`Deployment`](crate::Deployment)
-    /// ([`Engine::on`](crate::Engine::on)) — which is how experiment
-    /// tables make the prepare-once amortization win visible.
+    /// run*. An [`Engine`](crate::Engine) always reports zero: it runs on
+    /// a [`Deployment`](crate::Deployment) built ahead of time. A one-shot
+    /// caller that prepares and executes in one go adds the deployment's
+    /// build time back, which is how experiment tables make the
+    /// prepare-once amortization win visible.
     pub partition_build_seconds: f64,
     /// Cumulative host wall-clock seconds the run's deployment spent
     /// absorbing graph deltas
     /// ([`Deployment::apply_delta`](crate::Deployment::apply_delta)) —
-    /// zero for one-shot engines and for deployments never updated.
+    /// zero for deployments never updated.
     pub delta_apply_seconds: f64,
     /// Cumulative count of vertex-cut partitions touched by the
     /// deployment's applied deltas: the incremental-repair footprint that

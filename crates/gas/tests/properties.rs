@@ -4,10 +4,10 @@
 use proptest::prelude::*;
 
 use snaple_gas::{
-    ClusterSpec, Engine, EngineError, GasStep, GatherCtx, NodeId, PartitionStrategy,
+    ClusterSpec, Deployment, Engine, EngineError, GasStep, GatherCtx, NodeId, PartitionStrategy,
     PartitionedGraph, WorkTally,
 };
-use snaple_graph::{CsrGraph, GraphBuilder, VertexId};
+use snaple_graph::{CsrGraph, Direction, GraphBuilder, VertexId};
 
 fn graph_from(edges: &[(u32, u32)]) -> CsrGraph {
     let mut b = GraphBuilder::new();
@@ -22,13 +22,17 @@ fn edges_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..40, 0u32..40), 1..250)
 }
 
-/// `new = Σ_{v ∈ Γ(u)} old(v) + 1` — order-insensitive integer program.
-struct SumPlusOne;
+/// `new = Σ_{v ∈ Γ(u)} old(v) + 1` along the given gather direction
+/// (`Γ⁻¹(u)` for [`Direction::In`]) — order-insensitive integer program.
+struct SumPlusOne(Direction);
 impl GasStep for SumPlusOne {
     type Vertex = u64;
     type Gather = u64;
     fn name(&self) -> &str {
         "sum-plus-one"
+    }
+    fn gather_direction(&self) -> Direction {
+        self.0
     }
     fn gather(
         &self,
@@ -56,16 +60,15 @@ impl GasStep for SumPlusOne {
     }
 }
 
-fn oracle(graph: &CsrGraph, state: &[u64]) -> Vec<u64> {
+fn oracle(graph: &CsrGraph, dir: Direction, state: &[u64]) -> Vec<u64> {
     graph
         .vertices()
         .map(|u| {
-            graph
-                .out_neighbors(u)
-                .iter()
-                .map(|v| state[v.index()])
-                .sum::<u64>()
-                + 1
+            let neighbors = match dir {
+                Direction::Out => graph.out_neighbors(u),
+                Direction::In => graph.in_neighbors(u),
+            };
+            neighbors.iter().map(|v| state[v.index()]).sum::<u64>() + 1
         })
         .collect()
 }
@@ -113,11 +116,14 @@ proptest! {
         let g = graph_from(&edges);
         let strategy = PartitionStrategy::all()[strategy_idx];
         let init: Vec<u64> = (0..g.num_vertices() as u64).map(|i| i % 13 + 1).collect();
-        let expect = oracle(&g, &init);
-        let mut state = init;
-        let mut engine = Engine::new(&g, ClusterSpec::type_i(nodes), strategy, seed).unwrap();
-        engine.run_step(&SumPlusOne, &mut state).unwrap();
-        prop_assert_eq!(state, expect, "{:?} on {} nodes", strategy, nodes);
+        let dep = Deployment::new(&g, ClusterSpec::type_i(nodes), strategy, seed).unwrap();
+        for dir in [Direction::Out, Direction::In] {
+            let expect = oracle(&g, dir, &init);
+            let mut state = init.clone();
+            let mut engine = Engine::on(&dep);
+            engine.run_step(&SumPlusOne(dir), &mut state).unwrap();
+            prop_assert_eq!(state, expect, "{:?} {:?} on {} nodes", dir, strategy, nodes);
+        }
     }
 
     #[test]
@@ -128,14 +134,15 @@ proptest! {
     ) {
         let g = graph_from(&edges);
         let mut state: Vec<u64> = vec![1; g.num_vertices()];
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(nodes),
             PartitionStrategy::RandomVertexCut,
             seed,
         )
         .unwrap();
-        let stats = engine.run_step(&SumPlusOne, &mut state).unwrap();
+        let mut engine = Engine::on(&dep);
+        let stats = engine.run_step(&SumPlusOne(Direction::Out), &mut state).unwrap();
         // Engine-level invariants:
         prop_assert_eq!(stats.gather_calls, g.num_edges() as u64);
         prop_assert_eq!(stats.apply_calls, g.num_vertices() as u64);
@@ -153,14 +160,15 @@ proptest! {
     fn single_node_runs_produce_no_traffic(edges in edges_strategy(), seed in 0u64..100) {
         let g = graph_from(&edges);
         let mut state: Vec<u64> = vec![1; g.num_vertices()];
-        let mut engine = Engine::new(
+        let dep = Deployment::new(
             &g,
             ClusterSpec::type_i(1),
             PartitionStrategy::RandomVertexCut,
             seed,
         )
         .unwrap();
-        let stats = engine.run_step(&SumPlusOne, &mut state).unwrap();
+        let mut engine = Engine::on(&dep);
+        let stats = engine.run_step(&SumPlusOne(Direction::Out), &mut state).unwrap();
         prop_assert_eq!(stats.network_bytes(), 0);
         prop_assert!((engine.stats().replication_factor - 1.0).abs() < 1e-12);
     }
@@ -172,9 +180,9 @@ proptest! {
         let g = graph_from(&edges);
         let mut ok_state: Vec<u64> = vec![1; g.num_vertices()];
         let generous = ClusterSpec::type_i(4);
-        Engine::new(&g, generous, PartitionStrategy::RandomVertexCut, seed)
-            .unwrap()
-            .run_step(&SumPlusOne, &mut ok_state)
+        let dep = Deployment::new(&g, generous, PartitionStrategy::RandomVertexCut, seed).unwrap();
+        Engine::on(&dep)
+            .run_step(&SumPlusOne(Direction::Out), &mut ok_state)
             .unwrap();
 
         let starved = ClusterSpec {
@@ -182,9 +190,9 @@ proptest! {
             ..ClusterSpec::type_i(4)
         };
         let mut state: Vec<u64> = vec![1; g.num_vertices()];
-        let err = Engine::new(&g, starved, PartitionStrategy::RandomVertexCut, seed)
-            .unwrap()
-            .run_step(&SumPlusOne, &mut state)
+        let dep = Deployment::new(&g, starved, PartitionStrategy::RandomVertexCut, seed).unwrap();
+        let err = Engine::on(&dep)
+            .run_step(&SumPlusOne(Direction::Out), &mut state)
             .unwrap_err();
         let is_oom = matches!(err, EngineError::ResourceExhausted { .. });
         prop_assert!(is_oom);

@@ -234,13 +234,6 @@ impl CsrGraph {
         }
     }
 
-    /// Global edge index of the `i`-th out-edge of `u` (used by partitioners
-    /// to build per-edge tables).
-    #[inline]
-    pub fn edge_index(&self, u: VertexId, i: usize) -> usize {
-        self.out_offsets[u.index()] + i
-    }
-
     /// Decomposes the graph into its owned arrays
     /// `(n, out_offsets, out_targets, out_weights, in_offsets, in_sources)`
     /// — for the delta compactor, which rebuilds adjacency in place

@@ -52,7 +52,8 @@
 //!
 //! The paper's headline scale is a billion edges — graphs that cannot
 //! be *built* in memory, and that a server should not have to *parse*
-//! per run. Three pieces make that workflow:
+//! per run. Three pieces make that workflow; only the first runs out of
+//! core:
 //!
 //! 1. **Build out of core.** [`extbuild::ExternalGraphBuilder`]
 //!    chunk-sorts an edge stream of any length through bounded-memory
@@ -64,18 +65,19 @@
 //!    `snaple-cli graph convert --graph edges.txt --out big.snplg`.
 //! 2. **Open without parsing.** `SNPLG2` ([`v2`]) stores the CSR
 //!    arrays verbatim, both directions, each section checksummed.
-//!    [`v2::FileCsr::open`] reads only the header and section table —
-//!    open time is flat in the edge count — and faults sections in on
-//!    first touch; [`io::open_store`] picks the right backend from the
-//!    file magic. `--graph-format file` on `snaple predict`/`serve`
-//!    selects it end to end.
+//!    [`v2::FileCsr::open`] reads only the header and the section
+//!    table — open time is flat in the edge count. A section loads
+//!    whole into RAM on first touch, so a run that gathers only
+//!    out-edges never loads the in-sections, but every section a run
+//!    touches must fit in memory. [`io::open_store`] picks the backend
+//!    from the file magic, and `snaple predict`/`serve` open every
+//!    binary graph through it.
 //! 3. **Serve either backend.** The engine, partitioner and serving
 //!    layers consume [`GraphStore`], so eager and file-backed graphs
 //!    produce bit-identical predictions — pinned by property tests. The
 //!    varint flavor of `SNPLG2` ([`v2::write_v2_varint`]) halves the
 //!    file and opens into an in-RAM [`CsrGraph`].
 
-pub mod algo;
 pub mod builder;
 pub mod codec;
 /// Tests of the varint (compressed) `SNPLG2` flavor, whose codec lives in

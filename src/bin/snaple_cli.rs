@@ -53,7 +53,7 @@ use snaple::gas::{ClusterSpec, DeltaStats};
 use snaple::graph::gen::datasets;
 use snaple::graph::gen::rmat::RmatConfig;
 use snaple::graph::stats::GraphSummary;
-use snaple::graph::{io, v2, CsrGraph, ExternalGraphBuilder, FileCsr, GraphStore};
+use snaple::graph::{io, v2, CsrGraph, ExternalGraphBuilder, GraphStore};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -77,6 +77,10 @@ fn main() {
     } else {
         let opts = Options::parse(rest);
         match command.as_str() {
+            "predict" | "serve" if opts.graph_format.is_some() => Err(format!(
+                "--graph-format belongs to `graph convert`; {command} opens the \
+                 backend the graph file's format calls for"
+            )),
             "emulate" => cmd_emulate(&opts),
             "stats" => cmd_stats(&opts),
             "predict" => cmd_predict(&opts),
@@ -126,7 +130,7 @@ struct Options {
     fsync: String,
     snapshot_every: usize,
     retain: usize,
-    graph_format: String,
+    graph_format: Option<String>,
     chunk_edges: Option<usize>,
     rmat_scale: Option<u32>,
     edges: Option<u64>,
@@ -149,7 +153,6 @@ impl Options {
             fsync: "always".into(),
             snapshot_every: 64,
             retain: 2,
-            graph_format: "auto".into(),
             ..Options::default()
         };
         let mut it = args.iter();
@@ -212,7 +215,7 @@ impl Options {
                     o.snapshot_every = parse_num(&value("--snapshot-every"), "--snapshot-every")
                 }
                 "--retain" => o.retain = parse_num(&value("--retain"), "--retain"),
-                "--graph-format" => o.graph_format = value("--graph-format"),
+                "--graph-format" => o.graph_format = Some(value("--graph-format")),
                 "--chunk-edges" => {
                     o.chunk_edges = Some(parse_num(&value("--chunk-edges"), "--chunk-edges"))
                 }
@@ -425,23 +428,23 @@ commands:
 serve accepts --scores too: the served rows are then the plan's
 weighted combined ranking (one fused sweep per coalesced batch).
 
-predict/serve accept --graph-format auto|csr|file to pick the storage
-backend ('auto' dispatches on the file magic): 'csr' is the fully
-in-RAM adjacency, 'file' opens a raw SNPLG2 file zero-parse (the
-on-disk sections ARE the CSR arrays — open cost is header + TOC only,
-flat in graph size). Rows are bit-identical across both backends.
-'graph convert --graph-format varint' writes the delta-varint flavor of
-SNPLG2: the file is about 2x smaller, it opens into RAM as 'csr', and
-'graph convert' back to raw v2 gives a file 'file' can serve.
+predict/serve take the storage backend from the graph file itself: a
+raw SNPLG2 file opens file-backed ('file-csr': open reads only the
+header and the section table, each section loads whole into RAM on
+first touch, and a run that gathers only out-edges never loads the
+in-sections); the varint SNPLG2 flavor and SNPLG1 load into RAM
+('csr'); text edge lists parse in RAM. Rows are bit-identical across
+backends. 'graph convert --graph-format varint' writes the varint
+flavor (about 2x smaller); 'graph convert' back to raw v2 gives a file
+that opens file-backed again.
 
-graphs bigger than RAM — quickstart:
+large graphs — quickstart:
   snaple-cli graph gen --rmat-scale 25 --out big.snplg     # ~0.5G edges
   snaple-cli graph convert --graph edges.txt --out big.snplg  # or yours
-  snaple-cli predict --graph big.snplg --graph-format file \\
-             --query-sample 64 --out rows.txt
+  snaple-cli predict --graph big.snplg --query-sample 64 --out rows.txt
 the generator and converter never hold the graph in memory (chunked
-spill runs + k-way merge), and --graph-format file serves straight off
-the on-disk layout.
+spill runs + k-way merge), so graphs bigger than RAM build fine;
+predict and serve need every section a run touches to fit in RAM.
 
 graph files: '.snplg' binary (from emulate/--out) or text edge lists
 (one 'src dst [weight]' per line; add --symmetrize for undirected input)."
@@ -465,41 +468,10 @@ fn is_binary(path: &Path) -> bool {
     path.extension().is_some_and(|e| e == "snplg")
 }
 
-/// Loads `--graph` as the backend `--graph-format` selects:
-///
-/// * `auto` (default) — binary files open through
-///   [`io::open_store`], which dispatches on the magic (zero-parse
-///   `file-csr` for raw `SNPLG2`, in-RAM `csr` for the varint flavor and
-///   legacy `SNPLG1`); text edge lists parse in RAM.
-/// * `csr` — force a fully in-RAM [`CsrGraph`].
-/// * `file` — force the zero-parse file-backed backend (raw `SNPLG2`
-///   only; convert other inputs first with `graph convert`).
-fn load_store(opts: &Options) -> Result<Arc<dyn GraphStore>, String> {
-    let path = opts.graph.as_ref().ok_or("missing --graph")?;
-    match opts.graph_format.as_str() {
-        "auto" => open_auto(opts),
-        "csr" => Ok(Arc::new(load_graph(opts)?)),
-        "file" => {
-            if !is_binary(path) {
-                return Err(format!(
-                    "--graph-format file needs a raw SNPLG2 binary; convert first: \
-                     snaple-cli graph convert --graph {} --out graph.snplg",
-                    path.display()
-                ));
-            }
-            match FileCsr::open(path) {
-                Ok(g) => Ok(Arc::new(g)),
-                Err(e) => Err(format!("{}: {e}", path.display())),
-            }
-        }
-        other => Err(format!(
-            "--graph-format expects auto, csr or file, got {other:?}"
-        )),
-    }
-}
-
 /// Opens `--graph` as the backend its format calls for: binary files
-/// through [`io::open_store`], text edge lists parsed in RAM.
+/// through [`io::open_store`], which dispatches on the magic (file-backed
+/// `file-csr` for raw `SNPLG2`, in-RAM `csr` for the varint flavor and
+/// legacy `SNPLG1`); text edge lists parse in RAM.
 fn open_auto(opts: &Options) -> Result<Arc<dyn GraphStore>, String> {
     let path = opts.graph.as_ref().ok_or("missing --graph")?;
     if is_binary(path) {
@@ -516,7 +488,7 @@ fn open_auto(opts: &Options) -> Result<Arc<dyn GraphStore>, String> {
 fn cmd_graph_convert(opts: &Options) -> Result<(), String> {
     let input = opts.graph.as_ref().ok_or("missing --graph")?;
     let out = opts.out.as_ref().ok_or("missing --out")?;
-    let format = match opts.graph_format.as_str() {
+    let format = match opts.graph_format.as_deref().unwrap_or("v2") {
         "auto" | "file" | "v2" => "v2",
         "varint" => "varint",
         "v1" => "v1",
@@ -737,7 +709,7 @@ fn cmd_predict_plan(opts: &Options, graph: &dyn GraphStore) -> Result<(), String
 }
 
 fn cmd_predict(opts: &Options) -> Result<(), String> {
-    let store = load_store(opts)?;
+    let store = open_auto(opts)?;
     let graph = store.as_ref();
     if opts.scores.is_some() {
         return cmd_predict_plan(opts, graph);
@@ -917,7 +889,7 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     } else if opts.shard_procs {
         return Err("--shard-procs needs --shards N".into());
     }
-    let store = load_store(opts)?;
+    let store = open_auto(opts)?;
     // Restartable serving: open (or recover) the data dir before anything
     // else sees the graph — recovery may replace it with the newest
     // snapshot, and the unsnapshotted log tail replays below.

@@ -2,7 +2,7 @@
 
 use snaple::baseline::{Baseline, BaselineConfig};
 use snaple::core::{NamedScore, PredictRequest, Predictor, Snaple, SnapleConfig, SnapleError};
-use snaple::gas::{ClusterSpec, Engine, EngineError, NodeId, PartitionStrategy};
+use snaple::gas::{ClusterSpec, Deployment, Engine, EngineError, NodeId, PartitionStrategy};
 use snaple::graph::gen::datasets;
 
 #[test]
@@ -13,13 +13,14 @@ fn node_failures_surface_through_the_predictor_stack() {
     use snaple::core::steps::{NeighborhoodStep, SimilarityStep};
 
     let graph = datasets::GOWALLA.emulate(0.002, 5);
-    let mut engine = Engine::new(
+    let dep = Deployment::new(
         &graph,
         ClusterSpec::type_i(4),
         PartitionStrategy::RandomVertexCut,
         1,
     )
     .unwrap();
+    let mut engine = Engine::on(&dep);
     engine.inject_failure(NodeId::new(2), 1);
     let mut state = vec![SnapleVertex::default(); graph.num_vertices()];
 

@@ -18,7 +18,8 @@ use snaple::core::{
     ExecuteRequest, PathLength, PlanConfig, PrepareRequest, QuerySet, Registry, ScorePlan,
 };
 use snaple::gas::{
-    ClusterSpec, Engine, EngineError, GasStep, GatherCtx, PartitionStrategy, RunStats, WorkTally,
+    ClusterSpec, Deployment, Engine, EngineError, GasStep, GatherCtx, PartitionStrategy, RunStats,
+    WorkTally,
 };
 use snaple::graph::gen::datasets;
 use snaple::graph::hash::hash2;
@@ -194,13 +195,14 @@ fn render_in_direction() -> String {
     for (gname, graph) in graphs() {
         for (qname, queries) in query_sets(&graph) {
             let mask = queries.to_mask(graph.num_vertices());
-            let mut engine = Engine::new(
+            let dep = Deployment::new(
                 &graph,
                 ClusterSpec::type_i(4),
                 PartitionStrategy::RandomVertexCut,
                 9,
             )
             .unwrap();
+            let mut engine = Engine::on(&dep);
             let mut state: Vec<u64> = (0..graph.num_vertices() as u64)
                 .map(|i| i * 17 % 101)
                 .collect();
@@ -287,13 +289,14 @@ fn capacity_starved_masked_runs_fail_exactly_as_pinned() {
 #[test]
 fn an_empty_mask_touches_nothing_but_static_memory() {
     let graph = directed();
-    let mut engine = Engine::new(
+    let dep = Deployment::new(
         &graph,
         ClusterSpec::type_i(4),
         PartitionStrategy::RandomVertexCut,
         9,
     )
     .unwrap();
+    let mut engine = Engine::on(&dep);
     let mut state = vec![1u64; graph.num_vertices()];
     let empty = VertexMask::empty(graph.num_vertices());
     let s = engine
