@@ -23,7 +23,7 @@ use snaple_core::shard::{PendingRows, ShardOptions, ShardRouter, ShardSpec, Shar
 use snaple_core::similarity::{
     intersection_size_scalar, CommonNeighbors, Jaccard, NeighborhoodView, Similarity,
 };
-use snaple_core::{NamedScore, QuerySet, Snaple, SnapleConfig};
+use snaple_core::{NamedScore, PlanConfig, QuerySet, Snaple, SnapleConfig};
 use snaple_gas::ClusterSpec;
 use snaple_graph::gen::datasets;
 use snaple_graph::gen::rmat::RmatConfig;
@@ -64,6 +64,15 @@ fn linear_sum() -> SnapleConfig {
     SnapleConfig::new(NamedScore::LinearSum)
         .klocal(Some(20))
         .seed(SEED)
+}
+
+/// The one-column plan a `Snaple` of [`linear_sum`] prepares, as it
+/// crosses the shard wire.
+fn linear_sum_spec() -> ShardSpec {
+    ShardSpec::Plan {
+        specs: vec!["linearSum".into()],
+        config: PlanConfig::new().klocal(Some(20)).seed(SEED),
+    }
 }
 
 /// An 8-worker [`ConcurrentServer`] (coalescing up to 8 requests per
@@ -124,7 +133,7 @@ fn four_shards_keep_up_with_one() {
     let graph = datasets::GOWALLA.emulate(0.004, SEED);
     let cluster = ClusterSpec::type_ii(8);
     let requests = requests(&graph, 24);
-    let spec = ShardSpec::Single(linear_sum());
+    let spec = linear_sum_spec();
     let rps = |shards: usize| -> f64 {
         let outcome = ShardRouter::run(
             &spec,

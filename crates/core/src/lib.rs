@@ -56,9 +56,9 @@
 //! # Ok::<(), snaple_core::SnapleError>(())
 //! ```
 //!
-//! [`Snaple`] is the 1-spec special case: its `execute` path compiles the
-//! configuration into a single-column plan and runs the same fused
-//! engine.
+//! [`Snaple`] is the 1-spec special case: [`Predictor::prepare`]
+//! compiles its configuration into a one-column plan once, and every
+//! request it serves runs that plan on the same fused engine.
 //!
 //! # The GAS program
 //!
@@ -70,11 +70,11 @@
 //! §5.6); combine and aggregate path similarities over the sampled 2-hop
 //! paths and keep the top-`k` candidates.
 //!
-//! [`Snaple`] compiles its configuration into a one-column fused
-//! [`ScorePlan`] and runs the plan's steps. The [`steps`] module
-//! ([`steps::NeighborhoodStep`], [`steps::SimilarityStep`],
-//! [`steps::ScoreStep`]) is the unfused oracle the fused plan is tested
-//! against, driven by
+//! [`Snaple`] prepares a one-column fused [`ScorePlan`] from its
+//! configuration and serves every request with the plan's steps. The
+//! [`steps`] module ([`steps::NeighborhoodStep`],
+//! [`steps::SimilarityStep`], [`steps::ScoreStep`]) is the unfused
+//! oracle the fused plan is tested against, driven by
 //! [`Snaple::execute_unfused_on`](Snaple::execute_unfused_on).
 //!
 //! # The prediction API
@@ -262,12 +262,13 @@
 //!
 //! ```no_run
 //! use snaple_core::shard::{ShardOptions, ShardRouter, ShardSpec, ShardTransport};
-//! use snaple_core::{QuerySet, NamedScore, SnapleConfig};
+//! use snaple_core::{PlanConfig, QuerySet};
 //! use snaple_gas::ClusterSpec;
 //! use snaple_graph::gen::datasets;
 //!
 //! let graph = datasets::GOWALLA.emulate(0.005, 42);
-//! let spec = ShardSpec::Single(SnapleConfig::new(NamedScore::LinearSum));
+//! // Shards re-parse the plan's spec strings, so one column is "linearSum".
+//! let spec = ShardSpec::Plan { specs: vec!["linearSum".into()], config: PlanConfig::new() };
 //! let outcome = ShardRouter::run(
 //!     &spec, &graph, &ClusterSpec::type_ii(8),
 //!     ShardOptions::new().shards(4).transport(ShardTransport::Threads),

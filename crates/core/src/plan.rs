@@ -357,7 +357,7 @@ impl ScorePlan {
         )
     }
 
-    /// The 1-spec plan a [`Snaple`] predictor executes as.
+    /// The 1-spec plan a [`Snaple`] predictor prepares.
     pub(crate) fn from_snaple(snaple: &Snaple) -> Result<ScorePlan, SnapleError> {
         let config = snaple.config();
         let spec = ScoreSpec::from_components(
@@ -605,13 +605,19 @@ impl PreparedPlan<'_> {
 
 impl ScoringProgram for ScorePlan {
     /// Runs the fused sweep and answers with the plan's weighted
-    /// [combined](ScoreMatrix::combined) ranking.
+    /// [combined](ScoreMatrix::combined) ranking. A one-column plan of
+    /// weight 1 (every [`Snaple`]) ranks as its column, so the column is
+    /// moved out instead of re-pooled.
     fn execute_on(
         &self,
         deployment: &Deployment<'_>,
         req: &ExecuteRequest<'_>,
     ) -> Result<Prediction, SnapleError> {
-        Ok(ScorePlan::execute_on(self, deployment, req)?.combined(self.combined_k()))
+        let matrix = ScorePlan::execute_on(self, deployment, req)?;
+        match self.specs.as_slice() {
+            [only] if only.column_weight() == 1.0 => Ok(matrix.into_column(0)),
+            _ => Ok(matrix.combined(self.combined_k())),
+        }
     }
 }
 

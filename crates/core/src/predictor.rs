@@ -5,9 +5,8 @@ use snaple_graph::{GraphStore, VertexId, VertexMask};
 
 use crate::config::{PathLength, ScoreComponents, SnapleConfig};
 use crate::error::SnapleError;
-use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, Prepared, PreparedPredictor, ScoringProgram,
-};
+use crate::plan::ScorePlan;
+use crate::predictor_api::{ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor};
 use crate::state::SnapleVertex;
 use crate::steps::{NeighborhoodStep, PromoteScoresStep, ScoreStep, SecondHop, SimilarityStep};
 
@@ -67,7 +66,10 @@ impl StepMasks {
 
 /// SNAPLE link predictor: configuration plus resolved scoring components.
 ///
-/// See the [crate docs](crate) for the model and a complete example.
+/// A `Snaple` is one scoring configuration, the unit a
+/// [`ScorePlan`] holds N of: [`Predictor::prepare`] compiles it into a
+/// one-column plan once and serves that plan. See the [crate docs](crate)
+/// for the model and a complete example.
 #[derive(Clone, Debug)]
 pub struct Snaple {
     config: SnapleConfig,
@@ -114,18 +116,21 @@ impl Snaple {
         Ok(())
     }
 
-    /// The pre-[`ScorePlan`](crate::ScorePlan) reference implementation:
+    /// The pre-[`ScorePlan`] reference implementation:
     /// drives the classic single-score [`steps`](crate::steps) directly
     /// instead of compiling to a fused plan.
     ///
     /// Kept public as the independent oracle the fused engine is
     /// differential-tested against (every plan column must be
     /// bit-identical to this path); applications should prefer
-    /// [`Snaple::execute_on`](ScoringProgram::execute_on).
+    /// [`Predictor::prepare`], which runs the fused plan.
     ///
     /// # Errors
     ///
-    /// As [`Snaple::execute_on`](ScoringProgram::execute_on).
+    /// [`SnapleError::InvalidConfig`] if `k` or `klocal` is zero, if
+    /// attributes do not cover every vertex, or if a query id is out of
+    /// range; [`SnapleError::Engine`] when the simulated cluster cannot
+    /// execute the program (memory exhaustion).
     pub fn execute_unfused_on(
         &self,
         deployment: &Deployment<'_>,
@@ -200,21 +205,12 @@ impl Snaple {
     }
 }
 
-impl ScoringProgram for Snaple {
-    /// Runs the paper's Algorithm 2 on a prepared [`Deployment`],
-    /// answering one [`ExecuteRequest`].
-    ///
-    /// This is the *execute* half of the serving lifecycle — the engine
-    /// reuses the deployment's partition instead of re-hashing every edge,
-    /// so a stream of requests pays the O(edges) setup once.
-    ///
-    /// Since the [`ScorePlan`](crate::ScorePlan) redesign, `Snaple` *is*
-    /// the 1-spec special case of a plan: this method compiles the
-    /// configuration into a single-column plan and runs the fused sweep
-    /// ([`ScorePlan::execute_on`](crate::ScorePlan::execute_on)). To
-    /// evaluate several configurations, put them in one plan — N columns
-    /// cost roughly one sweep, not N
-    /// (see the [plan module docs](crate::plan)).
+impl Predictor for Snaple {
+    /// Compiles the configuration into its one-column [`ScorePlan`] and
+    /// prepares that plan: the deployment (vertex-cut partition over the
+    /// requested cluster, cost model) is built once, and the returned
+    /// [`PreparedPlan`](crate::PreparedPlan) answers any number of
+    /// [`ExecuteRequest`]s against it with the plan's one column.
     ///
     /// With [`ExecuteRequest::queries`], the steps execute under shrinking
     /// active-vertex masks — neighborhoods for everything within the
@@ -227,39 +223,13 @@ impl ScoringProgram for Snaple {
     ///
     /// # Errors
     ///
-    /// * [`SnapleError::InvalidConfig`] if `k` or `klocal` is zero, if
-    ///   attributes do not cover every vertex, or if a query id is out of
-    ///   range.
-    /// * [`SnapleError::Engine`] when the simulated cluster cannot execute
-    ///   the program (memory exhaustion).
-    fn execute_on(
-        &self,
-        deployment: &Deployment<'_>,
-        req: &ExecuteRequest<'_>,
-    ) -> Result<Prediction, SnapleError> {
-        self.validate_config()?;
-        let plan = crate::plan::ScorePlan::from_snaple(self)?;
-        Ok(plan.execute_on(deployment, req)?.into_column(0))
-    }
-}
-
-impl Predictor for Snaple {
-    /// Builds the deployment (vertex-cut partition over the requested
-    /// cluster, cost model) once; the returned [`Prepared`] answers any
-    /// number of [`ExecuteRequest`]s against it.
-    ///
-    /// # Errors
-    ///
     /// [`SnapleError::InvalidConfig`] if `k` or `klocal` is zero or the
     /// cluster shape is unusable.
     fn prepare<'a>(
         &'a self,
         req: &PrepareRequest<'a>,
     ) -> Result<Box<dyn PreparedPredictor + 'a>, SnapleError> {
-        self.validate_config()?;
-        let config = &self.config;
-        let prepared = Prepared::new(self.clone(), req, config.partition, config.seed)?;
-        Ok(Box::new(prepared))
+        Ok(Box::new(ScorePlan::from_snaple(self)?.prepare_plan(req)?))
     }
 }
 

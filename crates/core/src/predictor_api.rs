@@ -52,9 +52,9 @@
 //! # Ok::<(), snaple_core::SnapleError>(())
 //! ```
 //!
-//! Partition-backed backends (SNAPLE, [`ScorePlan`](crate::ScorePlan),
-//! BASELINE, the supervised panel) implement the one-method
-//! [`ScoringProgram`]; the generic [`Prepared`] owns their vertex-cut
+//! Partition-backed backends ([`ScorePlan`](crate::ScorePlan), which
+//! SNAPLE prepares as a one-column plan, BASELINE, the supervised panel)
+//! implement the one-method [`ScoringProgram`]; the generic [`Prepared`] owns their vertex-cut
 //! [`Deployment`] and is their one [`PreparedPredictor`], so execute,
 //! apply and fork exist once. The partition-free random-walk backend
 //! implements [`PreparedPredictor`] directly.

@@ -61,12 +61,12 @@
 //!
 //! ```no_run
 //! use snaple_core::shard::{ShardOptions, ShardRouter, ShardSpec, ShardTransport};
-//! use snaple_core::{NamedScore, QuerySet, SnapleConfig};
+//! use snaple_core::{PlanConfig, QuerySet};
 //! use snaple_gas::ClusterSpec;
 //! use snaple_graph::CsrGraph;
 //!
 //! let graph = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-//! let spec = ShardSpec::Single(SnapleConfig::new(NamedScore::LinearSum));
+//! let spec = ShardSpec::Plan { specs: vec!["linearSum".into()], config: PlanConfig::new() };
 //! let outcome = ShardRouter::run(
 //!     &spec,
 //!     &graph,

@@ -21,8 +21,7 @@ use std::io::{Read, Write};
 use std::sync::mpsc::{Receiver, Sender};
 
 use crate::plan::ScorePlan;
-use crate::predictor::Snaple;
-use crate::predictor_api::{Predictor, QuerySet};
+use crate::predictor_api::QuerySet;
 use crate::serve::Server;
 use crate::spec::ScoreSpec;
 
@@ -91,22 +90,16 @@ fn run_shard<R: Read, W: Write>(
         }
     };
     let cluster = prep.cluster;
-    let predictor: Box<dyn Predictor> = match prep.spec {
-        ShardSpec::Single(config) => Box::new(Snaple::new(config)),
-        ShardSpec::Plan { specs, config } => {
-            let parsed: Result<Vec<ScoreSpec>, _> =
-                specs.iter().map(|s| ScoreSpec::parse(s)).collect();
-            let plan = parsed.and_then(|specs| ScorePlan::with_config(specs, config));
-            match plan {
-                Ok(p) => Box::new(p),
-                Err(e) => {
-                    send_err(writer, 0, e)?;
-                    return Ok(());
-                }
-            }
+    let ShardSpec::Plan { specs, config } = prep.spec;
+    let parsed: Result<Vec<ScoreSpec>, _> = specs.iter().map(|s| ScoreSpec::parse(s)).collect();
+    let plan = match parsed.and_then(|specs| ScorePlan::with_config(specs, config)) {
+        Ok(plan) => plan,
+        Err(e) => {
+            send_err(writer, 0, e)?;
+            return Ok(());
         }
     };
-    let mut server = match Server::new(predictor.as_ref(), &graph, &cluster) {
+    let mut server = match Server::new(&plan, &graph, &cluster) {
         Ok(server) => server,
         Err(e) => {
             send_err(writer, 0, e)?;
@@ -274,18 +267,17 @@ mod tests {
     use snaple_gas::ClusterSpec;
     use snaple_graph::gen::datasets;
 
-    use crate::config::{NamedScore, SnapleConfig};
+    use crate::plan::PlanConfig;
 
     fn prepare_frame(graph_blob: Vec<u8>) -> Vec<u8> {
         Request::Prepare(Box::new(PrepareShard {
             shard: 0,
             num_shards: 1,
             seed_override: None,
-            spec: ShardSpec::Single(
-                SnapleConfig::new(NamedScore::LinearSum)
-                    .k(5)
-                    .klocal(Some(10)),
-            ),
+            spec: ShardSpec::Plan {
+                specs: vec!["linearSum".into()],
+                config: PlanConfig::new().k(5).klocal(Some(10)),
+            },
             cluster: ClusterSpec::type_ii(4),
             graph_blob,
         }))

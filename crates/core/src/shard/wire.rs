@@ -28,7 +28,7 @@ use snaple_graph::codec::{
 pub use snaple_graph::codec::{read_frame, WireError};
 use snaple_graph::GraphDelta;
 
-use crate::config::{NamedScore, PathLength, SelectionPolicy, SnapleConfig};
+use crate::config::{PathLength, SelectionPolicy};
 use crate::plan::PlanConfig;
 use crate::serve::{LatencyHistogram, ServerStats};
 use snaple_gas::PartitionStrategy;
@@ -53,17 +53,17 @@ const TAG_STATS_OK: u8 = 20;
 /// the wire stand-in for the `&dyn Predictor` that an in-process server
 /// borrows.
 ///
-/// Only *nameable* predictors cross the wire: a [`SnapleConfig`] whose
-/// score is a [`NamedScore`], or a score plan given as spec strings
-/// (re-parsed by [`crate::spec::ScoreSpec::parse`] on the far side).
-/// Predictors built from custom [`crate::ScoreComponents`] closures have
-/// no serialized form and cannot be served by an OS-process shard.
+/// Only *nameable* predictors cross the wire: a score plan given as spec
+/// strings, re-parsed by [`crate::spec::ScoreSpec::parse`] on the far
+/// side. A single [`crate::Snaple`] configuration is the one-column plan
+/// of its Table-3 name (`linearSum`, or `linearSum@alpha0.5` with a
+/// non-default `α`). Predictors built from custom
+/// [`crate::ScoreComponents`] closures have no serialized form and cannot
+/// be served by an OS-process shard.
 #[derive(Clone, Debug)]
 pub enum ShardSpec {
-    /// A single scoring configuration ([`crate::Snaple`]).
-    Single(SnapleConfig),
-    /// A fused multi-score plan ([`crate::ScorePlan`]); rows are served
-    /// from the plan's combined top-k column.
+    /// A fused score plan ([`crate::ScorePlan`]); rows are served from the
+    /// plan's combined top-k column.
     Plan {
         /// One compact spec string per column (the [`crate::spec`]
         /// grammar).
@@ -78,10 +78,8 @@ impl ShardSpec {
     /// the master-placement hash the router's vertex→shard ownership map
     /// must agree with.
     pub fn seed(&self) -> u64 {
-        match self {
-            ShardSpec::Single(c) => c.seed,
-            ShardSpec::Plan { config, .. } => config.seed,
-        }
+        let ShardSpec::Plan { config, .. } = self;
+        config.seed
     }
 }
 
@@ -133,78 +131,35 @@ fn get_path_length(input: &mut &[u8]) -> Result<PathLength, WireError> {
 }
 
 fn put_spec(out: &mut Vec<u8>, spec: &ShardSpec) {
-    match spec {
-        ShardSpec::Single(c) => {
-            put_u8(out, 0);
-            put_str(out, c.score.name());
-            put_u64(out, c.k as u64);
-            put_opt_u64(out, c.klocal.map(|v| v as u64));
-            put_opt_u64(out, c.thr_gamma.map(|v| v as u64));
-            put_f32(out, c.alpha);
-            put_selection(out, c.selection);
-            put_u64(out, c.seed);
-            put_partition(out, c.partition);
-            put_path_length(out, c.path_length);
-        }
-        ShardSpec::Plan { specs, config } => {
-            put_u8(out, 1);
-            put_u32(out, specs.len() as u32);
-            for s in specs {
-                put_str(out, s);
-            }
-            put_u64(out, config.k as u64);
-            put_opt_u64(out, config.klocal.map(|v| v as u64));
-            put_opt_u64(out, config.thr_gamma.map(|v| v as u64));
-            put_selection(out, config.selection);
-            put_u64(out, config.seed);
-            put_partition(out, config.partition);
-            put_path_length(out, config.path_length);
-        }
+    let ShardSpec::Plan { specs, config } = spec;
+    put_u32(out, specs.len() as u32);
+    for s in specs {
+        put_str(out, s);
     }
+    put_u64(out, config.k as u64);
+    put_opt_u64(out, config.klocal.map(|v| v as u64));
+    put_opt_u64(out, config.thr_gamma.map(|v| v as u64));
+    put_selection(out, config.selection);
+    put_u64(out, config.seed);
+    put_partition(out, config.partition);
+    put_path_length(out, config.path_length);
 }
 
 fn get_spec(input: &mut &[u8]) -> Result<ShardSpec, WireError> {
-    match get_u8(input, "spec kind")? {
-        0 => {
-            let name = get_str(input, "score name")?;
-            let score = NamedScore::parse(&name).ok_or(WireError::Malformed("score name"))?;
-            let k = get_u64(input, "spec k")? as usize;
-            let klocal = get_opt_u64(input, "spec klocal")?.map(|v| v as usize);
-            let thr_gamma = get_opt_u64(input, "spec thr_gamma")?.map(|v| v as usize);
-            let alpha = get_f32(input, "spec alpha")?;
-            let selection = get_selection(input)?;
-            let seed = get_u64(input, "spec seed")?;
-            let partition = get_partition(input)?;
-            let path_length = get_path_length(input)?;
-            let mut config = SnapleConfig::new(score)
-                .k(k)
-                .klocal(klocal)
-                .thr_gamma(thr_gamma)
-                .alpha(alpha)
-                .selection(selection)
-                .seed(seed)
-                .partition(partition);
-            config.path_length = path_length;
-            Ok(ShardSpec::Single(config))
-        }
-        1 => {
-            let n = get_count(input, 4, "plan spec count")?;
-            let mut specs = Vec::with_capacity(n);
-            for _ in 0..n {
-                specs.push(get_str(input, "plan spec string")?);
-            }
-            let mut config = PlanConfig::new();
-            config.k = get_u64(input, "plan k")? as usize;
-            config.klocal = get_opt_u64(input, "plan klocal")?.map(|v| v as usize);
-            config.thr_gamma = get_opt_u64(input, "plan thr_gamma")?.map(|v| v as usize);
-            config.selection = get_selection(input)?;
-            config.seed = get_u64(input, "plan seed")?;
-            config.partition = get_partition(input)?;
-            config.path_length = get_path_length(input)?;
-            Ok(ShardSpec::Plan { specs, config })
-        }
-        _ => Err(WireError::Malformed("spec kind")),
+    let n = get_count(input, 4, "plan spec count")?;
+    let mut specs = Vec::with_capacity(n);
+    for _ in 0..n {
+        specs.push(get_str(input, "plan spec string")?);
     }
+    let mut config = PlanConfig::new();
+    config.k = get_u64(input, "plan k")? as usize;
+    config.klocal = get_opt_u64(input, "plan klocal")?.map(|v| v as usize);
+    config.thr_gamma = get_opt_u64(input, "plan thr_gamma")?.map(|v| v as usize);
+    config.selection = get_selection(input)?;
+    config.seed = get_u64(input, "plan seed")?;
+    config.partition = get_partition(input)?;
+    config.path_length = get_path_length(input)?;
+    Ok(ShardSpec::Plan { specs, config })
 }
 
 // ---------------------------------------------------------------------------
@@ -773,70 +728,50 @@ mod tests {
     }
 
     #[test]
-    fn prepare_round_trips_both_spec_kinds() {
-        let single = ShardSpec::Single(
-            SnapleConfig::new(NamedScore::Counter)
-                .k(7)
-                .klocal(None)
-                .thr_gamma(Some(80))
-                .alpha(0.25)
-                .selection(SelectionPolicy::Random)
-                .seed(0xDEAD)
-                .partition(PartitionStrategy::GreedyVertexCut),
-        );
-        let mut plan_config = PlanConfig::new();
-        plan_config.seed = 99;
-        let plan = ShardSpec::Plan {
-            specs: vec!["jaccard@k16".into(), "counter".into()],
-            config: plan_config,
-        };
-        for spec in [single, plan] {
-            let req = Request::Prepare(Box::new(PrepareShard {
-                shard: 2,
-                num_shards: 4,
-                seed_override: Some(5),
-                spec: spec.clone(),
-                cluster: ClusterSpec::type_i(8),
-                graph_blob: vec![1, 2, 3, 4, 5],
-            }));
-            match round_trip_request(&req) {
-                Request::Prepare(p) => {
-                    assert_eq!(p.shard, 2);
-                    assert_eq!(p.num_shards, 4);
-                    assert_eq!(p.seed_override, Some(5));
-                    assert_eq!(p.cluster, ClusterSpec::type_i(8));
-                    assert_eq!(p.graph_blob, vec![1, 2, 3, 4, 5]);
-                    match (&spec, &p.spec) {
-                        (ShardSpec::Single(a), ShardSpec::Single(b)) => {
-                            assert_eq!(a.score, b.score);
-                            assert_eq!(a.k, b.k);
-                            assert_eq!(a.klocal, b.klocal);
-                            assert_eq!(a.thr_gamma, b.thr_gamma);
-                            assert_eq!(a.alpha.to_bits(), b.alpha.to_bits());
-                            assert_eq!(a.selection, b.selection);
-                            assert_eq!(a.seed, b.seed);
-                            assert_eq!(a.partition, b.partition);
-                            assert_eq!(a.path_length, b.path_length);
-                        }
-                        (
-                            ShardSpec::Plan {
-                                specs: a,
-                                config: ca,
-                            },
-                            ShardSpec::Plan {
-                                specs: b,
-                                config: cb,
-                            },
-                        ) => {
-                            assert_eq!(a, b);
-                            assert_eq!(ca.seed, cb.seed);
-                            assert_eq!(ca.k, cb.k);
-                        }
-                        _ => panic!("spec kind changed across the wire"),
-                    }
-                }
-                other => panic!("wrong decode: {other:?}"),
+    fn prepare_round_trips_every_plan_field() {
+        // Every PlanConfig field off its default, and a spec string
+        // carrying `@alpha`: the one spec layout must keep them all.
+        let config = PlanConfig::new()
+            .k(7)
+            .klocal(None)
+            .thr_gamma(None)
+            .selection(SelectionPolicy::Min)
+            .seed(0xDEAD)
+            .partition(PartitionStrategy::GreedyVertexCut)
+            .path_length(PathLength::Three);
+        let specs = vec!["linearSum@alpha0.25".to_owned(), "jaccard@k16".to_owned()];
+        let req = Request::Prepare(Box::new(PrepareShard {
+            shard: 2,
+            num_shards: 4,
+            seed_override: Some(5),
+            spec: ShardSpec::Plan {
+                specs: specs.clone(),
+                config: config.clone(),
+            },
+            cluster: ClusterSpec::type_i(8),
+            graph_blob: vec![1, 2, 3, 4, 5],
+        }));
+        match round_trip_request(&req) {
+            Request::Prepare(p) => {
+                assert_eq!(p.shard, 2);
+                assert_eq!(p.num_shards, 4);
+                assert_eq!(p.seed_override, Some(5));
+                assert_eq!(p.cluster, ClusterSpec::type_i(8));
+                assert_eq!(p.graph_blob, vec![1, 2, 3, 4, 5]);
+                let ShardSpec::Plan {
+                    specs: got,
+                    config: c,
+                } = &p.spec;
+                assert_eq!(got, &specs);
+                assert_eq!(c.k, config.k);
+                assert_eq!(c.klocal, config.klocal);
+                assert_eq!(c.thr_gamma, config.thr_gamma);
+                assert_eq!(c.selection, config.selection);
+                assert_eq!(c.seed, config.seed);
+                assert_eq!(c.partition, config.partition);
+                assert_eq!(c.path_length, config.path_length);
             }
+            other => panic!("wrong decode: {other:?}"),
         }
     }
 

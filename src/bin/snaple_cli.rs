@@ -46,7 +46,7 @@ use snaple::core::shard::{PendingRows, ShardOptions, ShardRouter, ShardSpec, Sha
 use snaple::core::store::{Durability, DurabilityOptions, FsyncPolicy, RecoveryReport};
 use snaple::core::{
     ExecuteRequest, GraphDelta, NamedScore, PlanConfig, PredictRequest, Prediction, Predictor,
-    PrepareRequest, QuerySet, Registry, ScorePlan, Snaple, SnapleConfig, SnapleError,
+    PrepareRequest, QuerySet, ScorePlan, ScoreSpec, SnapleError,
 };
 use snaple::eval::{metrics, HoldOut, TextTable};
 use snaple::gas::{ClusterSpec, DeltaStats};
@@ -55,49 +55,70 @@ use snaple::graph::gen::rmat::RmatConfig;
 use snaple::graph::stats::GraphSummary;
 use snaple::graph::{io, v2, CsrGraph, ExternalGraphBuilder, GraphStore};
 
+/// Flags of every command that opens `--graph` (`--symmetrize` applies
+/// to text edge lists).
+const GRAPH_IN: &str = "--graph --symmetrize";
+/// Flags of the one score plan ([`Options::score_plan`]) and the
+/// simulated cluster it runs on.
+const SCORING: &str = "--score --scores --alpha --k --klocal --thr-gamma --seed --nodes --machine";
+
+/// Flags only `serve` reads.
+const SERVE: &str = "--out --requests --updates --request-count --request-size --batch \
+                     --workers --shards --shard-procs --data-dir --fsync --snapshot-every --retain";
+
+/// A command's entry point and the flags it reads, in space-separated
+/// groups.
+type Command = (fn(&Options) -> Result<(), String>, &'static [&'static str]);
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         usage("");
     };
-    let result = if command == "graph" {
+    let (command, rest) = match (command.as_str(), rest.split_first()) {
         // `graph` takes a sub-subcommand before the flags.
-        let Some((sub, rest)) = rest.split_first() else {
-            usage("graph needs a subcommand: convert or gen")
-        };
-        let opts = Options::parse(rest);
-        match sub.as_str() {
-            "convert" => cmd_graph_convert(&opts),
-            "gen" => cmd_graph_gen(&opts),
-            "--help" | "-h" | "help" => usage(""),
-            other => usage(&format!(
-                "unknown graph subcommand {other:?} (expected convert or gen)"
-            )),
-        }
-    } else {
-        let opts = Options::parse(rest);
-        match command.as_str() {
-            "predict" | "serve" if opts.graph_format.is_some() => Err(format!(
-                "--graph-format belongs to `graph convert`; {command} opens the \
-                 backend the graph file's format calls for"
-            )),
-            "emulate" => cmd_emulate(&opts),
-            "stats" => cmd_stats(&opts),
-            "predict" => cmd_predict(&opts),
-            "serve" => cmd_serve(&opts),
-            "evaluate" => cmd_evaluate(&opts),
-            "sweep" => cmd_sweep(&opts),
-            "--help" | "-h" | "help" => usage(""),
-            other => usage(&format!("unknown command {other:?}")),
-        }
+        ("graph", Some((sub, rest))) => (format!("graph {sub}"), rest),
+        ("graph", None) => usage("graph needs a subcommand: convert or gen"),
+        _ => (command.clone(), rest),
     };
-    if let Err(e) = result {
+    let (run, reads): Command = match command.as_str() {
+        "emulate" => (cmd_emulate, &["--dataset --scale --seed --out"]),
+        "stats" => (cmd_stats, &[GRAPH_IN, "--seed"]),
+        "predict" => (
+            cmd_predict,
+            &[GRAPH_IN, SCORING, "--out --queries --query-sample"],
+        ),
+        "serve" => (cmd_serve, &[GRAPH_IN, SCORING, SERVE]),
+        "evaluate" => (
+            cmd_evaluate,
+            &[GRAPH_IN, SCORING, "--removals --queries --query-sample"],
+        ),
+        "sweep" => (cmd_sweep, &[GRAPH_IN, SCORING, "--removals --compare"]),
+        "graph convert" => (
+            cmd_graph_convert,
+            &["--graph --out --graph-format --chunk-edges --symmetrize"],
+        ),
+        "graph gen" => (
+            cmd_graph_gen,
+            &["--out --rmat-scale --edges --seed --chunk-edges --symmetrize"],
+        ),
+        "--help" | "-h" | "help" | "graph --help" | "graph -h" | "graph help" => usage(""),
+        other => match other.strip_prefix("graph ") {
+            Some(sub) => usage(&format!(
+                "unknown graph subcommand {sub:?} (expected convert or gen)"
+            )),
+            None => usage(&format!("unknown command {other:?}")),
+        },
+    };
+    let opts = Options::parse(rest);
+    if let Err(e) = opts.check_reads(&command, reads).and_then(|()| run(&opts)) {
         eprintln!("error: {e}");
         exit(1);
     }
 }
 
-/// Flat flag bag shared by all subcommands.
+/// Flat flag bag shared by all subcommands; each command rejects the
+/// flags it does not read ([`Options::check_reads`]).
 #[derive(Debug, Default)]
 struct Options {
     graph: Option<PathBuf>,
@@ -134,6 +155,8 @@ struct Options {
     chunk_edges: Option<usize>,
     rmat_scale: Option<u32>,
     edges: Option<u64>,
+    /// The flags given, in command-line order.
+    given: Vec<String>,
 }
 
 impl Options {
@@ -226,8 +249,26 @@ impl Options {
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other:?}")),
             }
+            o.given.push(flag.clone());
         }
         o
+    }
+
+    /// Rejects the first given flag that `command` does not read, so a
+    /// flag is never silently ignored.
+    fn check_reads(&self, command: &str, reads: &[&str]) -> Result<(), String> {
+        let reads: Vec<&str> = reads.iter().flat_map(|g| g.split_whitespace()).collect();
+        match self
+            .given
+            .iter()
+            .find(|flag| !reads.contains(&flag.as_str()))
+        {
+            Some(flag) => Err(format!(
+                "{command} does not read {flag} (it reads {})",
+                reads.join(", ")
+            )),
+            None => Ok(()),
+        }
     }
 
     fn cluster(&self) -> Result<ClusterSpec, String> {
@@ -241,42 +282,64 @@ impl Options {
         }
     }
 
-    fn snaple_config(&self) -> Result<SnapleConfig, String> {
-        let score = NamedScore::parse(&self.score).ok_or_else(|| {
-            format!(
-                "unknown score {:?}; available: {}",
-                self.score,
-                NamedScore::all().map(|s| s.name()).join(", ")
-            )
-        })?;
-        Ok(SnapleConfig::new(score)
-            .k(self.k)
-            .klocal(self.klocal)
-            .thr_gamma(self.thr_gamma)
-            .alpha(self.alpha.unwrap_or(0.9))
-            .seed(self.seed))
-    }
-
-    /// Builds the score plan of `--scores`, seeding the plan-level
-    /// defaults from the shared prediction flags (`--k`, `--klocal`,
-    /// `--thr-gamma`, `--seed`); per-spec `@` parameters win over the
-    /// flags, and conflicting plan-scoped parameters are rejected with
-    /// the parser's error.
-    fn score_plan(&self) -> Result<ScorePlan, String> {
-        let scores = self.scores.as_deref().ok_or("missing --scores")?;
-        if let Some(alpha) = self.alpha {
-            return Err(format!(
-                "--alpha does not apply to --scores plans ({alpha} would be \
-                 silently ignored); pin it per spec instead, e.g. \
-                 'linearSum@alpha{alpha}'"
-            ));
-        }
+    /// The one score plan every scoring command runs, with its spec
+    /// strings (what `serve --shards` ships to the shards): `--scores
+    /// PLAN`, or `--score S [--alpha A]` as the one-column plan `S`
+    /// (`S@alphaA`). `--k`, `--klocal`, `--thr-gamma` and `--seed` seed
+    /// the plan-level defaults; per-spec `@` parameters win over them, and
+    /// conflicting plan-scoped parameters are rejected with the parser's
+    /// error.
+    fn score_plan(&self) -> Result<(Vec<String>, ScorePlan), String> {
+        let specs: Vec<String> = match (&self.scores, self.alpha) {
+            (Some(_), _) if self.given.iter().any(|f| f == "--score") => {
+                return Err("--score and --scores are mutually exclusive: \
+                            --score S is the one-column plan --scores S"
+                    .into())
+            }
+            (Some(_), Some(alpha)) => {
+                return Err(format!(
+                    "--alpha does not apply to --scores plans ({alpha} would be \
+                     silently ignored); pin it per spec instead, e.g. \
+                     'linearSum@alpha{alpha}'"
+                ))
+            }
+            (Some(scores), None) => scores.split(',').map(|s| s.trim().to_owned()).collect(),
+            (None, alpha) => {
+                // `--score` stays limited to the Table-3 names.
+                let score = NamedScore::parse(&self.score).ok_or_else(|| {
+                    format!(
+                        "unknown score {:?}; available: {}",
+                        self.score,
+                        NamedScore::all().map(|s| s.name()).join(", ")
+                    )
+                })?;
+                vec![match alpha {
+                    Some(alpha) => format!("{}@alpha{alpha}", score.name()),
+                    None => score.name().to_owned(),
+                }]
+            }
+        };
         let config = PlanConfig::default()
             .k(self.k)
             .klocal(self.klocal)
             .thr_gamma(self.thr_gamma)
             .seed(self.seed);
-        ScorePlan::parse_with(&Registry::builtin(), scores, config).map_err(|e| e.to_string())
+        let columns: Result<Vec<ScoreSpec>, _> =
+            specs.iter().map(|s| ScoreSpec::parse(s)).collect();
+        let plan = columns
+            .and_then(|columns| ScorePlan::with_config(columns, config))
+            .map_err(|e| e.to_string())?;
+        Ok((specs, plan))
+    }
+
+    /// Opens `--out`, or stdout without it.
+    fn output(&self) -> Result<Box<dyn Write>, String> {
+        Ok(match &self.out {
+            Some(p) => Box::new(BufWriter::new(
+                File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
+            )),
+            None => Box::new(std::io::stdout().lock()),
+        })
     }
 
     /// Resolves `--queries`/`--query-sample` into a query set, validating
@@ -346,17 +409,19 @@ commands:
             orkut, livejournal, twitter-rv) and write it out
   stats     --graph FILE
             print structural statistics of a graph
-  predict   --graph FILE [--score S | --scores PLAN] [--k N]
-            [--klocal N|inf] [--thr-gamma N|inf] [--alpha F] [--nodes N]
+  predict   --graph FILE [--score S [--alpha F] | --scores PLAN] [--k N]
+            [--klocal N|inf] [--thr-gamma N|inf] [--nodes N]
             [--machine type-i|type-ii|single] [--out FILE]
             [--queries IDS | --query-sample N]
             run SNAPLE and emit 'source target score' lines;
             --queries (comma-separated ids) or --query-sample (random
             subset of N sources) restrict the run to those users.
-            --scores takes a comma-separated score plan (e.g.
-            'linearSum, jaccard@k16, cosine*0.7+common') evaluated in
-            ONE fused sweep, emitting 'label source target score' lines
-            — see the snaple_core::spec docs for the grammar
+            --score S (a Table-3 name, default linearSum) is the
+            one-column plan 'S', or 'S@alphaF' with --alpha F in [0, 1]
+            (default 0.9). --scores takes a comma-separated score plan
+            (e.g. 'linearSum, jaccard@k16, cosine*0.7+common') evaluated
+            in ONE fused sweep, emitting 'label source target score'
+            lines — see the snaple_core::spec docs for the grammar
   serve     --graph FILE [prediction flags] [--batch N] [--workers N]
             [--shards N [--shard-procs]] [--out FILE]
             [--data-dir DIR [--fsync always|batch] [--snapshot-every K]
@@ -405,8 +470,7 @@ commands:
             hold out edges, predict, and report recall/precision/MRR;
             with a query subset, metrics range over the queried
             sources only
-  sweep     --graph FILE --scores PLAN [--removals N] [--compare]
-            [cluster flags]
+  sweep     --graph FILE [--removals N] [--compare] [prediction flags]
             evaluate every column of a score plan under the hold-out
             protocol in ONE fused sweep: prints a config x metric table
             (recall/precision/MRR + per-column work); --compare also
@@ -425,8 +489,11 @@ commands:
             directly to a raw SNPLG2 file — graph size is bounded by
             disk, not RAM
 
-serve accepts --scores too: the served rows are then the plan's
-weighted combined ranking (one fused sweep per coalesced batch).
+serve, evaluate and sweep take --score or --scores too; serve and
+evaluate rank by the plan's weighted combined ranking (one fused sweep
+per coalesced batch), which for a --score plan is its one column.
+
+every command rejects a flag it does not read, naming both.
 
 predict/serve take the storage backend from the graph file itself: a
 raw SNPLG2 file opens file-backed ('file-csr': open reads only the
@@ -659,11 +726,14 @@ fn cmd_stats(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The multi-score predict path: one fused sweep, one output line per
-/// `column label / source / target / score`.
-fn cmd_predict_plan(opts: &Options, graph: &dyn GraphStore) -> Result<(), String> {
+/// `predict` — one fused sweep of the score plan. A `--scores` run emits
+/// `label source target score` lines, column by column; a `--score` run
+/// is the one-column plan and emits `source target score`.
+fn cmd_predict(opts: &Options) -> Result<(), String> {
+    let store = open_auto(opts)?;
+    let graph = store.as_ref();
     let cluster = opts.cluster()?;
-    let plan = opts.score_plan()?;
+    let (_, plan) = opts.score_plan()?;
     let queries = opts.query_set(graph)?;
     let prepared = plan
         .prepare_plan(&PrepareRequest::new(graph, &cluster))
@@ -674,64 +744,19 @@ fn cmd_predict_plan(opts: &Options, graph: &dyn GraphStore) -> Result<(), String
     }
     let matrix = prepared.execute_matrix(&exec).map_err(|e| e.to_string())?;
 
-    let mut out: Box<dyn Write> = match &opts.out {
-        Some(p) => Box::new(BufWriter::new(
-            File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::stdout().lock()),
-    };
+    let mut out = opts.output()?;
     let mut total = 0usize;
-    for col in 0..matrix.num_columns() {
-        let label = &matrix.labels()[col];
+    for (col, label) in matrix.labels().iter().enumerate() {
+        let label = match opts.scores {
+            Some(_) => format!("{label}\t"),
+            None => String::new(),
+        };
         for (u, preds) in matrix.column_rows(col) {
             for (z, score) in preds {
-                writeln!(out, "{label}\t{}\t{}\t{score}", u.as_u32(), z.as_u32())
+                writeln!(out, "{label}{}\t{}\t{score}", u.as_u32(), z.as_u32())
                     .map_err(|e| e.to_string())?;
                 total += 1;
             }
-        }
-    }
-    out.flush().map_err(|e| e.to_string())?;
-    let attribution: Vec<String> = matrix
-        .column_attribution()
-        .map(|(label, ops)| format!("{label} {ops}"))
-        .collect();
-    eprintln!(
-        "predicted {total} edges across {} score columns in ONE fused sweep \
-         ({:.2} simulated seconds on {}); total work {} ops, per-column extra [{}]",
-        matrix.num_columns(),
-        matrix.stats.simulated_seconds(),
-        cluster.name,
-        matrix.stats.total_work_ops(),
-        attribution.join(", "),
-    );
-    Ok(())
-}
-
-fn cmd_predict(opts: &Options) -> Result<(), String> {
-    let store = open_auto(opts)?;
-    let graph = store.as_ref();
-    if opts.scores.is_some() {
-        return cmd_predict_plan(opts, graph);
-    }
-    let cluster = opts.cluster()?;
-    let snaple = Snaple::new(opts.snaple_config()?);
-    let queries = opts.query_set(graph)?;
-    let mut req = PredictRequest::new(graph, &cluster);
-    if let Some(q) = &queries {
-        req = req.with_queries(q);
-    }
-    let prediction = Predictor::predict(&snaple, &req).map_err(|e| e.to_string())?;
-
-    let mut out: Box<dyn Write> = match &opts.out {
-        Some(p) => Box::new(BufWriter::new(
-            File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::stdout().lock()),
-    };
-    for (u, preds) in prediction.iter() {
-        for (z, score) in preds {
-            writeln!(out, "{}\t{}\t{score}", u.as_u32(), z.as_u32()).map_err(|e| e.to_string())?;
         }
     }
     out.flush().map_err(|e| e.to_string())?;
@@ -739,16 +764,23 @@ fn cmd_predict(opts: &Options) -> Result<(), String> {
         Some(q) => format!("{} queried sources", q.len()),
         None => format!("{} sources", graph.num_vertices()),
     };
+    let attribution: Vec<String> = matrix
+        .column_attribution()
+        .map(|(label, ops)| format!("{label} {ops}"))
+        .collect();
     eprintln!(
-        "predicted {} edges for {scope} in {:.2} simulated seconds on {} ({} cores, \
-         {} backend); traffic {:.1} MB, replication {:.2}",
-        prediction.total_predictions(),
-        prediction.simulated_seconds(),
+        "predicted {total} edges for {scope} across {} score column(s) in one fused \
+         sweep ({:.2} simulated seconds on {}, {} cores, {} backend); traffic {:.1} MB, \
+         replication {:.2}; total work {} ops, per-column extra [{}]",
+        matrix.num_columns(),
+        matrix.stats.simulated_seconds(),
         cluster.name,
         cluster.total_cores(),
         graph.backend_name(),
-        prediction.stats.total_network_bytes() as f64 / 1e6,
-        prediction.stats.replication_factor,
+        matrix.stats.total_network_bytes() as f64 / 1e6,
+        matrix.stats.replication_factor,
+        matrix.stats.total_work_ops(),
+        attribution.join(", "),
     );
     Ok(())
 }
@@ -889,6 +921,9 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     } else if opts.shard_procs {
         return Err("--shard-procs needs --shards N".into());
     }
+    // Every request's rows are the plan's combined ranking, computed from
+    // one fused sweep per coalesced batch (a `--score` plan's one column).
+    let (specs, plan) = opts.score_plan()?;
     let store = open_auto(opts)?;
     // Restartable serving: open (or recover) the data dir before anything
     // else sees the graph — recovery may replace it with the newest
@@ -938,18 +973,6 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         None => store.as_ref(),
     };
     let cluster = opts.cluster()?;
-    // With --scores the served predictor is a fused multi-score plan:
-    // every request's rows are the plan's weighted combined ranking,
-    // computed from one sweep per coalesced batch.
-    let plan;
-    let snaple;
-    let predictor: &dyn Predictor = if opts.scores.is_some() {
-        plan = opts.score_plan()?;
-        &plan
-    } else {
-        snaple = Snaple::new(opts.snaple_config()?);
-        &snaple
-    };
     let events: Vec<ServeEvent> = match (&opts.requests, &opts.updates, opts.request_count) {
         (Some(_), Some(_), _) | (_, Some(_), Some(_)) | (Some(_), _, Some(_)) => {
             return Err("--requests, --updates and --request-count are mutually exclusive".into())
@@ -986,18 +1009,17 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     if opts.batch == 0 {
         return Err("--batch must be at least 1".into());
     }
-    let mut out: Box<dyn Write> = match &opts.out {
-        Some(p) => Box::new(BufWriter::new(
-            File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::stdout().lock()),
-    };
+    let mut out = opts.output()?;
     let (served, stats) = if let Some(shards) = opts.shards {
-        serve_sharded(opts, shards, graph, &cluster, events, &mut *out)?
+        let spec = ShardSpec::Plan {
+            specs,
+            config: plan.config().clone(),
+        };
+        serve_sharded(opts, shards, &spec, graph, &cluster, events, &mut *out)?
     } else if opts.workers > 0 {
-        serve_concurrent(opts, graph, &cluster, predictor, events, durable, &mut *out)?
+        serve_concurrent(opts, graph, &cluster, &plan, events, durable, &mut *out)?
     } else {
-        let mut server = Server::new(predictor, graph, &cluster).map_err(|e| e.to_string())?;
+        let mut server = Server::new(&plan, graph, &cluster).map_err(|e| e.to_string())?;
         if let Some((d, replay)) = durable {
             // Fold the recovered log tail back in BEFORE attaching, so the
             // replayed deltas are not logged a second time.
@@ -1152,39 +1174,19 @@ fn serve_concurrent(
 fn serve_sharded(
     opts: &Options,
     shards: usize,
+    spec: &ShardSpec,
     graph: &dyn GraphStore,
     cluster: &ClusterSpec,
     events: Vec<ServeEvent>,
     out: &mut dyn Write,
 ) -> Result<(usize, ServerStats), String> {
-    let spec = if opts.scores.is_some() {
-        // Validate the plan locally first (nice errors, --alpha check),
-        // then ship the raw spec strings: shards re-parse them.
-        opts.score_plan()?;
-        ShardSpec::Plan {
-            specs: opts
-                .scores
-                .as_deref()
-                .unwrap_or_default()
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .collect(),
-            config: PlanConfig::default()
-                .k(opts.k)
-                .klocal(opts.klocal)
-                .thr_gamma(opts.thr_gamma)
-                .seed(opts.seed),
-        }
-    } else {
-        ShardSpec::Single(opts.snaple_config()?)
-    };
     let transport = if opts.shard_procs {
         ShardTransport::Processes
     } else {
         ShardTransport::Threads
     };
     let options = ShardOptions::new().shards(shards).transport(transport);
-    let outcome = ShardRouter::run(&spec, graph, cluster, options, |mut handle| {
+    let outcome = ShardRouter::run(spec, graph, cluster, options, |mut handle| {
         serve_events(
             &mut handle,
             events,
@@ -1211,7 +1213,7 @@ fn serve_sharded(
 fn cmd_sweep(opts: &Options) -> Result<(), String> {
     let graph = load_graph(opts)?;
     let cluster = opts.cluster()?;
-    let plan = opts.score_plan()?;
+    let (_, plan) = opts.score_plan()?;
     let holdout = HoldOut::remove_edges(&graph, opts.removals.max(1), opts.seed);
 
     let prepared = plan
@@ -1274,13 +1276,13 @@ fn cmd_evaluate(opts: &Options) -> Result<(), String> {
     let graph = load_graph(opts)?;
     let holdout = HoldOut::remove_edges(&graph, opts.removals.max(1), opts.seed);
     let cluster = opts.cluster()?;
-    let snaple = Snaple::new(opts.snaple_config()?);
+    let (_, plan) = opts.score_plan()?;
     let queries = opts.query_set(&holdout.train)?;
     let mut req = PredictRequest::new(&holdout.train, &cluster);
     if let Some(q) = &queries {
         req = req.with_queries(q);
     }
-    let prediction = Predictor::predict(&snaple, &req).map_err(|e| e.to_string())?;
+    let prediction = Predictor::predict(&plan, &req).map_err(|e| e.to_string())?;
     let q = queries.as_ref();
     if let Some(q) = q {
         // Metrics over the queried sources only — the all-vertices
@@ -1310,6 +1312,66 @@ mod tests {
 
     fn graph10() -> CsrGraph {
         CsrGraph::from_edges(10, &[(0, 1), (1, 2), (2, 3)])
+    }
+
+    fn parse(args: &[&str]) -> Options {
+        Options::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn serve_config_blob_is_stable_for_every_scoring_form() {
+        // Snapshots record this string, and a data dir reopens without
+        // the "serve flags changed" note only while it stays the same.
+        assert_eq!(
+            serve_config_blob(&parse(&["--score", "counter"])),
+            "score=counter scores=- k=5 klocal=20 thr_gamma=200 alpha=- seed=42"
+        );
+        assert_eq!(
+            serve_config_blob(&parse(&["--score", "linearSum", "--alpha", "0.5"])),
+            "score=linearSum scores=- k=5 klocal=20 thr_gamma=200 alpha=0.5 seed=42"
+        );
+        assert_eq!(
+            serve_config_blob(&parse(&[
+                "--scores",
+                "linearSum, PPR@k3",
+                "--klocal",
+                "inf"
+            ])),
+            "score=linearSum scores=linearSum, PPR@k3 k=5 klocal=inf thr_gamma=200 alpha=- seed=42"
+        );
+    }
+
+    #[test]
+    fn score_flags_build_a_one_column_plan() {
+        let (specs, plan) = parse(&["--score", "counter", "--alpha", "0.5", "--k", "3"])
+            .score_plan()
+            .unwrap();
+        assert_eq!(specs, ["counter@alpha0.5"]);
+        assert_eq!(plan.num_columns(), 1);
+        assert_eq!(plan.column_k(0), 3);
+        let (specs, _) = parse(&[]).score_plan().unwrap();
+        assert_eq!(specs, ["linearSum"]);
+        let (specs, plan) = parse(&["--scores", "linearSum, PPR@k3"])
+            .score_plan()
+            .unwrap();
+        assert_eq!(specs, ["linearSum", "PPR@k3"]);
+        assert_eq!(plan.num_columns(), 2);
+
+        for (args, error) in [
+            (&["--score", "nope"][..], "unknown score"),
+            (
+                &["--scores", "counter", "--alpha", "0.5"],
+                "--alpha does not apply",
+            ),
+            (
+                &["--score", "counter", "--scores", "PPR"],
+                "mutually exclusive",
+            ),
+            (&["--alpha", "1.5"], "[0, 1]"),
+        ] {
+            let err = parse(args).score_plan().unwrap_err();
+            assert!(err.contains(error), "{args:?}: {err}");
+        }
     }
 
     fn opts_with_queries(list: &str) -> Options {

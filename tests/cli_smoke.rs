@@ -541,3 +541,154 @@ fn unusable_shard_flags_are_rejected_with_specific_messages() {
     let stderr = String::from_utf8_lossy(&both.stderr);
     assert!(stderr.contains("mutually exclusive"), "{stderr}");
 }
+
+/// Every command rejects a flag it does not read, naming the flag and
+/// the command, instead of running as if the flag were absent.
+#[test]
+fn commands_reject_flags_they_do_not_read() {
+    let emulated = tmp("unread-emulated.snplg");
+    let out = run(&[
+        "emulate",
+        "--dataset",
+        "gowalla",
+        "--scale",
+        "0.002",
+        "--out",
+        emulated.to_str().unwrap(),
+        "--graph-format",
+        "varint",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("emulate does not read --graph-format"),
+        "{stderr}"
+    );
+    assert!(!emulated.exists(), "a rejected run writes nothing");
+
+    let graph_path = tmp("unread.snplg");
+    let g = graph_path.to_str().unwrap();
+    let ok = |args: &[&str]| {
+        let out = run(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    ok(&[
+        "emulate",
+        "--dataset",
+        "gowalla",
+        "--scale",
+        "0.005",
+        "--seed",
+        "7",
+        "--out",
+        g,
+    ]);
+    let out = run(&["stats", "--graph", g, "--graph-format", "csr"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("stats does not read --graph-format"),
+        "{stderr}"
+    );
+
+    // `evaluate` reads --scores: a one-column plan evaluates like the
+    // same --score, and not like the default linearSum.
+    let evaluate = |extra: &[&str]| ok(&[&["evaluate", "--graph", g][..], extra].concat());
+    let counter = evaluate(&["--score", "counter"]);
+    assert_eq!(evaluate(&["--scores", "counter"]), counter);
+    assert_ne!(evaluate(&[]), counter);
+    assert!(evaluate(&["--scores", "counter, PPR"]).contains("recall"));
+
+    let _ = std::fs::remove_file(graph_path);
+}
+
+/// `--score S --alpha A` is the one-column plan `S@alphaA`: its predict
+/// rows are the plan's rows without the label column, α crosses the
+/// shard wire, and `--alpha` is held to the spec grammar's `[0, 1]`.
+#[test]
+fn score_flags_run_as_a_one_column_plan() {
+    let graph_path = tmp("one-column.snplg");
+    let g = graph_path.to_str().unwrap();
+    let ok = |args: &[&str]| {
+        let out = run(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    ok(&[
+        "emulate",
+        "--dataset",
+        "gowalla",
+        "--scale",
+        "0.004",
+        "--seed",
+        "3",
+        "--out",
+        g,
+    ]);
+
+    let single = ok(&[
+        "predict",
+        "--graph",
+        g,
+        "--score",
+        "linearSum",
+        "--alpha",
+        "0.5",
+    ]);
+    let plan = ok(&["predict", "--graph", g, "--scores", "linearSum@alpha0.5"]);
+    assert!(!single.is_empty());
+    let unlabelled: String = plan
+        .lines()
+        .map(|line| {
+            let (label, row) = line.split_once('\t').expect("labelled row");
+            assert_eq!(label, "linearSum");
+            format!("{row}\n")
+        })
+        .collect();
+    assert_eq!(single, unlabelled);
+
+    let stream_path = tmp("one-column-updates.txt");
+    std::fs::write(
+        &stream_path,
+        "predict 0,1,2\nadd 0 40\nremove 1 2\npredict 0,1,2\n3,4,5\n",
+    )
+    .unwrap();
+    let serve = |extra: &[&str]| {
+        let base = [
+            "serve",
+            "--graph",
+            g,
+            "--updates",
+            stream_path.to_str().unwrap(),
+            "--k",
+            "3",
+            "--batch",
+            "2",
+        ];
+        ok(&[&base[..], extra].concat())
+    };
+    let sequential = serve(&["--score", "linearSum", "--alpha", "0.5"]);
+    assert_eq!(
+        serve(&["--score", "linearSum", "--alpha", "0.5", "--shards", "2"]),
+        sequential,
+        "sharded rows must carry --alpha"
+    );
+    assert_ne!(serve(&[]), sequential, "--alpha 0.5 must change the rows");
+
+    let out = run(&["predict", "--graph", g, "--alpha", "1.5"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("[0, 1]"), "{stderr}");
+
+    let _ = std::fs::remove_file(graph_path);
+    let _ = std::fs::remove_file(stream_path);
+}

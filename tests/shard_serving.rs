@@ -36,6 +36,15 @@ fn config() -> SnapleConfig {
         .klocal(Some(10))
 }
 
+/// The one-column plan a `Snaple` of [`config`] prepares, as it crosses
+/// the shard wire.
+fn spec() -> ShardSpec {
+    ShardSpec::Plan {
+        specs: vec!["linearSum".into()],
+        config: PlanConfig::new().k(5).klocal(Some(10)),
+    }
+}
+
 fn setup() -> (CsrGraph, ClusterSpec) {
     (datasets::GOWALLA.emulate(0.004, 3), ClusterSpec::type_ii(8))
 }
@@ -86,7 +95,7 @@ fn sharded_rows_are_bit_identical_for_every_shard_count_and_transport() {
         })
         .collect();
 
-    let spec = ShardSpec::Single(config());
+    let spec = spec();
     for transport in TRANSPORTS {
         for shards in 1..=4 {
             let outcome = ShardRouter::run(
@@ -142,7 +151,7 @@ fn sharded_rows_match_the_concurrent_server() {
     .unwrap();
 
     let outcome = ShardRouter::run(
-        &ShardSpec::Single(config()),
+        &spec(),
         &graph,
         &cluster,
         options(3, ShardTransport::Threads),
@@ -219,7 +228,7 @@ fn deltas_broadcast_to_every_shard_and_match_a_cold_rebuild() {
         .execute(&ExecuteRequest::new().with_queries(&request))
         .unwrap();
 
-    let spec = ShardSpec::Single(config());
+    let spec = spec();
     for transport in TRANSPORTS {
         for shards in [1, 3] {
             let outcome = ShardRouter::run(
@@ -274,7 +283,7 @@ fn router_update_stats_match_a_sequential_server() {
     assert!(expected.delta_touched_partitions > 0);
 
     let outcome = ShardRouter::run(
-        &ShardSpec::Single(config()),
+        &spec(),
         &graph,
         &cluster,
         options(2, ShardTransport::Threads),
@@ -308,7 +317,7 @@ fn seed_override_is_honored_by_every_shard() {
         .unwrap();
 
     let outcome = ShardRouter::run(
-        &ShardSpec::Single(config()),
+        &spec(),
         &graph,
         &cluster,
         options(2, ShardTransport::Threads).seed(99),
@@ -321,7 +330,7 @@ fn seed_override_is_honored_by_every_shard() {
 #[test]
 fn unusable_shard_counts_are_rejected_up_front() {
     let (graph, cluster) = setup();
-    let spec = ShardSpec::Single(config());
+    let spec = spec();
     for shards in [0, cluster.nodes + 1] {
         let err = ShardRouter::run(
             &spec,
@@ -346,7 +355,7 @@ fn killed_shard_process_becomes_a_typed_error_not_a_hang() {
     // EOF), type it as ShardFailed on affected requests, keep serving
     // the other shards, and still drain.
     let (graph, cluster) = setup();
-    let spec = ShardSpec::Single(config());
+    let spec = spec();
     let outcome = ShardRouter::run(
         &spec,
         &graph,
@@ -409,7 +418,7 @@ fn killed_thread_shard_fails_future_requests_with_a_typed_error() {
     // stream retires the shard; requests aimed at it get ShardFailed,
     // the rest of the fleet keeps working, drain completes.
     let (graph, cluster) = setup();
-    let spec = ShardSpec::Single(config());
+    let spec = spec();
     ShardRouter::run(
         &spec,
         &graph,
@@ -438,7 +447,7 @@ fn killed_thread_shard_fails_future_requests_with_a_typed_error() {
 fn empty_query_sets_answer_without_touching_any_shard() {
     let (graph, cluster) = setup();
     let outcome = ShardRouter::run(
-        &ShardSpec::Single(config()),
+        &spec(),
         &graph,
         &cluster,
         options(2, ShardTransport::Threads),
