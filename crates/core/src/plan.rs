@@ -46,6 +46,7 @@
 //! # Ok::<(), snaple_core::SnapleError>(())
 //! ```
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use snaple_gas::size::COLLECTION_OVERHEAD;
@@ -56,6 +57,7 @@ use snaple_gas::{
 use snaple_graph::hash::{edge_unit, hash2};
 use snaple_graph::{RankedMask, VertexId, VertexMask};
 
+use crate::aggregator::Aggregator;
 use crate::config::{PathLength, SelectionPolicy, SnapleConfig};
 use crate::error::SnapleError;
 use crate::predictor::{Prediction, RowIndex, Snaple, StepMasks};
@@ -1179,23 +1181,176 @@ impl GasStep for PlanSimilarityStep<'_> {
     }
 }
 
-/// Accumulator of the fused score step: per column, the sorted
-/// `(candidate, ⊕pre-accumulated lifted path similarity, path count)`
-/// triples of [`steps::ScoreStep`](crate::steps::ScoreStep).
-#[derive(Clone, Debug, Default)]
+/// Accumulator of the fused score step: one candidate list shared by
+/// every column, with per-column stripes. For candidate `i` and column
+/// `c`, `cells[i·ncols + c]` holds its `⊕pre`-accumulated lifted path
+/// similarity and its path count, 0 when no path of column `c` reaches
+/// it. The accounted size is what the per-column triple lists of
+/// [`steps::ScoreStep`](crate::steps::ScoreStep) hold: 12 bytes per
+/// candidate present in a column.
+#[derive(Debug, Default)]
 struct ScoreGather {
-    cols: Vec<Vec<(VertexId, f32, u32)>>,
+    ids: Vec<VertexId>,
+    cells: Vec<(f32, u32)>,
+    /// Per column, the candidates with at least one path.
+    lens: Vec<u64>,
+}
+
+impl ScoreGather {
+    /// Accounted bytes of an accumulator holding `entries` candidate
+    /// columns over `ncols` columns.
+    fn bytes(ncols: usize, entries: u64) -> u64 {
+        (1 + ncols as u64) * COLLECTION_OVERHEAD + entries * 12
+    }
+
+    /// Empties the accumulator for `ncols` columns, keeping its buffers.
+    fn clear(&mut self, ncols: usize) {
+        self.ids.clear();
+        self.cells.clear();
+        self.lens.clear();
+        self.lens.resize(ncols, 0);
+    }
+
+    /// A copy without spare capacity.
+    fn exact(&self) -> ScoreGather {
+        ScoreGather {
+            ids: self.ids.clone(),
+            cells: self.cells.clone(),
+            lens: self.lens.clone(),
+        }
+    }
+
+    /// Appends candidate `z`, absent from every column.
+    fn push(&mut self, z: VertexId, ncols: usize) {
+        self.ids.push(z);
+        self.cells.resize(self.cells.len() + ncols, (0.0, 0));
+    }
+
+    /// The position of candidate `z`, appended when new.
+    #[inline]
+    fn slot(&mut self, z: VertexId, index: &mut CandidateIndex, ncols: usize) -> usize {
+        let (slot, inserted) = index.slot(z, self.ids.len());
+        if inserted {
+            self.push(z, ncols);
+        }
+        slot
+    }
+
+    /// Folds `n` paths of accumulated similarity `sigma` into candidate
+    /// `slot`'s column `col` with the column's `⊕pre`, the accumulated
+    /// value on the left.
+    #[inline]
+    fn fold(
+        &mut self,
+        slot: usize,
+        col: usize,
+        ncols: usize,
+        sigma: f32,
+        n: u32,
+        agg: &dyn Aggregator,
+    ) {
+        let cell = &mut self.cells[slot * ncols + col];
+        if cell.1 == 0 {
+            *cell = (sigma, n);
+            self.lens[col] += 1;
+        } else {
+            *cell = (agg.pre(cell.0, sigma), cell.1 + n);
+        }
+    }
 }
 
 impl SizeEstimate for ScoreGather {
     fn estimated_bytes(&self) -> u64 {
-        COLLECTION_OVERHEAD
-            + self
-                .cols
-                .iter()
-                .map(|c| COLLECTION_OVERHEAD + c.len() as u64 * 12)
-                .sum::<u64>()
+        ScoreGather::bytes(self.lens.len(), self.lens.iter().sum())
     }
+}
+
+/// Open-addressed map from candidate id to its position in a
+/// [`ScoreGather`]'s candidate list, with linear probing. Each bucket
+/// carries the generation that filled it, so starting over is one
+/// increment: the table is reused from run to run without being cleared,
+/// and reallocated only to grow.
+#[derive(Debug, Default)]
+struct CandidateIndex {
+    /// `(generation, candidate, position)` per bucket.
+    buckets: Vec<(u32, VertexId, u32)>,
+    /// Buckets in use this generation, minus one (a power of two minus one).
+    mask: usize,
+    generation: u32,
+    len: usize,
+}
+
+impl CandidateIndex {
+    /// Empties the map and sizes it for `hint` candidates.
+    fn reset(&mut self, hint: usize) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.buckets.fill((0, VertexId::default(), 0));
+            self.generation = 1;
+        }
+        let size = (2 * hint).max(16).next_power_of_two();
+        if self.buckets.len() < size {
+            self.buckets.resize(size, (0, VertexId::default(), 0));
+        }
+        self.mask = size - 1;
+        self.len = 0;
+    }
+
+    #[inline]
+    fn bucket(&self, z: VertexId) -> usize {
+        ((u64::from(z.as_u32()).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize) & self.mask
+    }
+
+    /// The position of `z`, or `next` (recorded as `z`'s) when `z` is
+    /// absent; the flag says whether `z` was inserted.
+    #[inline]
+    fn slot(&mut self, z: VertexId, next: usize) -> (usize, bool) {
+        if 2 * (self.len + 1) > self.mask + 1 {
+            self.grow();
+        }
+        let mut b = self.bucket(z);
+        loop {
+            let (generation, id, pos) = self.buckets[b];
+            if generation != self.generation {
+                self.buckets[b] = (self.generation, z, next as u32);
+                self.len += 1;
+                return (next, true);
+            }
+            if id == z {
+                return (pos as usize, false);
+            }
+            b = (b + 1) & self.mask;
+        }
+    }
+
+    /// Doubles the buckets in use, re-inserting this generation's entries.
+    fn grow(&mut self) {
+        let live: Vec<(VertexId, u32)> = self.buckets[..=self.mask]
+            .iter()
+            .filter(|&&(generation, _, _)| generation == self.generation)
+            .map(|&(_, z, pos)| (z, pos))
+            .collect();
+        self.reset(self.mask + 1);
+        for (z, pos) in live {
+            self.slot(z, pos as usize);
+        }
+    }
+}
+
+/// Per-thread scratch of the score step, reused by every run and fold on
+/// the thread: the candidate index, the accumulator a run is folded into
+/// before it is copied out at its exact size, a run's per-column
+/// counters, and the positions a fold assigns.
+#[derive(Debug, Default)]
+struct ScoreScratch {
+    index: CandidateIndex,
+    run: ScoreGather,
+    counters: Vec<u64>,
+    positions: Vec<u32>,
+}
+
+thread_local! {
+    static SCORE_SCRATCH: RefCell<ScoreScratch> = RefCell::new(ScoreScratch::default());
 }
 
 /// Fused step 3: walk each sampled 2-hop path once, combining and
@@ -1206,6 +1361,105 @@ struct PlanScoreStep<'p> {
     ks: &'p [usize],
     second_hop: SecondHop,
     col_ops: &'p [AtomicU64],
+}
+
+impl PlanScoreStep<'_> {
+    /// How many paths leave `u` through `v` at most: `v`'s second-hop
+    /// entries over every column.
+    fn second_hop_len(&self, v_data: &PlanVertex) -> usize {
+        match self.second_hop {
+            SecondHop::Sims => v_data.sim_ids.len(),
+            SecondHop::Paths => v_data
+                .paths
+                .iter()
+                .take(self.columns.len())
+                .map(Vec::len)
+                .sum(),
+        }
+    }
+
+    /// Folds the paths `u → v → z` of the pair `(u, v)` into `acc`, whose
+    /// candidates `index` maps, and returns the pair's path count per
+    /// column in `pair_lens`. `uv` is `v`'s position among `u`'s sampled
+    /// neighbors. Adds the pair's scan and combine work to `work` and
+    /// `col_ops`.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_pair(
+        &self,
+        u: VertexId,
+        u_data: &PlanVertex,
+        uv: usize,
+        v_data: &PlanVertex,
+        acc: &mut ScoreGather,
+        index: &mut CandidateIndex,
+        pair_lens: &mut [u64],
+        col_ops: &mut [u64],
+        work: &mut WorkTally,
+    ) {
+        let ncols = self.columns.len();
+        let sims_uv = &u_data.sim_vals[uv * ncols..(uv + 1) * ncols];
+        pair_lens.fill(0);
+        match self.second_hop {
+            SecondHop::Sims => {
+                // One scan of the shared second-hop table serves every
+                // column; only the per-path combine is per-column work.
+                work.add(v_data.sim_ids.len() as u64);
+                let mut combines = 0u64;
+                for (second, &z) in v_data.sim_ids.iter().enumerate() {
+                    if z == u || u_data.in_gamma(z) {
+                        continue;
+                    }
+                    combines += 1;
+                    let slot = acc.slot(z, index, ncols);
+                    let sims_vz = &v_data.sim_vals[second * ncols..(second + 1) * ncols];
+                    for (col, spec) in self.columns.iter().enumerate() {
+                        let components = spec.components();
+                        let path = components.combinator.combine(sims_uv[col], sims_vz[col]);
+                        let agg = &*components.aggregator;
+                        acc.fold(slot, col, ncols, agg.lift(path), 1, agg);
+                    }
+                }
+                if combines > 0 {
+                    work.add(combines * ncols as u64);
+                    pair_lens.fill(combines);
+                    for ops in col_ops.iter_mut() {
+                        *ops += combines;
+                    }
+                }
+            }
+            SecondHop::Paths => {
+                // Promoted path tables are per column (each column kept
+                // its own 2-hop scores), so the scan is per column too.
+                for (col, spec) in self.columns.iter().enumerate() {
+                    let components = spec.components();
+                    let Some(second) = v_data.paths.get(col) else {
+                        continue;
+                    };
+                    work.add(second.len() as u64);
+                    col_ops[col] += second.len() as u64;
+                    let agg = &*components.aggregator;
+                    for &(z, sim_vz) in second {
+                        if z == u || u_data.in_gamma(z) {
+                            continue;
+                        }
+                        pair_lens[col] += 1;
+                        let slot = acc.slot(z, index, ncols);
+                        let path = components.combinator.combine(sims_uv[col], sim_vz);
+                        acc.fold(slot, col, ncols, agg.lift(path), 1, agg);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds per-column work counted on this thread to the shared tallies.
+    fn flush_col_ops(&self, col_ops: &[u64]) {
+        for (shared, &ops) in self.col_ops.iter().zip(col_ops) {
+            if ops > 0 {
+                shared.fetch_add(ops, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 impl GasStep for PlanScoreStep<'_> {
@@ -1233,75 +1487,161 @@ impl GasStep for PlanScoreStep<'_> {
     ) -> Option<ScoreGather> {
         let ncols = self.columns.len();
         let uv = u_data.sim_index(v)?;
-        let sims_uv = &u_data.sim_vals[uv * ncols..(uv + 1) * ncols];
-        let mut cols: Vec<Vec<(VertexId, f32, u32)>> = vec![Vec::new(); ncols];
-        match self.second_hop {
-            SecondHop::Sims => {
-                // One scan of the shared second-hop table serves every
-                // column; only the per-path combine is per-column work.
-                work.add(v_data.sim_ids.len() as u64);
-                let mut combines = 0u64;
-                for (second, &z) in v_data.sim_ids.iter().enumerate() {
-                    if z == u || u_data.in_gamma(z) {
-                        continue;
-                    }
-                    combines += 1;
-                    let sims_vz = &v_data.sim_vals[second * ncols..(second + 1) * ncols];
-                    for (col, spec) in self.columns.iter().enumerate() {
-                        let components = spec.components();
-                        let path = components.combinator.combine(sims_uv[col], sims_vz[col]);
-                        cols[col].push((z, components.aggregator.lift(path), 1));
-                    }
-                }
-                if combines > 0 {
-                    work.add(combines * ncols as u64);
-                    for ops in self.col_ops {
-                        ops.fetch_add(combines, Ordering::Relaxed);
-                    }
-                }
-            }
-            SecondHop::Paths => {
-                // Promoted path tables are per column (each column kept
-                // its own 2-hop scores), so the scan is per column too.
-                for (col, spec) in self.columns.iter().enumerate() {
-                    let components = spec.components();
-                    let Some(second) = v_data.paths.get(col) else {
-                        continue;
-                    };
-                    work.add(second.len() as u64);
-                    self.col_ops[col].fetch_add(second.len() as u64, Ordering::Relaxed);
-                    for &(z, sim_vz) in second {
-                        if z == u || u_data.in_gamma(z) {
-                            continue;
-                        }
-                        let path = components.combinator.combine(sims_uv[col], sim_vz);
-                        cols[col].push((z, components.aggregator.lift(path), 1));
-                    }
-                }
-            }
-        }
-        if cols.iter().all(Vec::is_empty) {
-            None
-        } else {
-            Some(ScoreGather { cols })
-        }
+        let mut pair_lens = vec![0u64; ncols];
+        let mut col_ops = vec![0u64; ncols];
+        let acc = SCORE_SCRATCH.with_borrow_mut(|s| {
+            let ScoreScratch { index, run, .. } = s;
+            run.clear(ncols);
+            index.reset(self.second_hop_len(v_data));
+            self.fold_pair(
+                u,
+                u_data,
+                uv,
+                v_data,
+                run,
+                index,
+                &mut pair_lens,
+                &mut col_ops,
+                work,
+            );
+            run.exact()
+        });
+        self.flush_col_ops(&col_ops);
+        (!acc.ids.is_empty()).then_some(acc)
     }
 
-    fn sum(&self, a: ScoreGather, b: ScoreGather, work: &mut WorkTally) -> ScoreGather {
+    /// Folds `b` into `a` candidate by candidate, `a`'s value on the left
+    /// of each `⊕pre`, through the thread's [`CandidateIndex`]. Charges
+    /// what the paper's sorted per-column merge (line 16) of the two
+    /// would: each column's candidates in `a` plus those in `b`.
+    fn sum(&self, mut a: ScoreGather, b: ScoreGather, work: &mut WorkTally) -> ScoreGather {
         let ncols = self.columns.len();
-        let take = |mut g: ScoreGather| -> Vec<Vec<(VertexId, f32, u32)>> {
-            g.cols.resize(ncols, Vec::new());
-            g.cols
-        };
-        let (a, b) = (take(a), take(b));
-        let mut cols = Vec::with_capacity(ncols);
-        for (col, (ca, cb)) in a.into_iter().zip(b).enumerate() {
-            let cost = (ca.len() + cb.len()) as u64;
+        a.lens.resize(ncols, 0);
+        for (col, ops) in self.col_ops.iter().enumerate() {
+            let cost = a.lens[col] + b.lens.get(col).copied().unwrap_or(0);
             work.add(cost);
-            self.col_ops[col].fetch_add(cost, Ordering::Relaxed);
-            cols.push(merge_column(&self.columns[col], ca, cb));
+            ops.fetch_add(cost, Ordering::Relaxed);
         }
-        ScoreGather { cols }
+        SCORE_SCRATCH.with_borrow_mut(|s| {
+            let ScoreScratch {
+                index, positions, ..
+            } = s;
+            // Place `b`'s candidates first, so `a` grows once, exactly.
+            index.reset(a.ids.len() + b.ids.len());
+            for (pos, &z) in a.ids.iter().enumerate() {
+                index.slot(z, pos);
+            }
+            positions.clear();
+            let mut next = a.ids.len();
+            for &z in &b.ids {
+                let (pos, inserted) = index.slot(z, next);
+                next += usize::from(inserted);
+                positions.push(pos as u32);
+            }
+            let fresh = next - a.ids.len();
+            a.ids.reserve_exact(fresh);
+            a.cells.reserve_exact(fresh * ncols);
+            let b_cells = b.cells.chunks_exact(ncols);
+            for ((&z, &pos), cells) in b.ids.iter().zip(positions.iter()).zip(b_cells) {
+                let pos = pos as usize;
+                if pos == a.ids.len() {
+                    a.push(z, ncols);
+                }
+                for ((col, spec), &(sigma, n)) in self.columns.iter().enumerate().zip(cells) {
+                    if n > 0 {
+                        a.fold(pos, col, ncols, sigma, n, &*spec.components().aggregator);
+                    }
+                }
+            }
+        });
+        a
+    }
+
+    /// Folds the run's pairs into one accumulator in neighbor order, the
+    /// order the per-pair protocol sums them in, and replays that
+    /// protocol's accounting: per pair the engine op, the scan and combine
+    /// work and one byte charge for the pair's own accumulator, and per
+    /// fold after the first the engine op plus the merge cost of
+    /// [`sum`](GasStep::sum) — the run's candidates so far in each column
+    /// plus the pair's entries.
+    #[allow(clippy::too_many_arguments)]
+    fn gather_run(
+        &self,
+        _ctx: &GatherCtx<'_>,
+        u: VertexId,
+        u_data: &PlanVertex,
+        neighbors: &[VertexId],
+        states: &NeighborStates<'_, PlanVertex>,
+        budget: &mut RunBudget<'_>,
+        _scratch: &mut ScratchArena,
+        work: &mut WorkTally,
+    ) -> Result<Option<(ScoreGather, u64)>, GatherOverflow> {
+        let ncols = self.columns.len();
+        let mut bytes = 0u64;
+        SCORE_SCRATCH.with_borrow_mut(|s| {
+            let ScoreScratch {
+                index,
+                run,
+                counters,
+                ..
+            } = s;
+            run.clear(ncols);
+            // Pair path counts, the run's column lengths before the pair,
+            // and per-column work.
+            counters.clear();
+            counters.resize(3 * ncols, 0);
+            let (pair_lens, rest) = counters.split_at_mut(ncols);
+            let (lens_before, col_ops) = rest.split_at_mut(ncols);
+            // Sized for every path the run can reach, so it never grows.
+            let reach: usize = neighbors
+                .iter()
+                .filter(|&&v| u_data.sim_index(v).is_some())
+                .map(|&v| self.second_hop_len(states.get(v)))
+                .sum();
+            index.reset(reach);
+            for &v in neighbors {
+                budget.count_gather();
+                work.add(1);
+                let Some(uv) = u_data.sim_index(v) else {
+                    continue;
+                };
+                let had_candidates = !run.ids.is_empty();
+                lens_before.copy_from_slice(&run.lens);
+                self.fold_pair(
+                    u,
+                    u_data,
+                    uv,
+                    states.get(v),
+                    run,
+                    index,
+                    pair_lens,
+                    col_ops,
+                    work,
+                );
+                let entries: u64 = pair_lens.iter().sum();
+                if entries == 0 {
+                    continue;
+                }
+                let pair_bytes = ScoreGather::bytes(ncols, entries);
+                if let Err(overflow) = budget.charge(pair_bytes) {
+                    self.flush_col_ops(col_ops);
+                    return Err(overflow);
+                }
+                if had_candidates {
+                    budget.count_sum();
+                    work.add(1);
+                    for ((ops, &before), &pair) in
+                        col_ops.iter_mut().zip(&*lens_before).zip(&*pair_lens)
+                    {
+                        work.add(before + pair);
+                        *ops += before + pair;
+                    }
+                }
+                bytes += pair_bytes;
+            }
+            self.flush_col_ops(col_ops);
+            Ok((!run.ids.is_empty()).then(|| (run.exact(), bytes)))
+        })
     }
 
     fn apply(
@@ -1313,58 +1653,23 @@ impl GasStep for PlanScoreStep<'_> {
         work: &mut WorkTally,
     ) {
         let ncols = self.columns.len();
-        let mut merged = acc.unwrap_or_default();
-        merged.cols.resize(ncols, Vec::new());
-        data.predictions = merged
-            .cols
-            .into_iter()
-            .enumerate()
-            .map(|(col, triples)| {
-                work.add(triples.len() as u64);
+        let acc = acc.unwrap_or_default();
+        data.predictions = (0..ncols)
+            .map(|col| {
+                let len = acc.lens.get(col).copied().unwrap_or(0);
+                work.add(len);
                 let aggregator = &self.columns[col].components().aggregator;
-                let scored: Vec<(VertexId, f32)> = triples
-                    .into_iter()
-                    .map(|(z, sigma, n)| (z, aggregator.post(sigma, n)))
-                    .collect();
+                let mut scored: Vec<(VertexId, f32)> = Vec::with_capacity(len as usize);
+                let cells = acc.cells.iter().skip(col).step_by(ncols);
+                for (&z, &(sigma, n)) in acc.ids.iter().zip(cells) {
+                    if n > 0 {
+                        scored.push((z, aggregator.post(sigma, n)));
+                    }
+                }
                 top_k_by_score(scored, self.ks[col])
             })
             .collect();
     }
-}
-
-/// The paper's `merge` (line 16) for one column: a sorted-merge folding
-/// same-candidate entries with the column's `⊕pre` — the exact fold of
-/// [`steps::ScoreStep`](crate::steps::ScoreStep)'s `sum`.
-fn merge_column(
-    spec: &ScoreSpec,
-    a: Vec<(VertexId, f32, u32)>,
-    b: Vec<(VertexId, f32, u32)>,
-) -> Vec<(VertexId, f32, u32)> {
-    let aggregator = &spec.components().aggregator;
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let (z, sa, na) = a[i];
-                let (_, sb, nb) = b[j];
-                out.push((z, aggregator.pre(sa, sb), na + nb));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Fused promotion step of the 3-hop extension: move each column's 2-hop

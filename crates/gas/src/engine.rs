@@ -18,20 +18,25 @@ use crate::stats::{NodeStats, RunStats, StepStats};
 const MESSAGE_OVERHEAD: u64 = 8;
 
 /// Masked steps whose active gatherers hold fewer edges than this gather
-/// and apply on the calling thread. Spawning a `thread::scope` pool costs
-/// ≈25 µs per thread (≈60 µs for two, measured on a 2-core x86-64 VM),
-/// while the cheapest gather — the neighborhood step's — takes ≈15–30 ns
-/// per edge, so below a few thousand edges a split cannot repay its pool.
+/// and apply on the calling thread, as one gatherer range. Spawning a
+/// `thread::scope` pool costs ≈25 µs per thread (≈60 µs for two, measured
+/// on a 2-core x86-64 VM), while the cheapest gather — the neighborhood
+/// step's — takes ≈15–30 ns per edge, so below a few thousand edges a
+/// split into gatherer ranges cannot repay its pool.
 const INLINE_ACTIVE_EDGES: usize = 4096;
 
 /// Gather-direction edges per gatherer block of a step declared
 /// [`GasStep::apply_disjoint_from_gather`]: the host holds one block's
-/// gather partials and merge accumulators at a time, not the graph's.
-/// Swept with the batch-all benchmark (emulated gowalla@0.25, 442k edges,
-/// the four-column plan, 2-core x86-64 VM, two runs each): peak RSS was
-/// 82–87 MB at 8k-edge blocks, 102–106 MB at 32k and 163–197 MB at 128k,
-/// against 402–408 MB unblocked; pass times (1.6–1.9 s) did not separate
-/// beyond noise. A block costs one gather and one apply pool spawn.
+/// accumulators at a time, not the graph's. Each block is split into one
+/// contiguous gatherer range per host worker, and each worker gathers and
+/// folds its gatherers one at a time (gatherer-major), so only finished
+/// accumulators wait for the block's apply. Swept with the batch-all
+/// benchmark when partials still queued per partition (emulated
+/// gowalla@0.25, 442k edges, the four-column plan, 2-core x86-64 VM, two
+/// runs each): peak RSS was 82–87 MB at 8k-edge blocks, 102–106 MB at 32k
+/// and 163–197 MB at 128k, against 402–408 MB unblocked; pass times
+/// (1.6–1.9 s) did not separate beyond noise. A block costs one gather
+/// and one apply pool spawn.
 const BLOCK_EDGES: usize = 8192;
 
 /// The host's available hardware parallelism, with a conservative
@@ -62,8 +67,8 @@ pub struct Engine<'d> {
     /// host's parallelism).
     workers: Option<usize>,
     /// One scratch slot per gather worker, kept across supersteps so the
-    /// hot path reuses its edge/run/stripe buffers instead of
-    /// re-allocating them per partition.
+    /// hot path reuses its run and stripe buffers instead of
+    /// re-allocating them per gatherer.
     worker_scratch: Vec<WorkerScratch>,
 }
 
@@ -104,13 +109,13 @@ impl<'d> Engine<'d> {
     /// gather pool and the apply pool alike (default: the host's
     /// `available_parallelism`).
     ///
-    /// Simulated partitions (gather) and vertex ranges (apply) are
+    /// Gatherer ranges (gather and fold) and vertex ranges (apply) are
     /// *chunked* across the workers, so any cap produces bit-identical
-    /// results and byte-identical cost accounting — the per-partition and
-    /// per-vertex tallies are computed the same way no matter which host
-    /// thread runs them. Exposed for tests and benchmarks that pin host
-    /// parallelism; a 64-partition cluster never spawns 64 threads on a
-    /// 4-core host either way.
+    /// results and byte-identical cost accounting: each gatherer's
+    /// partials fold in node order on whichever thread owns it, and every
+    /// per-node counter is an integer sum over the ranges. Exposed for
+    /// tests and benchmarks that pin host parallelism; a 64-partition
+    /// cluster never spawns 64 threads on a 4-core host either way.
     pub fn with_gather_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -163,24 +168,34 @@ impl<'d> Engine<'d> {
     /// `state[i]` is the program state of vertex `i`; it is read during the
     /// gather phase and rewritten by `apply` at the end of the step.
     ///
+    /// The step runs **gatherer-major**: each host worker owns a contiguous
+    /// range of gatherers and, for each gatherer, walks its edge run in
+    /// every partition in node order, folding each run's partial into the
+    /// gatherer's accumulator with [`GasStep::sum`] at once — the fold a
+    /// master merging partials in node order performs. Every per-node
+    /// counter (calls, work, memory charges, partial traffic) is an
+    /// integer sum over the ranges, so results and accounting do not
+    /// depend on the worker count.
+    ///
     /// A step that declares [`GasStep::apply_disjoint_from_gather`] (and
     /// gathers [`Direction::Out`]) runs in **gatherer blocks** of
     /// consecutive vertices holding ≈8k gather-direction edges each:
-    /// gather → merge → apply once per block, so the host holds one
-    /// block's partials and accumulators at a time. Broadcast runs once,
-    /// each partition's budget carries across blocks, and partials merge
-    /// in node order within a block, so results and every counter equal
-    /// the single-block step's. The *simulated* per-node memory still
-    /// charges every partial a node gathers over the whole step, as a real
-    /// deployment holding them at once would. Other steps run as one block.
+    /// gather and fold → apply once per block, so the host holds one
+    /// block's accumulators at a time. Broadcast runs once and each
+    /// partition's budget carries across blocks, so results and every
+    /// counter equal the single-block step's. The *simulated* per-node
+    /// memory still charges every partial a node gathers over the whole
+    /// step, as a real deployment holding them at once would. Other steps
+    /// run as one block.
     ///
     /// # Errors
     ///
     /// * [`EngineError::InvalidConfig`] if `state` does not match the graph.
     /// * [`EngineError::ResourceExhausted`] if any simulated node exceeds
     ///   its memory capacity while holding replicas and gather partials.
-    ///   The error names the lowest-numbered failing partition with its
-    ///   `required` bytes, blocked or not.
+    ///   The error names the lowest-numbered failing partition with the
+    ///   `required` bytes of the charge that first crossed its capacity,
+    ///   blocked or not and whatever the worker count.
     /// * [`EngineError::NodeFailure`] if a failure was injected at this step.
     ///
     /// After an `Err` the contents of `state` are unspecified: a blocked
@@ -208,7 +223,7 @@ impl<'d> Engine<'d> {
     /// A masked step costs its frontier, not the graph: gather walks only
     /// the active vertices' edge runs (found by galloping through each
     /// partition's gatherer-sorted edge list), broadcast accounting visits
-    /// only the read set, merge accumulators exist per active vertex, and
+    /// only the read set, accumulators exist per active vertex, and
     /// apply visits only active vertices. What remains proportional to the
     /// graph is a few passes over mask bitset words (`|V| / 64` each:
     /// expanding the read set, listing and ranking the active set). Steps
@@ -218,9 +233,9 @@ impl<'d> Engine<'d> {
     ///
     /// This is the engine half of targeted prediction: callers that only
     /// need results for a query subset run each step under a mask covering
-    /// the vertices that can still influence those queries. A blockable
-    /// step's blocks are slices of the active list, cut by the same edge
-    /// count (see [`Engine::run_step`]).
+    /// the vertices that can still influence those queries. The worker
+    /// ranges and a blockable step's blocks are slices of the active list,
+    /// cut by edge count (see [`Engine::run_step`]).
     ///
     /// # Errors
     ///
@@ -394,7 +409,7 @@ impl<'d> Engine<'d> {
         }
 
         // The active vertices of a masked step, ascending: the degree
-        // walk, gather, merge and apply all walk this list, not the mask.
+        // walk, gather, fold and apply all walk this list, not the mask.
         let active: Option<Vec<VertexId>> = mask.map(|m| m.iter().collect());
         let num_active = active.as_ref().map_or(num_vertices, Vec::len);
         // The `i`-th active vertex, and where its state lives. Both grow
@@ -411,6 +426,10 @@ impl<'d> Engine<'d> {
         // blockable, where its gatherer blocks end. `cuts` holds the
         // active index each block but the last ends at; an undeclared step
         // has none and runs as one block.
+        let degree = |u: VertexId| match dir {
+            Direction::Out => graph.out_degree(u),
+            Direction::In => graph.in_degree(u),
+        };
         let blocked = dir == Direction::Out && step.apply_disjoint_from_gather();
         let mut cuts: Vec<usize> = Vec::new();
         let mut inline = false;
@@ -418,12 +437,8 @@ impl<'d> Engine<'d> {
             let mut total_edges = 0usize;
             let mut block_edges = 0usize;
             for (i, u) in (0..num_active).filter_map(vertex_at).enumerate() {
-                let degree = match dir {
-                    Direction::Out => graph.out_degree(u),
-                    Direction::In => graph.in_degree(u),
-                };
-                total_edges += degree;
-                block_edges += degree;
+                total_edges += degree(u);
+                block_edges += degree(u);
                 if !blocked && total_edges >= INLINE_ACTIVE_EDGES {
                     break;
                 }
@@ -440,160 +455,175 @@ impl<'d> Engine<'d> {
             self.workers.unwrap_or_else(host_parallelism)
         };
 
-        // --- Gather phase state: one ledger per non-empty partition. -----
-        // Gather only over partitions that actually hold edges: on small
-        // or skewed graphs many simulated nodes are empty, and gathering
-        // an empty edge list is pure overhead. Empty nodes keep their base
-        // memory as their peak and contribute nothing else.
-        //
-        // A ledger outlives the blocks: its budget (memory, call counts,
-        // work tally) and its cursor into the partition's edge list carry
-        // from block to block, so every counter of a blocked step equals
-        // the single-block step's.
-        struct NodeGather<G> {
-            node: usize,
-            /// Offset of the partition's first edge no block has reached.
-            next: usize,
-            /// This block's partials, drained by the merge.
-            partials: Vec<(VertexId, G, u64)>,
-            gather_calls: u64,
-            sum_calls: u64,
-            tally: WorkTally,
-            mem: u64,
-            mem_peak: u64,
-            failed: Option<EngineError>,
-        }
-        let mut ledgers: Vec<NodeGather<S::Gather>> = (0..nodes)
+        // --- Gather lists: one per non-empty partition. ------------------
+        // Only partitions that hold edges gather: on small or skewed graphs
+        // many simulated nodes are empty, and walking an empty edge list is
+        // pure overhead. Empty nodes keep their base memory as their peak
+        // and contribute nothing else. An Out step walks each partition's
+        // `(src,dst)`-sorted list in place; an In step walks
+        // `(dst,src)`-sorted copies, sorted once per step.
+        let nonempty: Vec<usize> = (0..nodes)
             .filter(|&n| !part.node_edges(NodeId::new(n as u16)).is_empty())
-            .map(|n| {
-                let mem = mem_base.get(n).copied().unwrap_or_default();
-                NodeGather {
-                    node: n,
-                    next: 0,
-                    partials: Vec::new(),
-                    gather_calls: 0,
-                    sum_calls: 0,
-                    tally: WorkTally::new(),
-                    mem,
-                    mem_peak: mem,
-                    failed: None,
-                }
+            .collect();
+        let in_sorted: Vec<Vec<(VertexId, VertexId)>> = match dir {
+            Direction::Out => Vec::new(),
+            Direction::In => nonempty
+                .iter()
+                .map(|&n| {
+                    let mut edges = part.node_edges(NodeId::new(n as u16)).to_vec();
+                    edges.sort_unstable_by_key(|&(s, d)| (d, s));
+                    edges
+                })
+                .collect(),
+        };
+        let lists: Vec<GatherList<'_>> = nonempty
+            .iter()
+            .enumerate()
+            .map(|(li, &node)| GatherList {
+                node,
+                edges: match dir {
+                    Direction::Out => part.node_edges(NodeId::new(node as u16)),
+                    Direction::In => in_sorted.get(li).map_or(&[], Vec::as_slice),
+                },
             })
             .collect();
+        let key = |e: &(VertexId, VertexId)| match dir {
+            Direction::Out => e.0,
+            Direction::In => e.1,
+        };
 
-        // Gathers one block on one partition, runnable on any host thread:
-        // the tallies depend only on the partition's edge list, so the
-        // chunking below cannot change the accounting. `end` is the first
-        // gatherer of the next block (`None` for the last block) and
-        // `gatherers` the block's active list (`None` unmasked). Each
-        // gatherer's edges form one contiguous run of the gatherer-sorted
-        // list, handed to the program's `gather_run` in one call. An
-        // overflow is recorded in the ledger, which then gathers no more.
-        let gather_block = |g: &mut NodeGather<S::Gather>,
+        // Gathers and folds the active gatherers `first..last` over `lists`,
+        // gatherer-major, on any host thread. For each gatherer it walks
+        // the gatherer's run in every list, in list (= node) order, hands
+        // each run to the program's `gather_run` and folds the partial into
+        // the gatherer's accumulator with `sum` at once: the fold a master
+        // merging partials in node order performs. `accs` (when given)
+        // receives one accumulator per gatherer. The ledger's budgets start
+        // at `l.mem`; a run that overflows flags its list, and the range
+        // then gathers only lower lists, which may still fail first.
+        let gather_range = |l: &mut Ledger,
                             ws: &mut WorkerScratch,
                             state: &[S::Vertex],
-                            end: Option<VertexId>,
-                            gatherers: Option<&[VertexId]>| {
-            let ctx = GatherCtx::new(graph, step_seed);
-            let node = NodeId::new(g.node as u16);
-            let stored = part.node_edges(node);
-            let WorkerScratch {
-                edges: sorted,
-                neighbors,
-                arena,
-            } = ws;
-            // In-gathers run as one block over a `(dst,src)`-sorted copy;
-            // an Out block is the slice of the `(src,dst)`-sorted list
-            // from the cursor up to the next block's first gatherer.
-            let edges: &[(VertexId, VertexId)] = if dir == Direction::In {
-                sorted.clear();
-                sorted.extend_from_slice(stored);
-                sorted.sort_unstable_by_key(|&(s, d)| (d, s));
-                sorted
-            } else {
-                let rest = stored.get(g.next..).unwrap_or_default();
-                let len = end.map_or(rest.len(), |end| rest.partition_point(|e| e.0 < end));
-                g.next += len;
-                rest.get(..len).unwrap_or_default()
+                            lists: &[GatherList<'_>],
+                            (first, last): (usize, usize),
+                            mut accs: Option<&mut [Accumulator<S::Gather>]>|
+         -> Result<(), EngineError> {
+            let Some(lo) = vertex_at(first).filter(|_| first < last) else {
+                return Ok(());
             };
+            let end = vertex_at(last).filter(|_| last < num_active);
+            let gatherers: Option<&[VertexId]> = active.as_deref().and_then(|a| a.get(first..last));
+            // One cursor per list over the runs of this range's gatherers.
+            let mut cursors: Vec<_> = lists
+                .iter()
+                .map(|list| {
+                    let from = list.edges.partition_point(|e| key(e) < lo);
+                    let to = end.map_or(list.edges.len(), |end| {
+                        list.edges.partition_point(|e| key(e) < end)
+                    });
+                    let edges = list.edges.get(from..to).unwrap_or_default();
+                    gather_runs(edges, dir, gatherers.map(|a| a.iter().copied())).peekable()
+                })
+                .collect();
+            let ctx = GatherCtx::new(graph, step_seed);
             let states = NeighborStates::new(state, slots);
-            for (gatherer, run) in gather_runs(edges, dir, gatherers.map(|a| a.iter().copied())) {
-                neighbors.clear();
-                neighbors.extend(run.iter().map(|&(s, d)| match dir {
-                    Direction::Out => d,
-                    Direction::In => s,
-                }));
-                let Some(gatherer_data) = slot_of(gatherer).and_then(|i| state.get(i)) else {
-                    g.failed = Some(missing_slot(gatherer));
-                    return;
-                };
-                let mut budget = RunBudget::new(
-                    &mut g.gather_calls,
-                    &mut g.sum_calls,
-                    &mut g.mem,
-                    &mut g.mem_peak,
-                    cap,
-                );
-                match step.gather_run(
-                    &ctx,
-                    gatherer,
-                    gatherer_data,
-                    neighbors,
-                    &states,
-                    &mut budget,
-                    arena,
-                    &mut g.tally,
-                ) {
-                    Ok(Some((acc, bytes))) => g.partials.push((gatherer, acc, bytes)),
-                    Ok(None) => {}
-                    Err(overflow) => {
-                        g.failed = Some(EngineError::ResourceExhausted {
-                            node,
-                            required: overflow.required,
-                            capacity: cap,
-                            step: step.name().to_owned(),
-                        });
-                        return;
+            let WorkerScratch { neighbors, arena } = ws;
+            let mut tally = WorkTally::new();
+            let mut limit = lists.len();
+            for (k, u) in (first..last).filter_map(vertex_at).enumerate() {
+                let master = part.master(u).index();
+                let mut acc: Accumulator<S::Gather> = None;
+                let walk = lists.iter().zip(&mut cursors).zip(&mut l.mem);
+                for (li, ((list, runs), mem)) in walk.enumerate().take(limit) {
+                    let Some((_, run)) = runs.next_if(|&(v, _)| v == u) else {
+                        continue;
+                    };
+                    let u_data = slot_of(u)
+                        .and_then(|s| state.get(s))
+                        .ok_or_else(|| missing_slot(u))?;
+                    neighbors.clear();
+                    neighbors.extend(run.iter().map(|&(s, d)| match dir {
+                        Direction::Out => d,
+                        Direction::In => s,
+                    }));
+                    let mut budget =
+                        RunBudget::new(&mut l.gather_calls, &mut l.sum_calls, mem, cap);
+                    let before = tally.ops();
+                    let gathered = step.gather_run(
+                        &ctx,
+                        u,
+                        u_data,
+                        neighbors,
+                        &states,
+                        &mut budget,
+                        arena,
+                        &mut tally,
+                    );
+                    add(&mut l.ops, list.node, tally.ops() - before);
+                    let (partial, bytes) = match gathered {
+                        Ok(Some(partial)) => partial,
+                        Ok(None) => continue,
+                        Err(overflow) => {
+                            l.overflow = Some((li, overflow.required));
+                            limit = li;
+                            break;
+                        }
+                    };
+                    if master != list.node {
+                        let framed = bytes + MESSAGE_OVERHEAD;
+                        add(&mut l.net, list.node, framed);
+                        add(&mut l.net, master, framed);
+                        l.partial_bytes += framed;
+                        add(&mut l.master_extra, master, bytes);
+                    }
+                    acc = Some(match acc.take() {
+                        None => (partial, bytes),
+                        Some((prev, prev_bytes)) => {
+                            l.sum_calls += 1;
+                            let before = tally.ops();
+                            tally.add(1);
+                            let folded = step.sum(prev, partial, &mut tally);
+                            add(&mut l.ops, master, tally.ops() - before);
+                            (folded, prev_bytes + bytes)
+                        }
+                    });
+                }
+                if let Some(slot) = accs.as_deref_mut().and_then(|a| a.get_mut(k)) {
+                    *slot = acc;
+                }
+            }
+            Ok(())
+        };
+
+        // Splits the active range `start..stop` into at most `worker_cap`
+        // contiguous `(first, last)` ranges holding about equal
+        // gather-direction edges.
+        let worker_ranges = |start: usize, stop: usize| -> Vec<(usize, usize)> {
+            let workers = worker_cap.min(stop - start).max(1);
+            let mut ranges = Vec::with_capacity(workers);
+            let mut first = start;
+            if workers > 1 {
+                let edges = |i: usize| vertex_at(i).map_or(0, degree);
+                let total: usize = (start..stop).map(edges).sum();
+                let mut seen = 0usize;
+                for i in start..stop {
+                    seen += edges(i);
+                    let cuts = ranges.len() + 1;
+                    if cuts < workers && i + 1 < stop && seen * workers >= total * cuts {
+                        ranges.push((first, i + 1));
+                        first = i + 1;
                     }
                 }
             }
-        };
-
-        // Chunk the partitions across at most `worker_cap` host threads: a
-        // 64-partition cluster on a 4-core host gets 4 workers with 16
-        // partitions each, not 64 oversubscribed threads. Each worker
-        // skips partitions at or above the lowest failure so far and stops
-        // at its chunk's first failure, so the surfaced error is the
-        // lowest-numbered failing partition's, with the `required` bytes
-        // of its own carried budget — exactly what one unblocked gather
-        // over all partitions reports.
-        let gather_workers = worker_cap.min(ledgers.len()).max(1);
-        let chunk_len = ledgers.len().div_ceil(gather_workers).max(1);
-        // Each worker borrows one persistent scratch slot; slots outlive
-        // the step, so buffers grown on superstep k are reused on k+1.
-        let scratch_pool = &mut self.worker_scratch;
-        if scratch_pool.len() < gather_workers {
-            scratch_pool.resize_with(gather_workers, WorkerScratch::default);
-        }
-        let gather_chunk = |chunk: &mut [NodeGather<S::Gather>],
-                            ws: &mut WorkerScratch,
-                            state: &[S::Vertex],
-                            end: Option<VertexId>,
-                            gatherers: Option<&[VertexId]>,
-                            below: usize| {
-            for g in chunk.iter_mut().take_while(|g| g.node < below) {
-                gather_block(g, ws, state, end, gatherers);
-                if g.failed.is_some() {
-                    break;
-                }
-            }
+            ranges.push((first, stop));
+            ranges
         };
 
         // --- Apply at masters (parallel over active-vertex ranges). ------
         // Applies the active vertices `first..first + accs.len()`, whose
         // states are `states[slot - base]`.
         let apply_range = |first: usize,
-                           accs: &mut [Option<(S::Gather, u64)>],
+                           accs: &mut [Accumulator<S::Gather>],
                            base: usize,
                            states: &mut [S::Vertex]|
          -> Result<Vec<u64>, EngineError> {
@@ -615,94 +645,141 @@ impl<'d> Engine<'d> {
             Ok(ops)
         };
 
+        // Each worker borrows one persistent scratch slot; slots outlive
+        // the step, so buffers grown on superstep k are reused on k+1.
+        let scratch_pool = &mut self.worker_scratch;
+        if scratch_pool.len() < worker_cap {
+            scratch_pool.resize_with(worker_cap, WorkerScratch::default);
+        }
         let mut node_ops = vec![0u64; nodes];
-        let mut mem_peaks = mem_base.clone();
-        let mut gather_calls = 0u64;
-        let mut sum_calls = 0u64;
-        let mut partial_total = 0u64;
-        let mut master_extra = vec![0u64; nodes];
-        let mut merge_tallies: Vec<WorkTally> = vec![WorkTally::new(); nodes];
+        // What the step's gathers and folds counted, summed over workers.
+        let mut totals = Ledger::new(nodes, Vec::new());
+        // Per list: the node's gather memory at the start of the block.
+        let mut carried: Vec<u64> = lists
+            .iter()
+            .map(|list| mem_base.get(list.node).copied().unwrap_or_default())
+            .collect();
+        // The lowest overflowing list so far, with its `required` bytes.
+        let mut failure: Option<(usize, u64)> = None;
         // The block's accumulators, one per active gatherer of the block in
         // ascending id order; reused across blocks.
-        let mut acc: Vec<Option<(S::Gather, u64)>> = Vec::new();
+        let mut acc: Vec<Accumulator<S::Gather>> = Vec::new();
 
         let starts = std::iter::once(0).chain(cuts.iter().copied());
         let stops = cuts.iter().copied().chain(std::iter::once(num_active));
         for (start, stop) in starts.zip(stops) {
-            let end = vertex_at(stop).filter(|_| stop < num_active);
-            let gatherers: Option<&[VertexId]> = active.as_deref().and_then(|a| a.get(start..stop));
-            // Once a partition has overflowed, blocks only gather (no
-            // merge, no apply) the partitions below it, which may still
-            // fail first.
-            let below = ledgers
+            // Once a list has overflowed, blocks only gather (no apply) the
+            // lists below it, which may still fail first.
+            let below = failure.map_or(lists.len(), |(li, _)| li);
+            let Some(gathered) = lists.get(..below).filter(|g| !g.is_empty()) else {
+                break;
+            };
+            let ranges = worker_ranges(start, stop);
+            let mut ledgers: Vec<Ledger> = ranges
                 .iter()
-                .find(|g| g.failed.is_some())
-                .map_or(usize::MAX, |g| g.node);
+                .map(|_| Ledger::new(nodes, carried.clone()))
+                .collect();
+            acc.clear();
+            acc.resize_with(stop - start, || None);
+            // One accumulator chunk per range.
+            let mut chunks: Vec<&mut [Accumulator<S::Gather>]> = Vec::with_capacity(ranges.len());
+            let mut rest = acc.as_mut_slice();
+            for &(first, last) in &ranges {
+                let len = (last - first).min(rest.len());
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                chunks.push(head);
+                rest = tail;
+            }
 
-            // --- Gather phase: per-node local gathers (parallel). --------
+            // --- Gather and fold (parallel over gatherer ranges). --------
             let state_ro: &[S::Vertex] = state;
-            match scratch_pool.first_mut() {
-                Some(ws) if gather_workers == 1 => {
-                    gather_chunk(&mut ledgers, ws, state_ro, end, gatherers, below);
-                }
+            let results: Vec<Result<(), EngineError>> = match scratch_pool.first_mut() {
+                Some(ws) if ranges.len() == 1 => ledgers
+                    .iter_mut()
+                    .zip(chunks)
+                    .zip(&ranges)
+                    .map(|((l, chunk), &range)| {
+                        gather_range(l, ws, state_ro, gathered, range, Some(chunk))
+                    })
+                    .collect(),
                 _ => thread::scope(|scope| {
-                    let gather_chunk = &gather_chunk;
+                    let gather_range = &gather_range;
                     let handles: Vec<_> = ledgers
-                        .chunks_mut(chunk_len)
+                        .iter_mut()
+                        .zip(chunks)
+                        .zip(&ranges)
                         .zip(scratch_pool.iter_mut())
-                        .map(|(chunk, ws)| {
+                        .map(|(((l, chunk), &range), ws)| {
                             scope.spawn(move || {
-                                gather_chunk(chunk, ws, state_ro, end, gatherers, below)
+                                gather_range(l, ws, state_ro, gathered, range, Some(chunk))
                             })
                         })
                         .collect();
-                    for h in handles {
-                        h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                    }
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                        .collect()
                 }),
-            }
-            if ledgers.iter().any(|g| g.failed.is_some()) {
-                for g in &mut ledgers {
-                    g.partials.clear();
-                }
-                continue;
+            };
+            for r in results {
+                r?;
             }
 
-            // --- Merge partials at masters (deterministic node order). ---
-            // Every gatherer lies in exactly one block, so its partials
-            // fold in the same node order as in one unblocked merge.
-            acc.clear();
-            acc.resize_with(stop - start, || None);
-            for g in &mut ledgers {
-                for (v, gv, bytes) in g.partials.drain(..) {
-                    let master = part.master(v).index();
-                    if master != g.node {
-                        let framed = bytes + MESSAGE_OVERHEAD;
-                        // snaple-lint: allow(index) — g.node and master are partition ids < nodes
-                        net[g.node] += framed;
-                        // snaple-lint: allow(index) — same bound as above
-                        net[master] += framed;
-                        partial_total += framed;
-                        // snaple-lint: allow(index) — same bound as above
-                        master_extra[master] += bytes;
-                    }
-                    let slot = match gatherers {
-                        None => v.index().checked_sub(start),
-                        Some(block) => block.binary_search(&v).ok(),
-                    }
-                    .and_then(|i| acc.get_mut(i))
-                    .ok_or_else(|| missing_slot(v))?;
-                    *slot = Some(match slot.take() {
-                        None => (gv, bytes),
-                        Some((prev, pb)) => {
-                            sum_calls += 1;
-                            // snaple-lint: allow(index) — master is a partition id < nodes
-                            let t = &mut merge_tallies[master];
-                            t.add(1);
-                            (step.sum(prev, gv, t), pb + bytes)
+            // --- Overflow: the lowest list whose budget crossed the cap. -
+            // A range's budgets started where earlier blocks left each
+            // node, not where earlier ranges of this block did, so a range
+            // can only flag an overflow its own charges cross. The summed
+            // charges find the lowest list that crossed in any range; the
+            // range that crossed it is re-gathered on that list alone with
+            // the prefix carried in, which finds the exact failing charge.
+            let flagged = ledgers
+                .iter()
+                .filter_map(|l| l.overflow)
+                .map(|(li, _)| li)
+                .min();
+            let grew = |l: &Ledger, li: usize| {
+                let base = carried.get(li).copied().unwrap_or_default();
+                l.mem.get(li).map_or(0, |&m| m - base)
+            };
+            let next_carried: Vec<u64> = carried
+                .iter()
+                .enumerate()
+                .map(|(li, &base)| base + ledgers.iter().map(|l| grew(l, li)).sum::<u64>())
+                .collect();
+            let crossed = next_carried
+                .iter()
+                .take(flagged.unwrap_or(below))
+                .position(|&m| m > cap);
+            if let Some(p) = crossed.or(flagged) {
+                let mut prefix = carried.get(p).copied().unwrap_or_default();
+                let mut required = None;
+                for (l, &range) in ledgers.iter().zip(&ranges) {
+                    let own = grew(l, p);
+                    if l.overflow.is_some_and(|(li, _)| li == p) || prefix + own > cap {
+                        let mut probe = Ledger::new(nodes, vec![prefix]);
+                        if let (Some(ws), Some(list)) = (scratch_pool.first_mut(), lists.get(p..=p))
+                        {
+                            gather_range(&mut probe, ws, state, list, range, None)?;
                         }
-                    });
+                        required = probe.overflow.map(|(_, r)| r);
+                        break;
+                    }
+                    prefix += own;
                 }
+                let required = required.ok_or_else(|| {
+                    EngineError::InvalidConfig(format!(
+                        "step {} overflowed, but re-gathering did not reproduce it",
+                        step.name()
+                    ))
+                })?;
+                failure = Some((p, required));
+            }
+            carried = next_carried;
+            if failure.is_some() {
+                continue;
+            }
+            for l in &ledgers {
+                totals.absorb(l);
             }
 
             // --- Apply phase for the block's active vertices. ------------
@@ -711,7 +788,7 @@ impl<'d> Engine<'d> {
             // Split the state where each range's next range starts, so
             // every worker owns exactly the states of its own active
             // vertices.
-            type Range<'r, G, V> = (usize, &'r mut [Option<(G, u64)>], usize, &'r mut [V]);
+            type Range<'r, G, V> = (usize, &'r mut [Accumulator<G>], usize, &'r mut [V]);
             let mut ranges: Vec<Range<'_, S::Gather, S::Vertex>> =
                 Vec::with_capacity(apply_workers);
             let mut rest = &mut *state;
@@ -753,24 +830,33 @@ impl<'d> Engine<'d> {
             }
         }
 
-        if let Some(failed) = ledgers.iter_mut().find_map(|g| g.failed.take()) {
-            return Err(failed);
+        if let Some((li, required)) = failure {
+            return Err(EngineError::ResourceExhausted {
+                node: NodeId::new(lists.get(li).map_or(0, |list| list.node) as u16),
+                required,
+                capacity: cap,
+                step: step.name().to_owned(),
+            });
         }
-        for g in &ledgers {
-            // snaple-lint: allow(index) — g.node < nodes by construction
-            node_ops[g.node] += g.tally.ops();
-            // snaple-lint: allow(index) — same bound as node_ops above
-            mem_peaks[g.node] = mem_peaks[g.node].max(g.mem_peak);
-            gather_calls += g.gather_calls;
-            sum_calls += g.sum_calls;
+        let mut mem_peaks = mem_base.clone();
+        for (list, &mem) in lists.iter().zip(&carried) {
+            if let Some(peak) = mem_peaks.get_mut(list.node) {
+                *peak = (*peak).max(mem);
+            }
         }
-        for n in 0..nodes {
-            // snaple-lint: allow(index) — every per-node vec here has len nodes and n < nodes
-            node_ops[n] += merge_tallies[n].ops();
-            // snaple-lint: allow(index) — same bound as above
-            let with_partials = mem_base[n] + master_extra[n];
-            // snaple-lint: allow(index) — same bound as above
-            mem_peaks[n] = mem_peaks[n].max(with_partials);
+        for (total, o) in node_ops.iter_mut().zip(&totals.ops) {
+            *total += o;
+        }
+        for (total, b) in net.iter_mut().zip(&totals.net) {
+            *total += b;
+        }
+        for (n, (peak, (&base, &extra))) in mem_peaks
+            .iter_mut()
+            .zip(mem_base.iter().zip(&totals.master_extra))
+            .enumerate()
+        {
+            let with_partials = base + extra;
+            *peak = (*peak).max(with_partials);
             if with_partials > cap {
                 return Err(EngineError::ResourceExhausted {
                     node: NodeId::new(n as u16),
@@ -794,12 +880,12 @@ impl<'d> Engine<'d> {
             .collect();
         let mut stats = StepStats {
             name: step.name().to_owned(),
-            gather_calls,
-            sum_calls,
+            gather_calls: totals.gather_calls,
+            sum_calls: totals.sum_calls,
             apply_calls: num_active as u64,
             work_ops: node_ops.iter().sum(),
             broadcast_bytes: broadcast_total,
-            partial_bytes: partial_total,
+            partial_bytes: totals.partial_bytes,
             per_node,
             simulated_seconds: 0.0,
         };
@@ -808,6 +894,78 @@ impl<'d> Engine<'d> {
             .step_seconds(stats.max_node_ops(), stats.max_node_net_bytes());
         self.run.steps.push(stats);
         Ok(())
+    }
+}
+
+/// A gatherer's folded partials with their accounted bytes (`None`: no
+/// edge contributed).
+type Accumulator<G> = Option<(G, u64)>;
+
+/// One non-empty partition's edges, sorted by gatherer: the partition's
+/// own `(src,dst)`-sorted list for an Out step, a `(dst,src)`-sorted copy
+/// for an In step.
+struct GatherList<'e> {
+    node: usize,
+    edges: &'e [(VertexId, VertexId)],
+}
+
+/// What one host worker's gathers and folds count over its gatherer
+/// range. Every field is an integer sum, so adding the ledgers of any
+/// split of the gatherers gives the same totals.
+struct Ledger {
+    gather_calls: u64,
+    sum_calls: u64,
+    /// Framed bytes of partials sent to a master on another node.
+    partial_bytes: u64,
+    /// Gather work per node, plus fold work at each gatherer's master.
+    ops: Vec<u64>,
+    /// Partial traffic per node (sender and master alike).
+    net: Vec<u64>,
+    /// Bytes of partials each master receives from other nodes.
+    master_extra: Vec<u64>,
+    /// Per gather list: the node's gather memory, starting from what
+    /// earlier blocks charged.
+    mem: Vec<u64>,
+    /// The lowest list whose budget overflowed in this range, with the
+    /// `required` bytes the range's own budget saw.
+    overflow: Option<(usize, u64)>,
+}
+
+impl Ledger {
+    fn new(nodes: usize, mem: Vec<u64>) -> Self {
+        Ledger {
+            gather_calls: 0,
+            sum_calls: 0,
+            partial_bytes: 0,
+            ops: vec![0; nodes],
+            net: vec![0; nodes],
+            master_extra: vec![0; nodes],
+            mem,
+            overflow: None,
+        }
+    }
+
+    /// Adds another ledger's counters (not its memory) into this one.
+    fn absorb(&mut self, other: &Ledger) {
+        self.gather_calls += other.gather_calls;
+        self.sum_calls += other.sum_calls;
+        self.partial_bytes += other.partial_bytes;
+        for (mine, theirs) in [
+            (&mut self.ops, &other.ops),
+            (&mut self.net, &other.net),
+            (&mut self.master_extra, &other.master_extra),
+        ] {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+    }
+}
+
+/// `counts[i] += x`, ignoring an out-of-range `i`.
+fn add(counts: &mut [u64], i: usize, x: u64) {
+    if let Some(c) = counts.get_mut(i) {
+        *c += x;
     }
 }
 
@@ -1818,6 +1976,71 @@ mod tests {
             "{:?}",
             errors[0]
         );
+    }
+
+    #[test]
+    fn overflow_is_exact_when_its_charges_span_gatherer_ranges() {
+        // Node 0 overflows at the edge that brings its gather charges past
+        // 3/4 of its edges, which lies in the second half of the gatherers:
+        // with 2 or 4 workers the range that crosses the cap did not see
+        // the charges of the ranges before it. The error must still name
+        // node 0 with the bytes of that very charge, as one worker does.
+        let g = hub_graph();
+        let n = g.num_vertices();
+        let init: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 29 % 83, 0)).collect();
+        let deployment_with = |memory_per_node: u64| {
+            let cluster = ClusterSpec {
+                memory_per_node,
+                ..ClusterSpec::type_i(8)
+            };
+            Deployment::new(&g, cluster, PartitionStrategy::RandomVertexCut, 3).unwrap()
+        };
+        let run = |dep: &Deployment<'_>, declared: bool, workers: usize| {
+            let step = SplitState {
+                declared,
+                heavy: Vec::new(),
+                heavy_bytes: 0,
+            };
+            let mut state = init.clone();
+            Engine::on(dep)
+                .with_gather_workers(workers)
+                .run_step(&step, &mut state)
+                .unwrap_err()
+        };
+        // A one-byte cap fails the broadcast on node 0 with its base bytes.
+        let base = match run(&deployment_with(1), false, 1) {
+            EngineError::ResourceExhausted { node, required, .. } if node.index() == 0 => required,
+            other => panic!("{other:?}"),
+        };
+        let deployment = deployment_with(1);
+        let node0 = deployment.partitioned().node_edges(NodeId::new(0));
+        // Every edge charges 8 bytes, so the `crossing`-th edge of node 0
+        // (in gatherer order) is the first past the cap.
+        let crossing = node0.len() * 3 / 4;
+        let cap = base + 8 * crossing as u64;
+        assert!(edges_before(&g, node0[crossing].0) >= g.num_edges() / 2);
+
+        let deployment = deployment_with(cap);
+        for declared in [false, true] {
+            let one = run(&deployment, declared, 1);
+            assert_eq!(
+                one,
+                EngineError::ResourceExhausted {
+                    node: NodeId::new(0),
+                    required: cap + 8,
+                    capacity: cap,
+                    step: "split-state".into(),
+                },
+                "declared={declared}"
+            );
+            for workers in [2, 4] {
+                assert_eq!(
+                    run(&deployment, declared, workers),
+                    one,
+                    "declared={declared}, {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

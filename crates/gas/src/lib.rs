@@ -17,6 +17,13 @@
 //!   per-node partial accumulators, and per-vertex `apply` at the master.
 //!   Programs really run (multithreaded on the host), so their outputs are
 //!   exact; only *time* is modeled.
+//! * The host runs a superstep **gatherer-major**: each worker owns a
+//!   contiguous range of gatherers and, per gatherer, gathers its edge run
+//!   in every partition in node order, folding each partial into the
+//!   gatherer's accumulator at once — the order in which a master merges
+//!   partials. Folds therefore happen in one fixed order whatever the
+//!   worker count, so even float accumulators are bit-identical, and
+//!   every per-node counter is an integer sum over the workers.
 //! * Every byte that would cross the network in a real deployment is
 //!   accounted: master→mirror state broadcasts before gathering and
 //!   mirror→master partial-gather transfers after it. Per-node memory is
@@ -29,7 +36,7 @@
 //!   graph: gather gallops to each active vertex's edge run in every
 //!   partition's gatherer-sorted edge list, broadcast accounting visits
 //!   only the read set (active vertices plus the neighbors their gathers
-//!   read), merge and apply touch only active vertices, and small
+//!   read), folds and apply touch only active vertices, and small
 //!   frontiers run on the calling thread. [`Engine::run_step_sparse`]
 //!   also keeps program state for the read set only, found by rank
 //!   through a [`RankedMask`](snaple_graph::RankedMask). Beyond that a
@@ -37,13 +44,13 @@
 //!   Every counter is identical to the dense step restricted to the mask.
 //! * Steps whose `apply` writes no state their gather reads
 //!   ([`GasStep::apply_disjoint_from_gather`]) run in **gatherer blocks**:
-//!   gather → merge → apply once per block of consecutive gatherers
-//!   holding ≈8k edges, so host memory is one block's partials, not the
-//!   graph's. Each block is one slice of every partition's gatherer-sorted
-//!   edge list (masked: one slice of the active list). Results, every
-//!   counter and every error equal the single-block step's; the
-//!   simulated per-node memory still charges all partials of the step.
-//!   After an `Err` the program state is unspecified.
+//!   gather and fold → apply once per block of consecutive gatherers
+//!   holding ≈8k edges, so host memory is one block's accumulators, not
+//!   the graph's. Each block is one slice of every partition's
+//!   gatherer-sorted edge list (masked: one slice of the active list).
+//!   Results, every counter and every error equal the single-block
+//!   step's; the simulated per-node memory still charges all partials of
+//!   the step. After an `Err` the program state is unspecified.
 //! * A calibrated [`cost::CostModel`] converts the per-node op and byte
 //!   tallies into simulated wall-clock seconds for a given
 //!   [`ClusterSpec`] (the paper's type-I and type-II machines ship as

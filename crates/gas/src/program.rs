@@ -117,8 +117,9 @@ pub struct GatherOverflow {
 pub struct RunBudget<'a> {
     gather_calls: &'a mut u64,
     sum_calls: &'a mut u64,
+    /// The node's gather memory so far. Charges only add, so this is also
+    /// its high-water mark.
     mem: &'a mut u64,
-    mem_peak: &'a mut u64,
     cap: u64,
 }
 
@@ -127,14 +128,12 @@ impl<'a> RunBudget<'a> {
         gather_calls: &'a mut u64,
         sum_calls: &'a mut u64,
         mem: &'a mut u64,
-        mem_peak: &'a mut u64,
         cap: u64,
     ) -> Self {
         RunBudget {
             gather_calls,
             sum_calls,
             mem,
-            mem_peak,
             cap,
         }
     }
@@ -160,7 +159,6 @@ impl<'a> RunBudget<'a> {
     #[inline]
     pub fn charge(&mut self, bytes: u64) -> Result<(), GatherOverflow> {
         *self.mem += bytes;
-        *self.mem_peak = (*self.mem_peak).max(*self.mem);
         if *self.mem > self.cap {
             Err(GatherOverflow {
                 required: *self.mem,
@@ -216,9 +214,11 @@ impl<'a, V> NeighborStates<'a, V> {
 ///    in [`gather_direction`](GasStep::gather_direction), on whichever
 ///    simulated node stores the edge. It may read both endpoint states.
 /// 2. **sum** folds gather results into per-node partial accumulators;
-///    partials cross the (accounted) network to `u`'s master replica.
-///    It must be commutative and associative up to the tolerance the
-///    program cares about.
+///    partials cross the (accounted) network to `u`'s master replica,
+///    which folds them in node order. It must be commutative and
+///    associative up to the tolerance the program cares about; the engine
+///    fixes the fold order (see [`sum`](GasStep::sum)), so floating-point
+///    results are bit-identical anyway.
 /// 3. **apply** runs at the master with the fully merged accumulator
 ///    (`None` if no edge produced a gather value) and may rewrite `u`'s
 ///    state. The new state is broadcast to mirrors before the next step
@@ -258,12 +258,28 @@ pub trait GasStep: Sync {
     ) -> Option<Self::Gather>;
 
     /// Folds two accumulators. Must be commutative and associative.
+    ///
+    /// The engine folds in one fixed order, so a program whose `sum` is
+    /// only associative up to rounding still gets bit-identical results
+    /// on any cluster and worker count: within a run, contributions fold
+    /// in neighbor order (`a` is the run so far, `b` the next edge's);
+    /// across partitions, a gatherer's run partials fold in node order
+    /// (`a` is the fold of the lower-numbered nodes' partials, `b` the
+    /// next node's), right after each run is gathered, by the host worker
+    /// that owns the gatherer.
     fn sum(&self, a: Self::Gather, b: Self::Gather, work: &mut WorkTally) -> Self::Gather;
 
     /// Gathers one *run* — a maximal stretch of same-vertex edges on one
     /// simulated node — in a single call, returning the folded accumulator
     /// and its accounted byte size (`None` if every edge contributed
     /// nothing).
+    ///
+    /// The engine calls it gatherer-major: for one gatherer, once per
+    /// partition holding its edges, in node order, folding each returned
+    /// partial into the gatherer's accumulator with [`sum`](GasStep::sum)
+    /// before it moves on to the next partition. An override must fold
+    /// its neighbors in the order given, as the default does, so that
+    /// the result matches the per-edge protocol bit for bit.
     ///
     /// The default implementation replays the engine's per-edge protocol —
     /// [`gather`](GasStep::gather) / [`SizeEstimate`] charge /
@@ -318,14 +334,15 @@ pub trait GasStep: Sync {
     /// [`gather`](GasStep::gather) (or [`gather_run`](GasStep::gather_run))
     /// reads, so the engine may run the step in **gatherer blocks**.
     ///
-    /// A blocked step gathers, merges and applies one block of consecutive
+    /// A blocked step gathers, folds and applies one block of consecutive
     /// gatherers at a time, and a block applies before later blocks
     /// gather: a later gather may see an earlier block's applied state.
     /// That is only equivalent to one all-at-once superstep when the
     /// fields `apply` writes are disjoint from the fields any gather reads
     /// — e.g. a step that gathers neighbor sets and writes similarity
-    /// tables. Results and every accounted counter are then identical to
-    /// the unblocked step, while the host holds one block's partials at a
+    /// tables. Each gatherer's partials fold in node order either way, so
+    /// results and every accounted counter are then identical to the
+    /// unblocked step, while the host holds one block's accumulators at a
     /// time instead of the whole graph's.
     ///
     /// Defaults to `false`: an undeclared step runs as a single block,

@@ -1,8 +1,8 @@
 //! Reusable scratch storage for the gather phase.
 //!
 //! Every gather worker owns one `WorkerScratch` that persists across
-//! partitions *and* supersteps, so the hot path stops re-allocating its
-//! edge-sort and run buffers per partition. The [`ScratchArena`] inside it
+//! gatherers *and* supersteps, so the hot path stops re-allocating its
+//! run buffers per gatherer. The [`ScratchArena`] inside it
 //! is handed to [`GasStep::gather_run`](crate::GasStep::gather_run) so
 //! batched programs can lease temporary buffers (kernel stripes, staging
 //! tables) that would otherwise be rebuilt per vertex run.
@@ -43,13 +43,11 @@ impl ScratchArena {
     }
 }
 
-/// Per-worker scratch state of the engine's gather phase: the in-direction
-/// edge sort buffer, the current run's neighbor list, and the program-facing
-/// arena. One instance per host worker, reused across supersteps.
+/// Per-worker scratch state of the engine's gather phase: the current
+/// run's neighbor list and the program-facing arena. One instance per host
+/// worker, reused across supersteps.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch {
-    /// Sorted copy of a partition's edges (in-direction steps only).
-    pub(crate) edges: Vec<(VertexId, VertexId)>,
     /// Neighbors of the gather run currently being assembled.
     pub(crate) neighbors: Vec<VertexId>,
     /// Buffer pool handed to `gather_run`.

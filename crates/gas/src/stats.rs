@@ -19,7 +19,8 @@ pub struct StepStats {
     pub name: String,
     /// Number of `gather` invocations.
     pub gather_calls: u64,
-    /// Number of `sum` invocations (local folds plus master merges).
+    /// Number of `sum` invocations (folds within a partition's run plus
+    /// folds of run partials across partitions).
     pub sum_calls: u64,
     /// Number of `apply` invocations.
     pub apply_calls: u64,

@@ -520,7 +520,7 @@ graph files: '.snplg' binary (from emulate/--out) or text edge lists
 }
 
 fn load_graph(opts: &Options) -> Result<CsrGraph, String> {
-    let path = opts.graph.as_ref().ok_or("missing --graph")?;
+    let path = graph_path(opts)?;
     let file = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let reader = BufReader::new(file);
     let result = if is_binary(path) {
@@ -529,6 +529,21 @@ fn load_graph(opts: &Options) -> Result<CsrGraph, String> {
         io::read_edge_list(reader, opts.symmetrize)
     };
     result.map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The `--graph` path. `--symmetrize` shapes how a text edge list is
+/// read; a binary graph file holds its edges as they were built, so the
+/// flag is rejected there rather than silently ignored.
+fn graph_path(opts: &Options) -> Result<&Path, String> {
+    let path = opts.graph.as_deref().ok_or("missing --graph")?;
+    if opts.symmetrize && is_binary(path) {
+        return Err(format!(
+            "--symmetrize applies to text edge lists only, and {} is a binary graph file \
+             (symmetrize when building it: graph convert/gen --symmetrize)",
+            path.display()
+        ));
+    }
+    Ok(path)
 }
 
 fn is_binary(path: &Path) -> bool {
@@ -540,7 +555,7 @@ fn is_binary(path: &Path) -> bool {
 /// `file-csr` for raw `SNPLG2`, in-RAM `csr` for the varint flavor and
 /// legacy `SNPLG1`); text edge lists parse in RAM.
 fn open_auto(opts: &Options) -> Result<Arc<dyn GraphStore>, String> {
-    let path = opts.graph.as_ref().ok_or("missing --graph")?;
+    let path = graph_path(opts)?;
     if is_binary(path) {
         io::open_store(path).map_err(|e| format!("{}: {e}", path.display()))
     } else {

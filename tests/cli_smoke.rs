@@ -596,6 +596,49 @@ fn commands_reject_flags_they_do_not_read() {
         "{stderr}"
     );
 
+    // `--symmetrize` only shapes how a text edge list is read: every
+    // command that opens a binary file rejects it by name, writing
+    // nothing.
+    let rows = tmp("unread-symmetrized.tsv");
+    let r = rows.to_str().unwrap();
+    for args in [
+        &["predict", "--graph", g, "--symmetrize", "--out", r][..],
+        &["stats", "--graph", g, "--symmetrize"][..],
+        &["evaluate", "--graph", g, "--symmetrize"][..],
+        &[
+            "serve",
+            "--graph",
+            g,
+            "--symmetrize",
+            "--request-count",
+            "2",
+            "--out",
+            r,
+        ][..],
+        &["graph", "convert", "--graph", g, "--symmetrize", "--out", r][..],
+    ] {
+        let out = run(args);
+        assert!(!out.status.success(), "{args:?} ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--symmetrize"), "{args:?}: {stderr}");
+        assert!(!rows.exists(), "{args:?}: a rejected run writes nothing");
+    }
+    let text = tmp("unread-symmetrized.txt");
+    std::fs::write(&text, "0 1\n1 2\n").unwrap();
+    let edges = |extra: &[&str]| {
+        let stats = ok(&[&["stats", "--graph", text.to_str().unwrap()][..], extra].concat());
+        stats
+            .lines()
+            .find(|l| l.starts_with("edges"))
+            .map(str::to_owned)
+    };
+    assert_ne!(
+        edges(&["--symmetrize"]),
+        edges(&[]),
+        "text input reads the flag"
+    );
+    let _ = std::fs::remove_file(text);
+
     // `evaluate` reads --scores: a one-column plan evaluates like the
     // same --score, and not like the default linearSum.
     let evaluate = |extra: &[&str]| ok(&[&["evaluate", "--graph", g][..], extra].concat());

@@ -268,3 +268,172 @@ fn feature_panel_goes_through_the_fused_path() {
     }
     assert!(checked > 0, "the panel must extract candidate rows");
 }
+
+/// One step's pinned accounting: name, gather calls, sum calls, work ops,
+/// broadcast bytes, partial bytes and every node's memory peak.
+type StepGolden = (&'static str, u64, u64, u64, u64, u64, &'static [u64]);
+
+/// One step's accounting as measured, in [`StepGolden`]'s order.
+type StepAccounting = (String, u64, u64, u64, u64, u64, Vec<u64>);
+
+/// The accounting of every step of `plan`'s all-vertices sweep on an
+/// emulated GOWALLA subset over a `nodes`-node type-II cluster.
+fn step_accounting(plan: &ScorePlan, nodes: usize) -> Vec<StepAccounting> {
+    let graph = datasets::GOWALLA.emulate(0.004, 42);
+    let cluster = ClusterSpec::type_ii(nodes);
+    let matrix = plan
+        .prepare_plan(&PrepareRequest::new(&graph, &cluster))
+        .expect("prepare plan")
+        .execute_matrix(&ExecuteRequest::new())
+        .expect("all-vertices sweep");
+    matrix
+        .stats
+        .steps
+        .iter()
+        .map(|s| {
+            (
+                s.name.clone(),
+                s.gather_calls,
+                s.sum_calls,
+                s.work_ops,
+                s.broadcast_bytes,
+                s.partial_bytes,
+                s.per_node.iter().map(|n| n.memory_peak).collect(),
+            )
+        })
+        .collect()
+}
+
+/// The four-column plan of the batch-all benchmark, over 2-hop paths.
+fn two_hop_plan() -> ScorePlan {
+    ScorePlan::parse("linearSum, counter, PPR, jaccard@agg=max").expect("plan parses")
+}
+
+/// A 3-hop plan whose columns keep different numbers of promoted paths
+/// (`klocal` off, so each column keeps `max(k, 20)`), so the second hop's
+/// candidate sets differ per column and a candidate is often absent from
+/// some columns.
+fn three_hop_plan() -> ScorePlan {
+    ScorePlan::parse_with(
+        &Registry::builtin(),
+        "linearSum@k24, counter, PPR@k40, jaccard@agg=max@k31",
+        PlanConfig::default()
+            .klocal(None)
+            .path_length(snaple::core::PathLength::Three),
+    )
+    .expect("plan parses")
+}
+
+const TWO_HOP_1: &[StepGolden] = &[
+    ("plan-1-neighborhood", 7790, 7008, 30382, 0, 0, &[296720]),
+    ("plan-2-similarity", 7790, 7008, 738946, 0, 0, &[732960]),
+    ("plan-3-score", 7790, 6406, 2029385, 0, 0, &[4016160]),
+];
+const TWO_HOP_4: &[StepGolden] = &[
+    (
+        "plan-1-neighborhood",
+        7790,
+        7008,
+        34043,
+        230100,
+        133996,
+        &[131728, 134932, 129756, 130404],
+    ),
+    (
+        "plan-2-similarity",
+        7790,
+        7008,
+        742607,
+        322536,
+        438664,
+        &[264084, 272196, 259412, 259804],
+    ),
+    (
+        "plan-3-score",
+        7790,
+        6406,
+        1531809,
+        750036,
+        2804464,
+        &[1208140, 1228476, 1160348, 1169232],
+    ),
+];
+const THREE_HOP_1: &[StepGolden] = &[
+    ("plan-1-neighborhood", 7790, 7008, 30382, 0, 0, &[296720]),
+    ("plan-2-similarity", 7790, 7008, 738946, 0, 0, &[732960]),
+    ("plan-3-score", 7790, 6983, 3504289, 0, 0, &[5361528]),
+    ("plan-3b-promote", 7790, 0, 97335, 0, 0, &[1088256]),
+    ("plan-3-score", 7790, 7008, 5125396, 0, 0, &[10534672]),
+];
+const THREE_HOP_4: &[StepGolden] = &[
+    (
+        "plan-1-neighborhood",
+        7790,
+        7008,
+        34043,
+        230100,
+        133996,
+        &[131728, 134932, 129756, 130404],
+    ),
+    (
+        "plan-2-similarity",
+        7790,
+        7008,
+        742607,
+        322536,
+        438664,
+        &[264084, 272196, 259412, 259804],
+    ),
+    (
+        "plan-3-score",
+        7790,
+        6983,
+        2362469,
+        784716,
+        3829392,
+        &[1550020, 1586868, 1498244, 1511112],
+    ),
+    (
+        "plan-3b-promote",
+        7790,
+        0,
+        97335,
+        3022036,
+        0,
+        &[1027684, 1032596, 1020252, 1029760],
+    ),
+    (
+        "plan-3-score",
+        7790,
+        7008,
+        4040191,
+        3022036,
+        7116004,
+        &[3400536, 3499216, 3328956, 3328000],
+    ),
+];
+
+/// Every step's gather and sum calls, work, traffic and per-node memory
+/// peaks are pinned, so a change to how the engine walks partitions or
+/// how a step folds candidates cannot move the simulated cost. The
+/// goldens were captured from the partition-major engine with the
+/// pairwise per-column merge.
+#[test]
+fn step_accounting_matches_the_goldens() {
+    for (what, plan, nodes, golden) in [
+        ("2-hop, 1 node", two_hop_plan(), 1, TWO_HOP_1),
+        ("2-hop, 4 nodes", two_hop_plan(), 4, TWO_HOP_4),
+        ("3-hop, 1 node", three_hop_plan(), 1, THREE_HOP_1),
+        ("3-hop, 4 nodes", three_hop_plan(), 4, THREE_HOP_4),
+    ] {
+        let actual = step_accounting(&plan, nodes);
+        assert_eq!(actual.len(), golden.len(), "{what}: step count");
+        for ((n, g, s, w, b, p, m), &(gn, gg, gs, gw, gb, gp, gm)) in actual.iter().zip(golden) {
+            assert_eq!(
+                (n.as_str(), *g, *s, *w, *b, *p, m.as_slice()),
+                (gn, gg, gs, gw, gb, gp, gm),
+                "{what}"
+            );
+        }
+    }
+}
