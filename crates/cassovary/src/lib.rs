@@ -351,7 +351,7 @@ impl PreparedPredictor for PreparedWalk<'_> {
     ) -> Result<(Box<dyn PreparedPredictor>, snaple_gas::DeltaStats), SnapleError> {
         let mut fork = PreparedWalk {
             ppr: self.ppr.clone(),
-            graph: self.graph.detach_with_room(delta.num_inserts()),
+            graph: self.graph.detach(),
             cost: self.cost.clone(),
             delta_apply_seconds: self.delta_apply_seconds,
             setup: self.setup.clone(),

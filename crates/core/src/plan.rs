@@ -46,7 +46,6 @@
 //! # Ok::<(), snaple_core::SnapleError>(())
 //! ```
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use snaple_gas::size::COLLECTION_OVERHEAD;
@@ -1188,6 +1187,11 @@ impl GasStep for PlanSimilarityStep<'_> {
 /// it. The accounted size is what the per-column triple lists of
 /// [`steps::ScoreStep`](crate::steps::ScoreStep) hold: 12 bytes per
 /// candidate present in a column.
+///
+/// Every accumulator the step hands the engine lists its candidates in
+/// ascending id order, so [`sum`](GasStep::sum) is one merge of two
+/// sorted lists. Only the run buffer a `gather_run` folds into holds
+/// them in arrival order, behind a [`CandidateIndex`].
 #[derive(Debug, Default)]
 struct ScoreGather {
     ids: Vec<VertexId>,
@@ -1211,13 +1215,33 @@ impl ScoreGather {
         self.lens.resize(ncols, 0);
     }
 
-    /// A copy without spare capacity.
-    fn exact(&self) -> ScoreGather {
+    /// A copy without spare capacity, its candidates in ascending id
+    /// order; `keys` is scratch for the sort.
+    fn sorted(&self, keys: &mut Vec<u64>) -> ScoreGather {
+        let ncols = self.lens.len();
+        keys.clear();
+        keys.extend(
+            (self.ids.iter().enumerate()).map(|(i, z)| (u64::from(z.as_u32()) << 32) | i as u64),
+        );
+        keys.sort_unstable();
+        let mut cells = Vec::with_capacity(self.cells.len());
+        for &key in keys.iter() {
+            let i = (key & u64::from(u32::MAX)) as usize;
+            cells.extend_from_slice(self.cells_at(i, ncols));
+        }
         ScoreGather {
-            ids: self.ids.clone(),
-            cells: self.cells.clone(),
+            ids: keys
+                .iter()
+                .map(|&key| VertexId::new((key >> 32) as u32))
+                .collect(),
+            cells,
             lens: self.lens.clone(),
         }
+    }
+
+    /// Candidate `i`'s cells.
+    fn cells_at(&self, i: usize, ncols: usize) -> &[(f32, u32)] {
+        &self.cells[i * ncols..(i + 1) * ncols]
     }
 
     /// Appends candidate `z`, absent from every column.
@@ -1337,20 +1361,17 @@ impl CandidateIndex {
     }
 }
 
-/// Per-thread scratch of the score step, reused by every run and fold on
-/// the thread: the candidate index, the accumulator a run is folded into
-/// before it is copied out at its exact size, a run's per-column
-/// counters, and the positions a fold assigns.
+/// Scratch of the score step's `gather_run`, leased from the engine's
+/// per-worker [`ScratchArena`], so a worker reuses it across runs, blocks
+/// and steps: the candidate index, the accumulator a run is folded into
+/// before it is copied out sorted at its exact size, a run's per-column
+/// counters, and the sort keys.
 #[derive(Debug, Default)]
 struct ScoreScratch {
     index: CandidateIndex,
     run: ScoreGather,
     counters: Vec<u64>,
-    positions: Vec<u32>,
-}
-
-thread_local! {
-    static SCORE_SCRATCH: RefCell<ScoreScratch> = RefCell::new(ScoreScratch::default());
+    keys: Vec<u64>,
 }
 
 /// Fused step 3: walk each sampled 2-hop path once, combining and
@@ -1460,6 +1481,85 @@ impl PlanScoreStep<'_> {
             }
         }
     }
+
+    /// The body of [`gather_run`](GasStep::gather_run), on the leased
+    /// scratch `s`.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_run(
+        &self,
+        u: VertexId,
+        u_data: &PlanVertex,
+        neighbors: &[VertexId],
+        states: &NeighborStates<'_, PlanVertex>,
+        budget: &mut RunBudget<'_>,
+        s: &mut ScoreScratch,
+        work: &mut WorkTally,
+    ) -> Result<Option<(ScoreGather, u64)>, GatherOverflow> {
+        let ncols = self.columns.len();
+        let ScoreScratch {
+            index,
+            run,
+            counters,
+            keys,
+        } = s;
+        run.clear(ncols);
+        // Pair path counts, the run's column lengths before the pair,
+        // and per-column work.
+        counters.clear();
+        counters.resize(3 * ncols, 0);
+        let (pair_lens, rest) = counters.split_at_mut(ncols);
+        let (lens_before, col_ops) = rest.split_at_mut(ncols);
+        // Sized for every path the run can reach, so it never grows.
+        let reach: usize = neighbors
+            .iter()
+            .filter(|&&v| u_data.sim_index(v).is_some())
+            .map(|&v| self.second_hop_len(states.get(v)))
+            .sum();
+        index.reset(reach);
+        let mut bytes = 0u64;
+        for &v in neighbors {
+            budget.count_gather();
+            work.add(1);
+            let Some(uv) = u_data.sim_index(v) else {
+                continue;
+            };
+            let had_candidates = !run.ids.is_empty();
+            lens_before.copy_from_slice(&run.lens);
+            self.fold_pair(
+                u,
+                u_data,
+                uv,
+                states.get(v),
+                run,
+                index,
+                pair_lens,
+                col_ops,
+                work,
+            );
+            let entries: u64 = pair_lens.iter().sum();
+            if entries == 0 {
+                continue;
+            }
+            let pair_bytes = ScoreGather::bytes(ncols, entries);
+            if let Err(overflow) = budget.charge(pair_bytes) {
+                self.flush_col_ops(col_ops);
+                return Err(overflow);
+            }
+            if had_candidates {
+                budget.count_sum();
+                work.add(1);
+                for ((ops, &before), &pair) in
+                    col_ops.iter_mut().zip(&*lens_before).zip(&*pair_lens)
+                {
+                    work.add(before + pair);
+                    *ops += before + pair;
+                }
+            }
+            bytes += pair_bytes;
+        }
+        self.flush_col_ops(col_ops);
+        Ok((!run.ids.is_empty()).then(|| (run.sorted(keys), bytes)))
+    }
 }
 
 impl GasStep for PlanScoreStep<'_> {
@@ -1489,72 +1589,87 @@ impl GasStep for PlanScoreStep<'_> {
         let uv = u_data.sim_index(v)?;
         let mut pair_lens = vec![0u64; ncols];
         let mut col_ops = vec![0u64; ncols];
-        let acc = SCORE_SCRATCH.with_borrow_mut(|s| {
-            let ScoreScratch { index, run, .. } = s;
-            run.clear(ncols);
-            index.reset(self.second_hop_len(v_data));
-            self.fold_pair(
-                u,
-                u_data,
-                uv,
-                v_data,
-                run,
-                index,
-                &mut pair_lens,
-                &mut col_ops,
-                work,
-            );
-            run.exact()
-        });
+        let mut run = ScoreGather::default();
+        run.clear(ncols);
+        let mut index = CandidateIndex::default();
+        index.reset(self.second_hop_len(v_data));
+        self.fold_pair(
+            u,
+            u_data,
+            uv,
+            v_data,
+            &mut run,
+            &mut index,
+            &mut pair_lens,
+            &mut col_ops,
+            work,
+        );
         self.flush_col_ops(&col_ops);
-        (!acc.ids.is_empty()).then_some(acc)
+        (!run.ids.is_empty()).then(|| run.sorted(&mut Vec::new()))
     }
 
-    /// Folds `b` into `a` candidate by candidate, `a`'s value on the left
-    /// of each `⊕pre`, through the thread's [`CandidateIndex`]. Charges
-    /// what the paper's sorted per-column merge (line 16) of the two
-    /// would: each column's candidates in `a` plus those in `b`.
-    fn sum(&self, mut a: ScoreGather, b: ScoreGather, work: &mut WorkTally) -> ScoreGather {
+    /// Merges `b` into `a`, both sorted by candidate id, `a`'s value on
+    /// the left of each `⊕pre`. Charges what the paper's sorted
+    /// per-column merge (line 16) of the two would: each column's
+    /// candidates in `a` plus those in `b`.
+    fn sum(&self, a: ScoreGather, b: ScoreGather, work: &mut WorkTally) -> ScoreGather {
         let ncols = self.columns.len();
-        a.lens.resize(ncols, 0);
+        let len = |g: &ScoreGather, col: usize| g.lens.get(col).copied().unwrap_or(0);
         for (col, ops) in self.col_ops.iter().enumerate() {
-            let cost = a.lens[col] + b.lens.get(col).copied().unwrap_or(0);
+            let cost = len(&a, col) + len(&b, col);
             work.add(cost);
             ops.fetch_add(cost, Ordering::Relaxed);
         }
-        SCORE_SCRATCH.with_borrow_mut(|s| {
-            let ScoreScratch {
-                index, positions, ..
-            } = s;
-            // Place `b`'s candidates first, so `a` grows once, exactly.
-            index.reset(a.ids.len() + b.ids.len());
-            for (pos, &z) in a.ids.iter().enumerate() {
-                index.slot(z, pos);
-            }
-            positions.clear();
-            let mut next = a.ids.len();
-            for &z in &b.ids {
-                let (pos, inserted) = index.slot(z, next);
-                next += usize::from(inserted);
-                positions.push(pos as u32);
-            }
-            let fresh = next - a.ids.len();
-            a.ids.reserve_exact(fresh);
-            a.cells.reserve_exact(fresh * ncols);
-            let b_cells = b.cells.chunks_exact(ncols);
-            for ((&z, &pos), cells) in b.ids.iter().zip(positions.iter()).zip(b_cells) {
-                let pos = pos as usize;
-                if pos == a.ids.len() {
-                    a.push(z, ncols);
+        let (na, nb) = (a.ids.len(), b.ids.len());
+        let (mut i, mut j, mut shared) = (0, 0, 0);
+        while i < na && j < nb {
+            let (za, zb) = (a.ids[i], b.ids[j]);
+            i += usize::from(za <= zb);
+            j += usize::from(zb <= za);
+            shared += usize::from(za == zb);
+        }
+        let union = na + nb - shared;
+        let mut out = ScoreGather {
+            ids: Vec::with_capacity(union),
+            cells: Vec::with_capacity(union * ncols),
+            lens: (0..ncols).map(|col| len(&a, col) + len(&b, col)).collect(),
+        };
+        let (mut i, mut j) = (0, 0);
+        while i < na && j < nb {
+            let (za, zb) = (a.ids[i], b.ids[j]);
+            if za < zb {
+                out.ids.push(za);
+                out.cells.extend_from_slice(a.cells_at(i, ncols));
+                i += 1;
+            } else if zb < za {
+                out.ids.push(zb);
+                out.cells.extend_from_slice(b.cells_at(j, ncols));
+                j += 1;
+            } else {
+                out.ids.push(za);
+                let pairs = a.cells_at(i, ncols).iter().zip(b.cells_at(j, ncols));
+                for ((col, spec), (&(sa, ca), &(sb, cb))) in
+                    self.columns.iter().enumerate().zip(pairs)
+                {
+                    out.cells.push(match (ca, cb) {
+                        (_, 0) => (sa, ca),
+                        (0, _) => (sb, cb),
+                        _ => {
+                            // Present on both sides: counted twice above.
+                            out.lens[col] -= 1;
+                            (spec.components().aggregator.pre(sa, sb), ca + cb)
+                        }
+                    });
                 }
-                for ((col, spec), &(sigma, n)) in self.columns.iter().enumerate().zip(cells) {
-                    if n > 0 {
-                        a.fold(pos, col, ncols, sigma, n, &*spec.components().aggregator);
-                    }
-                }
+                i += 1;
+                j += 1;
             }
-        });
-        a
+        }
+        out.ids.extend_from_slice(&a.ids[i..]);
+        out.cells.extend_from_slice(&a.cells[i * ncols..]);
+        out.ids.extend_from_slice(&b.ids[j..]);
+        out.cells.extend_from_slice(&b.cells[j * ncols..]);
+        out
     }
 
     /// Folds the run's pairs into one accumulator in neighbor order, the
@@ -1563,7 +1678,8 @@ impl GasStep for PlanScoreStep<'_> {
     /// work and one byte charge for the pair's own accumulator, and per
     /// fold after the first the engine op plus the merge cost of
     /// [`sum`](GasStep::sum) — the run's candidates so far in each column
-    /// plus the pair's entries.
+    /// plus the pair's entries. The run is folded in the worker's leased
+    /// [`ScoreScratch`] and handed back sorted by candidate id.
     #[allow(clippy::too_many_arguments)]
     fn gather_run(
         &self,
@@ -1573,75 +1689,13 @@ impl GasStep for PlanScoreStep<'_> {
         neighbors: &[VertexId],
         states: &NeighborStates<'_, PlanVertex>,
         budget: &mut RunBudget<'_>,
-        _scratch: &mut ScratchArena,
+        scratch: &mut ScratchArena,
         work: &mut WorkTally,
     ) -> Result<Option<(ScoreGather, u64)>, GatherOverflow> {
-        let ncols = self.columns.len();
-        let mut bytes = 0u64;
-        SCORE_SCRATCH.with_borrow_mut(|s| {
-            let ScoreScratch {
-                index,
-                run,
-                counters,
-                ..
-            } = s;
-            run.clear(ncols);
-            // Pair path counts, the run's column lengths before the pair,
-            // and per-column work.
-            counters.clear();
-            counters.resize(3 * ncols, 0);
-            let (pair_lens, rest) = counters.split_at_mut(ncols);
-            let (lens_before, col_ops) = rest.split_at_mut(ncols);
-            // Sized for every path the run can reach, so it never grows.
-            let reach: usize = neighbors
-                .iter()
-                .filter(|&&v| u_data.sim_index(v).is_some())
-                .map(|&v| self.second_hop_len(states.get(v)))
-                .sum();
-            index.reset(reach);
-            for &v in neighbors {
-                budget.count_gather();
-                work.add(1);
-                let Some(uv) = u_data.sim_index(v) else {
-                    continue;
-                };
-                let had_candidates = !run.ids.is_empty();
-                lens_before.copy_from_slice(&run.lens);
-                self.fold_pair(
-                    u,
-                    u_data,
-                    uv,
-                    states.get(v),
-                    run,
-                    index,
-                    pair_lens,
-                    col_ops,
-                    work,
-                );
-                let entries: u64 = pair_lens.iter().sum();
-                if entries == 0 {
-                    continue;
-                }
-                let pair_bytes = ScoreGather::bytes(ncols, entries);
-                if let Err(overflow) = budget.charge(pair_bytes) {
-                    self.flush_col_ops(col_ops);
-                    return Err(overflow);
-                }
-                if had_candidates {
-                    budget.count_sum();
-                    work.add(1);
-                    for ((ops, &before), &pair) in
-                        col_ops.iter_mut().zip(&*lens_before).zip(&*pair_lens)
-                    {
-                        work.add(before + pair);
-                        *ops += before + pair;
-                    }
-                }
-                bytes += pair_bytes;
-            }
-            self.flush_col_ops(col_ops);
-            Ok((!run.ids.is_empty()).then(|| (run.exact(), bytes)))
-        })
+        let mut run_scratch = scratch.lease::<ScoreScratch>();
+        let gathered = self.fold_run(u, u_data, neighbors, states, budget, &mut run_scratch, work);
+        scratch.release(run_scratch);
+        gathered
     }
 
     fn apply(

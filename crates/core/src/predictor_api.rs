@@ -574,7 +574,7 @@ impl<P: ScoringProgram> PreparedPredictor for Prepared<'_, P> {
         &self,
         delta: &GraphDelta,
     ) -> Result<(Box<dyn PreparedPredictor>, DeltaStats), SnapleError> {
-        let mut deployment = self.deployment.detach_with_room(delta.num_inserts());
+        let mut deployment = self.deployment.detach();
         let applied = deployment.apply_delta(delta)?;
         let fork = Prepared {
             program: self.program.clone(),

@@ -278,17 +278,8 @@ impl<'g> Deployment<'g> {
     /// [`Deployment::apply_delta`] materializes it). The partition edge
     /// lists are copied; the apply on the fork is still incremental.
     pub fn detach(&self) -> Deployment<'static> {
-        self.detach_with_room(0)
-    }
-
-    /// [`Deployment::detach`] for a fork about to apply a delta of up to
-    /// `extra_edges` insertions: an in-memory graph is copied with room for
-    /// them ([`LiveGraph::detach_with_room`]), so the fork's first
-    /// [`Deployment::apply_delta`] merges in place instead of growing every
-    /// edge array.
-    pub fn detach_with_room(&self, extra_edges: usize) -> Deployment<'static> {
         Deployment {
-            graph: self.graph.detach_with_room(extra_edges),
+            graph: self.graph.detach(),
             cluster: self.cluster.clone(),
             strategy: self.strategy,
             seed: self.seed,

@@ -669,11 +669,14 @@ impl<'d> Engine<'d> {
         let stops = cuts.iter().copied().chain(std::iter::once(num_active));
         for (start, stop) in starts.zip(stops) {
             // Once a list has overflowed, blocks only gather (no apply) the
-            // lists below it, which may still fail first.
+            // lists below it, which may still fail first. Without a
+            // failure a block always runs, so that an edgeless graph still
+            // applies every active vertex.
             let below = failure.map_or(lists.len(), |(li, _)| li);
-            let Some(gathered) = lists.get(..below).filter(|g| !g.is_empty()) else {
+            if failure.is_some() && below == 0 {
                 break;
-            };
+            }
+            let gathered = lists.get(..below).unwrap_or_default();
             let ranges = worker_ranges(start, stop);
             let mut ledgers: Vec<Ledger> = ranges
                 .iter()
@@ -1079,6 +1082,85 @@ mod tests {
         assert_eq!(stats.network_bytes(), 0);
         assert_eq!(stats.gather_calls, 20);
         assert_eq!(stats.apply_calls, 20);
+    }
+
+    #[test]
+    fn edgeless_graphs_still_apply_every_active_vertex() {
+        /// New state = Σ of neighbor values + 1, so an apply with no
+        /// accumulator still writes.
+        struct SumPlusOne {
+            blocked: bool,
+        }
+        impl GasStep for SumPlusOne {
+            type Vertex = u64;
+            type Gather = u64;
+            fn name(&self) -> &str {
+                "sum-plus-one"
+            }
+            fn apply_disjoint_from_gather(&self) -> bool {
+                self.blocked
+            }
+            fn gather(
+                &self,
+                _: &GatherCtx<'_>,
+                _u: VertexId,
+                _ud: &u64,
+                _v: VertexId,
+                vd: &u64,
+                _w: &mut WorkTally,
+            ) -> Option<u64> {
+                Some(*vd)
+            }
+            fn sum(&self, a: u64, b: u64, _w: &mut WorkTally) -> u64 {
+                a + b
+            }
+            fn apply(
+                &self,
+                _: &GatherCtx<'_>,
+                _u: VertexId,
+                data: &mut u64,
+                acc: Option<u64>,
+                _w: &mut WorkTally,
+            ) {
+                *data = acc.unwrap_or(0) + 1;
+            }
+        }
+        let g = CsrGraph::from_edges(5, &[]);
+        for nodes in [1, 4] {
+            let dep = Deployment::new(
+                &g,
+                ClusterSpec::type_i(nodes),
+                PartitionStrategy::RandomVertexCut,
+                1,
+            )
+            .unwrap();
+            for blocked in [false, true] {
+                let step = SumPlusOne { blocked };
+                let what = format!("{nodes} nodes, blocked {blocked}");
+                let mut engine = Engine::on(&dep);
+                let mut state = vec![7u64; 5];
+                let stats = engine.run_step(&step, &mut state).unwrap();
+                assert_eq!(stats.apply_calls, 5, "{what}");
+                assert_eq!(stats.gather_calls, 0, "{what}");
+                assert_eq!(state, vec![1; 5], "{what}");
+
+                let mut state = vec![7u64; 5];
+                let full = VertexMask::full(5);
+                let stats = engine
+                    .run_step_masked(&step, &mut state, Some(&full))
+                    .unwrap();
+                assert_eq!(stats.apply_calls, 5, "{what}, full mask");
+                assert_eq!(state, vec![1; 5], "{what}, full mask");
+
+                let mut state = vec![7u64; 5];
+                let some = VertexMask::from_vertices(5, [VertexId::new(1), VertexId::new(3)]);
+                let stats = engine
+                    .run_step_masked(&step, &mut state, Some(&some))
+                    .unwrap();
+                assert_eq!(stats.apply_calls, 2, "{what}, partial mask");
+                assert_eq!(state, vec![7, 1, 7, 1, 7], "{what}, partial mask");
+            }
+        }
     }
 
     #[test]

@@ -286,7 +286,8 @@ pub trait GasStep: Sync {
     /// [`sum`](GasStep::sum) per neighbor — and is byte-identical to the
     /// historical edge loop. Batched programs override it to consume the
     /// whole neighbor stripe at once (vectorized kernels, pooled buffers
-    /// from `scratch`), and **must replicate the same accounting**: per
+    /// and a scratch value of their own from `scratch`, the worker's
+    /// engine-owned arena), and **must replicate the same accounting**: per
     /// neighbor one [`RunBudget::count_gather`] plus `work.add(1)`, one
     /// [`RunBudget::charge`] per contribution, and per fold one
     /// [`RunBudget::count_sum`] plus `work.add(1)` on top of whatever

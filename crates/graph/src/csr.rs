@@ -234,40 +234,6 @@ impl CsrGraph {
         }
     }
 
-    /// A copy whose edge arrays have room for `extra_edges` more edges, so
-    /// that folding up to that many insertions into the copy in place
-    /// (see [`CsrGraph::compact_overlay_owned`]) does not reallocate them.
-    /// A plain `clone` has no spare capacity, and the first fold would
-    /// copy every edge array once more while growing it.
-    pub fn clone_with_room(&self, extra_edges: usize) -> CsrGraph {
-        fn with_room<T: Copy>(items: &[T], extra: usize) -> Vec<T> {
-            let mut copy = Vec::with_capacity(items.len() + extra);
-            copy.extend_from_slice(items);
-            copy
-        }
-        CsrGraph {
-            num_vertices: self.num_vertices,
-            out_offsets: self.out_offsets.clone(),
-            out_targets: with_room(&self.out_targets, extra_edges),
-            out_weights: self
-                .out_weights
-                .as_deref()
-                .map(|w| with_room(w, extra_edges)),
-            in_offsets: self.in_offsets.clone(),
-            in_sources: with_room(&self.in_sources, extra_edges),
-        }
-    }
-
-    /// Address and capacity of the out- and in-edge arrays, for tests that
-    /// check a fold reuses them.
-    #[cfg(test)]
-    pub(crate) fn edge_arrays(&self) -> [(*const VertexId, usize); 2] {
-        [
-            (self.out_targets.as_ptr(), self.out_targets.capacity()),
-            (self.in_sources.as_ptr(), self.in_sources.capacity()),
-        ]
-    }
-
     /// Decomposes the graph into its owned arrays
     /// `(n, out_offsets, out_targets, out_weights, in_offsets, in_sources)`
     /// — for the delta compactor, which rebuilds adjacency in place

@@ -97,12 +97,6 @@ impl GraphDelta {
         self.ops.len()
     }
 
-    /// Number of queued insertions (before resolution): an upper bound on
-    /// the edges the delta adds.
-    pub fn num_inserts(&self) -> usize {
-        self.ops().filter(|&(_, _, _, is_insert)| is_insert).count()
-    }
-
     /// Whether no operations are queued.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
@@ -344,18 +338,10 @@ impl LiveGraph<'_> {
     /// outlives the borrow: an in-RAM graph is copied, any other backend
     /// is shared behind an `Arc` (see [`GraphStore::clone_shared`]).
     pub fn detach(&self) -> LiveGraph<'static> {
-        self.detach_with_room(0)
-    }
-
-    /// [`LiveGraph::detach`] for a fork about to fold a delta of up to
-    /// `extra_edges` insertions: an in-RAM copy is made with room for
-    /// them ([`CsrGraph::clone_with_room`]), so the fork's first fold
-    /// merges in place instead of growing every edge array.
-    pub fn detach_with_room(&self, extra_edges: usize) -> LiveGraph<'static> {
         match self {
-            LiveGraph::Owned(g) => LiveGraph::Owned(g.clone_with_room(extra_edges)),
+            LiveGraph::Owned(g) => LiveGraph::Owned(g.clone()),
             LiveGraph::Borrowed(g) => match g.as_csr() {
-                Some(csr) => LiveGraph::Owned(csr.clone_with_room(extra_edges)),
+                Some(csr) => LiveGraph::Owned(csr.clone()),
                 None => LiveGraph::Shared(g.clone_shared()),
             },
             LiveGraph::Shared(g) => LiveGraph::Shared(Arc::clone(g)),
@@ -374,12 +360,10 @@ impl CsrGraph {
     /// [`GraphDelta::insert_weighted`] weight, `1.0` by default);
     /// unweighted bases stay unweighted.
     ///
-    /// A copy with room for the delta's insertions followed by
-    /// [`CsrGraph::compact_owned`]: there is one merge, and it runs in
-    /// place on the copy.
+    /// A clone followed by [`CsrGraph::compact_owned`]: there is one
+    /// merge, and it runs in place on the copy.
     pub fn compact(&self, delta: &GraphDelta) -> CsrGraph {
-        self.clone_with_room(delta.num_inserts())
-            .compact_owned(delta)
+        self.clone().compact_owned(delta)
     }
 
     /// Consuming [`CsrGraph::compact`]: resolves the delta against this
@@ -624,39 +608,6 @@ mod tests {
 
     fn neighbors(g: &CsrGraph, u: u32) -> Vec<u32> {
         g.out_neighbors(v(u)).iter().map(|x| x.as_u32()).collect()
-    }
-
-    #[test]
-    fn a_fork_folds_its_first_delta_without_growing_its_edge_arrays() {
-        let g = CsrGraph::from_edges(6, &[(0, 1), (0, 2), (1, 2), (3, 0), (4, 5), (5, 1)]);
-        let mut d = GraphDelta::new();
-        d.insert(0, 3)
-            .insert(2, 4)
-            .insert(5, 3)
-            .remove(1, 2)
-            .insert(6, 0);
-        let edge_arrays = |live: &LiveGraph<'_>| match live {
-            LiveGraph::Owned(g) => g.edge_arrays(),
-            other => panic!("an in-RAM graph detaches owned, got {other:?}"),
-        };
-        for base in [LiveGraph::Borrowed(&g), LiveGraph::Owned(g.clone())] {
-            let mut fork = base.detach_with_room(d.num_inserts());
-            let before = edge_arrays(&fork);
-            let overlay = d.resolve(fork.store());
-            fork.fold(&overlay).unwrap();
-            assert_eq!(
-                edge_arrays(&fork),
-                before,
-                "the fold reallocated an edge array"
-            );
-            let folded = fork.store().to_csr();
-            let expect = g.compact(&d);
-            assert_eq!(folded.num_vertices(), expect.num_vertices());
-            assert_eq!(
-                folded.edges().collect::<Vec<_>>(),
-                expect.edges().collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]
