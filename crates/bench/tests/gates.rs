@@ -5,7 +5,7 @@
 //! ignored under `debug_assertions`. CI runs them with
 //!
 //! ```text
-//! cargo test --release -p snaple-bench --features simd --test gates -- --nocapture
+//! cargo test --release -p snaple-bench --test gates -- --nocapture
 //! ```
 //!
 //! The bit-identity contracts of the same runtimes live in the root
@@ -228,12 +228,11 @@ fn striped_checksum(graph: &CsrGraph, kernel: &dyn Similarity) -> u64 {
 /// On orkut@0.001, the striped kernels over a hub-first
 /// [`Relabeling::degree_order`] graph produce the scalar baseline's
 /// checksums bit for bit (Jaccard and common-neighbor counts are
-/// isomorphism invariants), and under `--features simd` run at least
-/// 1.3x faster. Without `simd` the dispatch falls back to the same
-/// merge the baseline runs, so only the checksums are checked.
+/// isomorphism invariants), and run at least 1.3x faster: the dispatch
+/// takes the block-compare path where the baseline runs the merge.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "wall-clock gate: CI runs it in release")]
-fn striped_gather_matches_scalar_and_beats_it_under_simd() {
+fn striped_gather_matches_scalar_and_beats_it() {
     let _serial = serial();
     let graph = datasets::ORKUT.emulate(0.001, SEED);
     let relabeled = Relabeling::degree_order(&graph).apply(&graph);
@@ -252,16 +251,11 @@ fn striped_gather_matches_scalar_and_beats_it_under_simd() {
             "{name}: scalar checksum {scalar:#x} != striped {striped:#x}"
         );
         let speedup = scalar_seconds / striped_seconds.max(1e-12);
-        println!(
-            "gather: {name} striped at {speedup:.2}x scalar (simd: {})",
-            cfg!(feature = "simd")
+        println!("gather: {name} striped at {speedup:.2}x scalar");
+        assert!(
+            speedup >= 1.3,
+            "{name}: striped speedup {speedup:.2}x < required 1.3x"
         );
-        if cfg!(feature = "simd") {
-            assert!(
-                speedup >= 1.3,
-                "{name}: striped speedup {speedup:.2}x < required 1.3x"
-            );
-        }
     }
 }
 

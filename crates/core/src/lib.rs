@@ -286,11 +286,11 @@
 //!
 //! * [`similarity::intersection_size`] dispatches per pair: when one
 //!   list is more than 16× longer than the other it gallops
-//!   (`O(short · log long)`), when both lists have at least 16 entries
-//!   *and* the crate is built with the **`simd` cargo feature** it takes
-//!   a block-compare path (8-wide branch-free equality blocks that LLVM
-//!   auto-vectorizes), and otherwise it falls back to the linear merge
-//!   that [`similarity::intersection_size_scalar`] always runs.
+//!   (`O(short · log long)`), when both lists have at least 16 entries it
+//!   takes a block-compare path (8-wide branch-free equality blocks that
+//!   LLVM auto-vectorizes on stable Rust, in every build), and otherwise
+//!   it falls back to the linear merge that
+//!   [`similarity::intersection_size_scalar`] always runs.
 //! * [`Similarity::score_stripe`] is the batched kernel entry point: the
 //!   fused sweep hands each kernel a whole contiguous *stripe* of
 //!   neighbor views (one virtual dispatch per gather run instead of per
@@ -310,8 +310,8 @@
 //!
 //! A release-only gate in `crates/bench/tests/gates.rs` races the scalar
 //! baseline against the striped/vectorized path on an emulated Orkut
-//! graph; CI enforces its checksum equality and, under `simd`, its 1.3x
-//! speedup floor on every push; perfbench's `batch-all` workload times
+//! graph; CI enforces its checksum equality and its 1.3x speedup floor
+//! on every push; perfbench's `batch-all` workload times
 //! the whole all-vertices pass these kernels serve.
 
 pub mod aggregator;

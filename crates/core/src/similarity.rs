@@ -75,14 +75,13 @@ fn tag_intersection(a: &[u32], b: &[u32]) -> usize {
 /// check cheap.
 const GALLOP_RATIO: usize = 16;
 
-/// Minimum length of the *short* side for the block-compare path (cargo
-/// feature `simd`) to engage on near-equal shapes.
+/// Minimum length of the *short* side for the block-compare path to
+/// engage on near-equal shapes.
 ///
 /// Below this the merge's startup-free scan wins; at 16+ elements both
 /// sides supply at least two full [`BLOCK`]-element blocks, so the
 /// vectorized all-pairs compares amortize. Length-skewed shapes never get
 /// here — the `GALLOP_RATIO` check above dispatches them first.
-#[cfg_attr(not(feature = "simd"), allow(dead_code))]
 const BLOCK_MIN_LEN: usize = 16;
 
 /// Elements compared per block by [`block_intersection`] — eight `u32`
@@ -97,37 +96,37 @@ const BLOCK: usize = 8;
 ///   each element of the short list is located in the long one by
 ///   exponential probe + binary search, `O(|short| · log |long|)` — the
 ///   hub-meets-leaf shape that dominates social graphs;
-/// * **block compare** (cargo feature `simd`) for near-equal lengths of at
-///   least `BLOCK_MIN_LEN`: fixed 8-element blocks of both lists are
-///   compared all-pairs with branch-free equality masks the compiler
-///   auto-vectorizes to SIMD lanes, advancing whichever block exhausts
-///   first;
-/// * **linear two-pointer merge** otherwise, and always when the `simd`
-///   feature is off.
+/// * **block compare** when both lists hold at least `BLOCK_MIN_LEN`
+///   entries and neither is more than `GALLOP_RATIO`× longer: fixed
+///   8-element blocks of both lists are compared all-pairs with
+///   branch-free equality masks the compiler auto-vectorizes to SIMD
+///   lanes on stable Rust, advancing whichever block exhausts first;
+/// * **linear two-pointer merge** otherwise (a short side below
+///   `BLOCK_MIN_LEN`).
 ///
 /// All paths count identically — [`intersection_size_scalar`] is the
 /// reference oracle, and the unit + property suites here check
 /// bit-identity of every path against it.
 ///
-/// Both inputs **must** be sorted ascending and duplicate-free: the fast
-/// paths silently miscount otherwise (they never look backwards, and the
-/// block path counts all-pairs matches). Debug builds assert sortedness;
-/// every adjacency surface in the workspace (CSR rows, `Γ̂` tables, `sims`
-/// tables) is sorted *and* deduplicated by construction.
+/// Both inputs **must** be strictly increasing (sorted ascending and
+/// duplicate-free): the fast paths silently miscount otherwise (they
+/// never look backwards, and the block path counts all-pairs matches).
+/// Debug builds assert it; every adjacency surface in the workspace (CSR
+/// rows, `Γ̂` tables, `sims` tables) is sorted *and* deduplicated by
+/// construction, and the graph-file readers reject rows that are not.
 pub fn intersection_size(a: &[VertexId], b: &[VertexId]) -> usize {
     debug_assert!(
-        a.windows(2).all(|w| w[0] <= w[1]),
-        "intersection_size: first input is not sorted"
+        a.windows(2).all(|w| w[0] < w[1]),
+        "intersection_size: first input is not sorted and duplicate-free"
     );
     debug_assert!(
-        b.windows(2).all(|w| w[0] <= w[1]),
-        "intersection_size: second input is not sorted"
+        b.windows(2).all(|w| w[0] < w[1]),
+        "intersection_size: second input is not sorted and duplicate-free"
     );
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if long.len() > short.len().saturating_mul(GALLOP_RATIO) {
         return gallop_intersection(short, long);
     }
-    #[cfg(feature = "simd")]
     if short.len() >= BLOCK_MIN_LEN {
         return block_intersection(a, b);
     }
@@ -172,10 +171,6 @@ fn merge_intersection(a: &[VertexId], b: &[VertexId]) -> usize {
 /// duplicated values); correctness of the tail hand-off relies on it too —
 /// any element beyond a consumed block is strictly greater than the
 /// consumed block's maximum, so no cross-block match is ever missed.
-///
-/// Compiled unconditionally so the test suite property-checks it under
-/// both feature configurations; only *dispatched* under feature `simd`.
-#[cfg_attr(not(feature = "simd"), allow(dead_code))]
 fn block_intersection(a: &[VertexId], b: &[VertexId]) -> usize {
     debug_assert!(
         a.windows(2).all(|w| w[0] < w[1]) && b.windows(2).all(|w| w[0] < w[1]),
@@ -675,10 +670,9 @@ mod tests {
     #[test]
     fn dispatch_boundaries_agree_with_linear_merge() {
         // Length pairs straddling both dispatch thresholds: the 16×
-        // galloping ratio (long > short·16) and the SIMD block minimum
+        // galloping ratio (long > short·16) and the block-compare minimum
         // (short ≥ 16). Every combination must count identically no
-        // matter which strategy the public dispatch picks, under either
-        // feature configuration.
+        // matter which strategy the public dispatch picks.
         let shorts = [0usize, 1, 2, 15, 16, 17];
         let longs = [0usize, 1, 15, 16, 17, 239, 240, 241, 255, 256, 257, 512];
         for &sl in &shorts {

@@ -3,7 +3,7 @@
 use std::thread;
 
 use snaple_graph::hash::hash2;
-use snaple_graph::{store, Direction, GraphStore, RankedMask, VertexId, VertexMask};
+use snaple_graph::{store, GraphStore, RankedMask, VertexId, VertexMask};
 
 use crate::cluster::{ClusterSpec, NodeId};
 use crate::deploy::Deployment;
@@ -25,7 +25,7 @@ const MESSAGE_OVERHEAD: u64 = 8;
 /// split into gatherer ranges cannot repay its pool.
 const INLINE_ACTIVE_EDGES: usize = 4096;
 
-/// Gather-direction edges per gatherer block of a step declared
+/// Out-edges per gatherer block of a step declared
 /// [`GasStep::apply_disjoint_from_gather`]: the host holds one block's
 /// accumulators at a time, not the graph's. Each block is split into one
 /// contiguous gatherer range per host worker, and each worker gathers and
@@ -177,16 +177,15 @@ impl<'d> Engine<'d> {
     /// integer sum over the ranges, so results and accounting do not
     /// depend on the worker count.
     ///
-    /// A step that declares [`GasStep::apply_disjoint_from_gather`] (and
-    /// gathers [`Direction::Out`]) runs in **gatherer blocks** of
-    /// consecutive vertices holding ≈8k gather-direction edges each:
-    /// gather and fold → apply once per block, so the host holds one
-    /// block's accumulators at a time. Broadcast runs once and each
-    /// partition's budget carries across blocks, so results and every
-    /// counter equal the single-block step's. The *simulated* per-node
-    /// memory still charges every partial a node gathers over the whole
-    /// step, as a real deployment holding them at once would. Other steps
-    /// run as one block.
+    /// A step that declares [`GasStep::apply_disjoint_from_gather`] runs
+    /// in **gatherer blocks** of consecutive vertices holding ≈8k
+    /// out-edges each: gather and fold → apply once per block, so the
+    /// host holds one block's accumulators at a time. Broadcast runs once
+    /// and each partition's budget carries across blocks, so results and
+    /// every counter equal the single-block step's. The *simulated*
+    /// per-node memory still charges every partial a node gathers over
+    /// the whole step, as a real deployment holding them at once would.
+    /// Other steps run as one block.
     ///
     /// # Errors
     ///
@@ -216,8 +215,8 @@ impl<'d> Engine<'d> {
     /// gather calls along their edges, receive no accumulator, and keep
     /// their state untouched. Accounting follows the restriction — only
     /// the state of vertices an active gather can read (the active set
-    /// plus its gather-direction frontier, the *read set*) is charged for
-    /// broadcast traffic and replica memory. A full mask is exactly
+    /// plus its out-neighbors, the *read set*) is charged for broadcast
+    /// traffic and replica memory. A full mask is exactly
     /// equivalent to `None`, byte for byte.
     ///
     /// A masked step costs its frontier, not the graph: gather walks only
@@ -258,9 +257,9 @@ impl<'d> Engine<'d> {
     /// touches nothing vertex-long.
     ///
     /// `slots` must cover the step's read set (`mask` plus its
-    /// gather-direction neighbors). A multi-step program whose masks
-    /// shrink step by step allocates one slot set — the first step's read
-    /// set — and runs every step on it. Results and every accounted
+    /// out-neighbors). A multi-step program whose masks shrink step by
+    /// step allocates one slot set — the first step's read set — and runs
+    /// every step on it. Results and every accounted
     /// counter are identical to [`Engine::run_step_masked`] over a dense
     /// state whose slotted entries equal `state`.
     ///
@@ -318,10 +317,9 @@ impl<'d> Engine<'d> {
                 }
             }
         }
-        let dir = step.gather_direction();
         // Read set of a masked step: active vertices plus the neighbors
         // their gathers read. Only this state needs replicas this step.
-        let read_mask: Option<VertexMask> = mask.map(|m| m.expand(graph, dir));
+        let read_mask: Option<VertexMask> = mask.map(|m| m.expand_out(graph));
         if let (Some(s), Some(r)) = (slots, &read_mask) {
             if !r.is_subset_of(s.mask()) {
                 return Err(EngineError::InvalidConfig(format!(
@@ -426,11 +424,8 @@ impl<'d> Engine<'d> {
         // blockable, where its gatherer blocks end. `cuts` holds the
         // active index each block but the last ends at; an undeclared step
         // has none and runs as one block.
-        let degree = |u: VertexId| match dir {
-            Direction::Out => graph.out_degree(u),
-            Direction::In => graph.in_degree(u),
-        };
-        let blocked = dir == Direction::Out && step.apply_disjoint_from_gather();
+        let degree = |u: VertexId| graph.out_degree(u);
+        let blocked = step.apply_disjoint_from_gather();
         let mut cuts: Vec<usize> = Vec::new();
         let mut inline = false;
         if blocked || active.is_some() {
@@ -459,38 +454,15 @@ impl<'d> Engine<'d> {
         // Only partitions that hold edges gather: on small or skewed graphs
         // many simulated nodes are empty, and walking an empty edge list is
         // pure overhead. Empty nodes keep their base memory as their peak
-        // and contribute nothing else. An Out step walks each partition's
-        // `(src,dst)`-sorted list in place; an In step walks
-        // `(dst,src)`-sorted copies, sorted once per step.
-        let nonempty: Vec<usize> = (0..nodes)
-            .filter(|&n| !part.node_edges(NodeId::new(n as u16)).is_empty())
-            .collect();
-        let in_sorted: Vec<Vec<(VertexId, VertexId)>> = match dir {
-            Direction::Out => Vec::new(),
-            Direction::In => nonempty
-                .iter()
-                .map(|&n| {
-                    let mut edges = part.node_edges(NodeId::new(n as u16)).to_vec();
-                    edges.sort_unstable_by_key(|&(s, d)| (d, s));
-                    edges
-                })
-                .collect(),
-        };
-        let lists: Vec<GatherList<'_>> = nonempty
-            .iter()
-            .enumerate()
-            .map(|(li, &node)| GatherList {
+        // and contribute nothing else. Each list is the partition's
+        // `(src,dst)`-sorted edge list, walked in place.
+        let lists: Vec<GatherList<'_>> = (0..nodes)
+            .map(|node| GatherList {
                 node,
-                edges: match dir {
-                    Direction::Out => part.node_edges(NodeId::new(node as u16)),
-                    Direction::In => in_sorted.get(li).map_or(&[], Vec::as_slice),
-                },
+                edges: part.node_edges(NodeId::new(node as u16)),
             })
+            .filter(|list| !list.edges.is_empty())
             .collect();
-        let key = |e: &(VertexId, VertexId)| match dir {
-            Direction::Out => e.0,
-            Direction::In => e.1,
-        };
 
         // Gathers and folds the active gatherers `first..last` over `lists`,
         // gatherer-major, on any host thread. For each gatherer it walks
@@ -517,12 +489,12 @@ impl<'d> Engine<'d> {
             let mut cursors: Vec<_> = lists
                 .iter()
                 .map(|list| {
-                    let from = list.edges.partition_point(|e| key(e) < lo);
+                    let from = list.edges.partition_point(|e| e.0 < lo);
                     let to = end.map_or(list.edges.len(), |end| {
-                        list.edges.partition_point(|e| key(e) < end)
+                        list.edges.partition_point(|e| e.0 < end)
                     });
                     let edges = list.edges.get(from..to).unwrap_or_default();
-                    gather_runs(edges, dir, gatherers.map(|a| a.iter().copied())).peekable()
+                    gather_runs(edges, gatherers.map(|a| a.iter().copied())).peekable()
                 })
                 .collect();
             let ctx = GatherCtx::new(graph, step_seed);
@@ -542,10 +514,7 @@ impl<'d> Engine<'d> {
                         .and_then(|s| state.get(s))
                         .ok_or_else(|| missing_slot(u))?;
                     neighbors.clear();
-                    neighbors.extend(run.iter().map(|&(s, d)| match dir {
-                        Direction::Out => d,
-                        Direction::In => s,
-                    }));
+                    neighbors.extend(run.iter().map(|&(_, d)| d));
                     let mut budget =
                         RunBudget::new(&mut l.gather_calls, &mut l.sum_calls, mem, cap);
                     let before = tally.ops();
@@ -597,7 +566,7 @@ impl<'d> Engine<'d> {
 
         // Splits the active range `start..stop` into at most `worker_cap`
         // contiguous `(first, last)` ranges holding about equal
-        // gather-direction edges.
+        // out-edges.
         let worker_ranges = |start: usize, stop: usize| -> Vec<(usize, usize)> {
             let workers = worker_cap.min(stop - start).max(1);
             let mut ranges = Vec::with_capacity(workers);
@@ -905,8 +874,7 @@ impl<'d> Engine<'d> {
 type Accumulator<G> = Option<(G, u64)>;
 
 /// One non-empty partition's edges, sorted by gatherer: the partition's
-/// own `(src,dst)`-sorted list for an Out step, a `(dst,src)`-sorted copy
-/// for an In step.
+/// own `(src,dst)`-sorted list.
 struct GatherList<'e> {
     node: usize,
     edges: &'e [(VertexId, VertexId)],
@@ -1242,17 +1210,14 @@ mod tests {
         ));
     }
 
-    /// Sums neighbor values along either direction and charges apply-side
-    /// work, so apply-phase accounting shows up in per-node ops.
-    struct SumAlong(Direction);
+    /// Sums out-neighbor values and charges apply-side work, so
+    /// apply-phase accounting shows up in per-node ops.
+    struct SumAlong;
     impl GasStep for SumAlong {
         type Vertex = u64;
         type Gather = u64;
         fn name(&self) -> &str {
             "sum-along"
-        }
-        fn gather_direction(&self) -> Direction {
-            self.0
         }
         fn gather(
             &self,
@@ -1302,18 +1267,13 @@ mod tests {
     fn full_mask_is_bit_identical_to_unmasked() {
         let mut rng = StdRng::seed_from_u64(21);
         let sym = gen::erdos_renyi(250, 2_000, &mut rng).into_symmetric_graph();
-        // A directed graph too, so In- and Out-gathers see different runs.
+        // A directed graph too, whose out-runs differ from its in-runs.
         let edges: Vec<(u32, u32)> = (0..1_500u64)
             .map(|i| ((hash2(3, i, 0) % 250) as u32, (hash2(3, i, 1) % 250) as u32))
             .filter(|(u, v)| u != v)
             .collect();
         let directed = CsrGraph::from_edges(250, &edges);
-        for (g, dir) in [
-            (&sym, Direction::Out),
-            (&sym, Direction::In),
-            (&directed, Direction::Out),
-            (&directed, Direction::In),
-        ] {
+        for (g, what) in [(&sym, "symmetric"), (&directed, "directed")] {
             let init: Vec<u64> = (0..250).map(|i| i * 31 % 97).collect();
             let mut unmasked = init.clone();
             let dep = Deployment::new(
@@ -1324,18 +1284,18 @@ mod tests {
             )
             .unwrap();
             let mut engine = Engine::on(&dep);
-            engine.run_step(&SumAlong(dir), &mut unmasked).unwrap();
+            engine.run_step(&SumAlong, &mut unmasked).unwrap();
             let reference = engine.into_stats();
 
             let mut masked = init;
             let mut engine = Engine::on(&dep);
             let full = VertexMask::full(g.num_vertices());
             engine
-                .run_step_masked(&SumAlong(dir), &mut masked, Some(&full))
+                .run_step_masked(&SumAlong, &mut masked, Some(&full))
                 .unwrap();
             let stats = engine.into_stats();
-            assert_eq!(masked, unmasked, "{dir:?}");
-            assert_same_step(&stats.steps[0], &reference.steps[0], &format!("{dir:?}"));
+            assert_eq!(masked, unmasked, "{what}");
+            assert_same_step(&stats.steps[0], &reference.steps[0], what);
             assert_eq!(stats.total_network_bytes(), reference.total_network_bytes());
             assert_eq!(stats.peak_memory(), reference.peak_memory());
         }
@@ -1353,48 +1313,46 @@ mod tests {
         )
         .unwrap();
         let init = |i: u32| i as u64 * 13 % 71;
-        for dir in [Direction::Out, Direction::In] {
-            for queries in [
-                vec![],
-                vec![5],
-                (0..400).step_by(17).collect(),
-                (0..400).collect(),
-            ] {
-                // Two shrinking steps, like a targeted program: the slots
-                // are the first step's read set.
-                let inner = VertexMask::from_vertices(400, queries.into_iter().map(VertexId::new));
-                let outer = inner.expand(&g, dir);
-                let slots = RankedMask::new(outer.expand(&g, dir));
+        for queries in [
+            vec![],
+            vec![5],
+            (0..400).step_by(17).collect(),
+            (0..400).collect(),
+        ] {
+            // Two shrinking steps, like a targeted program: the slots
+            // are the first step's read set.
+            let inner = VertexMask::from_vertices(400, queries.into_iter().map(VertexId::new));
+            let outer = inner.expand_out(&g);
+            let slots = RankedMask::new(outer.expand_out(&g));
 
-                let mut dense: Vec<u64> = (0..400).map(init).collect();
-                let mut engine = Engine::on(&deployment);
-                engine
-                    .run_step_masked(&SumAlong(dir), &mut dense, Some(&outer))
-                    .unwrap();
-                engine
-                    .run_step_masked(&SumAlong(dir), &mut dense, Some(&inner))
-                    .unwrap();
-                let reference = engine.into_stats();
+            let mut dense: Vec<u64> = (0..400).map(init).collect();
+            let mut engine = Engine::on(&deployment);
+            engine
+                .run_step_masked(&SumAlong, &mut dense, Some(&outer))
+                .unwrap();
+            engine
+                .run_step_masked(&SumAlong, &mut dense, Some(&inner))
+                .unwrap();
+            let reference = engine.into_stats();
 
-                let mut sparse: Vec<u64> = slots.mask().iter().map(|v| init(v.as_u32())).collect();
-                let mut engine = Engine::on(&deployment);
-                engine
-                    .run_step_sparse(&SumAlong(dir), &mut sparse, &slots, &outer)
-                    .unwrap();
-                engine
-                    .run_step_sparse(&SumAlong(dir), &mut sparse, &slots, &inner)
-                    .unwrap();
-                let stats = engine.into_stats();
-                for v in slots.mask().iter() {
-                    assert_eq!(
-                        sparse[slots.rank(v).unwrap()],
-                        dense[v.index()],
-                        "{dir:?} vertex {v}"
-                    );
-                }
-                for (s, r) in stats.steps.iter().zip(&reference.steps) {
-                    assert_same_step(s, r, &format!("{dir:?} |Q|={}", inner.len()));
-                }
+            let mut sparse: Vec<u64> = slots.mask().iter().map(|v| init(v.as_u32())).collect();
+            let mut engine = Engine::on(&deployment);
+            engine
+                .run_step_sparse(&SumAlong, &mut sparse, &slots, &outer)
+                .unwrap();
+            engine
+                .run_step_sparse(&SumAlong, &mut sparse, &slots, &inner)
+                .unwrap();
+            let stats = engine.into_stats();
+            for v in slots.mask().iter() {
+                assert_eq!(
+                    sparse[slots.rank(v).unwrap()],
+                    dense[v.index()],
+                    "vertex {v}"
+                );
+            }
+            for (s, r) in stats.steps.iter().zip(&reference.steps) {
+                assert_same_step(s, r, &format!("|Q|={}", inner.len()));
             }
         }
     }
@@ -1675,7 +1633,7 @@ mod tests {
         .unwrap();
         let init: Vec<u64> = (0..400).map(|i| i * 7 % 53).collect();
         let step = || ApplyThreads {
-            inner: SumAlong(Direction::Out),
+            inner: SumAlong,
             threads: std::sync::Mutex::new(Vec::new()),
         };
 
@@ -1942,7 +1900,7 @@ mod tests {
         CsrGraph::from_edges(n as usize, &edges)
     }
 
-    /// Gather-direction edges of the gatherers below `v`.
+    /// Out-edges of the gatherers below `v`.
     fn edges_before(g: &CsrGraph, v: VertexId) -> usize {
         (0..v.as_u32())
             .map(|u| g.out_degree(VertexId::new(u)))

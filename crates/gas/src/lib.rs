@@ -69,20 +69,19 @@
 //! # Example
 //!
 //! Partition a graph once into a [`Deployment`], then count each vertex's
-//! in-degree with a one-step GAS program run on it:
+//! out-degree with a one-step GAS program run on it:
 //!
 //! ```
 //! use snaple_gas::{
 //!     ClusterSpec, Deployment, Engine, GasStep, GatherCtx, PartitionStrategy, WorkTally,
 //! };
-//! use snaple_graph::{CsrGraph, Direction, VertexId};
+//! use snaple_graph::{CsrGraph, VertexId};
 //!
-//! struct InDegree;
-//! impl GasStep for InDegree {
+//! struct OutDegree;
+//! impl GasStep for OutDegree {
 //!     type Vertex = u64;
 //!     type Gather = u64;
-//!     fn name(&self) -> &'static str { "in-degree" }
-//!     fn gather_direction(&self) -> Direction { Direction::In }
+//!     fn name(&self) -> &'static str { "out-degree" }
 //!     fn gather(&self, _: &GatherCtx<'_>, _u: VertexId, _ud: &u64, _v: VertexId,
 //!               _vd: &u64, _w: &mut WorkTally) -> Option<u64> { Some(1) }
 //!     fn sum(&self, a: u64, b: u64, _w: &mut WorkTally) -> u64 { a + b }
@@ -95,8 +94,8 @@
 //! let deployment = Deployment::new(&g, cluster, PartitionStrategy::RandomVertexCut, 7)?;
 //! let mut engine = Engine::on(&deployment);
 //! let mut state = vec![0u64; 3];
-//! engine.run_step(&InDegree, &mut state)?;
-//! assert_eq!(state, vec![0, 1, 2]);
+//! engine.run_step(&OutDegree, &mut state)?;
+//! assert_eq!(state, vec![2, 1, 0]);
 //! # Ok::<(), snaple_gas::EngineError>(())
 //! ```
 

@@ -17,7 +17,7 @@
 //!   ties by load.
 
 use snaple_graph::hash::{hash1, hash2};
-use snaple_graph::{store, Direction, GraphStore, VertexId};
+use snaple_graph::{store, GraphStore, VertexId};
 
 use crate::error::EngineError;
 use crate::NodeId;
@@ -423,26 +423,24 @@ pub fn master_node(seed: u64, num_nodes: usize, vertex: u32) -> NodeId {
 /// The gather runs of one partition's edge list: per gatherer, in
 /// ascending id order, the contiguous stretch of edges it gathers over.
 ///
-/// `edges` must be sorted by gatherer — `(src, dst)` order for
-/// [`Direction::Out`] (how [`PartitionedGraph`] keeps every node's list),
-/// `(dst, src)` for [`Direction::In`]. With `active` set, only the listed
-/// gatherers (ascending) yield runs, and each run is found by galloping
-/// from the previous run's end: a step costs O(active gatherers + their
-/// edges) on sparse frontiers and O(edges) on a full one. Without it,
-/// every gatherer present in the list yields its run.
+/// `edges` must be sorted in `(src, dst)` order, how [`PartitionedGraph`]
+/// keeps every node's list, so a gatherer's run is its out-edges. With
+/// `active` set, only the listed gatherers (ascending) yield runs, and
+/// each run is found by galloping from the previous run's end: a step
+/// costs O(active gatherers + their edges) on sparse frontiers and
+/// O(edges) on a full one. Without it, every gatherer present in the
+/// list yields its run.
 pub(crate) fn gather_runs<I: Iterator<Item = VertexId>>(
     edges: &[(VertexId, VertexId)],
-    dir: Direction,
     active: Option<I>,
 ) -> GatherRuns<'_, I> {
-    GatherRuns { edges, dir, active }
+    GatherRuns { edges, active }
 }
 
 /// Iterator of [`gather_runs`].
 pub(crate) struct GatherRuns<'e, I> {
     /// The edges not yet consumed.
     edges: &'e [(VertexId, VertexId)],
-    dir: Direction,
     active: Option<I>,
 }
 
@@ -450,23 +448,18 @@ impl<'e, I: Iterator<Item = VertexId>> Iterator for GatherRuns<'e, I> {
     type Item = (VertexId, &'e [(VertexId, VertexId)]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let dir = self.dir;
-        let key = move |e: &(VertexId, VertexId)| match dir {
-            Direction::Out => e.0,
-            Direction::In => e.1,
-        };
         loop {
             let first = self.edges.first()?;
             let u = match &mut self.active {
-                None => key(first),
+                None => first.0,
                 Some(active) => {
                     let u = active.next()?;
-                    let skip = gallop(self.edges, |e| key(e) < u);
+                    let skip = gallop(self.edges, |e| e.0 < u);
                     self.edges = self.edges.get(skip..).unwrap_or_default();
                     u
                 }
             };
-            let len = self.edges.iter().take_while(|e| key(e) == u).count();
+            let len = self.edges.iter().take_while(|e| e.0 == u).count();
             let (run, rest) = self.edges.split_at(len);
             self.edges = rest;
             if !run.is_empty() {
@@ -780,27 +773,16 @@ mod tests {
             e(5, 3),
             e(9, 0),
         ];
-        let all: Vec<(u32, usize)> = gather_runs(&out, Direction::Out, None::<std::iter::Empty<_>>)
+        let all: Vec<(u32, usize)> = gather_runs(&out, None::<std::iter::Empty<_>>)
             .map(|(u, run)| (u.as_u32(), run.len()))
             .collect();
         assert_eq!(all, vec![(0, 2), (2, 1), (5, 3), (9, 1)]);
         // Active gatherers without edges here yield nothing; the rest
         // yield exactly their dense runs.
         let active = [1u32, 2, 5, 7, 9, 11].map(VertexId::new);
-        let some: Vec<(u32, usize)> = gather_runs(&out, Direction::Out, Some(active.into_iter()))
+        let some: Vec<(u32, usize)> = gather_runs(&out, Some(active.into_iter()))
             .map(|(u, run)| (u.as_u32(), run.len()))
             .collect();
         assert_eq!(some, vec![(2, 1), (5, 3), (9, 1)]);
-        // In-gathers walk a (dst, src)-sorted list keyed by dst.
-        let mut inward = out;
-        inward.sort_unstable_by_key(|&(s, d)| (d, s));
-        let runs: Vec<(u32, Vec<u32>)> = gather_runs(
-            &inward,
-            Direction::In,
-            Some([0u32, 2, 3].map(VertexId::new).into_iter()),
-        )
-        .map(|(u, run)| (u.as_u32(), run.iter().map(|&(s, _)| s.as_u32()).collect()))
-        .collect();
-        assert_eq!(runs, vec![(0, vec![2, 9]), (2, vec![5]), (3, vec![5])]);
     }
 }

@@ -1,6 +1,6 @@
 //! The GAS program interface.
 
-use snaple_graph::{Direction, GraphStore, RankedMask, VertexId};
+use snaple_graph::{GraphStore, RankedMask, VertexId};
 
 use crate::scratch::ScratchArena;
 use crate::size::SizeEstimate;
@@ -210,8 +210,8 @@ impl<'a, V> NeighborStates<'a, V> {
 ///
 /// Semantics, following the paper's §2.3 (notation of PowerGraph):
 ///
-/// 1. **gather** runs once per edge adjacent to the accumulating vertex `u`
-///    in [`gather_direction`](GasStep::gather_direction), on whichever
+/// 1. **gather** runs once per out-edge `(u, v)` of the accumulating
+///    vertex `u` — the direction used throughout the paper — on whichever
 ///    simulated node stores the edge. It may read both endpoint states.
 /// 2. **sum** folds gather results into per-node partial accumulators;
 ///    partials cross the (accounted) network to `u`'s master replica,
@@ -236,16 +236,10 @@ pub trait GasStep: Sync {
     /// Human-readable step name (used in stats and error reports).
     fn name(&self) -> &str;
 
-    /// Which adjacent edges `u` gathers over. Defaults to out-edges, the
-    /// direction used throughout the paper.
-    fn gather_direction(&self) -> Direction {
-        Direction::Out
-    }
-
     /// Produces an accumulator contribution for one edge.
     ///
-    /// `u` is the accumulating vertex, `v` the neighbor along the gathered
-    /// edge ((u, v) for [`Direction::Out`], (v, u) for [`Direction::In`]).
+    /// `u` is the accumulating vertex, `v` the head of its out-edge
+    /// `(u, v)`.
     /// Returning `None` contributes nothing (and transfers nothing).
     fn gather(
         &self,
@@ -347,8 +341,7 @@ pub trait GasStep: Sync {
     /// time instead of the whole graph's.
     ///
     /// Defaults to `false`: an undeclared step runs as a single block,
-    /// exactly as one superstep always has. Steps that gather along
-    /// [`Direction::In`] run as a single block whatever they declare.
+    /// exactly as one superstep always has.
     fn apply_disjoint_from_gather(&self) -> bool {
         false
     }

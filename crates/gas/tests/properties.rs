@@ -7,7 +7,7 @@ use snaple_gas::{
     ClusterSpec, Deployment, Engine, EngineError, GasStep, GatherCtx, NodeId, PartitionStrategy,
     PartitionedGraph, WorkTally,
 };
-use snaple_graph::{CsrGraph, Direction, GraphBuilder, VertexId};
+use snaple_graph::{CsrGraph, GraphBuilder, VertexId};
 
 fn graph_from(edges: &[(u32, u32)]) -> CsrGraph {
     let mut b = GraphBuilder::new();
@@ -22,17 +22,13 @@ fn edges_strategy() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..40, 0u32..40), 1..250)
 }
 
-/// `new = Σ_{v ∈ Γ(u)} old(v) + 1` along the given gather direction
-/// (`Γ⁻¹(u)` for [`Direction::In`]) — order-insensitive integer program.
-struct SumPlusOne(Direction);
+/// `new = Σ_{v ∈ Γ(u)} old(v) + 1` — order-insensitive integer program.
+struct SumPlusOne;
 impl GasStep for SumPlusOne {
     type Vertex = u64;
     type Gather = u64;
     fn name(&self) -> &str {
         "sum-plus-one"
-    }
-    fn gather_direction(&self) -> Direction {
-        self.0
     }
     fn gather(
         &self,
@@ -60,14 +56,11 @@ impl GasStep for SumPlusOne {
     }
 }
 
-fn oracle(graph: &CsrGraph, dir: Direction, state: &[u64]) -> Vec<u64> {
+fn oracle(graph: &CsrGraph, state: &[u64]) -> Vec<u64> {
     graph
         .vertices()
         .map(|u| {
-            let neighbors = match dir {
-                Direction::Out => graph.out_neighbors(u),
-                Direction::In => graph.in_neighbors(u),
-            };
+            let neighbors = graph.out_neighbors(u);
             neighbors.iter().map(|v| state[v.index()]).sum::<u64>() + 1
         })
         .collect()
@@ -117,13 +110,11 @@ proptest! {
         let strategy = PartitionStrategy::all()[strategy_idx];
         let init: Vec<u64> = (0..g.num_vertices() as u64).map(|i| i % 13 + 1).collect();
         let dep = Deployment::new(&g, ClusterSpec::type_i(nodes), strategy, seed).unwrap();
-        for dir in [Direction::Out, Direction::In] {
-            let expect = oracle(&g, dir, &init);
-            let mut state = init.clone();
-            let mut engine = Engine::on(&dep);
-            engine.run_step(&SumPlusOne(dir), &mut state).unwrap();
-            prop_assert_eq!(state, expect, "{:?} {:?} on {} nodes", dir, strategy, nodes);
-        }
+        let expect = oracle(&g, &init);
+        let mut state = init;
+        let mut engine = Engine::on(&dep);
+        engine.run_step(&SumPlusOne, &mut state).unwrap();
+        prop_assert_eq!(state, expect, "{:?} on {} nodes", strategy, nodes);
     }
 
     #[test]
@@ -142,7 +133,7 @@ proptest! {
         )
         .unwrap();
         let mut engine = Engine::on(&dep);
-        let stats = engine.run_step(&SumPlusOne(Direction::Out), &mut state).unwrap();
+        let stats = engine.run_step(&SumPlusOne, &mut state).unwrap();
         // Engine-level invariants:
         prop_assert_eq!(stats.gather_calls, g.num_edges() as u64);
         prop_assert_eq!(stats.apply_calls, g.num_vertices() as u64);
@@ -168,7 +159,7 @@ proptest! {
         )
         .unwrap();
         let mut engine = Engine::on(&dep);
-        let stats = engine.run_step(&SumPlusOne(Direction::Out), &mut state).unwrap();
+        let stats = engine.run_step(&SumPlusOne, &mut state).unwrap();
         prop_assert_eq!(stats.network_bytes(), 0);
         prop_assert!((engine.stats().replication_factor - 1.0).abs() < 1e-12);
     }
@@ -182,7 +173,7 @@ proptest! {
         let generous = ClusterSpec::type_i(4);
         let dep = Deployment::new(&g, generous, PartitionStrategy::RandomVertexCut, seed).unwrap();
         Engine::on(&dep)
-            .run_step(&SumPlusOne(Direction::Out), &mut ok_state)
+            .run_step(&SumPlusOne, &mut ok_state)
             .unwrap();
 
         let starved = ClusterSpec {
@@ -192,7 +183,7 @@ proptest! {
         let mut state: Vec<u64> = vec![1; g.num_vertices()];
         let dep = Deployment::new(&g, starved, PartitionStrategy::RandomVertexCut, seed).unwrap();
         let err = Engine::on(&dep)
-            .run_step(&SumPlusOne(Direction::Out), &mut state)
+            .run_step(&SumPlusOne, &mut state)
             .unwrap_err();
         let is_oom = matches!(err, EngineError::ResourceExhausted { .. });
         prop_assert!(is_oom);

@@ -298,6 +298,7 @@ fn read_binary_v1_bytes(data: &[u8]) -> Result<CsrGraph, GraphError> {
         }
         targets.push(VertexId::new(t));
     }
+    v2::check_rows(&offsets, &targets, "out-adjacency")?;
     let weights = if weighted {
         let mut w = Vec::with_capacity(m);
         for _ in 0..m {

@@ -317,6 +317,31 @@ pub fn decode_offsets(bytes: &[u8], n: usize, m: usize) -> Result<Vec<usize>, Gr
     Ok(offsets)
 }
 
+/// Checks that every adjacency row `ids[offsets[u]..offsets[u + 1]]` is
+/// strictly increasing: sorted ascending and duplicate-free, the shape
+/// the intersection kernels and the binary-searching edge lookups
+/// assume. One O(m) scan.
+///
+/// # Errors
+///
+/// [`GraphError::Corrupt`] naming the first vertex whose `what` row is
+/// out of order or repeats an id.
+pub(crate) fn check_rows(
+    offsets: &[usize],
+    ids: &[VertexId],
+    what: &str,
+) -> Result<(), GraphError> {
+    for (u, (&lo, &hi)) in offsets.iter().zip(offsets.iter().skip(1)).enumerate() {
+        let row = ids.get(lo..hi).unwrap_or_default();
+        if let Some((a, b)) = row.iter().zip(row.iter().skip(1)).find(|(a, b)| a >= b) {
+            return Err(corrupt(format!(
+                "{what} row of vertex {u} is not strictly increasing ({a} then {b})"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Converts a `u32 LE` id payload and range-checks every id below `n`
 /// with a single vectorizable scan.
 ///
@@ -409,6 +434,8 @@ pub fn decode_v2(data: &[u8]) -> Result<CsrGraph, GraphError> {
             decode_ids(get(SEC_IN_SOURCES)?, h.n, h.m)?,
         )
     };
+    check_rows(&out_offsets, &out_targets, "out-adjacency")?;
+    check_rows(&in_offsets, &in_sources, "in-adjacency")?;
     Ok(CsrGraph::from_parts_with_reverse(
         h.n,
         out_offsets,
@@ -985,11 +1012,20 @@ impl FileCsr {
         })
     }
 
-    fn ids_of<'a>(&self, cell: &'a OnceLock<Vec<VertexId>>, kind: u32) -> &'a [VertexId] {
+    /// Loads an id section, checking its rows (cut by `offsets`) are
+    /// strictly increasing.
+    fn ids_of<'a>(
+        &self,
+        cell: &'a OnceLock<Vec<VertexId>>,
+        kind: u32,
+        offsets: &[usize],
+        what: &str,
+    ) -> &'a [VertexId] {
         cell.get_or_init(|| {
             match self
                 .read_section(kind)
                 .and_then(|b| decode_ids(&b, self.inner.header.n, self.inner.header.m))
+                .and_then(|ids| check_rows(offsets, &ids, what).map(|()| ids))
             {
                 Ok(v) => v,
                 Err(e) => {
@@ -1024,6 +1060,30 @@ impl FileCsr {
 
     fn in_offs(&self) -> &[usize] {
         self.offsets_of(&self.inner.in_offsets, SEC_IN_OFFSETS)
+    }
+
+    /// Out-adjacency offsets and targets.
+    fn out_rows(&self) -> (&[usize], &[VertexId]) {
+        let offsets = self.out_offs();
+        let targets = self.ids_of(
+            &self.inner.out_targets,
+            SEC_OUT_TARGETS,
+            offsets,
+            "out-adjacency",
+        );
+        (offsets, targets)
+    }
+
+    /// In-adjacency offsets and sources.
+    fn in_rows(&self) -> (&[usize], &[VertexId]) {
+        let offsets = self.in_offs();
+        let sources = self.ids_of(
+            &self.inner.in_sources,
+            SEC_IN_SOURCES,
+            offsets,
+            "in-adjacency",
+        );
+        (offsets, sources)
     }
 
     fn list<'a>(offsets: &[usize], items: &'a [VertexId], u: VertexId) -> &'a [VertexId] {
@@ -1066,13 +1126,13 @@ impl GraphStore for FileCsr {
     }
 
     fn out_neighbors(&self, u: VertexId) -> &[VertexId] {
-        let targets = self.ids_of(&self.inner.out_targets, SEC_OUT_TARGETS);
-        Self::list(self.out_offs(), targets, u)
+        let (offsets, targets) = self.out_rows();
+        Self::list(offsets, targets, u)
     }
 
     fn in_neighbors(&self, u: VertexId) -> &[VertexId] {
-        let sources = self.ids_of(&self.inner.in_sources, SEC_IN_SOURCES);
-        Self::list(self.in_offs(), sources, u)
+        let (offsets, sources) = self.in_rows();
+        Self::list(offsets, sources, u)
     }
 
     fn out_weights(&self, u: VertexId) -> Option<&[f32]> {
@@ -1108,10 +1168,8 @@ impl GraphStore for FileCsr {
     /// load yields an empty graph and records the fault
     /// [`GraphStore::check_fault`] reports.
     fn to_csr(&self) -> CsrGraph {
-        let out_offsets = self.out_offs();
-        let out_targets = self.ids_of(&self.inner.out_targets, SEC_OUT_TARGETS);
-        let in_offsets = self.in_offs();
-        let in_sources = self.ids_of(&self.inner.in_sources, SEC_IN_SOURCES);
+        let (out_offsets, out_targets) = self.out_rows();
+        let (in_offsets, in_sources) = self.in_rows();
         let weights = self.weights_slice();
         if self.check_fault().is_err() {
             return CsrGraph::from_edges(0, &[]);

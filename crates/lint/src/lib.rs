@@ -17,7 +17,6 @@
 //! | `float-order` | everywhere but `topk.rs` | `partial_cmp` (NaN-unsafe ordering; PR 3 regression guard) |
 //! | `determinism` | everywhere | `SystemTime::now`, `thread_rng`, `from_entropy`, `OsRng`, `rand::random` |
 //! | `print` | libraries (not bench, `src/bin/`, `main.rs`) | `println!`/`print!`/`eprintln!`/`eprint!`/`dbg!`/`todo!`/`unimplemented!` |
-//! | `simd-cfg` | everywhere but `similarity.rs` + bench | `cfg(feature = "simd")` |
 //! | `forbid-unsafe` | everywhere | the `unsafe` keyword |
 //! | `suppression` | everywhere | malformed `snaple-lint: allow(..)` comments |
 //!

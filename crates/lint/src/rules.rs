@@ -32,8 +32,6 @@ pub enum Rule {
     /// `println!`-family / `dbg!` / `todo!` / `unimplemented!` in
     /// library code.
     Print,
-    /// `cfg(feature = "simd")` outside `similarity.rs` and bench code.
-    SimdCfg,
     /// Any use of the `unsafe` keyword in first-party code.
     ForbidUnsafe,
     /// A malformed suppression comment (unknown rule id, missing
@@ -44,7 +42,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in diagnostic-output order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 9] = [
         Rule::Panic,
         Rule::Index,
         Rule::WireLength,
@@ -52,7 +50,6 @@ impl Rule {
         Rule::FloatOrder,
         Rule::Determinism,
         Rule::Print,
-        Rule::SimdCfg,
         Rule::ForbidUnsafe,
         Rule::Suppression,
     ];
@@ -67,7 +64,6 @@ impl Rule {
             Rule::FloatOrder => "float-order",
             Rule::Determinism => "determinism",
             Rule::Print => "print",
-            Rule::SimdCfg => "simd-cfg",
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::Suppression => "suppression",
         }
@@ -154,9 +150,6 @@ pub const WIRE_ZONE: [&str; 5] = [
 /// the NaN-aware comparator).
 pub const FLOAT_ORDER_EXEMPT: [&str; 1] = ["crates/core/src/topk.rs"];
 
-/// Files/dirs where `cfg(feature = "simd")` may appear.
-pub const SIMD_CFG_EXEMPT_FILE: &str = "crates/core/src/similarity.rs";
-
 /// Returns the checks that apply to a workspace-relative path.
 pub fn checks_for(path: &str) -> Vec<Rule> {
     let mut rules = vec![Rule::Determinism, Rule::ForbidUnsafe];
@@ -165,9 +158,6 @@ pub fn checks_for(path: &str) -> Vec<Rule> {
     }
     if !print_exempt(path) {
         rules.push(Rule::Print);
-    }
-    if !simd_cfg_exempt(path) {
-        rules.push(Rule::SimdCfg);
     }
     if PANIC_FREE_ZONE.contains(&path) {
         rules.push(Rule::Panic);
@@ -183,10 +173,6 @@ pub fn checks_for(path: &str) -> Vec<Rule> {
 /// Binary entry points and the bench crate may print.
 fn print_exempt(path: &str) -> bool {
     path.starts_with("crates/bench/") || path.contains("/bin/") || path.ends_with("main.rs")
-}
-
-fn simd_cfg_exempt(path: &str) -> bool {
-    path == SIMD_CFG_EXEMPT_FILE || path.starts_with("crates/bench/")
 }
 
 /// Which crate a workspace-relative path belongs to, for `--fix-report`
@@ -564,19 +550,6 @@ fn check_line(rule: Rule, info: &LineInfo, validated: &[String]) -> Option<Strin
                 }
             }
             None
-        }
-        Rule::SimdCfg => {
-            if find_token(code, "cfg") && code.contains("feature") && info.raw.contains("\"simd\"")
-            {
-                Some(
-                    "cfg(feature = \"simd\") is confined to similarity.rs \
-                     and bench code so the scalar path stays the single \
-                     source of truth"
-                        .to_string(),
-                )
-            } else {
-                None
-            }
         }
         Rule::ForbidUnsafe => {
             if find_token_word(code, "unsafe") {

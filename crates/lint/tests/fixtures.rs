@@ -85,16 +85,6 @@ fn print_fixtures() {
 }
 
 #[test]
-fn simd_cfg_fixtures() {
-    let pos = include_str!("fixtures/simd-cfg/pos.rs");
-    let hits = rules_hit(LIB, pos);
-    assert!(hits.contains(&Rule::SimdCfg), "{hits:?}");
-    assert!(rules_hit(LIB, include_str!("fixtures/simd-cfg/neg.rs")).is_empty());
-    // The one sanctioned home of the simd gate.
-    assert!(rules_hit("crates/core/src/similarity.rs", pos).is_empty());
-}
-
-#[test]
 fn forbid_unsafe_fixtures() {
     let hits = rules_hit(LIB, include_str!("fixtures/forbid-unsafe/pos.rs"));
     assert!(hits.contains(&Rule::ForbidUnsafe), "{hits:?}");

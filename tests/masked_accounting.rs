@@ -8,9 +8,8 @@
 //!
 //! Coverage: two seeded graphs (an emulated social graph and a directed
 //! hash graph) × fused 2-hop and 3-hop plans × five query sets (empty,
-//! one vertex, the largest hub, a 5 % sample, every vertex), plus an
-//! In-direction engine step under the same masks, since that direction
-//! walks a re-sorted copy of each partition's edges.
+//! one vertex, the largest hub, a 5 % sample, every vertex), plus
+//! capacity-starved runs.
 
 use std::fmt::Write;
 
@@ -23,7 +22,7 @@ use snaple::gas::{
 };
 use snaple::graph::gen::datasets;
 use snaple::graph::hash::hash2;
-use snaple::graph::{CsrGraph, Direction, GraphBuilder, VertexId, VertexMask};
+use snaple::graph::{CsrGraph, GraphBuilder, VertexId, VertexMask};
 
 fn social() -> CsrGraph {
     datasets::GOWALLA.emulate(0.004, 11)
@@ -152,16 +151,14 @@ fn render_plans() -> String {
     out
 }
 
-/// Sums in-neighbor values: new state = Σ_{(v,u) ∈ E} old(v) + 1.
-struct InSum;
-impl GasStep for InSum {
+/// Folds out-neighbor values with an order-sensitive hash; a vertex that
+/// gathered anything takes the fold plus one.
+struct OutSum;
+impl GasStep for OutSum {
     type Vertex = u64;
     type Gather = u64;
     fn name(&self) -> &str {
-        "in-sum"
-    }
-    fn gather_direction(&self) -> Direction {
-        Direction::In
+        "out-sum"
     }
     fn gather(
         &self,
@@ -188,39 +185,6 @@ impl GasStep for InSum {
     ) {
         *data = acc.map_or(*data, |a| a.wrapping_add(1));
     }
-}
-
-fn render_in_direction() -> String {
-    let mut out = String::new();
-    for (gname, graph) in graphs() {
-        for (qname, queries) in query_sets(&graph) {
-            let mask = queries.to_mask(graph.num_vertices());
-            let dep = Deployment::new(
-                &graph,
-                ClusterSpec::type_i(4),
-                PartitionStrategy::RandomVertexCut,
-                9,
-            )
-            .unwrap();
-            let mut engine = Engine::on(&dep);
-            let mut state: Vec<u64> = (0..graph.num_vertices() as u64)
-                .map(|i| i * 17 % 101)
-                .collect();
-            engine
-                .run_step_masked(&InSum, &mut state, Some(&mask))
-                .unwrap();
-            let grown = mask.expand(&graph, Direction::In);
-            engine
-                .run_step_masked(&InSum, &mut state, Some(&grown))
-                .unwrap();
-            let h = state
-                .iter()
-                .fold(0u64, |h, &s| h.wrapping_mul(0x100_0000_01b3) ^ s);
-            writeln!(out, "{gname} in {qname} q={} state={h:x}", queries.len()).unwrap();
-            render_steps(&mut out, engine.stats());
-        }
-    }
-    out
 }
 
 /// Masked runs on clusters whose per-node memory runs out at different
@@ -277,11 +241,6 @@ fn fused_plan_masked_accounting_is_pinned() {
 }
 
 #[test]
-fn in_direction_masked_accounting_is_pinned() {
-    check("in-direction", &render_in_direction(), GOLDEN_IN);
-}
-
-#[test]
 fn capacity_starved_masked_runs_fail_exactly_as_pinned() {
     check("starved", &render_starved(), GOLDEN_STARVED);
 }
@@ -300,7 +259,7 @@ fn an_empty_mask_touches_nothing_but_static_memory() {
     let mut state = vec![1u64; graph.num_vertices()];
     let empty = VertexMask::empty(graph.num_vertices());
     let s = engine
-        .run_step_masked(&InSum, &mut state, Some(&empty))
+        .run_step_masked(&OutSum, &mut state, Some(&empty))
         .unwrap();
     assert_eq!(
         (s.gather_calls, s.sum_calls, s.apply_calls, s.work_ops),
@@ -410,37 +369,6 @@ directed 3hop all q=300 cols=[42476, 82269, 42486] rows=[b6486447868f2229, b2eb7
   plan-3-score g=2335 s=875 a=300 w=84121 b=164456 p=206068 t=0x3fa9d29719c02324 n=[20866,182028,125852][19932,179140,126912][22354,194220,124420][20969,185660,135420]
   plan-3b-promote g=2335 s=0 a=300 w=7204 b=311912 p=0 t=0x3fa9adaf880fd0d0 n=[1771,152656,109656][1826,158568,110440][1899,161880,108736][1708,150720,109496]
   plan-3-score g=2335 s=877 a=300 w=88955 b=311912 p=231400 t=0x3fa9de9142ce7fd7 n=[22068,266580,184328][20938,266692,185160][23881,284584,182608][22068,268768,193304]
-"#;
-const GOLDEN_IN: &str = r#"social in empty q=0 state=ead64bd870e383e
-  in-sum g=0 s=0 a=0 w=0 b=0 p=0 t=0x3fa999999999999a n=[0,0,15760][0,0,16080][0,0,15704][0,0,14776]
-  in-sum g=0 s=0 a=0 w=0 b=0 p=0 t=0x3fa999999999999a n=[0,0,15760][0,0,16080][0,0,15704][0,0,14776]
-social in one q=1 state=fbc5630e273112e7
-  in-sum g=21 s=20 a=1 w=62 b=528 p=136 t=0x3fa99a26adfae0c3 n=[16,296,15984][10,264,16288][10,344,15912][26,424,15064]
-  in-sum g=442 s=420 a=22 w=1304 b=5336 p=3136 t=0x3fa9a01b60501940 n=[312,3864,18424][268,4104,18648][368,4768,18520][356,4208,17488]
-social in hub q=1 state=51257026d6d3f335
-  in-sum g=60 s=59 a=1 w=179 b=1456 p=368 t=0x3fa99afed20b2dba n=[43,832,16368][56,1112,16912][43,904,16312][37,800,15360]
-  in-sum g=951 s=890 a=61 w=2792 b=9520 p=7088 t=0x3fa9a5ef821d3ff1 n=[697,7824,20880][682,8448,21112][689,8936,20992][724,8008,19952]
-social in sample q=39 state=79bb2ad4759436e7
-  in-sum g=331 s=292 a=39 w=954 b=6672 p=2792 t=0x3fa9a0147f6054cc n=[231,4640,18608][197,4648,18864][300,5008,18720][226,4632,17688]
-  in-sum g=3380 s=3100 a=280 w=9860 b=17656 p=26744 t=0x3fa9bbee4d7b0809 n=[2555,21568,28816][2494,22232,28792][2437,22760,28200][2374,22240,27160]
-social in all q=786 state=d81a4968037bfbc2
-  in-sum g=7790 s=7008 a=786 w=22592 b=18552 p=63624 t=0x3fa9dd7b3272bb56 n=[5628,39808,37768][5839,41928,38392][5732,41848,37624][5393,40768,35696]
-  in-sum g=7790 s=7008 a=786 w=22592 b=18552 p=63624 t=0x3fa9dd7b3272bb56 n=[5628,39808,37768][5839,41928,38392][5732,41848,37624][5393,40768,35696]
-directed in empty q=0 state=454314c3809872e9
-  in-sum g=0 s=0 a=0 w=0 b=0 p=0 t=0x3fa999999999999a n=[0,0,4312][0,0,4736][0,0,4704][0,0,4928]
-  in-sum g=0 s=0 a=0 w=0 b=0 p=0 t=0x3fa999999999999a n=[0,0,4312][0,0,4736][0,0,4704][0,0,4928]
-directed in one q=1 state=1798cfd23d76fed1
-  in-sum g=9 s=8 a=1 w=26 b=240 p=72 t=0x3fa999ddf7977bb3 n=[4,120,4408][7,144,4840][1,160,4792][14,200,5056]
-  in-sum g=83 s=73 a=10 w=239 b=1760 p=736 t=0x3fa99b3fe41306e6 n=[49,1208,5064][58,1256,5504][59,1288,5496][73,1240,5712]
-directed in hub q=1 state=f521f5a7114ede70
-  in-sum g=8 s=7 a=1 w=23 b=216 p=88 t=0x3fa999e482a1049d n=[5,240,4448][10,160,4840][1,104,4784][7,104,5024]
-  in-sum g=67 s=58 a=9 w=192 b=1288 p=576 t=0x3fa99afb6c5012f1 n=[63,1072,4992][61,944,5320][27,872,5232][41,840,5512]
-directed in sample q=15 state=5828e1806c22b201
-  in-sum g=135 s=120 a=15 w=390 b=2336 p=1192 t=0x3fa99c1056e53f0a n=[105,1800,5384][87,1616,5792][88,1920,5824][110,1720,6048]
-  in-sum g=790 s=691 a=99 w=2271 b=5192 p=6944 t=0x3fa9a26d23801e04 n=[544,6056,7504][582,6096,8088][573,6144,7952][572,5976,8432]
-directed in all q=300 state=8bee3bbe58e3e44d
-  in-sum g=2335 s=2035 a=300 w=6705 b=6856 p=20112 t=0x3fa9af2ad6d473c7 n=[1546,12936,10904][1705,13744,11792][1707,13600,11728][1747,13656,12192]
-  in-sum g=2335 s=2035 a=300 w=6705 b=6856 p=20112 t=0x3fa9af2ad6d473c7 n=[1546,12936,10904][1705,13744,11792][1707,13600,11728][1747,13656,12192]
 "#;
 const GOLDEN_STARVED: &str = r#"cap=20000 one node=0 required=82336 step=plan-1-neighborhood
 cap=20000 sample node=0 required=93436 step=plan-1-neighborhood
