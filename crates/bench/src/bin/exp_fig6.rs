@@ -13,7 +13,6 @@ use snaple_core::{NamedScore, Snaple, SnapleConfig};
 use snaple_eval::{Runner, TextTable};
 use snaple_gas::ClusterSpec;
 use snaple_graph::stats::degree_coverage;
-use snaple_graph::Direction;
 
 const THRESHOLDS: [usize; 5] = [10, 20, 40, 80, 100];
 
@@ -44,10 +43,7 @@ fn main() {
         let graph = ds.load(args.seed);
         let mut row = vec![(*name).to_owned()];
         for thr in THRESHOLDS {
-            row.push(format!(
-                "{:.1}%",
-                100.0 * degree_coverage(&graph, Direction::Out, thr)
-            ));
+            row.push(format!("{:.1}%", 100.0 * degree_coverage(&graph, thr)));
         }
         cdf.row(row);
     }

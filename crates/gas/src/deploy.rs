@@ -638,18 +638,22 @@ mod tests {
         }
     }
 
-    /// A file-backed graph whose in-sources fail their checksum deploys
-    /// (the partition build reads out-lists only), but a delta that must
+    /// A file-backed graph whose weights fail their checksum deploys
+    /// (the partition build reads the rows only), but a delta that must
     /// materialize the graph is refused with the fault and leaves the
     /// graph, the partition and the counters as they were.
     #[test]
     fn apply_delta_on_a_faulted_file_graph_leaves_the_deployment_unchanged() {
-        use snaple_graph::{io, v2};
-        let g = ring(40);
+        use snaple_graph::{io, v2, GraphBuilder};
+        let mut b = GraphBuilder::new();
+        for i in 0..40 {
+            b.add_weighted_edge(i, (i + 1) % 40, 1.0 + i as f32);
+        }
+        let g = b.build();
         let mut bytes = Vec::new();
         io::write_binary(&g, &mut bytes).unwrap();
         let header = v2::parse_header(&bytes, bytes.len() as u64).unwrap();
-        let at = header.section(v2::SEC_IN_SOURCES).unwrap().offset as usize + 1;
+        let at = header.section(v2::SEC_OUT_WEIGHTS).unwrap().offset as usize + 1;
         bytes[at] ^= 0xff;
         let path =
             std::env::temp_dir().join(format!("snaple-deploy-fault-{}.snplg", std::process::id()));

@@ -66,12 +66,6 @@ impl<'a> GatherCtx<'a> {
         self.graph.out_degree(u)
     }
 
-    /// In-degree `|Γ⁻¹(u)|` of a vertex.
-    #[inline]
-    pub fn in_degree(&self, u: VertexId) -> usize {
-        self.graph.in_degree(u)
-    }
-
     /// Number of vertices in the graph.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -379,7 +373,6 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2), (1, 0)]);
         let ctx = GatherCtx::new(&g, 99);
         assert_eq!(ctx.out_degree(VertexId::new(0)), 2);
-        assert_eq!(ctx.in_degree(VertexId::new(0)), 1);
         assert_eq!(ctx.num_vertices(), 3);
         assert_eq!(
             ctx.edge_weight(VertexId::new(0), VertexId::new(1)),

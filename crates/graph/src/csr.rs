@@ -2,23 +2,14 @@
 
 use crate::VertexId;
 
-/// Direction of adjacency traversal.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Direction {
-    /// Follow edges from source to target (`Γ(u)` in the paper).
-    Out,
-    /// Follow edges from target to source (`Γ⁻¹(u)` in the paper).
-    In,
-}
-
 /// An immutable directed graph in compressed-sparse-row form.
 ///
-/// Both out-adjacency and in-adjacency are materialized so that GAS programs
-/// can gather over either direction in O(degree). Neighbor lists are sorted
-/// by vertex id and contain no duplicates or self-loops (the
-/// [`GraphBuilder`](crate::GraphBuilder) enforces this), which lets
-/// [`CsrGraph::has_edge`] run in O(log degree) and set intersections run as
-/// linear merges.
+/// Only the out-adjacency `Γ(u)` is stored: SNAPLE gathers along
+/// out-edges only (the paper's Algorithm 2), so no served path reads a
+/// transpose. Neighbor lists are sorted by vertex id and contain no
+/// duplicates or self-loops (the [`GraphBuilder`](crate::GraphBuilder)
+/// enforces this), which lets [`CsrGraph::has_edge`] run in O(log degree)
+/// and set intersections run as linear merges.
 ///
 /// # Example
 ///
@@ -37,77 +28,38 @@ pub struct CsrGraph {
     out_offsets: Vec<usize>,
     out_targets: Vec<VertexId>,
     out_weights: Option<Vec<f32>>,
-    in_offsets: Vec<usize>,
-    in_sources: Vec<VertexId>,
 }
 
 /// Owned arrays of a decomposed [`CsrGraph`]:
-/// `(n, out_offsets, out_targets, out_weights, in_offsets, in_sources)`.
-pub(crate) type CsrParts = (
-    usize,
-    Vec<usize>,
-    Vec<VertexId>,
-    Option<Vec<f32>>,
-    Vec<usize>,
-    Vec<VertexId>,
-);
+/// `(n, out_offsets, out_targets, out_weights)`.
+pub(crate) type CsrParts = (usize, Vec<usize>, Vec<VertexId>, Option<Vec<f32>>);
 
 impl CsrGraph {
     /// Builds a graph from raw, already validated CSR arrays.
     ///
-    /// Intended for use by [`GraphBuilder`](crate::GraphBuilder) and the
-    /// binary decoder; library users should prefer the builder.
+    /// Intended for use by [`GraphBuilder`](crate::GraphBuilder), the
+    /// binary decoders and the delta compactor; library users should
+    /// prefer the builder.
     ///
     /// # Panics
     ///
-    /// Panics if the offset arrays are inconsistent with the target arrays.
+    /// Panics if the offsets or weights are inconsistent with the targets.
     pub(crate) fn from_parts(
         num_vertices: usize,
         out_offsets: Vec<usize>,
         out_targets: Vec<VertexId>,
         out_weights: Option<Vec<f32>>,
     ) -> Self {
-        let (in_offsets, in_sources) = build_reverse(num_vertices, &out_offsets, &out_targets);
-        CsrGraph::from_parts_with_reverse(
-            num_vertices,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_sources,
-        )
-    }
-
-    /// [`CsrGraph::from_parts`] with the reverse adjacency already built —
-    /// used by the delta compactor, which patches the in-adjacency with a
-    /// linear merge instead of re-scattering every edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offset arrays are inconsistent with the target arrays.
-    pub(crate) fn from_parts_with_reverse(
-        num_vertices: usize,
-        out_offsets: Vec<usize>,
-        out_targets: Vec<VertexId>,
-        out_weights: Option<Vec<f32>>,
-        in_offsets: Vec<usize>,
-        in_sources: Vec<VertexId>,
-    ) -> Self {
         assert_eq!(out_offsets.len(), num_vertices + 1);
         assert_eq!(*out_offsets.last().unwrap(), out_targets.len());
         if let Some(w) = &out_weights {
             assert_eq!(w.len(), out_targets.len());
         }
-        assert_eq!(in_offsets.len(), num_vertices + 1);
-        assert_eq!(*in_offsets.last().unwrap(), in_sources.len());
-        assert_eq!(in_sources.len(), out_targets.len());
         CsrGraph {
             num_vertices,
             out_offsets,
             out_targets,
             out_weights,
-            in_offsets,
-            in_sources,
         }
     }
 
@@ -157,40 +109,10 @@ impl CsrGraph {
         self.out_offsets[u.index() + 1] - self.out_offsets[u.index()]
     }
 
-    /// In-degree `|Γ⁻¹(u)|`.
-    #[inline]
-    pub fn in_degree(&self, u: VertexId) -> usize {
-        self.in_offsets[u.index() + 1] - self.in_offsets[u.index()]
-    }
-
-    /// Degree in the requested direction.
-    #[inline]
-    pub fn degree(&self, u: VertexId, dir: Direction) -> usize {
-        match dir {
-            Direction::Out => self.out_degree(u),
-            Direction::In => self.in_degree(u),
-        }
-    }
-
     /// Sorted out-neighbor list `Γ(u)`.
     #[inline]
     pub fn out_neighbors(&self, u: VertexId) -> &[VertexId] {
         &self.out_targets[self.out_offsets[u.index()]..self.out_offsets[u.index() + 1]]
-    }
-
-    /// Sorted in-neighbor list `Γ⁻¹(u)`.
-    #[inline]
-    pub fn in_neighbors(&self, u: VertexId) -> &[VertexId] {
-        &self.in_sources[self.in_offsets[u.index()]..self.in_offsets[u.index() + 1]]
-    }
-
-    /// Neighbor list in the requested direction.
-    #[inline]
-    pub fn neighbors(&self, u: VertexId, dir: Direction) -> &[VertexId] {
-        match dir {
-            Direction::Out => self.out_neighbors(u),
-            Direction::In => self.in_neighbors(u),
-        }
     }
 
     /// Weights parallel to [`CsrGraph::out_neighbors`], if the graph is
@@ -235,24 +157,21 @@ impl CsrGraph {
     }
 
     /// Decomposes the graph into its owned arrays
-    /// `(n, out_offsets, out_targets, out_weights, in_offsets, in_sources)`
-    /// — for the delta compactor, which rebuilds adjacency in place
-    /// instead of cloning it.
+    /// `(n, out_offsets, out_targets, out_weights)` — for the delta
+    /// compactor, which rebuilds adjacency in place instead of cloning it.
     pub(crate) fn into_parts(self) -> CsrParts {
         (
             self.num_vertices,
             self.out_offsets,
             self.out_targets,
             self.out_weights,
-            self.in_offsets,
-            self.in_sources,
         )
     }
 
     /// Total bytes of the CSR arrays (used for memory accounting).
     pub fn storage_bytes(&self) -> u64 {
-        let offsets = (self.out_offsets.len() + self.in_offsets.len()) * 8;
-        let targets = (self.out_targets.len() + self.in_sources.len()) * 4;
+        let offsets = self.out_offsets.len() * 8;
+        let targets = self.out_targets.len() * 4;
         let weights = self.out_weights.as_ref().map_or(0, |w| w.len() * 4);
         (offsets + targets + weights) as u64
     }
@@ -296,31 +215,6 @@ impl Iterator for Edges<'_> {
     }
 }
 
-fn build_reverse(
-    n: usize,
-    out_offsets: &[usize],
-    out_targets: &[VertexId],
-) -> (Vec<usize>, Vec<VertexId>) {
-    let mut counts = vec![0usize; n + 1];
-    for t in out_targets {
-        counts[t.index() + 1] += 1;
-    }
-    for i in 1..=n {
-        counts[i] += counts[i - 1];
-    }
-    let in_offsets = counts.clone();
-    let mut cursor = counts;
-    let mut in_sources = vec![VertexId::default(); out_targets.len()];
-    for u in 0..n {
-        for t in &out_targets[out_offsets[u]..out_offsets[u + 1]] {
-            // Sources arrive in increasing u, so each in-list ends up sorted.
-            in_sources[cursor[t.index()]] = VertexId::new(u as u32);
-            cursor[t.index()] += 1;
-        }
-    }
-    (in_offsets, in_sources)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,26 +228,11 @@ mod tests {
     fn degrees_and_neighbors() {
         let g = diamond();
         assert_eq!(g.out_degree(VertexId::new(0)), 2);
-        assert_eq!(g.in_degree(VertexId::new(0)), 0);
-        assert_eq!(g.in_degree(VertexId::new(3)), 2);
+        assert_eq!(g.out_degree(VertexId::new(3)), 0);
         assert_eq!(
             g.out_neighbors(VertexId::new(0)),
             &[VertexId::new(1), VertexId::new(2)]
         );
-        assert_eq!(
-            g.in_neighbors(VertexId::new(3)),
-            &[VertexId::new(1), VertexId::new(2)]
-        );
-    }
-
-    #[test]
-    fn direction_selector_matches_specific_accessors() {
-        let g = diamond();
-        let v = VertexId::new(3);
-        assert_eq!(g.neighbors(v, Direction::In), g.in_neighbors(v));
-        assert_eq!(g.neighbors(v, Direction::Out), g.out_neighbors(v));
-        assert_eq!(g.degree(v, Direction::In), 2);
-        assert_eq!(g.degree(v, Direction::Out), 0);
     }
 
     #[test]
@@ -391,13 +270,12 @@ mod tests {
     fn isolated_vertices_have_empty_lists() {
         let g = CsrGraph::from_edges(5, &[(0, 1)]);
         assert!(g.out_neighbors(VertexId::new(3)).is_empty());
-        assert!(g.in_neighbors(VertexId::new(3)).is_empty());
     }
 
     #[test]
     fn storage_bytes_counts_all_arrays() {
         let g = diamond();
-        // 2*(n+1)*8 offset bytes + 2*m*4 target bytes
-        assert_eq!(g.storage_bytes(), (2 * 5 * 8 + 2 * 4 * 4) as u64);
+        // (n+1)*8 offset bytes + m*4 target bytes
+        assert_eq!(g.storage_bytes(), (5 * 8 + 4 * 4) as u64);
     }
 }

@@ -10,7 +10,7 @@
 //!    matters only per edge: the last operation on a pair wins);
 //! 2. [`GraphDelta::resolve`] the batch against a base graph into a
 //!    [`DeltaOverlay`] — the *effective* changes, deduplicated,
-//!    self-loop-free and grouped per source (and per target) vertex;
+//!    self-loop-free and grouped per source vertex;
 //! 3. fold the overlay back into CSR form. There is one merge,
 //!    [`CsrGraph::compact_overlay_owned`]: a linear pass over the graph's
 //!    own arrays, in place, with no global re-sort. [`CsrGraph::compact`]
@@ -128,9 +128,7 @@ impl GraphDelta {
         keyed.sort_unstable();
 
         let mut num_vertices = n;
-        let mut entries: Vec<SideEntry> = Vec::new();
-        let mut in_added: Vec<(VertexId, VertexId)> = Vec::new(); // (target, source)
-        let mut in_removed: Vec<(VertexId, VertexId)> = Vec::new();
+        let mut entries: Vec<RowEdit> = Vec::new();
         let mut inserted = 0usize;
         let mut removed = 0usize;
         let mut i = 0;
@@ -148,79 +146,47 @@ impl GraphDelta {
                 continue; // inserting a present edge / removing an absent one
             }
             if entries.last().map(|e| e.vertex.as_u32()) != Some(u) {
-                entries.push(SideEntry::new(VertexId::new(u)));
+                entries.push(RowEdit::new(VertexId::new(u)));
             }
             let entry = entries.last_mut().expect("just pushed");
             if is_insert {
                 entry.added.push(VertexId::new(v));
                 entry.added_ws.push(w);
-                in_added.push((VertexId::new(v), VertexId::new(u)));
                 inserted += 1;
                 num_vertices = num_vertices.max(u as usize + 1).max(v as usize + 1);
             } else {
                 entry.removed.push(VertexId::new(v));
-                in_removed.push((VertexId::new(v), VertexId::new(u)));
                 removed += 1;
             }
         }
         DeltaOverlay {
             num_vertices,
             entries,
-            in_entries: group_by_target(in_added, in_removed),
             inserted,
             removed,
         }
     }
 }
 
-/// One vertex's effective changes on one adjacency side: the neighbors
-/// it gains and loses, each sorted by id. On the out side `vertex` is a
-/// source and `added_ws` holds the added edges' weights; on the in side
-/// `vertex` is a target and `added_ws` is empty.
+/// One source vertex's effective changes to its out-row: the targets it
+/// gains (with their weights in `added_ws`) and loses, each sorted by id.
 #[derive(Clone, Debug)]
-struct SideEntry {
+struct RowEdit {
     vertex: VertexId,
     added: Vec<VertexId>,
     added_ws: Vec<f32>,
     removed: Vec<VertexId>,
 }
 
-impl SideEntry {
+impl RowEdit {
     fn new(vertex: VertexId) -> Self {
-        SideEntry {
+        RowEdit {
             vertex,
             added: Vec::new(),
             added_ws: Vec::new(),
             removed: Vec::new(),
         }
     }
-}
-
-/// Groups `(target, source)` pairs into sorted per-target entries: one
-/// sort plus a linear grouping pass.
-fn group_by_target(
-    added: Vec<(VertexId, VertexId)>,
-    removed: Vec<(VertexId, VertexId)>,
-) -> Vec<SideEntry> {
-    let mut tagged: Vec<(VertexId, VertexId, bool)> = added
-        .into_iter()
-        .map(|(t, s)| (t, s, true))
-        .chain(removed.into_iter().map(|(t, s)| (t, s, false)))
-        .collect();
-    tagged.sort_unstable_by_key(|&(t, s, _)| (t, s));
-    let mut entries: Vec<SideEntry> = Vec::new();
-    for (t, s, is_add) in tagged {
-        if entries.last().map(|e| e.vertex) != Some(t) {
-            entries.push(SideEntry::new(t));
-        }
-        let entry = entries.last_mut().expect("just pushed");
-        if is_add {
-            entry.added.push(s);
-        } else {
-            entry.removed.push(s);
-        }
-    }
-    entries
 }
 
 /// The effective changes of a [`GraphDelta`] against one base graph: an
@@ -234,10 +200,7 @@ pub struct DeltaOverlay {
     num_vertices: usize,
     /// Sorted by source id; each entry's `added`/`removed` sorted by
     /// target id.
-    entries: Vec<SideEntry>,
-    /// Sorted by target id; each entry's `added`/`removed` sorted by
-    /// source id.
-    in_entries: Vec<SideEntry>,
+    entries: Vec<RowEdit>,
     inserted: usize,
     removed: usize,
 }
@@ -404,40 +367,21 @@ impl CsrGraph {
             n >= n_old,
             "overlay ranges over {n} vertices but the base graph has {n_old}"
         );
-        let (_, out_offsets, mut out_targets, mut out_weights, in_offsets, mut in_sources) =
-            self.into_parts();
-
-        let new_out_offsets = rebuild_side_owned(
+        let (_, offsets, mut targets, mut weights) = self.into_parts();
+        let new_offsets = rebuild_rows_owned(
             n_old,
             n,
-            &out_offsets,
-            &mut out_targets,
-            out_weights.as_mut(),
+            &offsets,
+            &mut targets,
+            weights.as_mut(),
             &overlay.entries,
         );
-        drop(out_offsets);
-        let new_in_offsets = rebuild_side_owned(
-            n_old,
-            n,
-            &in_offsets,
-            &mut in_sources,
-            None,
-            &overlay.in_entries,
-        );
-        drop(in_offsets);
-
-        CsrGraph::from_parts_with_reverse(
-            n,
-            new_out_offsets,
-            out_targets,
-            out_weights,
-            new_in_offsets,
-            in_sources,
-        )
+        drop(offsets);
+        CsrGraph::from_parts(n, new_offsets, targets, weights)
     }
 }
 
-/// Rebuilds one adjacency side in place and returns its new offsets.
+/// Rebuilds the out-rows in place and returns their new offsets.
 ///
 /// Phase R drops removed items with a left-to-right compaction (writes
 /// never pass reads: every write index ≤ its read index). Phase I then
@@ -447,13 +391,13 @@ impl CsrGraph {
 /// still owed at or before `u`, so the write cursor stays ≥ the read
 /// cursor; bulk runs move with `copy_within`, which handles overlap).
 /// Both phases are O(edges) with bulk `copy_within` for untouched runs.
-fn rebuild_side_owned(
+fn rebuild_rows_owned(
     n_old: usize,
     n: usize,
     base_offsets: &[usize],
     items: &mut Vec<VertexId>,
     mut weights: Option<&mut Vec<f32>>,
-    touched: &[SideEntry],
+    touched: &[RowEdit],
 ) -> Vec<usize> {
     // Degree bookkeeping: mid = base − removed, final = mid + added.
     let deg_of = |u: usize| {
@@ -675,8 +619,7 @@ mod tests {
         assert_eq!(neighbors(&g2, 1), vec![5]);
         assert_eq!(neighbors(&g2, 6), vec![0]);
         assert!(g2.out_neighbors(v(4)).is_empty());
-        // In-adjacency is rebuilt consistently for the new range.
-        assert_eq!(g2.in_neighbors(v(5)), &[v(1)]);
+        assert!(g2.out_neighbors(v(5)).is_empty());
     }
 
     #[test]
@@ -826,11 +769,6 @@ mod tests {
                     "round {round}, out-list of {u}"
                 );
                 assert_eq!(
-                    owned.in_neighbors(v(u)),
-                    rebuilt.in_neighbors(v(u)),
-                    "round {round}, in-list of {u}"
-                );
-                assert_eq!(
                     weight_bits(&owned, u),
                     weight_bits(&rebuilt, u),
                     "round {round}, weights of {u}"
@@ -893,13 +831,6 @@ mod tests {
                     neighbors(&incremental, u),
                     neighbors(&rebuilt, u),
                     "round {round}, vertex {u}"
-                );
-                // The merge-patched reverse adjacency must match the
-                // scatter-built one too.
-                assert_eq!(
-                    incremental.in_neighbors(v(u)),
-                    rebuilt.in_neighbors(v(u)),
-                    "round {round}, in-list of vertex {u}"
                 );
             }
         }

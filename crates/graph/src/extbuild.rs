@@ -36,8 +36,8 @@ use std::path::{Path, PathBuf};
 
 use crate::codec::crc32;
 use crate::v2::{
-    encode_prelude, Section, FLAG2_WEIGHTED, HEADER2_LEN, SECTION_ENTRY_LEN, SEC_IN_OFFSETS,
-    SEC_IN_SOURCES, SEC_OUT_OFFSETS, SEC_OUT_TARGETS, SEC_OUT_WEIGHTS,
+    encode_prelude, Section, FLAG2_WEIGHTED, HEADER2_LEN, SECTION_ENTRY_LEN, SEC_OUT_OFFSETS,
+    SEC_OUT_TARGETS, SEC_OUT_WEIGHTS,
 };
 use crate::GraphError;
 
@@ -61,8 +61,6 @@ pub struct BuildStats {
 
 /// 12-byte little-endian triple: `u, v, weight bits`.
 const TRIPLE: usize = 12;
-/// 8-byte little-endian pair: `v, u` (pass-2 records).
-const PAIR: usize = 8;
 
 /// Sorted runs spilled to one append-only scratch file.
 struct RunFile {
@@ -84,8 +82,8 @@ impl RunFile {
         })
     }
 
-    fn spill(&mut self, records: &[u8], record_size: usize) -> Result<(), GraphError> {
-        let count = (records.len() / record_size) as u64;
+    fn spill(&mut self, records: &[u8]) -> Result<(), GraphError> {
+        let count = (records.len() / TRIPLE) as u64;
         if count == 0 {
             return Ok(());
         }
@@ -98,7 +96,7 @@ impl RunFile {
     }
 
     /// Flushes and reopens one buffered reader per run.
-    fn open_readers(&mut self, record_size: usize) -> Result<Vec<RunReader>, GraphError> {
+    fn open_readers(&mut self) -> Result<Vec<RunReader>, GraphError> {
         if let Some(w) = self.writer.take() {
             w.into_inner()
                 .map_err(|e| GraphError::Io(e.into_error()))?
@@ -112,7 +110,6 @@ impl RunFile {
             readers.push(RunReader {
                 reader: BufReader::with_capacity(1 << 20, f),
                 remaining: count,
-                record_size,
             });
         }
         Ok(readers)
@@ -122,7 +119,6 @@ impl RunFile {
 struct RunReader {
     reader: BufReader<File>,
     remaining: u64,
-    record_size: usize,
 }
 
 impl RunReader {
@@ -132,9 +128,7 @@ impl RunReader {
         }
         self.remaining -= 1;
         let mut rec = [0u8; TRIPLE];
-        self.reader
-            .read_exact(&mut rec[..self.record_size])
-            .map_err(GraphError::from)?;
+        self.reader.read_exact(&mut rec).map_err(GraphError::from)?;
         Ok(Some(rec))
     }
 }
@@ -235,7 +229,8 @@ impl ExternalGraphBuilder {
     }
 
     /// Directs scratch runs to `dir` (default: the system temp dir).
-    /// Scratch space peaks at roughly `12 bytes × edge records × 2`.
+    /// Scratch space peaks at roughly `12 bytes × edge records`, plus
+    /// `4 bytes × edges` for the weights of a weighted graph.
     pub fn scratch_dir(&mut self, dir: &Path) -> &mut Self {
         self.scratch_dir = Some(dir.to_path_buf());
         self
@@ -337,12 +332,9 @@ impl ExternalGraphBuilder {
             let path = self.scratch_file("runs1")?;
             self.runs = Some(RunFile::create(path)?);
         }
-        sort_records(&mut self.chunk, TRIPLE, |rec| {
-            (u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as u64) << 32
-                | u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]) as u64
-        });
+        sort_records(&mut self.chunk);
         if let Some(runs) = self.runs.as_mut() {
-            runs.spill(&self.chunk, TRIPLE)?;
+            runs.spill(&self.chunk)?;
         }
         self.chunk.clear();
         Ok(())
@@ -363,25 +355,17 @@ impl ExternalGraphBuilder {
             Some(r) => r,
             None => RunFile::create(self.scratch_file("runs1")?)?,
         };
-        let scratch1 = runs.path.clone();
-        let pass2_path = self.scratch_file("runs2")?;
-        let result = self.merge_to_file(&mut runs, &pass2_path, out);
-        std::fs::remove_file(&scratch1).ok();
-        std::fs::remove_file(&pass2_path).ok();
+        let result = self.merge_to_file(&mut runs, out);
+        std::fs::remove_file(&runs.path).ok();
         result
     }
 
-    fn merge_to_file(
-        &mut self,
-        runs: &mut RunFile,
-        pass2_path: &Path,
-        out: &Path,
-    ) -> Result<BuildStats, GraphError> {
+    fn merge_to_file(&mut self, runs: &mut RunFile, out: &Path) -> Result<BuildStats, GraphError> {
         let run_count = runs.runs.len();
-        let mut readers = runs.open_readers(TRIPLE)?;
+        let mut readers = runs.open_readers()?;
 
         let weighted = self.weighted;
-        let section_count = if weighted { 5 } else { 4 };
+        let section_count = if weighted { 3 } else { 2 };
         let prelude_len = HEADER2_LEN + section_count * SECTION_ENTRY_LEN;
 
         let out_file = File::create(out)?;
@@ -405,8 +389,8 @@ impl ExternalGraphBuilder {
                 w.reset();
             };
 
-        // Pass 1: k-way merge by (u, v, run). Targets stream straight
-        // into the output; weights and reversed pairs go to scratch.
+        // One k-way merge by (u, v, run). Targets stream straight into
+        // the output; weights go to scratch.
         let mut heap: BinaryHeap<std::cmp::Reverse<(u32, u32, usize, u32)>> = BinaryHeap::new();
         for (i, r) in readers.iter_mut().enumerate() {
             if let Some(rec) = r.next()? {
@@ -424,9 +408,6 @@ impl ExternalGraphBuilder {
         } else {
             None
         };
-        let mut pass2 = RunFile::create(pass2_path.to_path_buf())?;
-        let mut pass2_chunk: Vec<u8> = Vec::new();
-        let pass2_cap = self.chunk_capacity * PAIR;
 
         let mut out_degrees: Vec<u64> = Vec::new();
         let mut m = 0usize;
@@ -459,16 +440,6 @@ impl ExternalGraphBuilder {
             if let Some((wf, _)) = weights_file.as_mut() {
                 wf.write_all(&wt.to_le_bytes())?;
             }
-            pass2_chunk.extend_from_slice(&v.to_le_bytes());
-            pass2_chunk.extend_from_slice(&u.to_le_bytes());
-            if pass2_chunk.len() >= pass2_cap {
-                sort_records(&mut pass2_chunk, PAIR, |rec| {
-                    (u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as u64) << 32
-                        | u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]) as u64
-                });
-                pass2.spill(&pass2_chunk, PAIR)?;
-                pass2_chunk.clear();
-            }
         }
         seal(&mut w, &mut sections, SEC_OUT_TARGETS, m as u64);
 
@@ -490,37 +461,7 @@ impl ExternalGraphBuilder {
             seal(&mut w, &mut sections, SEC_OUT_WEIGHTS, m as u64);
         }
 
-        // Pass 2: merge the reversed pairs by (v, u) into IN_SOURCES.
-        if !pass2_chunk.is_empty() {
-            sort_records(&mut pass2_chunk, PAIR, |rec| {
-                (u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as u64) << 32
-                    | u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]) as u64
-            });
-            pass2.spill(&pass2_chunk, PAIR)?;
-            pass2_chunk.clear();
-        }
-        let mut readers2 = pass2.open_readers(PAIR)?;
-        let mut heap2: BinaryHeap<std::cmp::Reverse<(u32, u32, usize)>> = BinaryHeap::new();
-        for (i, r) in readers2.iter_mut().enumerate() {
-            if let Some(rec) = r.next()? {
-                heap2.push(std::cmp::Reverse((le32(&rec, 0), le32(&rec, 4), i)));
-            }
-        }
-        let mut in_degrees: Vec<u64> = vec![0; n];
-        while let Some(std::cmp::Reverse((v, u, run))) = heap2.pop() {
-            if let Some(r) = readers2.get_mut(run) {
-                if let Some(rec) = r.next()? {
-                    heap2.push(std::cmp::Reverse((le32(&rec, 0), le32(&rec, 4), run)));
-                }
-            }
-            if let Some(d) = in_degrees.get_mut(v as usize) {
-                *d += 1;
-            }
-            w.write_all(&u.to_le_bytes())?;
-        }
-        seal(&mut w, &mut sections, SEC_IN_SOURCES, m as u64);
-
-        // Offsets sections, derived from the degree counters.
+        // The offsets section, derived from the degree counters.
         out_degrees.resize(n, 0);
         let mut total = 0u64;
         w.write_all(&0u64.to_le_bytes())?;
@@ -529,13 +470,6 @@ impl ExternalGraphBuilder {
             w.write_all(&total.to_le_bytes())?;
         }
         seal(&mut w, &mut sections, SEC_OUT_OFFSETS, n as u64 + 1);
-        let mut total = 0u64;
-        w.write_all(&0u64.to_le_bytes())?;
-        for &d in &in_degrees {
-            total += d;
-            w.write_all(&total.to_le_bytes())?;
-        }
-        seal(&mut w, &mut sections, SEC_IN_OFFSETS, n as u64 + 1);
 
         // Patch in the real header + section table.
         let mut file = w
@@ -558,19 +492,23 @@ impl ExternalGraphBuilder {
     }
 }
 
-/// Stable in-place sort of fixed-size byte records by a `u64` key.
-fn sort_records(bytes: &mut Vec<u8>, record_size: usize, key: impl Fn(&[u8]) -> u64) {
-    let count = bytes.len() / record_size;
+/// Stable in-place sort of edge triples by `(u, v)`.
+fn sort_records(bytes: &mut Vec<u8>) {
+    let key = |rec: &[u8]| {
+        (u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]) as u64) << 32
+            | u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]) as u64
+    };
+    let count = bytes.len() / TRIPLE;
     let mut order: Vec<u32> = (0..count as u32).collect();
     order.sort_by_key(|&i| {
         bytes
-            .get(i as usize * record_size..(i as usize + 1) * record_size)
-            .map(&key)
+            .get(i as usize * TRIPLE..(i as usize + 1) * TRIPLE)
+            .map(key)
             .unwrap_or(0)
     });
     let mut sorted = Vec::with_capacity(bytes.len());
     for &i in &order {
-        if let Some(rec) = bytes.get(i as usize * record_size..(i as usize + 1) * record_size) {
+        if let Some(rec) = bytes.get(i as usize * TRIPLE..(i as usize + 1) * TRIPLE) {
             sorted.extend_from_slice(rec);
         }
     }
@@ -636,7 +574,6 @@ mod tests {
         assert_eq!(a.is_weighted(), b.is_weighted());
         for u in a.vertices() {
             assert_eq!(a.out_neighbors(u), b.out_neighbors(u), "{u} out");
-            assert_eq!(a.in_neighbors(u), b.in_neighbors(u), "{u} in");
             let wa: Option<Vec<u32>> = a
                 .out_weights(u)
                 .map(|ws| ws.iter().map(|w| w.to_bits()).collect());

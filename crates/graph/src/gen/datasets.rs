@@ -192,7 +192,6 @@ impl DatasetSpec {
 mod tests {
     use super::*;
     use crate::stats;
-    use crate::Direction;
 
     #[test]
     fn registry_is_complete_and_ordered() {
@@ -261,7 +260,7 @@ mod tests {
     #[test]
     fn emulated_graphs_have_heavy_tails() {
         let g = ORKUT.emulate(0.001, 9);
-        let s = stats::degree_summary(&g, Direction::Out);
+        let s = stats::degree_summary(&g);
         assert!(s.max as f64 > 4.0 * s.mean, "max {} mean {}", s.max, s.mean);
     }
 

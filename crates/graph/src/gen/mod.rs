@@ -467,7 +467,6 @@ pub fn watts_strogatz<R: Rng>(n: usize, k: usize, beta: f64, rng: &mut R) -> Und
 mod tests {
     use super::*;
     use crate::stats;
-    use crate::Direction;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -502,7 +501,7 @@ mod tests {
     fn barabasi_albert_produces_heavy_tail() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = barabasi_albert(2_000, 4, &mut rng).into_symmetric_graph();
-        let s = stats::degree_summary(&g, Direction::Out);
+        let s = stats::degree_summary(&g);
         // Power law: max degree far above the mean.
         assert!(s.max as f64 > 5.0 * s.mean, "max {} mean {}", s.max, s.mean);
         // Every non-seed vertex attached ~m edges.
@@ -592,7 +591,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = community_graph(4_000, params, &mut rng).into_symmetric_graph();
         assert_eq!(g.num_vertices(), 4_000);
-        let s = stats::degree_summary(&g, Direction::Out);
+        let s = stats::degree_summary(&g);
         assert!(s.max as f64 > 4.0 * s.mean, "max {} mean {}", s.max, s.mean);
         // Every non-seed vertex attached ~m undirected edges.
         assert!(s.mean >= 6.0, "mean {}", s.mean);

@@ -11,13 +11,13 @@
 //!
 //! * **`SNPLG2`** (see [`v2`]) — the current format.
 //!   [`write_binary`] emits it; its sections are the CSR arrays
-//!   verbatim (both adjacency directions), so loading is a vectorized
-//!   bytes→ints copy with no per-edge decode and no reverse-adjacency
-//!   rebuild, and [`v2::FileCsr`] can open it
+//!   verbatim, each checksummed, so loading is a vectorized bytes→ints
+//!   copy with no per-edge decode, and [`v2::FileCsr`] can open it
 //!   lazily in O(1) of the edge count.
-//! * **`SNPLG1`** — the legacy format (out-adjacency only, in-adjacency
-//!   re-derived on load). Kept fully readable; [`write_binary_v1`]
-//!   still writes it for tooling that needs the old layout.
+//! * **`SNPLG1`** — the legacy format: one unchecksummed stream of the
+//!   same out-adjacency, parsed field by field into a [`CsrGraph`] on
+//!   load. Kept fully readable; [`write_binary_v1`] still writes it for
+//!   tooling that needs the old layout.
 //!
 //! [`read_binary`] accepts either. [`open_store`] is the file-level
 //! entry point: it dispatches on magic (and the varint flag) to one of
@@ -150,8 +150,8 @@ pub fn write_binary<W: Write>(graph: &dyn GraphStore, writer: W) -> Result<(), G
 /// Encodes a graph into the legacy `SNPLG1` binary format.
 ///
 /// Kept for tooling pinned to the old layout; new writes should go
-/// through [`write_binary`]. Unlike `SNPLG2`, this stores only the
-/// out-adjacency — readers pay an O(edges) reverse-adjacency rebuild.
+/// through [`write_binary`]. Unlike `SNPLG2`, this has no checksums and
+/// no section table, so readers must parse it whole.
 ///
 /// # Errors
 ///
@@ -298,7 +298,7 @@ fn read_binary_v1_bytes(data: &[u8]) -> Result<CsrGraph, GraphError> {
         }
         targets.push(VertexId::new(t));
     }
-    v2::check_rows(&offsets, &targets, "out-adjacency")?;
+    v2::check_rows(&offsets, &targets)?;
     let weights = if weighted {
         let mut w = Vec::with_capacity(m);
         for _ in 0..m {
@@ -383,7 +383,6 @@ mod tests {
         assert_eq!(g.num_edges(), g2.num_edges());
         for u in g.vertices() {
             assert_eq!(g.out_neighbors(u), g2.out_neighbors(u));
-            assert_eq!(g.in_neighbors(u), g2.in_neighbors(u));
         }
     }
 
@@ -397,7 +396,6 @@ mod tests {
         assert_eq!(g.num_edges(), g2.num_edges());
         for u in g.vertices() {
             assert_eq!(g.out_neighbors(u), g2.out_neighbors(u));
-            assert_eq!(g.in_neighbors(u), g2.in_neighbors(u));
         }
     }
 
@@ -429,7 +427,6 @@ mod tests {
             assert_eq!(s.num_edges(), g.num_edges());
             for u in g.vertices() {
                 assert_eq!(s.out_neighbors(u), g.out_neighbors(u));
-                assert_eq!(s.in_neighbors(u), g.in_neighbors(u));
             }
         }
 

@@ -6,8 +6,8 @@
 //! This crate provides everything the upper layers need to *hold* and
 //! *produce* graphs:
 //!
-//! * [`CsrGraph`] — an immutable compressed-sparse-row directed graph with
-//!   both out- and in-adjacency, the storage format consumed by the GAS
+//! * [`CsrGraph`] — an immutable compressed-sparse-row directed graph
+//!   (out-adjacency only), the storage format consumed by the GAS
 //!   engine ([`snaple-gas`](https://example.org/snaple)).
 //! * [`GraphStore`] — the storage-backend abstraction over adjacency
 //!   access: [`CsrGraph`] (eager, in RAM) and [`v2::FileCsr`] (lazy,
@@ -23,7 +23,7 @@
 //!   writer, payload primitives, the [`GraphDelta`] encoding, CRC-32),
 //!   spoken identically by the shard protocol and the durability
 //!   commitlog in the upper layers.
-//! * [`stats`] — degree histograms/CDFs, clustering, reciprocity; used to
+//! * [`stats`] — out-degree histograms/CDFs, clustering, reciprocity; used to
 //!   regenerate the paper's Figure 6a–c.
 //! * [`gen`] — seeded synthetic generators (Erdős–Rényi, Barabási–Albert,
 //!   Holme–Kim, Watts–Strogatz) and [`gen::datasets`] emulating the five
@@ -64,12 +64,12 @@
 //!    `snaple-cli graph gen --rmat-scale 25 --out big.snplg` and
 //!    `snaple-cli graph convert --graph edges.txt --out big.snplg`.
 //! 2. **Open without parsing.** `SNPLG2` ([`v2`]) stores the CSR
-//!    arrays verbatim, both directions, each section checksummed.
+//!    arrays verbatim, each section checksummed.
 //!    [`v2::FileCsr::open`] reads only the header and the section
 //!    table — open time is flat in the edge count. A section loads
-//!    whole into RAM on first touch, so a run that gathers only
-//!    out-edges never loads the in-sections, but every section a run
-//!    touches must fit in memory. [`io::open_store`] picks the backend
+//!    whole into RAM on first touch, so a run that never reads weights
+//!    never loads them, but every section a run touches must fit in
+//!    memory. [`io::open_store`] picks the backend
 //!    from the file magic, and `snaple predict`/`serve` open every
 //!    binary graph through it.
 //! 3. **Serve either backend.** The engine, partitioner and serving
@@ -101,7 +101,7 @@ pub mod store;
 pub mod v2;
 
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, Direction};
+pub use csr::CsrGraph;
 pub use delta::{DeltaOverlay, GraphDelta, LiveGraph};
 pub use error::GraphError;
 pub use extbuild::ExternalGraphBuilder;

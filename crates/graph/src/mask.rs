@@ -4,10 +4,9 @@
 //! A [`VertexMask`] marks the *active* vertices of a computation step.
 //! Targeted prediction runs SNAPLE's GAS steps only for the vertices that
 //! can influence a query's result; the masks for successive steps are built
-//! by [expanding](VertexMask::expand) a query set along the graph's edges,
-//! one hop per step of lookahead.
+//! by [expanding](VertexMask::expand_out) a query set along the graph's
+//! out-edges, one hop per step of lookahead.
 
-use crate::csr::Direction;
 use crate::id::VertexId;
 use crate::store::GraphStore;
 
@@ -118,16 +117,15 @@ impl VertexMask {
         }
     }
 
-    /// Returns this mask united with the `dir`-neighbors of its set
-    /// vertices — one hop of frontier growth.
-    ///
-    /// With [`Direction::Out`], a query mask `Q` becomes `Q ∪ Γ(Q)`: the
-    /// set of vertices whose state a gather over `Q`'s out-edges can read.
+    /// Returns this mask united with the out-neighbors of its set
+    /// vertices — one hop of frontier growth along the edges SNAPLE's
+    /// steps gather over. A query mask `Q` becomes `Q ∪ Γ(Q)`: the set
+    /// of vertices whose state a gather over `Q`'s out-edges can read.
     ///
     /// # Panics
     ///
     /// Panics when the mask and graph sizes disagree.
-    pub fn expand(&self, graph: &dyn GraphStore, dir: Direction) -> VertexMask {
+    pub fn expand_out(&self, graph: &dyn GraphStore) -> VertexMask {
         assert_eq!(
             self.num_vertices,
             graph.num_vertices(),
@@ -135,17 +133,11 @@ impl VertexMask {
         );
         let mut out = self.clone();
         for v in self.iter() {
-            for &w in graph.neighbors(v, dir) {
+            for &w in graph.out_neighbors(v) {
                 out.insert(w);
             }
         }
         out
-    }
-
-    /// [`expand`](Self::expand) along out-edges — the direction SNAPLE's
-    /// steps gather over.
-    pub fn expand_out(&self, graph: &dyn GraphStore) -> VertexMask {
-        self.expand(graph, Direction::Out)
     }
 
     /// Whether every vertex set here is also set in `other` (masks over
@@ -292,8 +284,6 @@ mod tests {
         assert_eq!(one.iter().collect::<Vec<_>>(), vec![v(0), v(1)]);
         let two = one.expand_out(&g);
         assert_eq!(two.iter().collect::<Vec<_>>(), vec![v(0), v(1), v(2)]);
-        let in_dir = VertexMask::from_vertices(5, [v(2)]).expand(&g, Direction::In);
-        assert_eq!(in_dir.iter().collect::<Vec<_>>(), vec![v(1), v(2)]);
     }
 
     #[test]
@@ -309,21 +299,17 @@ mod tests {
     #[test]
     fn expanding_an_empty_mask_stays_empty() {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        for dir in [Direction::Out, Direction::In] {
-            let e = VertexMask::empty(4).expand(&g, dir);
-            assert!(e.is_empty());
-            assert_eq!(e.num_vertices(), 4);
-        }
+        let e = VertexMask::empty(4).expand_out(&g);
+        assert!(e.is_empty());
+        assert_eq!(e.num_vertices(), 4);
     }
 
     #[test]
     fn expanding_a_full_mask_stays_full() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
-        for dir in [Direction::Out, Direction::In] {
-            let f = VertexMask::full(5).expand(&g, dir);
-            assert!(f.is_full());
-            assert_eq!(f.len(), 5);
-        }
+        let f = VertexMask::full(5).expand_out(&g);
+        assert!(f.is_full());
+        assert_eq!(f.len(), 5);
     }
 
     #[test]
@@ -332,26 +318,9 @@ mod tests {
         let g = CsrGraph::from_edges(5, &[(0, 1), (3, 4)]);
         let iso = VertexMask::from_vertices(5, [v(2)]);
         assert_eq!(iso.expand_out(&g), iso);
-        assert_eq!(iso.expand(&g, Direction::In), iso);
-        // A sink vertex grows along In but not along Out.
+        // A sink vertex does not grow along its in-edge.
         let sink = VertexMask::from_vertices(5, [v(4)]);
         assert_eq!(sink.expand_out(&g), sink);
-        assert_eq!(
-            sink.expand(&g, Direction::In).iter().collect::<Vec<_>>(),
-            vec![v(3), v(4)]
-        );
-    }
-
-    #[test]
-    fn in_and_out_expansion_differ_on_directed_graphs() {
-        // 0 → 1 → 2: from {1}, Out reaches 2, In reaches 0.
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let m = VertexMask::from_vertices(3, [v(1)]);
-        let out = m.expand(&g, Direction::Out);
-        let inward = m.expand(&g, Direction::In);
-        assert_eq!(out.iter().collect::<Vec<_>>(), vec![v(1), v(2)]);
-        assert_eq!(inward.iter().collect::<Vec<_>>(), vec![v(0), v(1)]);
-        assert_ne!(out, inward);
     }
 
     #[test]

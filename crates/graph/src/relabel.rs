@@ -203,7 +203,6 @@ mod tests {
         for u in g.vertices() {
             let nu = r.to_new(u);
             assert_eq!(h.out_degree(nu), g.out_degree(u), "{u:?}");
-            assert_eq!(h.in_degree(nu), g.in_degree(u), "{u:?}");
             let mut mapped: Vec<VertexId> =
                 g.out_neighbors(u).iter().map(|&v| r.to_new(v)).collect();
             mapped.sort_unstable();
@@ -239,7 +238,6 @@ mod tests {
         let h = r.apply(&g);
         for u in g.vertices() {
             assert_eq!(h.out_neighbors(u), g.out_neighbors(u));
-            assert_eq!(h.in_neighbors(u), g.in_neighbors(u));
         }
     }
 
@@ -250,7 +248,6 @@ mod tests {
         let back = r.inverse().apply(&r.apply(&g));
         for u in g.vertices() {
             assert_eq!(back.out_neighbors(u), g.out_neighbors(u), "{u:?}");
-            assert_eq!(back.in_neighbors(u), g.in_neighbors(u), "{u:?}");
         }
     }
 

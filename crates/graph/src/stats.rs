@@ -1,4 +1,5 @@
-//! Graph statistics: degree distributions, CDFs, clustering, reciprocity.
+//! Graph statistics: out-degree distributions, CDFs, clustering,
+//! reciprocity.
 //!
 //! These drive the paper's Figure 6a–c (out-degree CDFs of orkut,
 //! livejournal and twitter-rv) and the sanity checks on the synthetic
@@ -9,7 +10,7 @@ use std::collections::BTreeMap;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{CsrGraph, Direction, VertexId};
+use crate::{CsrGraph, VertexId};
 
 /// Summary statistics of a degree distribution.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,14 +29,14 @@ pub struct DegreeSummary {
     pub p99: usize,
 }
 
-/// Computes the degree summary in the given direction.
+/// Computes the out-degree summary.
 ///
 /// # Panics
 ///
 /// Panics if the graph has no vertices.
-pub fn degree_summary(graph: &CsrGraph, dir: Direction) -> DegreeSummary {
+pub fn degree_summary(graph: &CsrGraph) -> DegreeSummary {
     assert!(graph.num_vertices() > 0, "degree summary of empty graph");
-    let mut degrees: Vec<usize> = graph.vertices().map(|u| graph.degree(u, dir)).collect();
+    let mut degrees: Vec<usize> = graph.vertices().map(|u| graph.out_degree(u)).collect();
     degrees.sort_unstable();
     let n = degrees.len();
     let pct = |p: f64| degrees[(((n - 1) as f64) * p).round() as usize];
@@ -49,21 +50,23 @@ pub fn degree_summary(graph: &CsrGraph, dir: Direction) -> DegreeSummary {
     }
 }
 
-/// Histogram of degrees: `degree -> number of vertices with that degree`.
-pub fn degree_histogram(graph: &CsrGraph, dir: Direction) -> BTreeMap<usize, usize> {
+/// Histogram of out-degrees: `degree -> number of vertices with that
+/// degree`.
+pub fn degree_histogram(graph: &CsrGraph) -> BTreeMap<usize, usize> {
     let mut hist = BTreeMap::new();
     for u in graph.vertices() {
-        *hist.entry(graph.degree(u, dir)).or_insert(0) += 1;
+        *hist.entry(graph.out_degree(u)).or_insert(0) += 1;
     }
     hist
 }
 
-/// Empirical CDF of the degree distribution as `(degree, P[deg <= degree])`
-/// points, one per distinct degree, in increasing degree order.
+/// Empirical CDF of the out-degree distribution as
+/// `(degree, P[deg <= degree])` points, one per distinct degree, in
+/// increasing degree order.
 ///
 /// This is exactly the curve plotted in the paper's Figure 6a–c.
-pub fn degree_cdf(graph: &CsrGraph, dir: Direction) -> Vec<(usize, f64)> {
-    let hist = degree_histogram(graph, dir);
+pub fn degree_cdf(graph: &CsrGraph) -> Vec<(usize, f64)> {
+    let hist = degree_histogram(graph);
     let n = graph.num_vertices() as f64;
     let mut acc = 0usize;
     hist.into_iter()
@@ -74,16 +77,16 @@ pub fn degree_cdf(graph: &CsrGraph, dir: Direction) -> Vec<(usize, f64)> {
         .collect()
 }
 
-/// Fraction of vertices whose degree is `<= threshold`; i.e. the CDF
+/// Fraction of vertices whose out-degree is `<= threshold`; i.e. the CDF
 /// evaluated at `threshold`. Used for the paper's §5.5 observation that
 /// `thrΓ = 80` already covers >= 80% of the vertices of all three datasets.
-pub fn degree_coverage(graph: &CsrGraph, dir: Direction, threshold: usize) -> f64 {
+pub fn degree_coverage(graph: &CsrGraph, threshold: usize) -> f64 {
     if graph.num_vertices() == 0 {
         return 1.0;
     }
     let covered = graph
         .vertices()
-        .filter(|&u| graph.degree(u, dir) <= threshold)
+        .filter(|&u| graph.out_degree(u) <= threshold)
         .count();
     covered as f64 / graph.num_vertices() as f64
 }
@@ -122,73 +125,6 @@ pub fn clustering_coefficient<R: Rng>(graph: &CsrGraph, samples: usize, rng: &mu
     total / picked.len() as f64
 }
 
-/// Exact triangle count over the undirected view of the graph (each
-/// unordered vertex triple counted once), by rank-ordered neighbor-list
-/// intersection.
-pub fn triangle_count(graph: &CsrGraph) -> u64 {
-    // Undirected neighbor sets, deduplicated, restricted to higher ids so
-    // each triangle is counted exactly once at its smallest vertex.
-    let n = graph.num_vertices();
-    let mut und: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-    for u in graph.vertices() {
-        let mut ns: Vec<VertexId> = graph
-            .out_neighbors(u)
-            .iter()
-            .chain(graph.in_neighbors(u))
-            .copied()
-            .filter(|&v| v > u)
-            .collect();
-        ns.sort_unstable();
-        ns.dedup();
-        und.push(ns);
-    }
-    let mut triangles = 0u64;
-    for u in 0..n {
-        let nu = &und[u];
-        for (i, &v) in nu.iter().enumerate() {
-            let nv = &und[v.index()];
-            // |{w > v} ∩ nu ∩ nv| via sorted merge over the tails.
-            let (mut a, mut b) = (i + 1, 0);
-            while a < nu.len() && b < nv.len() {
-                match nu[a].cmp(&nv[b]) {
-                    std::cmp::Ordering::Less => a += 1,
-                    std::cmp::Ordering::Greater => b += 1,
-                    std::cmp::Ordering::Equal => {
-                        triangles += 1;
-                        a += 1;
-                        b += 1;
-                    }
-                }
-            }
-        }
-    }
-    triangles
-}
-
-/// Exact global clustering coefficient (transitivity):
-/// `3·triangles / open-and-closed wedge count` over the undirected view.
-pub fn transitivity(graph: &CsrGraph) -> f64 {
-    let triangles = triangle_count(graph);
-    let mut wedges = 0u64;
-    for u in graph.vertices() {
-        let mut ns: Vec<VertexId> = graph
-            .out_neighbors(u)
-            .iter()
-            .chain(graph.in_neighbors(u))
-            .copied()
-            .collect();
-        ns.sort_unstable();
-        ns.dedup();
-        let d = ns.len() as u64;
-        wedges += d * d.saturating_sub(1) / 2;
-    }
-    if wedges == 0 {
-        0.0
-    } else {
-        3.0 * triangles as f64 / wedges as f64
-    }
-}
-
 /// Fraction of directed edges `(u, v)` whose reverse `(v, u)` also exists.
 pub fn reciprocity(graph: &CsrGraph) -> f64 {
     if graph.num_edges() == 0 {
@@ -225,7 +161,7 @@ impl GraphSummary {
         GraphSummary {
             vertices: graph.num_vertices(),
             edges: graph.num_edges(),
-            out_degree: degree_summary(graph, Direction::Out),
+            out_degree: degree_summary(graph),
             clustering: clustering_coefficient(graph, clustering_samples, rng),
             reciprocity: reciprocity(graph),
         }
@@ -246,7 +182,7 @@ mod tests {
     #[test]
     fn summary_of_triangle_tail() {
         let g = triangle_plus_tail();
-        let s = degree_summary(&g, Direction::Out);
+        let s = degree_summary(&g);
         assert_eq!(s.min, 0); // vertex 3
         assert_eq!(s.max, 3); // vertex 2
         assert!((s.mean - 7.0 / 4.0).abs() < 1e-12);
@@ -255,7 +191,7 @@ mod tests {
     #[test]
     fn histogram_counts_every_vertex() {
         let g = triangle_plus_tail();
-        let h = degree_histogram(&g, Direction::Out);
+        let h = degree_histogram(&g);
         assert_eq!(h.values().sum::<usize>(), g.num_vertices());
         assert_eq!(h[&0], 1);
         assert_eq!(h[&2], 2);
@@ -265,7 +201,7 @@ mod tests {
     #[test]
     fn cdf_is_monotone_and_ends_at_one() {
         let g = triangle_plus_tail();
-        let cdf = degree_cdf(&g, Direction::Out);
+        let cdf = degree_cdf(&g);
         assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1 && w[0].0 < w[1].0));
         assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
@@ -273,10 +209,10 @@ mod tests {
     #[test]
     fn coverage_matches_cdf() {
         let g = triangle_plus_tail();
-        assert!((degree_coverage(&g, Direction::Out, 2) - 0.75).abs() < 1e-12);
-        assert_eq!(degree_coverage(&g, Direction::Out, 100), 1.0);
+        assert!((degree_coverage(&g, 2) - 0.75).abs() < 1e-12);
+        assert_eq!(degree_coverage(&g, 100), 1.0);
         // Only the tail vertex has out-degree 0.
-        assert!((degree_coverage(&g, Direction::Out, 0) - 0.25).abs() < 1e-12);
+        assert!((degree_coverage(&g, 0) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -295,36 +231,6 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(clustering_coefficient(&g, 10, &mut rng), 0.0);
-    }
-
-    #[test]
-    fn triangle_count_on_known_shapes() {
-        // One triangle, symmetric.
-        let tri = CsrGraph::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]);
-        assert_eq!(triangle_count(&tri), 1);
-        assert!((transitivity(&tri) - 1.0).abs() < 1e-12);
-
-        // Direction must not matter: a directed 3-cycle is one triangle.
-        let cycle = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(triangle_count(&cycle), 1);
-
-        // K4 has 4 triangles.
-        let mut edges = Vec::new();
-        for a in 0..4u32 {
-            for b in 0..4u32 {
-                if a != b {
-                    edges.push((a, b));
-                }
-            }
-        }
-        let k4 = CsrGraph::from_edges(4, &edges);
-        assert_eq!(triangle_count(&k4), 4);
-        assert!((transitivity(&k4) - 1.0).abs() < 1e-12);
-
-        // Star has zero triangles and zero transitivity.
-        let star = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(triangle_count(&star), 0);
-        assert_eq!(transitivity(&star), 0.0);
     }
 
     #[test]

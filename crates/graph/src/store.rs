@@ -33,11 +33,11 @@
 
 use std::sync::Arc;
 
-use crate::csr::Direction;
 use crate::{CsrGraph, GraphError, VertexId};
 
 /// Read access to a directed graph in CSR discipline: sorted,
-/// duplicate-free neighbor lists in both directions.
+/// duplicate-free out-neighbor lists (every SNAPLE step gathers along
+/// out-edges, so no backend stores the transpose).
 ///
 /// Implementations must be cheap to share across threads — the engine
 /// gathers from many worker threads against one `&dyn GraphStore`.
@@ -58,14 +58,8 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
     /// Out-degree `|Γ(u)|`; `0` for out-of-range ids.
     fn out_degree(&self, u: VertexId) -> usize;
 
-    /// In-degree `|Γ⁻¹(u)|`; `0` for out-of-range ids.
-    fn in_degree(&self, u: VertexId) -> usize;
-
     /// Sorted out-neighbor list `Γ(u)`; empty for out-of-range ids.
     fn out_neighbors(&self, u: VertexId) -> &[VertexId];
-
-    /// Sorted in-neighbor list `Γ⁻¹(u)`; empty for out-of-range ids.
-    fn in_neighbors(&self, u: VertexId) -> &[VertexId];
 
     /// Weights parallel to [`GraphStore::out_neighbors`], if weighted.
     fn out_weights(&self, u: VertexId) -> Option<&[f32]>;
@@ -115,22 +109,6 @@ pub trait GraphStore: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// Degree in the requested direction.
-    fn degree(&self, u: VertexId, dir: Direction) -> usize {
-        match dir {
-            Direction::Out => self.out_degree(u),
-            Direction::In => self.in_degree(u),
-        }
-    }
-
-    /// Neighbor list in the requested direction.
-    fn neighbors(&self, u: VertexId, dir: Direction) -> &[VertexId] {
-        match dir {
-            Direction::Out => self.out_neighbors(u),
-            Direction::In => self.in_neighbors(u),
-        }
-    }
-
     /// Whether the directed edge `(u, v)` exists. O(log out-degree).
     fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         self.out_neighbors(u).binary_search(&v).is_ok()
@@ -177,25 +155,9 @@ impl GraphStore for CsrGraph {
         }
     }
 
-    fn in_degree(&self, u: VertexId) -> usize {
-        if u.index() < CsrGraph::num_vertices(self) {
-            CsrGraph::in_degree(self, u)
-        } else {
-            0
-        }
-    }
-
     fn out_neighbors(&self, u: VertexId) -> &[VertexId] {
         if u.index() < CsrGraph::num_vertices(self) {
             CsrGraph::out_neighbors(self, u)
-        } else {
-            &[]
-        }
-    }
-
-    fn in_neighbors(&self, u: VertexId) -> &[VertexId] {
-        if u.index() < CsrGraph::num_vertices(self) {
-            CsrGraph::in_neighbors(self, u)
         } else {
             &[]
         }
@@ -304,9 +266,7 @@ mod tests {
         assert!(!s.is_weighted());
         for u in vertices(s) {
             assert_eq!(s.out_neighbors(u), CsrGraph::out_neighbors(&g, u));
-            assert_eq!(s.in_neighbors(u), CsrGraph::in_neighbors(&g, u));
             assert_eq!(s.out_degree(u), CsrGraph::out_degree(&g, u));
-            assert_eq!(s.in_degree(u), CsrGraph::in_degree(&g, u));
         }
         assert!(s.has_edge(VertexId::new(0), VertexId::new(1)));
         assert!(!s.has_edge(VertexId::new(1), VertexId::new(0)));
@@ -323,9 +283,7 @@ mod tests {
         let s: &dyn GraphStore = &g;
         let far = VertexId::new(99);
         assert_eq!(s.out_degree(far), 0);
-        assert_eq!(s.in_degree(far), 0);
         assert!(s.out_neighbors(far).is_empty());
-        assert!(s.in_neighbors(far).is_empty());
         assert!(s.out_weights(far).is_none());
         assert!(!s.has_edge(far, VertexId::new(0)));
         assert_eq!(s.edge_weight(far, VertexId::new(0)), None);

@@ -4,18 +4,19 @@
 //!
 //! # Why a second binary format
 //!
-//! `SNPLG1` (see [`io`](crate::io)) stores only the out-adjacency and
-//! re-derives the in-adjacency with an O(edges) scatter on every load —
-//! fine at bench scale, fatal at the paper's billion-edge scale, where
-//! load cost must stop growing with the graph. `SNPLG2` makes the
-//! on-disk layout *be* the in-memory layout: its sections are the
-//! [`CsrGraph`] arrays verbatim (both directions, little-endian), so
+//! `SNPLG1` (see [`io`](crate::io)) is one unchecksummed stream that
+//! must be read and parsed whole, field by field, before any row can be
+//! served — fine at bench scale, fatal at the paper's billion-edge
+//! scale, where open cost must stop growing with the graph. `SNPLG2`
+//! makes the on-disk layout *be* the in-memory layout: its sections are
+//! the [`CsrGraph`] arrays verbatim (little-endian), each with its own
+//! checksum and table entry, so
 //!
 //! * a full load ([`io::read_binary`](crate::io::read_binary)) is a
 //!   straight bytes→ints copy per section — `chunks_exact` loops the
 //!   compiler vectorizes to memcpy speed, no per-edge branching — plus
-//!   O(vertices) offset monotonicity and one vectorizable target range
-//!   scan; and
+//!   O(vertices) offset monotonicity and one O(edges) range and row
+//!   order scan; and
 //! * [`FileCsr::open`] reads only the fixed header and section table —
 //!   **O(1) in the edge count** — and faults each section in on first
 //!   touch, so a server can open a 100M-edge graph in microseconds and
@@ -41,12 +42,17 @@
 //! ```
 //!
 //! Raw files (`flags & VARINT == 0`) carry [`SEC_OUT_OFFSETS`],
-//! [`SEC_OUT_TARGETS`], [`SEC_IN_OFFSETS`], [`SEC_IN_SOURCES`] and, when
-//! weighted, [`SEC_OUT_WEIGHTS`]. Varint files replace the two id
-//! sections with delta-varint streams plus per-block byte indexes. Every
-//! section carries its own CRC-32; the header and table are validated
-//! structurally (bounds, element counts, duplicate/unknown kinds) before
-//! any allocation is sized from them.
+//! [`SEC_OUT_TARGETS`] and, when weighted, [`SEC_OUT_WEIGHTS`]. Varint
+//! files replace the targets section with a delta-varint stream
+//! ([`SEC_OUT_TARGETS_VARINT`]) plus a per-block byte index
+//! ([`SEC_OUT_BLOCK_INDEX`]). Every section carries its own CRC-32; the
+//! header and table are validated structurally (bounds, element counts,
+//! duplicate/unknown kinds) before any allocation is sized from them.
+//!
+//! Files written by older builds also carry the in-adjacency (the
+//! `SEC_IN_*` kinds). Those stay known kinds, so such files still open
+//! and their table entries are still bounds-checked, but no reader ever
+//! reads their bytes: every row is served from the out-sections.
 //!
 //! # The varint flavor
 //!
@@ -92,18 +98,22 @@ pub const SEC_OUT_OFFSETS: u32 = 1;
 pub const SEC_OUT_TARGETS: u32 = 2;
 /// Section: out-edge weights, `m × f32 LE` (weighted graphs only).
 pub const SEC_OUT_WEIGHTS: u32 = 3;
-/// Section: in-adjacency offsets, `(n+1) × u64 LE`.
+/// Legacy section (older writers only, never read): in-adjacency
+/// offsets, `(n+1) × u64 LE`.
 pub const SEC_IN_OFFSETS: u32 = 4;
-/// Section: in-adjacency sources, `m × u32 LE`.
+/// Legacy section (older writers only, never read): in-adjacency
+/// sources, `m × u32 LE`.
 pub const SEC_IN_SOURCES: u32 = 5;
 /// Section: delta-varint out-targets stream (`elem_count = m`).
 pub const SEC_OUT_TARGETS_VARINT: u32 = 6;
-/// Section: delta-varint in-sources stream (`elem_count = m`).
+/// Legacy section (older writers only, never read): delta-varint
+/// in-sources stream (`elem_count = m`).
 pub const SEC_IN_SOURCES_VARINT: u32 = 7;
 /// Section: per-block byte index into the out varint stream,
 /// `(blocks+1) × u64 LE`.
 pub const SEC_OUT_BLOCK_INDEX: u32 = 8;
-/// Section: per-block byte index into the in varint stream.
+/// Legacy section (older writers only, never read): per-block byte
+/// index into the in varint stream.
 pub const SEC_IN_BLOCK_INDEX: u32 = 9;
 
 /// One entry of the section table.
@@ -266,15 +276,11 @@ pub fn parse_header(prelude: &[u8], file_len: u64) -> Result<V2Header, GraphErro
         }
     };
     require(SEC_OUT_OFFSETS)?;
-    require(SEC_IN_OFFSETS)?;
     if varint {
         require(SEC_OUT_TARGETS_VARINT)?;
-        require(SEC_IN_SOURCES_VARINT)?;
         require(SEC_OUT_BLOCK_INDEX)?;
-        require(SEC_IN_BLOCK_INDEX)?;
     } else {
         require(SEC_OUT_TARGETS)?;
-        require(SEC_IN_SOURCES)?;
     }
     if weighted {
         require(SEC_OUT_WEIGHTS)?;
@@ -317,27 +323,38 @@ pub fn decode_offsets(bytes: &[u8], n: usize, m: usize) -> Result<Vec<usize>, Gr
     Ok(offsets)
 }
 
-/// Checks that every adjacency row `ids[offsets[u]..offsets[u + 1]]` is
-/// strictly increasing: sorted ascending and duplicate-free, the shape
-/// the intersection kernels and the binary-searching edge lookups
-/// assume. One O(m) scan.
+/// Checks that vertex `u`'s out-row is strictly increasing (sorted
+/// ascending and duplicate-free, the shape the intersection kernels and
+/// the binary-searching edge lookups assume) and that every id in it is
+/// below `n`.
 ///
 /// # Errors
 ///
-/// [`GraphError::Corrupt`] naming the first vertex whose `what` row is
-/// out of order or repeats an id.
-pub(crate) fn check_rows(
-    offsets: &[usize],
-    ids: &[VertexId],
-    what: &str,
-) -> Result<(), GraphError> {
+/// [`GraphError::Corrupt`] naming `u` and the offending ids.
+fn check_row(u: usize, row: &[VertexId], n: usize) -> Result<(), GraphError> {
+    if let Some((a, b)) = row.iter().zip(row.iter().skip(1)).find(|(a, b)| a >= b) {
+        return Err(corrupt(format!(
+            "out-adjacency row of vertex {u} is not strictly increasing ({a} then {b})"
+        )));
+    }
+    match row.last() {
+        Some(v) if v.index() >= n => Err(corrupt(format!(
+            "out-adjacency row of vertex {u} holds {v}, out of range for {n} vertices"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// Runs [`check_row`] on every row `ids[offsets[u]..offsets[u + 1]]` of
+/// a graph of `offsets.len() - 1` vertices. One O(m) scan.
+///
+/// # Errors
+///
+/// [`GraphError::Corrupt`] naming the first bad row's vertex.
+pub(crate) fn check_rows(offsets: &[usize], ids: &[VertexId]) -> Result<(), GraphError> {
+    let n = offsets.len().saturating_sub(1);
     for (u, (&lo, &hi)) in offsets.iter().zip(offsets.iter().skip(1)).enumerate() {
-        let row = ids.get(lo..hi).unwrap_or_default();
-        if let Some((a, b)) = row.iter().zip(row.iter().skip(1)).find(|(a, b)| a >= b) {
-            return Err(corrupt(format!(
-                "{what} row of vertex {u} is not strictly increasing ({a} then {b})"
-            )));
-        }
+        check_row(u, ids.get(lo..hi).unwrap_or_default(), n)?;
     }
     Ok(())
 }
@@ -415,35 +432,20 @@ pub fn decode_v2(data: &[u8]) -> Result<CsrGraph, GraphError> {
             .ok_or_else(|| corrupt(format!("missing required section {kind}")))?;
         section_bytes(data, sec)
     };
-    let out_offsets = decode_offsets(get(SEC_OUT_OFFSETS)?, h.n, h.m)?;
-    let in_offsets = decode_offsets(get(SEC_IN_OFFSETS)?, h.n, h.m)?;
+    let offsets = decode_offsets(get(SEC_OUT_OFFSETS)?, h.n, h.m)?;
     let weights = if h.weighted {
         Some(decode_weights(get(SEC_OUT_WEIGHTS)?, h.m)?)
     } else {
         None
     };
-    let (out_targets, in_sources) = if h.varint {
-        let out_index = decode_block_index(get(SEC_OUT_BLOCK_INDEX)?)?;
-        let in_index = decode_block_index(get(SEC_IN_BLOCK_INDEX)?)?;
-        let out = decode_all_blocks(get(SEC_OUT_TARGETS_VARINT)?, &out_index, &out_offsets, h.n)?;
-        let inn = decode_all_blocks(get(SEC_IN_SOURCES_VARINT)?, &in_index, &in_offsets, h.n)?;
-        (out, inn)
+    let targets = if h.varint {
+        let index = decode_block_index(get(SEC_OUT_BLOCK_INDEX)?)?;
+        decode_all_blocks(get(SEC_OUT_TARGETS_VARINT)?, &index, &offsets, h.n)?
     } else {
-        (
-            decode_ids(get(SEC_OUT_TARGETS)?, h.n, h.m)?,
-            decode_ids(get(SEC_IN_SOURCES)?, h.n, h.m)?,
-        )
+        decode_ids(get(SEC_OUT_TARGETS)?, h.n, h.m)?
     };
-    check_rows(&out_offsets, &out_targets, "out-adjacency")?;
-    check_rows(&in_offsets, &in_sources, "in-adjacency")?;
-    Ok(CsrGraph::from_parts_with_reverse(
-        h.n,
-        out_offsets,
-        out_targets,
-        weights,
-        in_offsets,
-        in_sources,
-    ))
+    check_rows(&offsets, &targets)?;
+    Ok(CsrGraph::from_parts(h.n, offsets, targets, weights))
 }
 
 /// Converts a block-index payload (`u64 LE` byte offsets).
@@ -508,13 +510,16 @@ pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u32, GraphErr
     }
 }
 
-/// Encodes the adjacency lists of vertices `[0, n)` (ascending ids per
-/// list: first absolute, rest gaps) into a stream plus a per-block byte
-/// index of length `blocks + 1`.
-pub(crate) fn encode_stream(
-    n: usize,
-    mut list_of: impl FnMut(u32) -> Vec<u32>,
-) -> (Vec<u8>, Vec<usize>) {
+/// Encodes the out-rows of `graph` (ascending ids per row: first
+/// absolute, rest gaps) into a stream plus a per-block byte index of
+/// length `blocks + 1`, checking each row with [`check_row`] as it goes.
+///
+/// # Errors
+///
+/// [`GraphError::Corrupt`] naming the first vertex whose row is out of
+/// order, repeats an id or holds an id out of range.
+pub(crate) fn encode_stream(graph: &dyn GraphStore) -> Result<(Vec<u8>, Vec<usize>), GraphError> {
+    let n = graph.num_vertices();
     let blocks = n.div_ceil(BLOCK_VERTICES);
     let mut stream = Vec::new();
     let mut index = Vec::with_capacity(blocks + 1);
@@ -523,20 +528,18 @@ pub(crate) fn encode_stream(
         let lo = b * BLOCK_VERTICES;
         let hi = ((b + 1) * BLOCK_VERTICES).min(n);
         for u in lo..hi {
-            let list = list_of(u as u32);
+            let row = graph.out_neighbors(VertexId::new(u as u32));
+            check_row(u, row, n)?;
+            // The first id is its own gap from 0.
             let mut prev = 0u32;
-            for (i, &v) in list.iter().enumerate() {
-                if i == 0 {
-                    push_varint(&mut stream, v);
-                } else {
-                    push_varint(&mut stream, v.wrapping_sub(prev));
-                }
-                prev = v;
+            for v in row {
+                push_varint(&mut stream, v.as_u32() - prev);
+                prev = v.as_u32();
             }
         }
         index.push(stream.len());
     }
-    (stream, index)
+    Ok((stream, index))
 }
 
 /// Decodes the block covering vertices `[lo, hi)` from `bytes` (the
@@ -630,8 +633,12 @@ pub(crate) fn decode_all_blocks(
 pub fn encoded_len(graph: &dyn GraphStore) -> u64 {
     let n = graph.num_vertices() as u64;
     let m = graph.num_edges() as u64;
-    let sections: u64 = if graph.is_weighted() { 5 } else { 4 };
-    let payload = 2 * (n + 1) * 8 + 2 * m * 4 + if graph.is_weighted() { m * 4 } else { 0 };
+    let (sections, weights) = if graph.is_weighted() {
+        (3, m * 4)
+    } else {
+        (2, 0)
+    };
+    let payload = (n + 1) * 8 + m * 4 + weights;
     HEADER2_LEN as u64 + sections * SECTION_ENTRY_LEN as u64 + payload
 }
 
@@ -657,61 +664,58 @@ pub(crate) fn encode_prelude(flags: u8, n: u64, m: u64, sections: &[Section]) ->
     head
 }
 
-/// Streams one logical section's bytes through `sink` in bounded
-/// chunks — used twice per section: a CRC pre-pass, then the write.
-fn stream_section<E>(
+/// Streams one logical section's bytes through `sink` in chunks of at
+/// most 64 KiB — used twice per raw section (a CRC pre-pass, then the
+/// write) and once per raw section of a varint file. Each out-row is
+/// checked with [`check_row`] as it streams.
+///
+/// # Errors
+///
+/// [`GraphError::Corrupt`] naming the first bad row's vertex, or what
+/// `sink` returns.
+fn stream_section(
     graph: &dyn GraphStore,
     kind: u32,
-    sink: &mut impl FnMut(&[u8]) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut buf = Vec::with_capacity(64 * 1024);
-    macro_rules! flush_if_full {
-        () => {
-            if buf.len() >= 64 * 1024 - 8 {
-                sink(&buf)?;
-                buf.clear();
-            }
-        };
-    }
+    sink: &mut impl FnMut(&[u8]) -> Result<(), GraphError>,
+) -> Result<(), GraphError> {
+    const CHUNK: usize = 64 * 1024;
     let n = graph.num_vertices();
-    match kind {
-        SEC_OUT_OFFSETS | SEC_IN_OFFSETS => {
-            let mut total = 0u64;
-            buf.extend_from_slice(&0u64.to_le_bytes());
-            for raw in 0..n as u32 {
-                let u = VertexId::new(raw);
-                total += if kind == SEC_OUT_OFFSETS {
-                    graph.out_degree(u) as u64
-                } else {
-                    graph.in_degree(u) as u64
-                };
-                buf.extend_from_slice(&total.to_le_bytes());
-                flush_if_full!();
-            }
+    let mut buf = Vec::with_capacity(CHUNK);
+    // Every word is at most 8 bytes, so flushing 8 bytes short of the
+    // capacity never grows the buffer.
+    let mut put = |buf: &mut Vec<u8>, word: &[u8]| -> Result<(), GraphError> {
+        buf.extend_from_slice(word);
+        if buf.len() > CHUNK - 8 {
+            sink(buf)?;
+            buf.clear();
         }
-        SEC_OUT_TARGETS | SEC_IN_SOURCES => {
-            for raw in 0..n as u32 {
-                let u = VertexId::new(raw);
-                let list = if kind == SEC_OUT_TARGETS {
-                    graph.out_neighbors(u)
-                } else {
-                    graph.in_neighbors(u)
-                };
-                for v in list {
-                    buf.extend_from_slice(&v.as_u32().to_le_bytes());
-                    flush_if_full!();
+        Ok(())
+    };
+    let mut total = 0u64;
+    if kind == SEC_OUT_OFFSETS {
+        put(&mut buf, &total.to_le_bytes())?;
+    }
+    for raw in 0..n as u32 {
+        let u = VertexId::new(raw);
+        match kind {
+            SEC_OUT_OFFSETS => {
+                total += graph.out_degree(u) as u64;
+                put(&mut buf, &total.to_le_bytes())?;
+            }
+            SEC_OUT_TARGETS => {
+                let row = graph.out_neighbors(u);
+                check_row(u.index(), row, n)?;
+                for v in row {
+                    put(&mut buf, &v.as_u32().to_le_bytes())?;
                 }
             }
-        }
-        SEC_OUT_WEIGHTS => {
-            for raw in 0..n as u32 {
-                for &w in graph.out_weights(VertexId::new(raw)).unwrap_or(&[]) {
-                    buf.extend_from_slice(&w.to_bits().to_le_bytes());
-                    flush_if_full!();
+            SEC_OUT_WEIGHTS => {
+                for &w in graph.out_weights(u).unwrap_or(&[]) {
+                    put(&mut buf, &w.to_bits().to_le_bytes())?;
                 }
             }
+            _ => {}
         }
-        _ => {}
     }
     if !buf.is_empty() {
         sink(&buf)?;
@@ -719,15 +723,19 @@ fn stream_section<E>(
     Ok(())
 }
 
-/// Encodes `graph` as a **raw** `SNPLG2` file.
+/// Encodes `graph` as a **raw** `SNPLG2` file: its out-offsets,
+/// out-targets and, when weighted, out-weights.
 ///
 /// Two passes per section — a CRC/length pre-pass, then the write — so
 /// nothing is buffered beyond a 64 KiB chunk: a 100M-edge checkpoint
 /// streams straight to its file instead of transiently tripling memory.
-/// For the varint flavor use [`write_v2_varint`].
+/// The pre-pass checks every row, so a bad row fails before a byte is
+/// written. For the varint flavor use [`write_v2_varint`].
 ///
 /// # Errors
 ///
+/// [`GraphError::Corrupt`] naming the first vertex whose row is out of
+/// order, repeats an id or holds an id out of range;
 /// [`GraphError::Io`] on write failures.
 pub fn write_v2<W: std::io::Write>(
     graph: &dyn GraphStore,
@@ -736,29 +744,24 @@ pub fn write_v2<W: std::io::Write>(
     let n = graph.num_vertices() as u64;
     let m = graph.num_edges() as u64;
     let weighted = graph.is_weighted();
-    let mut kinds = vec![SEC_OUT_OFFSETS, SEC_OUT_TARGETS];
-    if weighted {
-        kinds.push(SEC_OUT_WEIGHTS);
-    }
-    kinds.push(SEC_IN_OFFSETS);
-    kinds.push(SEC_IN_SOURCES);
+    let kinds: &[u32] = if weighted {
+        &[SEC_OUT_OFFSETS, SEC_OUT_TARGETS, SEC_OUT_WEIGHTS]
+    } else {
+        &[SEC_OUT_OFFSETS, SEC_OUT_TARGETS]
+    };
 
     // Pass 1: per-section CRC + length, no buffering.
     let mut sections = Vec::with_capacity(kinds.len());
     let mut offset = (HEADER2_LEN + kinds.len() * SECTION_ENTRY_LEN) as u64;
-    for &kind in &kinds {
+    for &kind in kinds {
         let mut crc = 0u32;
         let mut len = 0u64;
-        stream_section::<std::convert::Infallible>(graph, kind, &mut |chunk| {
+        stream_section(graph, kind, &mut |chunk| {
             crc = crc32(crc, chunk);
             len += chunk.len() as u64;
             Ok(())
-        })
-        .unwrap_or(());
-        let elem_count = match kind {
-            SEC_OUT_OFFSETS | SEC_IN_OFFSETS => n + 1,
-            _ => m,
-        };
+        })?;
+        let elem_count = if kind == SEC_OUT_OFFSETS { n + 1 } else { m };
         sections.push(Section {
             kind,
             crc,
@@ -773,8 +776,8 @@ pub fn write_v2<W: std::io::Write>(
     writer.write_all(&encode_prelude(flags, n, m, &sections))?;
 
     // Pass 2: the payloads.
-    for &kind in &kinds {
-        stream_section::<GraphError>(graph, kind, &mut |chunk| {
+    for &kind in kinds {
+        stream_section(graph, kind, &mut |chunk| {
             writer.write_all(chunk).map_err(GraphError::from)
         })?;
     }
@@ -783,79 +786,42 @@ pub fn write_v2<W: std::io::Write>(
 
 /// Encodes `graph` as a **varint**-flavored `SNPLG2` file.
 ///
-/// The compressed streams are materialized in memory (they are the
-/// small representation); offsets and weights stream raw.
+/// The sections are materialized in memory (the compressed stream is
+/// the small representation) and every row is checked before a byte is
+/// written.
 ///
 /// # Errors
 ///
+/// [`GraphError::Corrupt`] naming the first vertex whose row is out of
+/// order, repeats an id or holds an id out of range;
 /// [`GraphError::Io`] on write failures.
 pub fn write_v2_varint<W: std::io::Write>(
     graph: &dyn GraphStore,
     mut writer: W,
 ) -> Result<(), GraphError> {
-    let n = graph.num_vertices();
+    let n = graph.num_vertices() as u64;
     let m = graph.num_edges() as u64;
     let weighted = graph.is_weighted();
-    let (out_stream, out_index) = encode_stream(n, |u| {
-        graph
-            .out_neighbors(VertexId::new(u))
-            .iter()
-            .map(|v| v.as_u32())
-            .collect()
-    });
-    let (in_stream, in_index) = encode_stream(n, |u| {
-        graph
-            .in_neighbors(VertexId::new(u))
-            .iter()
-            .map(|v| v.as_u32())
-            .collect()
-    });
-    let index_bytes = |index: &[usize]| -> Vec<u8> {
-        let mut b = Vec::with_capacity(index.len() * 8);
-        for &v in index {
-            b.extend_from_slice(&(v as u64).to_le_bytes());
-        }
-        b
+    let raw = |kind| -> Result<Vec<u8>, GraphError> {
+        let mut bytes = Vec::new();
+        stream_section(graph, kind, &mut |chunk| {
+            bytes.extend_from_slice(chunk);
+            Ok(())
+        })?;
+        Ok(bytes)
     };
-    let offsets_bytes = |out_dir: bool| -> Vec<u8> {
-        let mut b = Vec::with_capacity((n + 1) * 8);
-        let mut total = 0u64;
-        b.extend_from_slice(&0u64.to_le_bytes());
-        for raw in 0..n as u32 {
-            let u = VertexId::new(raw);
-            total += if out_dir {
-                graph.out_degree(u) as u64
-            } else {
-                graph.in_degree(u) as u64
-            };
-            b.extend_from_slice(&total.to_le_bytes());
-        }
-        b
-    };
+    let (stream, index) = encode_stream(graph)?;
+    let index_bytes: Vec<u8> = index
+        .iter()
+        .flat_map(|&at| (at as u64).to_le_bytes())
+        .collect();
     let mut payloads: Vec<(u32, u64, Vec<u8>)> = vec![
-        (SEC_OUT_OFFSETS, n as u64 + 1, offsets_bytes(true)),
-        (SEC_OUT_TARGETS_VARINT, m, out_stream),
-        (
-            SEC_OUT_BLOCK_INDEX,
-            out_index.len() as u64,
-            index_bytes(&out_index),
-        ),
-        (SEC_IN_OFFSETS, n as u64 + 1, offsets_bytes(false)),
-        (SEC_IN_SOURCES_VARINT, m, in_stream),
-        (
-            SEC_IN_BLOCK_INDEX,
-            in_index.len() as u64,
-            index_bytes(&in_index),
-        ),
+        (SEC_OUT_OFFSETS, n + 1, raw(SEC_OUT_OFFSETS)?),
+        (SEC_OUT_TARGETS_VARINT, m, stream),
+        (SEC_OUT_BLOCK_INDEX, index.len() as u64, index_bytes),
     ];
     if weighted {
-        let mut ws = Vec::with_capacity(m as usize * 4);
-        for raw in 0..n as u32 {
-            for &w in graph.out_weights(VertexId::new(raw)).unwrap_or(&[]) {
-                ws.extend_from_slice(&w.to_bits().to_le_bytes());
-            }
-        }
-        payloads.push((SEC_OUT_WEIGHTS, m, ws));
+        payloads.push((SEC_OUT_WEIGHTS, m, raw(SEC_OUT_WEIGHTS)?));
     }
     let mut offset = (HEADER2_LEN + payloads.len() * SECTION_ENTRY_LEN) as u64;
     let mut sections = Vec::with_capacity(payloads.len());
@@ -870,7 +836,7 @@ pub fn write_v2_varint<W: std::io::Write>(
         offset += bytes.len() as u64;
     }
     let flags = FLAG2_VARINT | if weighted { FLAG2_WEIGHTED } else { 0 };
-    writer.write_all(&encode_prelude(flags, n as u64, m, &sections))?;
+    writer.write_all(&encode_prelude(flags, n, m, &sections))?;
     for (_, _, bytes) in &payloads {
         writer.write_all(bytes)?;
     }
@@ -889,8 +855,6 @@ struct FileCsrInner {
     out_offsets: OnceLock<Vec<usize>>,
     out_targets: OnceLock<Vec<VertexId>>,
     out_weights: OnceLock<Vec<f32>>,
-    in_offsets: OnceLock<Vec<usize>>,
-    in_sources: OnceLock<Vec<VertexId>>,
     /// First deferred load failure; accessors serve empty lists once
     /// set, [`GraphStore::check_fault`] returns it as a typed error.
     fault: OnceLock<String>,
@@ -900,12 +864,13 @@ struct FileCsrInner {
 ///
 /// [`FileCsr::open`] reads only the header and section table — open
 /// time is flat in the edge count (the property the bench crate's
-/// `gates.rs` enforces). Adjacency sections fault in lazily, each validated
-/// against its CRC on load. Accessors never panic: a section that fails
-/// its deferred load reads as empty and the failure is recorded. The
-/// serving layers ask [`GraphStore::check_fault`] after prepare, after
-/// every execute and before a delta folds in, so a result computed over
-/// an empty section is returned as an error, never as rows.
+/// `gates.rs` enforces). Adjacency sections fault in lazily, each
+/// validated against its CRC on load; the in-adjacency sections of files
+/// from older writers are never loaded. Accessors never panic: a section
+/// that fails its deferred load reads as empty and the failure is
+/// recorded. The serving layers ask [`GraphStore::check_fault`] after
+/// prepare, after every execute and before a delta folds in, so a result
+/// computed over an empty section is returned as an error, never as rows.
 ///
 /// Cloning is cheap (`Arc`-backed); clones share loaded sections.
 #[derive(Clone, Debug)]
@@ -943,8 +908,6 @@ impl FileCsr {
                 out_offsets: OnceLock::new(),
                 out_targets: OnceLock::new(),
                 out_weights: OnceLock::new(),
-                in_offsets: OnceLock::new(),
-                in_sources: OnceLock::new(),
                 fault: OnceLock::new(),
             }),
         })
@@ -997,93 +960,53 @@ impl FileCsr {
         Ok(buf)
     }
 
-    fn offsets_of<'a>(&self, cell: &'a OnceLock<Vec<usize>>, kind: u32) -> &'a [usize] {
-        cell.get_or_init(|| {
-            match self
-                .read_section(kind)
-                .and_then(|b| decode_offsets(&b, self.inner.header.n, self.inner.header.m))
-            {
-                Ok(v) => v,
-                Err(e) => {
-                    self.record_fault(&e);
-                    Vec::new()
-                }
-            }
+    /// The value `load` returns, or an empty vector once it fails, with
+    /// the failure recorded for [`GraphStore::check_fault`].
+    fn or_fault<T>(&self, load: Result<Vec<T>, GraphError>) -> Vec<T> {
+        load.unwrap_or_else(|e| {
+            self.record_fault(&e);
+            Vec::new()
         })
-    }
-
-    /// Loads an id section, checking its rows (cut by `offsets`) are
-    /// strictly increasing.
-    fn ids_of<'a>(
-        &self,
-        cell: &'a OnceLock<Vec<VertexId>>,
-        kind: u32,
-        offsets: &[usize],
-        what: &str,
-    ) -> &'a [VertexId] {
-        cell.get_or_init(|| {
-            match self
-                .read_section(kind)
-                .and_then(|b| decode_ids(&b, self.inner.header.n, self.inner.header.m))
-                .and_then(|ids| check_rows(offsets, &ids, what).map(|()| ids))
-            {
-                Ok(v) => v,
-                Err(e) => {
-                    self.record_fault(&e);
-                    Vec::new()
-                }
-            }
-        })
-    }
-
-    fn weights_slice(&self) -> Option<&[f32]> {
-        if !self.inner.header.weighted {
-            return None;
-        }
-        Some(self.inner.out_weights.get_or_init(|| {
-            match self
-                .read_section(SEC_OUT_WEIGHTS)
-                .and_then(|b| decode_weights(&b, self.inner.header.m))
-            {
-                Ok(v) => v,
-                Err(e) => {
-                    self.record_fault(&e);
-                    Vec::new()
-                }
-            }
-        }))
     }
 
     fn out_offs(&self) -> &[usize] {
-        self.offsets_of(&self.inner.out_offsets, SEC_OUT_OFFSETS)
+        let h = &self.inner.header;
+        self.inner.out_offsets.get_or_init(|| {
+            self.or_fault(
+                self.read_section(SEC_OUT_OFFSETS)
+                    .and_then(|b| decode_offsets(&b, h.n, h.m)),
+            )
+        })
     }
 
-    fn in_offs(&self) -> &[usize] {
-        self.offsets_of(&self.inner.in_offsets, SEC_IN_OFFSETS)
-    }
-
-    /// Out-adjacency offsets and targets.
+    /// Out-adjacency offsets and targets, the targets' rows checked to
+    /// be strictly increasing when they load.
     fn out_rows(&self) -> (&[usize], &[VertexId]) {
+        let h = &self.inner.header;
         let offsets = self.out_offs();
-        let targets = self.ids_of(
-            &self.inner.out_targets,
-            SEC_OUT_TARGETS,
-            offsets,
-            "out-adjacency",
-        );
+        let targets = self.inner.out_targets.get_or_init(|| {
+            self.or_fault(
+                self.read_section(SEC_OUT_TARGETS)
+                    .and_then(|b| decode_ids(&b, h.n, h.m))
+                    .and_then(|ids| check_rows(offsets, &ids).map(|()| ids)),
+            )
+        });
         (offsets, targets)
     }
 
-    /// In-adjacency offsets and sources.
-    fn in_rows(&self) -> (&[usize], &[VertexId]) {
-        let offsets = self.in_offs();
-        let sources = self.ids_of(
-            &self.inner.in_sources,
-            SEC_IN_SOURCES,
-            offsets,
-            "in-adjacency",
-        );
-        (offsets, sources)
+    fn weights_slice(&self) -> Option<&[f32]> {
+        let h = &self.inner.header;
+        h.weighted.then(|| {
+            self.inner
+                .out_weights
+                .get_or_init(|| {
+                    self.or_fault(
+                        self.read_section(SEC_OUT_WEIGHTS)
+                            .and_then(|b| decode_weights(&b, h.m)),
+                    )
+                })
+                .as_slice()
+        })
     }
 
     fn list<'a>(offsets: &[usize], items: &'a [VertexId], u: VertexId) -> &'a [VertexId] {
@@ -1117,22 +1040,9 @@ impl GraphStore for FileCsr {
         }
     }
 
-    fn in_degree(&self, u: VertexId) -> usize {
-        let offs = self.in_offs();
-        match (offs.get(u.index()), offs.get(u.index() + 1)) {
-            (Some(&lo), Some(&hi)) => hi.saturating_sub(lo),
-            _ => 0,
-        }
-    }
-
     fn out_neighbors(&self, u: VertexId) -> &[VertexId] {
         let (offsets, targets) = self.out_rows();
         Self::list(offsets, targets, u)
-    }
-
-    fn in_neighbors(&self, u: VertexId) -> &[VertexId] {
-        let (offsets, sources) = self.in_rows();
-        Self::list(offsets, sources, u)
     }
 
     fn out_weights(&self, u: VertexId) -> Option<&[f32]> {
@@ -1164,23 +1074,20 @@ impl GraphStore for FileCsr {
         }
     }
 
-    /// Loads every section, then copies them. A section that fails to
-    /// load yields an empty graph and records the fault
+    /// Loads every out-section, then copies them. A section that fails
+    /// to load yields an empty graph and records the fault
     /// [`GraphStore::check_fault`] reports.
     fn to_csr(&self) -> CsrGraph {
-        let (out_offsets, out_targets) = self.out_rows();
-        let (in_offsets, in_sources) = self.in_rows();
+        let (offsets, targets) = self.out_rows();
         let weights = self.weights_slice();
         if self.check_fault().is_err() {
             return CsrGraph::from_edges(0, &[]);
         }
-        CsrGraph::from_parts_with_reverse(
+        CsrGraph::from_parts(
             self.inner.header.n,
-            out_offsets.to_vec(),
-            out_targets.to_vec(),
+            offsets.to_vec(),
+            targets.to_vec(),
             weights.map(<[f32]>::to_vec),
-            in_offsets.to_vec(),
-            in_sources.to_vec(),
         )
     }
 
@@ -1219,7 +1126,6 @@ mod tests {
         assert_eq!(a.is_weighted(), b.is_weighted());
         for u in a.vertices() {
             assert_eq!(a.out_neighbors(u), b.out_neighbors(u), "{u} out");
-            assert_eq!(a.in_neighbors(u), b.in_neighbors(u), "{u} in");
             match (a.out_weights(u), b.out_weights(u)) {
                 (Some(x), Some(y)) => assert_eq!(
                     x.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
@@ -1280,9 +1186,7 @@ mod tests {
             assert_eq!(s.num_edges(), g.num_edges());
             for u in store::vertices(s) {
                 assert_eq!(s.out_neighbors(u), g.out_neighbors(u));
-                assert_eq!(s.in_neighbors(u), g.in_neighbors(u));
                 assert_eq!(s.out_degree(u), g.out_degree(u));
-                assert_eq!(s.in_degree(u), g.in_degree(u));
                 assert_eq!(s.out_weights(u), g.out_weights(u));
             }
             assert_same(&g, &s.to_csr());
@@ -1300,7 +1204,7 @@ mod tests {
         let mut bytes = encode(&g);
         // Corrupt a payload byte (past the section table): open must
         // still succeed, the fault surfaces on access.
-        let table_end = HEADER2_LEN + 4 * SECTION_ENTRY_LEN;
+        let table_end = HEADER2_LEN + 2 * SECTION_ENTRY_LEN;
         bytes[table_end + 3] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("write");
         let f = FileCsr::open(&path).expect("open ignores payloads");

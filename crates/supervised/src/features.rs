@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use snaple_core::{ExecuteRequest, PlanConfig, QuerySet, ScorePlan, ScoreSpec, SnapleError};
 use snaple_gas::{ClusterSpec, Deployment, RunStats};
-use snaple_graph::{GraphStore, VertexId};
+use snaple_graph::{store, GraphStore, VertexId};
 
 use crate::SupervisedConfig;
 
@@ -157,12 +157,17 @@ impl<'c> FeaturePanel<'c> {
         }
         let stats = matrix.stats;
         if cfg.degree_features {
+            // Graphs store out-rows only, so in-degrees take one O(E) count.
+            let mut in_degree = vec![0usize; graph.num_vertices()];
+            for (_, z) in store::edges(graph) {
+                in_degree[z.index()] += 1;
+            }
             for (ui, candidates) in rows.iter_mut().enumerate() {
                 let u = VertexId::new(ui as u32);
                 let du = (graph.out_degree(u) as f64 + 1.0).ln();
                 for (z, row) in candidates.iter_mut() {
                     row[num_features - 2] = du;
-                    row[num_features - 1] = (graph.in_degree(*z) as f64 + 1.0).ln();
+                    row[num_features - 1] = (in_degree[z.index()] as f64 + 1.0).ln();
                 }
             }
         }

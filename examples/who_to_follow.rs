@@ -79,19 +79,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          engine guarantees distribution does not change results."
     );
 
-    // Show recommendations for the most-followed account's followers.
+    // Show recommendations for the most-followed account's followers,
+    // counted from the follow edges in one pass.
+    let mut followers = vec![0usize; holdout.train.num_vertices()];
+    for (_, z) in holdout.train.edges() {
+        followers[z.index()] += 1;
+    }
     let celebrity = holdout
         .train
         .vertices()
-        .max_by_key(|&u| holdout.train.in_degree(u))
+        .max_by_key(|&u| followers[u.index()])
         .expect("nonempty graph");
     println!();
     println!(
         "most-followed account: {celebrity} ({} followers)",
-        holdout.train.in_degree(celebrity)
+        followers[celebrity.index()]
     );
-    if let Some(follower) = holdout.train.in_neighbors(celebrity).first() {
-        let recs = distributed.for_vertex(*follower);
+    if let Some((follower, _)) = holdout.train.edges().find(|&(_, z)| z == celebrity) {
+        let recs = distributed.for_vertex(follower);
         println!("recommendations for one of its followers ({follower}):");
         for (z, score) in recs {
             println!("  follow {z}  (score {score:.3})");

@@ -498,8 +498,8 @@ every command rejects a flag it does not read, naming both.
 predict/serve take the storage backend from the graph file itself: a
 raw SNPLG2 file opens file-backed ('file-csr': open reads only the
 header and the section table, each section loads whole into RAM on
-first touch, and a run that gathers only out-edges never loads the
-in-sections); the varint SNPLG2 flavor and SNPLG1 load into RAM
+first touch, and a run that never reads weights never loads them);
+the varint SNPLG2 flavor and SNPLG1 load into RAM
 ('csr'); text edge lists parse in RAM. Rows are bit-identical across
 backends. 'graph convert --graph-format varint' writes the varint
 flavor (about 2x smaller); 'graph convert' back to raw v2 gives a file

@@ -48,14 +48,13 @@ fn build(edges: &[(u32, u32)]) -> CsrGraph {
 }
 
 /// Full structural equality between two stores: vertex/edge counts,
-/// out/in adjacency, and out-weights.
+/// out-adjacency, and out-weights.
 fn assert_same_graph(a: &dyn GraphStore, b: &dyn GraphStore) {
     assert_eq!(a.num_vertices(), b.num_vertices());
     assert_eq!(a.num_edges(), b.num_edges());
     assert_eq!(a.is_weighted(), b.is_weighted());
     for u in store::vertices(a) {
         assert_eq!(a.out_neighbors(u), b.out_neighbors(u), "out row {u}");
-        assert_eq!(a.in_neighbors(u), b.in_neighbors(u), "in row {u}");
         let wa: Option<Vec<f32>> = a.out_weights(u).map(|w| w.to_vec());
         let wb: Option<Vec<f32>> = b.out_weights(u).map(|w| w.to_vec());
         assert_eq!(wa, wb, "weights row {u}");
@@ -299,8 +298,9 @@ fn write_with_corrupt_section(g: &CsrGraph, kind: u32, tag: &str) -> std::path::
 /// prepare, from a one-shot predict (with and without queries), from
 /// random-walk execute and from delta apply/fork — never rows computed
 /// over an empty section. A corrupt section the run never reads (the
-/// in-adjacency, which the plan's gathers do not walk) is not loaded,
-/// and the run's rows match the intact graph's.
+/// out-weights, which neither the partition build nor the plan's
+/// gathers read) is not loaded, and the run's rows match the intact
+/// graph's; the first delta, whose fold copies the weights, is refused.
 #[test]
 fn corrupt_section_is_a_typed_error_not_an_empty_graph() {
     let edges: Vec<(u32, u32)> = (0..40u32)
@@ -332,10 +332,15 @@ fn corrupt_section_is_a_typed_error_not_an_empty_graph() {
     expect_fault(walked.unwrap_err().to_string());
     std::fs::remove_file(&out_path).ok();
 
-    let in_path = write_with_corrupt_section(&g, v2::SEC_IN_SOURCES, "corrupt-in");
+    let mut weighted = GraphBuilder::new();
+    for &(u, v) in &edges {
+        weighted.add_weighted_edge(u, v, 0.5 + (u % 3) as f32);
+    }
+    let gw = weighted.build();
+    let weights_path = write_with_corrupt_section(&gw, v2::SEC_OUT_WEIGHTS, "corrupt-weights");
     let mut delta = GraphDelta::new();
     delta.insert(0, 20);
-    let walk_file = FileCsr::open(&in_path).unwrap();
+    let walk_file = FileCsr::open(&weights_path).unwrap();
     let walk_prepared = walk
         .prepare(&PrepareRequest::new(&walk_file, &cluster))
         .unwrap();
@@ -346,7 +351,7 @@ fn corrupt_section_is_a_typed_error_not_an_empty_graph() {
             .unwrap()
             .to_string(),
     );
-    let file = FileCsr::open(&in_path).unwrap();
+    let file = FileCsr::open(&weights_path).unwrap();
     let mut prepared = snaple
         .prepare(&PrepareRequest::new(&file, &cluster))
         .unwrap();
@@ -354,12 +359,12 @@ fn corrupt_section_is_a_typed_error_not_an_empty_graph() {
         .execute(&ExecuteRequest::new().with_queries(&queries))
         .unwrap();
     let clean = snaple
-        .predict(&PredictRequest::new(&g, &cluster).with_queries(&queries))
+        .predict(&PredictRequest::new(&gw, &cluster).with_queries(&queries))
         .unwrap();
     for q in queries.iter() {
         assert_eq!(served.for_vertex(q), clean.for_vertex(q));
     }
     expect_fault(prepared.fork_with_delta(&delta).err().unwrap().to_string());
     expect_fault(prepared.apply_delta(&delta).unwrap_err().to_string());
-    std::fs::remove_file(&in_path).ok();
+    std::fs::remove_file(&weights_path).ok();
 }
