@@ -176,14 +176,20 @@ impl RouterShared {
     /// Marks shard `i` dead: future routes there fail fast, every
     /// pending request waiting on it fails now, and anyone blocked on
     /// readiness or drain is woken. Idempotent.
+    ///
+    /// A repeat call still fails the pending requests waiting on `i`: a
+    /// request can pass the fail-fast check just before the reader marks
+    /// the shard dead and register its slot just after, and only the
+    /// sender's own call to this method is left to fail that slot.
     fn mark_dead(&self, i: usize, message: &str) {
-        {
+        // The first death notice wins; later calls report it too.
+        let message = {
             let mut dead = crate::sync::lock(&self.dead);
-            match dead.get_mut(i) {
-                Some(slot) if slot.is_none() => *slot = Some(message.to_string()),
-                _ => return, // already dead, or not a shard we know
-            }
-        }
+            let Some(notice) = dead.get_mut(i) else {
+                return; // not a shard we know
+            };
+            notice.get_or_insert_with(|| message.to_string()).clone()
+        };
         // Unblock a prepare waiting on this shard.
         {
             let mut ready = crate::sync::lock(&self.ready);
@@ -278,8 +284,11 @@ impl RouterShared {
             }),
             cv: Condvar::new(),
         });
-        crate::sync::lock(&self.pending).insert(request_id, Arc::clone(&slot));
+        // Count the request before it becomes visible in `pending`: a
+        // reader's `mark_dead` may fail the slot the moment it is there,
+        // and its decrement must find the count already raised.
         *crate::sync::lock(&self.outstanding) += 1;
+        crate::sync::lock(&self.pending).insert(request_id, Arc::clone(&slot));
         for (i, frame) in frames {
             let _ = self.send_to(*i, frame);
         }
